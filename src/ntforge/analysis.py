@@ -19,7 +19,6 @@ import itertools
 import random
 
 import numpy as np
-from scipy import optimize
 
 from .fock import Truncation, lift
 from .linalg import spectral_norm
@@ -43,12 +42,6 @@ class ConcreteRep:
 
     def phi(self, arrow):
         return self._phi(arrow)
-
-    def phi_nt(self, x: NTElement):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (p, q), a in x.terms.items():
-            out += self.phi(a)
-        return out
 
     def fiber_image(self, p, q):
         """Columns vec(phi(a_k)) over the matrix-unit basis of K(p,q)."""
@@ -406,6 +399,8 @@ def aperiodicity_search(
     (random restarts + Powell refinement) certifies an upper bound on the
     infimum; returns the best value with its witness.
     """
+    from scipy import optimize
+
     sg = backend.sg
     if not sg.is_unit(x) or x == sg.identity():
         raise ValueError("x must be a nontrivial unit")

@@ -6,7 +6,7 @@
     ntforge segments scenario.json -F 1 -F 11 [--depth N]
     ntforge partition-check scenario.json -F ... [--depth N]
     ntforge nt {mul,adjoint,expect,grade,norm} scenario.json x [y]
-    ntforge fock {build,norm,expect,project} scenario.json [x] [--depth --tol --dense-cap]
+    ntforge fock {build,norm,expect,project} scenario.json [x] [--depth --tol]
     ntforge check {toeplitz,condition-c,condition-cprime,aperiodicity,graded,projections} ...
     ntforge bundle {roundtrip,regular,spectrum} scenario.json
 
@@ -22,7 +22,7 @@ import difflib
 import json
 import sys
 
-from .fock import DENSE_CAP, Truncation, lift, projection_Qw, projection_QT
+from .fock import SMALL_SLOT, Truncation, lift, projection_Qw, projection_QT
 from .scenario import (
     CHECKS,
     Scenario,
@@ -57,8 +57,11 @@ EXPLAIN = {
     ),
     "fock-norm": (
         "Operator norm of the element on the truncated Fock space of the given\n"
-        "depth, computed per source fiber.  Parameters: element, depth, tol,\n"
-        "dense-cap.  Reports {norm, exact, depth}; exact is true when the\n"
+        "depth: the largest over colors of the norm of the column factor (the\n"
+        "fibers over source objects only ampliate it).  A color slot of at most\n"
+        f"{SMALL_SLOT} columns takes a dense SVD; a larger one is assembled sparse and\n"
+        "solved by ARPACK to relative accuracy tol.  Parameters: element,\n"
+        "depth, tol.  Reports {norm, exact, depth}; exact is true when the\n"
         "truncation provably attains the limit (diagonal element, depth at\n"
         "least max key length + 2)."
     ),
@@ -168,8 +171,6 @@ def _scenario(args) -> Scenario:
         v = getattr(args, key, None)
         if v is not None:
             sc.settings[key] = v
-    if getattr(args, "dense_cap", None) is not None:
-        sc.settings["dense_cap"] = args.dense_cap
     return sc
 
 
@@ -245,13 +246,14 @@ def cmd_fock(args):
         else:
             op = projection_QT(sc.parse_el(args.above), tr)
         rank = sum(int(round(b.trace().real)) for d in op.cols for b in d.values())
-        return _finish("info", {"norm": op.norm(), "exact": True, "depth": depth, "rank": rank})
+        norm = op.norm(tol=sc.settings["tol"])
+        return _finish("info", {"norm": norm, "exact": True, "depth": depth, "rank": rank})
     x = sc.element(args.x)
     exact = bool(x.is_diagonal() and x.max_key_length() + 2 <= depth)
     if args.op == "build":
         op = lift(x, tr)
         data = {
-            "norm": op.norm(dense_cap=sc.settings["dense_cap"], tol=sc.settings["tol"]),
+            "norm": op.norm(tol=sc.settings["tol"]),
             "exact": exact,
             "depth": depth,
             "sources": len(tr.S),
@@ -305,12 +307,10 @@ def cmd_bundle(args):
 # -- wiring ---------------------------------------------------------------------
 
 
-def _add_settings(p, dense_cap=False):
+def _add_settings(p):
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    if dense_cap:
-        p.add_argument("--dense-cap", type=int, default=None, dest="dense_cap")
 
 
 def build_parser():
@@ -351,7 +351,7 @@ def build_parser():
     p.add_argument("x", nargs="?")
     p.add_argument("--word", default=None, help="source word for a Q_w projection")
     p.add_argument("--above", default=None, help="p for the Q_<p> projection (sources in pP)")
-    _add_settings(p, dense_cap=True)
+    _add_settings(p)
     p.set_defaults(fn=cmd_fock)
 
     p = sub.add_parser("check", help="numerical verdicts with certificates")

@@ -13,6 +13,11 @@ on the column factors (the t-ampliation is isometric and multiplicative);
 per-t fibers are materialized on demand for oracles and the t-th restricted
 representation.
 
+The norm is the maximum over colors of the column factor's largest singular
+value.  A color slot of at most SMALL_SLOT columns takes a dense SVD; a
+larger one is assembled as a sparse matrix of its nonzero entries and handed
+to ARPACK (scipy's svds) at relative accuracy tol.
+
 Truncation keeps all normal forms of word length <= L. Blocks whose target
 leaves S are dropped, so equality assertions are made on interior source
 columns only: if len(s) + margin <= L, the full column over s is exact.
@@ -20,15 +25,15 @@ columns only: if len(s) + margin <= L, the full column over s is exact.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .linalg import power_iteration_norm, rank_of_span, spectral_norm
+from .linalg import rank_of_span, spectral_norm
 from .precategory import StructureReport
 from .wick import NTElement
 
-DENSE_CAP = 4096
+# Column count up to which a color slot's norm is a dense SVD rather than
+# ARPACK, which needs more columns than singular values asked for.
+SMALL_SLOT = 64
 
 
 class Truncation:
@@ -174,16 +179,6 @@ class FockOperator:
             off += m.shape[0]
         return out
 
-    def block(self, s_out, s_in, t, c):
-        """The ((s_out,t,c),(s_in,t,c)) block: column block ampliated by t."""
-        b = self.cols[c].get((s_out, s_in))
-        dt = self.tr.backend.shape(s_out, t)[c][1]
-        rows = self.tr.col_dim(c, s_out) * dt
-        cols = self.tr.col_dim(c, s_in) * self.tr.backend.shape(s_in, t)[c][1]
-        if b is None:
-            return np.zeros((rows, cols), dtype=complex)
-        return np.kron(b, np.eye(dt, dtype=complex))
-
     def fiber(self, t):
         """Dense matrix of the operator on the t-th fiber ⊕_s K(s,t)."""
         layout, total = self.tr.fiber_layout(t)
@@ -198,40 +193,39 @@ class FockOperator:
                 m[oo : oo + ro * co, oi : oi + ri * ci] = amp
         return m
 
-    def _slot_norm(self, c, dense_cap, tol):
+    def _slot_norm(self, c, tol):
         blocks = self.cols[c]
         if not blocks:
             return 0.0
         tr = self.tr
-        total = tr.col_total(c)
-        if total <= dense_cap:
+        n = tr.col_total(c)
+        if n <= SMALL_SLOT:
             return spectral_norm(self.assemble_slot(c))
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import svds
 
-        entries = [
-            (tr.col_offset(c, so), tr.col_offset(c, si), b)
-            for (so, si), b in blocks.items()
-        ]
+        # only the nonzeros: lift stores a (x) 1_v as dense kron blocks that
+        # are mostly zero
+        rows, cols, vals = [], [], []
+        for (so, si), b in blocks.items():
+            r, k = np.nonzero(b)
+            rows.append(r + tr.col_offset(c, so))
+            cols.append(k + tr.col_offset(c, si))
+            vals.append(b[r, k])
+        vals = np.concatenate(vals)
+        if not vals.size:
+            return 0.0
+        m = sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        v0 = np.random.default_rng(0).standard_normal(n)
+        return float(svds(m, k=1, tol=tol, v0=v0, return_singular_vectors=False)[0])
 
-        def matvec(v):
-            out = np.zeros(total, dtype=complex)
-            for ro, ci, b in entries:
-                out[ro : ro + b.shape[0]] += b @ v[ci : ci + b.shape[1]]
-            return out
+    def norm(self, tol=1e-8):
+        """Operator norm over the whole truncated module (sup over fibers).
 
-        def rmatvec(v):
-            out = np.zeros(total, dtype=complex)
-            for ro, ci, b in entries:
-                out[ci : ci + b.shape[1]] += b.conj().T @ v[ro : ro + b.shape[0]]
-            return out
-
-        return power_iteration_norm(matvec, rmatvec, total, tol=tol)
-
-    def norm(self, dense_cap=DENSE_CAP, tol=1e-8):
-        """Operator norm over the whole truncated module (sup over fibers)."""
-        return max(
-            (self._slot_norm(c, dense_cap, tol) for c in range(len(self.cols))),
-            default=0.0,
-        )
+        tol is the relative accuracy asked of ARPACK on slots larger than
+        SMALL_SLOT columns; ArpackNoConvergence propagates.
+        """
+        return max((self._slot_norm(c, tol) for c in range(len(self.cols))), default=0.0)
 
     def norm_by_fibers(self, ts=None):
         """Honest per-fiber assembly; equals norm() — used as an oracle."""
@@ -286,8 +280,8 @@ def lift(x: NTElement, tr: Truncation) -> FockOperator:
     return out
 
 
-def fock_norm(x: NTElement, tr: Truncation, dense_cap=DENSE_CAP, tol=1e-8) -> float:
-    return lift(x, tr).norm(dense_cap=dense_cap, tol=tol)
+def fock_norm(x: NTElement, tr: Truncation, tol=1e-8) -> float:
+    return lift(x, tr).norm(tol=tol)
 
 
 def transcendental_expectation(x: NTElement, tr: Truncation) -> FockOperator:

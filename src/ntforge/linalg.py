@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 
@@ -13,34 +11,6 @@ def spectral_norm(mat) -> float:
     if mat.size == 0:
         return 0.0
     return float(np.linalg.norm(mat, 2))
-
-
-def power_iteration_norm(matvec, rmatvec, dim, tol=1e-8, max_iter=5000, seed=0):
-    """Largest singular value of an implicitly given operator.
-
-    Runs power iteration on A*A with a seeded start vector, so repeated runs
-    are deterministic.  matvec/rmatvec consume and produce complex vectors of
-    length dim.
-    """
-    if dim == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for n_iter in range(1, max_iter + 1):
-        w = rmatvec(matvec(v))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        w /= nw
-        if n_iter % 10 == 0 and abs(nw - sigma2) <= tol * max(nw, 1.0):
-            sigma2 = nw
-            break
-        sigma2, v = nw, w
-    else:
-        warnings.warn("power iteration did not converge; returning last estimate")
-    return float(np.sqrt(sigma2))
 
 
 def rank_of_span(vectors, tol=1e-8) -> int:
@@ -53,10 +23,3 @@ def rank_of_span(vectors, tol=1e-8) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def smallest_singular_value(mat) -> float:
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])

@@ -35,7 +35,6 @@ from .bundles import (
     image_algebra_rank,
 )
 from .fock import (
-    DENSE_CAP,
     Truncation,
     fock_norm,
     lift,
@@ -158,11 +157,14 @@ class Scenario:
 
     def __init__(self, data: dict):
         self.data = data
+        given = data.get("settings", {})
+        unknown = sorted(set(given) - {"depth", "tol", "seed"})
+        if unknown:
+            raise ScenarioError(f"unknown setting {unknown[0]!r}; settings are depth, tol, seed")
         self.settings = {
-            "depth": int(data.get("settings", {}).get("depth", 4)),
-            "tol": float(data.get("settings", {}).get("tol", 1e-8)),
-            "seed": int(data.get("settings", {}).get("seed", 0)),
-            "dense_cap": int(data.get("settings", {}).get("dense_cap", DENSE_CAP)),
+            "depth": int(given.get("depth", 4)),
+            "tol": float(given.get("tol", 1e-8)),
+            "seed": int(given.get("seed", 0)),
         }
         self.sg = None
         self.backend = None
@@ -239,7 +241,7 @@ def run_fock_norm(sc: Scenario, params):
     x = sc.element(params["element"])
     depth = int(params.get("depth", sc.settings["depth"]))
     tr = sc.truncation(depth)
-    value = fock_norm(x, tr, dense_cap=sc.settings["dense_cap"], tol=sc.settings["tol"])
+    value = fock_norm(x, tr, tol=sc.settings["tol"])
     exact = x.is_diagonal() and x.max_key_length() + 2 <= depth
     return "info", {"norm": value, "exact": bool(exact), "depth": depth}
 
@@ -257,7 +259,7 @@ def run_expect(sc: Scenario, params):
     x = sc.element(params["element"])
     tr = sc.truncation(int(params.get("depth", sc.settings["depth"])))
     op = transcendental_expectation(x, tr)
-    return "info", {"norm": op.norm(dense_cap=sc.settings["dense_cap"]), "depth": tr.depth}
+    return "info", {"norm": op.norm(tol=sc.settings["tol"]), "depth": tr.depth}
 
 
 def run_grade(sc: Scenario, params):

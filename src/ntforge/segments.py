@@ -31,21 +31,13 @@ def unit_equivalent(p, q):
     return None
 
 
-def sigma(C):
+def sigma_in(sg, C):
     """Canonical iterated right LCM of a finite set; e for the empty set.
 
     None when some intermediate ideal intersection is empty.  The result is
     independent of fold order up to units; folding in sort order makes it
     deterministic.
     """
-    C = list(C)
-    if not C:
-        raise ValueError("sigma of an unanchored empty set; pass the semigroup")
-    sg = C[0].sg
-    return sigma_in(sg, C)
-
-
-def sigma_in(sg, C):
     acc = sg.identity()
     for t in sorted(C, key=sg.sort_key):
         acc = sg.right_lcm(acc, t)

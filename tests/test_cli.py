@@ -67,6 +67,22 @@ def test_malformed_dims_name_the_pair(tmp_path, capsys):
     assert "(" in err  # the offending pair is spelled out
 
 
+def test_stale_dense_cap_setting_is_rejected(tmp_path, capsys):
+    p = tmp_path / "stale.json"
+    data = json.loads(pathlib.Path(TOEPLITZ).read_text())
+    data["settings"]["dense_cap"] = 10
+    p.write_text(json.dumps(data))
+    assert main(["run", str(p)]) == 2
+    assert "'dense_cap'" in capsys.readouterr().err
+
+
+def test_removed_dense_cap_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fock", "norm", TOEPLITZ, "x", "--dense-cap", "10"])
+    assert exc.value.code == 2
+    assert "--dense-cap" in capsys.readouterr().err
+
+
 def test_run_writes_out_file(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", TOEPLITZ, "--out", str(out)]) == 0

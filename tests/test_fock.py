@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ntforge.fock import (
+    SMALL_SLOT,
     FockOperator,
     Truncation,
     check_divisor_closure,
@@ -119,7 +120,7 @@ def test_truncated_toeplitz_norm_vs_closed_form():
     u = scalar(ps_N, "1", "0")
     x = u + nt_adjoint(u)
     vals = []
-    for L in (3, 4, 5, 20, 22):
+    for L in (3, 4, 5, 20, 22, 1000):  # L = 1000 is above SMALL_SLOT: ARPACK
         tr = Truncation(ps_N, L)
         got = fock_norm(x, tr)
         # (L+1)-point tridiagonal with unit off-diagonals
@@ -151,6 +152,18 @@ def test_factored_norm_matches_fiberwise_assembly():
     for _ in range(6):
         op = lift(random_element(ps_FM, rng, pool=FM.elements(2)), tr)
         assert abs(op.norm() - op.norm_by_fibers()) <= 1e-10
+    # both color slots above SMALL_SLOT: ARPACK against the dense SVD of the
+    # t = e fiber, which holds both column factors
+    tr = Truncation(ps_FM, 4)
+    assert min(tr.col_total(c) for c in range(2)) > SMALL_SLOT
+    for _ in range(4):
+        x = NTElement(ps_FM)
+        for _ in range(2):
+            p, q = rng.sample(FM.elements(2), 2)
+            x.add_term(p, q, ps_FM.random_arrow(p, q, rng))
+        op = lift(x, tr)
+        assert abs(op.norm() - op.norm_by_fibers(ts=[FM.identity()])) <= 1e-10
+    assert (op - op).norm() == 0.0  # ARPACK refuses an all-zero operator
 
 
 def test_expectation_kills_offdiagonal_cancellative():
