@@ -8,6 +8,11 @@ Q_p and Q_<p>, Toeplitz covariance, the faithfulness conditions (C) and (C'),
 the aperiodicity search, and the topological-grading test for group-indexed
 fibers.
 
+For a non-unit p, Q_p = phi(1_p), the image of the unit of K(p,p) (restricted
+to the ideal's colors); it is checked to be a self-adjoint idempotent.  Q_<p>
+is the range projection of the sum of the phi(1_w) over the window's w in pP,
+taken from eigh with relative cutoff tol; for a unit p, Q_p = Q_<p>.
+
 Numerical conventions: spans are compared by singular-value rank arithmetic
 with cutoff 1e-8; faithfulness means smallest singular value > 1e-8; these are
 numerical judgments, not proofs.
@@ -21,7 +26,7 @@ import random
 import numpy as np
 
 from .fock import Truncation, lift
-from .linalg import spectral_norm
+from .linalg import rank_of_span, spectral_norm
 from .precategory import ColorIdeal, ZeroTensorBackend, full_ideal, ideal_membership
 from .segments import leq
 from .wick import NTElement
@@ -101,15 +106,13 @@ def degenerate_example_rep(dims):
     return ConcreteRep(zb, H, phi, nica=True, label="degenerate"), zb
 
 
-def _orth(cols, tol=RANK_TOL):
-    """Orthonormal basis of the column span (SVD with relative cutoff)."""
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], 0))
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((cols.shape[0], 0))
-    r = int(np.sum(s > tol * s[0]))
-    return u[:, :r]
+def _range(m, tol):
+    """Range projection of a positive semidefinite matrix (eigh, relative cutoff)."""
+    w, u = np.linalg.eigh(m)
+    if w.size == 0 or w[-1] <= 0.0:
+        return np.zeros_like(m)
+    u = u[:, w > tol * w[-1]]
+    return u @ u.conj().T
 
 
 class ProjectionFamily:
@@ -119,45 +122,35 @@ class ProjectionFamily:
         self.rep = rep
         self.window = list(window)
         self.tol = tol
-        self._fiber_cols = {}
-        self._q = {}
+        self._unit_image = {}
         self._q_angle = {}
 
-    def _cols(self, w):
-        """Columns spanning phi(K(w,w))H."""
-        if w not in self._fiber_cols:
-            basis = self.rep.backend.basis(w, w, ideal=self.rep.ideal)
-            mats = [self.rep.phi(a) for a in basis]
-            self._fiber_cols[w] = (
-                np.hstack(mats) if mats else np.zeros((self.rep.dim, 0))
-            )
-        return self._fiber_cols[w]
+    def _fiber(self, w):
+        """phi(1_w), the projection onto phi(K(w,w))H."""
+        if w not in self._unit_image:
+            rep = self.rep
+            m = rep.phi(ideal_unit(rep.backend, rep.ideal, w))
+            defect = max(spectral_norm(m - m.conj().T), spectral_norm(m @ m - m))
+            if defect > self.tol:
+                raise ValueError(
+                    f"phi(1_{w!r}) is not a self-adjoint idempotent: defect {defect:.3e}"
+                )
+            self._unit_image[w] = m
+        return self._unit_image[w]
 
     def Q(self, p):
-        if p not in self._q:
-            sg = self.rep.backend.sg
-            if sg.is_unit(p):
-                cols = [self._cols(w) for w in self.window]
-                stacked = np.hstack(cols) if cols else np.zeros((self.rep.dim, 0))
-            else:
-                stacked = self._cols(p)
-            u = _orth(stacked, self.tol)
-            self._q[p] = u @ u.conj().T
-        return self._q[p]
+        if self.rep.backend.sg.is_unit(p):
+            return self.Q_angle(p)
+        return self._fiber(p)
 
     def Q_angle(self, p):
         if p not in self._q_angle:
             sg = self.rep.backend.sg
-            cols = [
-                self._cols(w)
-                for w in self.window
-                if sg.left_divide(p, w) is not None
-            ]
-            if sg.is_unit(p):
-                cols = [self._cols(w) for w in self.window]
-            stacked = np.hstack(cols) if cols else np.zeros((self.rep.dim, 0))
-            u = _orth(stacked, self.tol)
-            self._q_angle[p] = u @ u.conj().T
+            total = np.zeros((self.rep.dim, self.rep.dim), dtype=complex)
+            for w in self.window:
+                if sg.left_divide(p, w) is not None:
+                    total += self._fiber(w)
+            self._q_angle[p] = _range(total, self.tol)
         return self._q_angle[p]
 
 
@@ -262,24 +255,15 @@ def check_toeplitz_covariance(rep: ConcreteRep, p, qs, tol=RANK_TOL):
     A = rep.fiber_image(p, p)
     Bs = [rep.fiber_image(q, q) for q in qs]
     B = np.hstack(Bs) if Bs else np.zeros((rep.dim * rep.dim, 0))
-    ra = _rank(A, tol)
-    rb = _rank(B, tol)
-    rab = _rank(np.hstack([A, B]), tol)
+    ra = rank_of_span(A.T, tol)
+    rb = rank_of_span(B.T, tol)
+    rab = rank_of_span(np.hstack([A, B]).T, tol)
     ok = rab == ra + rb
     return CheckReport(
         "toeplitz-covariance",
         ok,
         {"rank_fiber": ra, "rank_span": rb, "rank_joint": rab},
     )
-
-
-def _rank(cols, tol):
-    if cols.size == 0:
-        return 0
-    s = np.linalg.svd(cols, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
 
 
 def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RANK_TOL):
@@ -311,9 +295,8 @@ def check_condition_Cprime(rep: ConcreteRep, family: ProjectionFamily, p, qs, ar
     """Corner-norm equality through 1 - (Q_{q_1} v ... v Q_{q_n})."""
     sg = rep.backend.sg
     _precondition(sg, p, qs)
-    cols = [family.Q(q) for q in qs]
-    join = _orth(np.hstack(cols)) if cols else np.zeros((rep.dim, 0))
-    corner = np.eye(rep.dim, dtype=complex) - join @ join.conj().T
+    join = _range(sum((family.Q(q) for q in qs), np.zeros((rep.dim, rep.dim))), family.tol)
+    corner = np.eye(rep.dim, dtype=complex) - join
     m = rep.phi(arrow)
     full = spectral_norm(m)
     compressed = spectral_norm(corner @ m @ corner)

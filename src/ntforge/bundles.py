@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from .analysis import CheckReport, ConcreteRep
-from .linalg import spectral_norm
+from .linalg import rank_of_span, spectral_norm
 from .precategory import _BackendBase
 from .semigroups import FiniteGroup
 
@@ -367,10 +367,7 @@ def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1
     rep = rep if rep is not None else regular_representation(bundle)
     backend = rep.backend
     e = bundle.group.identity()
-    cols = []
-    for g in bundle.elements:
-        for blocks in bundle.basis(g):
-            cols.append(np.ravel(rep.phi(backend.arrow(g, e, blocks))))
-    M = np.column_stack(cols)
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    return rank_of_span(
+        [rep.phi(backend.arrow(g, e, blocks)) for g in bundle.elements for blocks in bundle.basis(g)],
+        tol,
+    )

@@ -88,14 +88,14 @@ EXPLAIN = {
         "pass iff no sampled product leaves the ideal."
     ),
     "nondegenerate": (
-        "Right tensoring by each generator has trivial kernel on every fiber of\n"
-        "the ideal.  Parameters: depth.  Verdict: pass iff all tensor maps are\n"
-        "injective."
+        "For every non-unit p and every r, the products (K(p,p) x 1_r) K(pr,pr)\n"
+        "span K(pr,pr), restricted to the ideal's colors (rank test).\n"
+        "Parameters: depth.  Verdict: pass iff every span attains full dimension."
     ),
     "essential": (
-        "Span of K(p,q)K(q,p) is all of the (p,p) fiber for enumerated pairs.\n"
-        "Parameters: depth.  Verdict: pass iff every span test attains full\n"
-        "dimension."
+        "K(p,p) is essential in L(p,p): no (p,p) fiber carries a nonzero block\n"
+        "in a color outside the ideal.  Parameters: depth.  Verdict: pass iff no\n"
+        "such block occurs."
     ),
     "toeplitz": (
         "Rank test for covariance: the (p,p) fiber image must intersect the span\n"
@@ -119,8 +119,11 @@ EXPLAIN = {
     "projections": (
         "Semilattice law for the range projections: Q_<p> Q_<q> equals Q_<lcm>\n"
         "when p and q have a common multiple and 0 otherwise, plus the per-\n"
-        "element equality Q_p = Q_<p>.  Parameters: depth (word length of the\n"
-        "pairs), fock_depth, tol.  Certificate: worst defect per law."
+        "element equality Q_p = Q_<p>.  Q_p = phi(1_p), the image of the unit\n"
+        "of K(p,p); Q_<p> is the range projection of the sum of the phi(1_w)\n"
+        "over the window's w in pP, by eigh with relative cutoff 1e-8.\n"
+        "Parameters: depth (word length of the pairs), fock_depth, tol (bound\n"
+        "on each defect).  Certificate: worst defect per law."
     ),
     "aperiodicity": (
         "Randomized search for the infimum of |alpha(a) b a| over positive\n"

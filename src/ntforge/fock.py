@@ -65,21 +65,13 @@ class Truncation:
     def col_offset(self, c, s) -> int:
         return int(self._col_offsets[c][self.index[s]])
 
-    def block_present(self, s, t, c) -> bool:
-        present = getattr(self.backend, "in_space", None)
-        if present is None:
-            return True
-        # zero backend: K(s,t) is the zero space off the diagonal
-        return s == t
-
     def fiber_layout(self, t):
         """Offsets of the vectorized K(s,t) blocks inside the t-th fiber."""
         layout = {}
         off = 0
+        present = [s for s in self.S if self.backend.space_dim(s, t)]
         for c in range(self.backend.slot_count):
-            for s in self.S:
-                if not self.block_present(s, t, c):
-                    continue
+            for s in present:
                 rows, cols = self.backend.shape(s, t)[c]
                 if rows * cols == 0:
                     continue

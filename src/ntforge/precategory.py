@@ -282,9 +282,6 @@ class ZeroTensorBackend(_BackendBase):
     def shape(self, p, q):
         return [(self._d(p), self._d(q))]
 
-    def in_space(self, a, tol=1e-12):
-        return a.range == a.source or a.norm() <= tol
-
     def basis(self, p, q, ideal=None):
         if p != q:
             return []

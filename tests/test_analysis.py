@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ def frep_N2():
 
 
 @pytest.fixture(scope="module")
+def frep_N2_deep():
+    """N^2 with generator dims (2,) and (1,) at Fock depth 5: dim 120."""
+    return fock_rep(ColoredProductSystem(DirectSumN(2), [(2,), (1,)], check_depth=2), 5)
+
+
+@pytest.fixture(scope="module")
 def frep_FM():
     return fock_rep(ps_scalar(free_monoid("ab"), 2), 4)
 
@@ -65,19 +72,76 @@ def test_fock_rep_star_compatible(frep_N):
     assert rep.check_star(keys, tol=1e-10)
 
 
-def test_projection_matches_algebraic_fock_projection(frep_N):
+def test_projection_matches_algebraic_fock_projection(frep_N, frep_N2_deep):
+    for (rep, tr), pstrs in [
+        (frep_N, ["2"]),
+        (frep_N2_deep, ["(0,0)", "(1,0)", "(0,2)", "(1,1)"]),
+    ]:
+        fam = ProjectionFamily(rep, tr.S)
+        for pstr in pstrs:
+            p = rep.backend.sg.parse(pstr)
+            want = projection_QT(p, tr).dense()
+            assert spectral_norm(fam.Q(p) - want) <= 1e-9
+            assert spectral_norm(fam.Q_angle(p) - want) <= 1e-9
+
+
+def stacked_svd_projection(rep, cols, ws):
+    """Reference: projection onto the column span of phi(a), a over the
+    matrix units of every K(w,w), w in ws (SVD with relative cutoff)."""
+    stack = np.hstack([np.zeros((rep.dim, 0))] + [cols[w] for w in ws])
+    if not stack.any():
+        return np.zeros((rep.dim, rep.dim))
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    u = u[:, s > 1e-8 * s[0]]
+    return u @ u.conj().T
+
+
+def _two_colour_rep(sg, gen_dims, colour, depth):
+    ps = ColoredProductSystem(sg, gen_dims, check_depth=2)
+    rep, tr = fock_rep(ps, depth, ideal=ColorIdeal(frozenset({colour})))
+    return rep, tr.S
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _two_colour_rep(DirectSumN(2), [(2, 1), (1, 1)], 0, 2),
+        lambda: _two_colour_rep(free_monoid("ab"), [(2, 1), (1, 2)], 1, 2),
+        lambda: (degenerate_example_rep([1, 2, 2])[0], DirectSumN(1).elements(2)),
+    ],
+    ids=["N2-ideal0", "ab-ideal1", "degenerate"],
+)
+def test_projections_match_stacked_svd_reference(build):
+    rep, window = build()
+    sg = rep.backend.sg
+    fam = ProjectionFamily(rep, window)
+    empty = np.zeros((rep.dim, 0))
+    cols = {
+        w: np.hstack([empty] + [rep.phi(a) for a in rep.backend.basis(w, w, ideal=rep.ideal)])
+        for w in window
+    }
+    for p in sg.elements(2):
+        unit = sg.is_unit(p)
+        above = [w for w in window if unit or sg.left_divide(p, w) is not None]
+        assert spectral_norm(fam.Q_angle(p) - stacked_svd_projection(rep, cols, above)) <= 1e-9
+        want = stacked_svd_projection(rep, cols, above if unit else [p])
+        assert spectral_norm(fam.Q(p) - want) <= 1e-9
+
+
+def test_projection_family_rejects_non_projection_unit_image(frep_N):
     rep, tr = frep_N
-    fam = ProjectionFamily(rep, tr.S)
-    p = rep.backend.sg.el((2,))
-    assert spectral_norm(fam.Q(p) - projection_QT(p, tr).dense()) <= 1e-9
-    assert spectral_norm(fam.Q_angle(p) - projection_QT(p, tr).dense()) <= 1e-9
+    doubled = ConcreteRep(rep.backend, rep.dim, lambda a: 2 * rep.phi(a), label="doubled")
+    p = rep.backend.sg.el((1,))
+    with pytest.raises(ValueError, match=re.escape(f"phi(1_{p!r})")):
+        ProjectionFamily(doubled, tr.S).Q(p)
 
 
-def test_projection_semilattice_N2(frep_N2):
-    rep, tr = frep_N2
-    fam = ProjectionFamily(rep, tr.S)
-    rep_report = check_projection_semilattice(fam, depth=2, tol=1e-9)
-    assert rep_report.ok, rep_report.details
+def test_projection_semilattice_N2(frep_N2, frep_N2_deep):
+    for rep, tr in (frep_N2, frep_N2_deep):
+        fam = ProjectionFamily(rep, tr.S)
+        rep_report = check_projection_semilattice(fam, depth=2, tol=1e-9)
+        assert rep_report.ok, rep_report.details
+        assert check_projection_equalities(fam, rep.backend.sg.elements(2), tol=1e-9).ok
 
 
 def test_projection_orthogonality_free_monoid(frep_FM):

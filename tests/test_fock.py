@@ -164,6 +164,17 @@ def test_factored_norm_matches_fiberwise_assembly():
         op = lift(x, tr)
         assert abs(op.norm() - op.norm_by_fibers(ts=[FM.identity()])) <= 1e-10
     assert (op - op).norm() == 0.0  # ARPACK refuses an all-zero operator
+    # zero-tensor backend: K(s,t) = 0 off the diagonal, so each fiber holds
+    # only its own diagonal block
+    zb = ZeroTensorBackend([1, 2, 2])
+    tr = Truncation(zb, 3)
+    for t in tr.S:
+        assert list(tr.fiber_layout(t)[0]) == [(t, 0)]
+    x = NTElement(zb)
+    for p in zb.sg.elements(2):
+        x.add_term(p, p, zb.random_arrow(p, p, rng))
+    op = lift(x, tr)
+    assert abs(op.norm() - op.norm_by_fibers()) <= 1e-10
 
 
 def test_expectation_kills_offdiagonal_cancellative():
