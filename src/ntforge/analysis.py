@@ -13,6 +13,15 @@ to the ideal's colors); it is checked to be a self-adjoint idempotent.  Q_<p>
 is the range projection of the sum of the phi(1_w) over the window's w in pP,
 taken from eigh with relative cutoff tol; for a unit p, Q_p = Q_<p>.
 
+The aperiodicity search starts, on a colored backend, from a closed form: a
+unit x has dim(x) = 1, so for rank-one a = v v* in one color |alpha(a) b a|
+is |<v, M v>| with M = V* U* b V, and the rank-one infimum is the distance
+from 0 to the numerical range W(M).  A 720-angle support sweep and two
+segment steps (Johnson 1978; Carden 2009) give an attained witness,
+rank_one_bound, exactly 0 when 0 is inside W(M).  Powell restarts on a
+tabulated ndarray objective refine it only when it is positive
+(search_best); best is the smaller and attained_by names its source.
+
 Numerical conventions: spans are compared by singular-value rank arithmetic
 with cutoff 1e-8; faithfulness means smallest singular value > 1e-8; these are
 numerical judgments, not proofs.
@@ -27,7 +36,12 @@ import numpy as np
 
 from .fock import Truncation, lift
 from .linalg import rank_of_span, spectral_norm
-from .precategory import ColorIdeal, ZeroTensorBackend, full_ideal, ideal_membership
+from .precategory import (
+    ColorIdeal,
+    ColoredProductSystem,
+    ZeroTensorBackend,
+    full_ideal,
+)
 from .segments import leq
 from .wick import NTElement
 
@@ -106,12 +120,18 @@ def degenerate_example_rep(dims):
     return ConcreteRep(zb, H, phi, nica=True, label="degenerate"), zb
 
 
-def _range(m, tol):
-    """Range projection of a positive semidefinite matrix (eigh, relative cutoff)."""
+def _range_basis(m, tol):
+    """Orthonormal basis of the range of a positive semidefinite matrix (eigh,
+    eigenvalues above tol times the largest)."""
     w, u = np.linalg.eigh(m)
     if w.size == 0 or w[-1] <= 0.0:
-        return np.zeros_like(m)
-    u = u[:, w > tol * w[-1]]
+        return u[:, :0]
+    return u[:, w > tol * w[-1]]
+
+
+def _range(m, tol):
+    """Range projection of a positive semidefinite matrix."""
+    u = _range_basis(m, tol)
     return u @ u.conj().T
 
 
@@ -361,14 +381,167 @@ def check_extension_kernel(rep: ConcreteRep, K: ColorIdeal, arrows, tol=1e-10):
 
 # -- aperiodicity ---------------------------------------------------------------
 
+NUMERICAL_RANGE_ANGLES = 720
+
+
+def _segment_point(m, v1, v2, t):
+    """Unit u in span(v1, v2) with <u, m u> = (1 - t) <v1, m v1> + t <v2, m v2>.
+
+    The numerical range of m compressed to span(v1, v2) is an ellipse holding
+    both end values, hence the segment between them.  Rotate the segment onto
+    [0, 1]; on u = v1 + s w, with the phase of w chosen so the skew part of
+    the rotated matrix vanishes on that family, the value is real and goes
+    from 0 to 1 as s runs from 0 to infinity, so a quadratic in s gives t.
+    """
+    z1, z2 = np.vdot(v1, m @ v1), np.vdot(v2, m @ v2)
+    if t <= 0.0 or z1 == z2:
+        return v1
+    if t >= 1.0:
+        return v2
+    n = (m - z1 * np.eye(len(m))) / (z2 - z1)
+    k12 = np.vdot(v1, (n - n.conj().T) @ v2) / 2j
+    w = v2 if k12 == 0 else (1j * np.conj(k12) / abs(k12)) * v2
+    b = np.vdot(v1, (n + n.conj().T) @ w).real - 2.0 * t * np.vdot(v1, w).real
+    s = 2.0 * t / (b + np.sqrt(b * b + 4.0 * t * (1.0 - t)))
+    u = v1 + s * w
+    return u / np.linalg.norm(u)
+
+
+def _numerical_range_witness(m):
+    """A unit vector v with |<v, m v>| near the distance from 0 to W(m).
+
+    Returns (lower, v).  lower = max_theta lambda_min(Re(e^{i theta} m)) over
+    NUMERICAL_RANGE_ANGLES angles; when it is positive, 0 is not in W(m) and
+    lower bounds the distance from below.  The minimizing eigenvectors give
+    boundary points z_theta of W(m); their convex hull P lies in W(m).  When 0
+    lies in a triangle (z_0, z_j, z_j+1) of P, two segment steps (Carden)
+    reach <v, m v> = 0.  Otherwise v attains the point of P nearest to 0,
+    which is within |m| tan(pi / NUMERICAL_RANGE_ANGLES) of the distance.
+    """
+    theta = 2.0 * np.pi * np.arange(NUMERICAL_RANGE_ANGLES) / NUMERICAL_RANGE_ANGLES
+    rot = np.exp(1j * theta)[:, None, None] * m
+    lam, vecs = np.linalg.eigh((rot + rot.conj().transpose(0, 2, 1)) / 2.0)
+    lower = float(lam[:, 0].max())
+    v = vecs[:, :, 0]
+    z = np.einsum("ki,ij,kj->k", v.conj(), m, v)
+    if lower <= 0.0:
+        # fan from the boundary point farthest from 0, so that z_0 != 0
+        k = int(np.argmax(np.abs(z)))
+        z, v = np.roll(z, -k), np.roll(v, -k, axis=0)
+        za, e1, e2 = z[0], z[1:-1] - z[0], z[2:] - z[0]
+        det = (e1.conj() * e2).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            l1 = (-za.conj() * e2).imag / det
+            l2 = (e1.conj() * -za).imag / det
+            flat = np.abs(det) <= 1e-12 * np.abs(z).max() ** 2
+            inside = ~flat & (l1 >= 0) & (l2 >= 0) & (l1 + l2 <= 1)
+        if inside.any():
+            j = int(np.argmax(inside)) + 1
+            zb, zc = z[j], z[j + 1]
+            # the ray from z_0 through 0 meets [z_j, z_j+1] at zb + t (zc - zb)
+            t, _ = np.linalg.solve(
+                [[(zc - zb).real, za.real], [(zc - zb).imag, za.imag]], [-zb.real, -zb.imag]
+            )
+            u = _segment_point(m, v[j], v[j + 1], float(t))
+            d = np.vdot(u, m @ u) - za
+            return lower, _segment_point(m, v[0], u, float(-(d.conj() * za).real / abs(d) ** 2))
+    edge = np.roll(z, -1) - z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.nan_to_num(np.clip(-(edge.conj() * z).real / np.abs(edge) ** 2, 0.0, 1.0))
+    j = int(np.argmin(np.abs(z + t * edge)))
+    return lower, _segment_point(m, v[j], v[(j + 1) % len(z)], float(t[j]))
+
+
+def _aperiodicity_objective(backend, p, x, b, h=None, twist=None):
+    """(build, value) for |alpha(a) b a| on ndarray blocks of L(p,p).
+
+    The linear map T(a) = alpha(a) o b is tabulated once on the matrix-unit
+    basis through the arrow API; value(a) is then a matvec, a blockwise
+    product T(a)_c @ a_c and spectral norms.  build(params) turns 2*dim real
+    parameters into d, then a = d* d (sandwiched by h), scaled to norm one.
+    """
+    shapes = backend.shape(p, p)
+    sizes = [r * c for r, c in shapes]
+    total = sum(sizes)
+
+    def alpha(a):
+        shifted = a.rtensor(x)
+        if twist is None:
+            return shifted
+        blocks = [u @ blk @ u.conj().T for u, blk in zip(twist, shifted.blocks)]
+        return backend.arrow(shifted.range, shifted.source, blocks)
+
+    table = np.column_stack([alpha(e).compose(b).flat() for e in backend.basis(p, p)])
+    out = [blk.shape for blk in b.blocks]
+    cuts = np.cumsum([r * c for r, c in out])[:-1]
+    hb = None if h is None else h.blocks
+
+    def value(a):
+        ta = np.split(table @ np.concatenate([np.ravel(blk) for blk in a]), cuts)
+        return max(spectral_norm(t.reshape(sh) @ blk) for t, sh, blk in zip(ta, out, a))
+
+    def build(params):
+        params = np.asarray(params, dtype=float)
+        scale = np.linalg.norm(params)
+        if not np.isfinite(scale) or scale <= 1e-14:
+            return None
+        params = params / scale  # the value is scale-invariant in d
+        a = []
+        off = 0
+        for (r, c), n in zip(shapes, sizes):
+            d = (params[off : off + n] + 1j * params[off + total : off + total + n]).reshape(r, c)
+            a.append(d.conj().T @ d)
+            off += n
+        if hb is not None:
+            a = [hc @ ac @ hc for hc, ac in zip(hb, a)]
+        n = max(spectral_norm(ac) for ac in a)
+        return None if n <= 1e-14 else [ac / n for ac in a]
+
+    return build, value
+
+
+def _rank_one_witness(backend, p, x, b, h=None, twist=None):
+    """Blocks of the rank-one a = V_c v v* V_c* with the least |<v, M_c v>|
+    over the colors where h is nonzero; None off the colored backend, where
+    tensoring by a unit need not act on each block as a -> U a U*."""
+    if not isinstance(backend, ColoredProductSystem):
+        return None
+    best = None
+    for c, (rows, _) in enumerate(backend.shape(p, p)):
+        v_c = np.eye(rows, dtype=complex) if h is None else _range_basis(h.blocks[c], RANK_TOL)
+        if v_c.shape[1] == 0:
+            continue
+        u_c = np.eye(rows) if twist is None else twist[c]
+        m = v_c.conj().T @ u_c.conj().T @ b.blocks[c] @ v_c
+        _, v = _numerical_range_witness(m)
+        w = v_c @ v
+        value = abs(np.vdot(v, m @ v))
+        if best is None or value < best[0]:
+            best = (value, c, np.outer(w, w.conj()))
+    if best is None:
+        return None
+    _, c, a_c = best
+    blocks = [np.zeros(sh, dtype=complex) for sh in backend.shape(p, p)]
+    blocks[c] = a_c
+    return blocks
+
 
 class AperiodicityResult:
-    def __init__(self, best, witness):
+    """best = min(rank_one_bound, search_best), attained by witness.
+
+    rank_one_bound is None off the colored backend; search_best is None when
+    the rank-one certificate already reached 0 and no search ran.
+    """
+
+    def __init__(self, best, witness, rank_one_bound=None, search_best=None, attained_by=None):
         self.best = best
         self.witness = witness
+        self.rank_one_bound = rank_one_bound
+        self.search_best = search_best
+        self.attained_by = attained_by
 
     def __repr__(self):
-        return f"<aperiodicity best={self.best:.6g}>"
+        return f"<aperiodicity best={self.best:.6g} by {self.attained_by}>"
 
 
 def aperiodicity_search(
@@ -378,70 +551,57 @@ def aperiodicity_search(
     subalgebra generated by h (all of K(p,p) when h is None).
 
     alpha(a) = (a x 1_x), conjugated per color by the optional twist unitaries
-    (the unit's action when it does not act trivially on fibers).  The search
-    (random restarts + Powell refinement) certifies an upper bound on the
-    infimum; returns the best value with its witness.
+    (the unit's action when it does not act trivially on fibers).  On a colored
+    backend a closed form comes first: over rank-one a in one color the
+    value is |<v, M_c v>| with M_c = V_c* U_c* b_c V_c (V_c an orthonormal basis
+    of range(h_c), U_c the twist), so the rank-one infimum is the distance
+    from 0 to the numerical range W(M_c).  A support-function sweep over 720
+    angles and two segment steps give an explicit witness; its value is
+    rank_one_bound (exactly 0 up to round-off when 0 is inside W).  When that
+    value exceeds 1e-12 |b|, or off the colored backend, random restarts with
+    Powell refinement on a tabulated ndarray objective search further
+    (search_best).  Both are attained values, so best = the smaller one
+    certifies an upper bound on the infimum; attained_by says which.
     """
-    from scipy import optimize
-
     sg = backend.sg
     if not sg.is_unit(x) or x == sg.identity():
         raise ValueError("x must be a nontrivial unit")
     if b.norm() == 0.0:
         return AperiodicityResult(0.0, None)
-    shapes = backend.shape(p, p)
-    sizes = [r * c for r, c in shapes]
-    total = sum(sizes)
-    rng = random.Random(seed)
+    build, value = _aperiodicity_objective(backend, p, x, b, h, twist)
+    best, witness, attained_by = float("inf"), None, None
+    rank_one_bound = None
+    blocks = _rank_one_witness(backend, p, x, b, h, twist)
+    if blocks is not None:
+        rank_one_bound = value(blocks)
+        best, witness, attained_by = rank_one_bound, blocks, "rank-one"
+    search_best = None
+    if rank_one_bound is None or rank_one_bound > 1e-12 * b.norm():
+        from scipy import optimize
 
-    def build(params):
-        params = np.asarray(params, dtype=float)
-        scale = np.linalg.norm(params)
-        if not np.isfinite(scale) or scale <= 1e-14:
-            return None
-        params = params / scale  # the value is scale-invariant in d
-        blocks = []
-        off = 0
-        for (r, c), n in zip(shapes, sizes):
-            re = params[off : off + n].reshape(r, c)
-            im = params[off + total : off + total + n].reshape(r, c)
-            blocks.append(re + 1j * im)
-            off += n
-        d = backend.arrow(p, p, blocks)
-        a = d.adjoint().compose(d)
-        if h is not None:
-            a = h.compose(a).compose(h)
-        n = a.norm()
-        return None if n <= 1e-14 else (1.0 / n) * a
+        total = backend.space_dim(p, p)
+        rng = random.Random(seed)
 
-    def alpha(a):
-        shifted = a.rtensor(x)
-        if twist is None:
-            return shifted
-        blocks = [
-            u @ blk @ u.conj().T for u, blk in zip(twist, shifted.blocks)
-        ]
-        return backend.arrow(shifted.range, shifted.source, blocks)
+        def objective(params):
+            a = build(params)
+            return 1e6 if a is None else value(a)
 
-    def value(params):
-        a = build(params)
-        if a is None:
-            return 1e6
-        return alpha(a).compose(b).compose(a).norm()
-
-    best, witness = float("inf"), None
-    for _ in range(trials):
-        start = np.array([rng.gauss(0, 1) for _ in range(2 * total)])
-        start /= max(1.0, np.linalg.norm(start) / 2.0)
-        res = optimize.minimize(
-            value, start, method="Powell",
-            bounds=[(-4.0, 4.0)] * (2 * total),
-            options={"maxiter": maxiter, "xtol": 1e-8, "ftol": 1e-12},
-        )
-        cand = float(res.fun)
-        if cand < best:
-            best, witness = cand, build(res.x)
-    return AperiodicityResult(best, witness)
+        search_best, found = float("inf"), None
+        for _ in range(trials):
+            start = np.array([rng.gauss(0, 1) for _ in range(2 * total)])
+            start /= max(1.0, np.linalg.norm(start) / 2.0)
+            res = optimize.minimize(
+                objective, start, method="Powell",
+                bounds=[(-4.0, 4.0)] * (2 * total),
+                options={"maxiter": maxiter, "xtol": 1e-8, "ftol": 1e-12},
+            )
+            cand = float(res.fun)
+            if cand < search_best:
+                search_best, found = cand, build(res.x)
+        if search_best < best:
+            best, witness, attained_by = search_best, found, "search"
+    witness = None if witness is None else backend.arrow(p, p, witness)
+    return AperiodicityResult(best, witness, rank_one_bound, search_best, attained_by)
 
 
 # -- topological grading ---------------------------------------------------------

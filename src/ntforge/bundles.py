@@ -307,18 +307,19 @@ def regular_representation(bundle: BundleFiberFamily) -> ConcreteRep:
         total += bundle.fiber_dim(g)
     backend = precategory_from_bundle(bundle)
 
-    def vec(blocks):
-        return np.concatenate([np.ravel(b) for b in blocks])
-
     def phi(arrow):
         s = backend._grade(arrow.range, arrow.source)
         m = np.zeros((total, total), dtype=complex)
         for k in G:
-            out = s * k
-            col = offsets[k]
-            for j, basis_blocks in enumerate(bundle.basis(k)):
-                image = bundle.mul(s, arrow.blocks, k, basis_blocks)
-                m[offsets[out] : offsets[out] + bundle.fiber_dim(out), col + j] = vec(image)
+            # fibers over a finite group are square, and b -> (a x 1_k) b acts
+            # blockwise by left multiplication with X = (a x 1_k) 1_k, which is
+            # kron(X_c, 1) on row-major coordinates
+            unit = [np.eye(rows, dtype=complex) for rows, _ in bundle.shape(k)]
+            row, col = offsets[s * k], offsets[k]
+            for x_c, (_, cols) in zip(bundle.mul(s, arrow.blocks, k, unit), bundle.shape(k)):
+                blk = np.kron(x_c, np.eye(cols))
+                m[row : row + blk.shape[0], col : col + blk.shape[1]] = blk
+                row, col = row + blk.shape[0], col + blk.shape[1]
         return m
 
     return ConcreteRep(backend, total, phi, nica=True, label="regular")

@@ -67,8 +67,9 @@ EXPLAIN = {
     ),
     "norm-agreement": (
         "Cross-check that core-norm and fock-norm agree on a diagonal core\n"
-        "element at depth max key length + 2.  Verdict: pass iff the exact value\n"
-        "and the Fock value differ by at most 1e-6."
+        "element at depth max key length + 2, the Fock norm solved at the\n"
+        "scenario's tol.  Verdict: pass iff the exact value and the Fock value\n"
+        "differ by at most tol * max(1, exact value)."
     ),
     "expect": (
         "Block-diagonal compression of the lifted element: sum over sources w of\n"
@@ -126,12 +127,22 @@ EXPLAIN = {
         "on each defect).  Certificate: worst defect per law."
     ),
     "aperiodicity": (
-        "Randomized search for the infimum of |alpha(a) b a| over positive\n"
-        "norm-one a supported on a hereditary corner of the (p,p) fiber, where\n"
-        "alpha twists by the given unit.  Values near 0 witness aperiodicity of\n"
-        "the twisted action; 1.0 is the periodic (trivial-action) value.\n"
+        "Infimum of |alpha(a) b a| over positive norm-one a supported on a\n"
+        "hereditary corner of the (p,p) fiber, where alpha twists by the given\n"
+        "unit.  On a colored backend it starts from a closed form: for rank-one\n"
+        "a = v v* in one color the value is |<v, M v>| with M = V* U* b V (V a\n"
+        "basis of range(h), U the twist), so the rank-one infimum is the\n"
+        "distance from 0 to the numerical range of M.  A sweep of 720 support\n"
+        "angles plus two segment steps gives a witness; its value is\n"
+        "rank_one_bound, exactly 0 when 0 is inside the numerical range.  Only\n"
+        "when it is positive (or off the colored backend) do random restarts\n"
+        "with Powell refinement search further (search_best).  best is the\n"
+        "smaller of the two and attained_by names its source; both are\n"
+        "attained values, so best is an upper bound on the infimum.  Values\n"
+        "near 0 witness aperiodicity; 1.0 is the trivial-action value.\n"
         "Parameters: p, unit, b, optional h and twist, trials, seed.\n"
-        "Informational; reports the best value and the witness."
+        "Informational; reports best, rank_one_bound, search_best, attained_by\n"
+        "and the witness."
     ),
     "graded": (
         "Topological-grading inequality for a representation of a group-graded\n"

@@ -250,8 +250,9 @@ def run_norm_agreement(sc: Scenario, params):
     x = sc.element(params["element"])
     depth = x.max_key_length() + 2
     cn = core_norm(x, wdepth=depth)
-    fn = fock_norm(x, sc.truncation(depth))
-    ok = cn.exact and abs(cn.value - fn) <= 1e-6
+    tol = sc.settings["tol"]
+    fn = fock_norm(x, sc.truncation(depth), tol=tol)
+    ok = cn.exact and abs(cn.value - fn) <= tol * max(1.0, cn.value)
     return ("pass" if ok else "fail"), {"core": cn.value, "fock": fn, "depth": depth}
 
 
@@ -339,7 +340,12 @@ def run_aperiodicity(sc: Scenario, params):
         trials=int(params.get("trials", 12)),
         seed=int(params.get("seed", sc.settings["seed"])),
     )
-    data = {"best": res.best}
+    data = {
+        "best": res.best,
+        "rank_one_bound": res.rank_one_bound,
+        "search_best": res.search_best,
+        "attained_by": res.attained_by,
+    }
     if res.witness is not None:
         data["witness"] = from_blocks(res.witness.blocks)
     return "info", data

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from ntforge.analysis import (
+    NUMERICAL_RANGE_ANGLES,
     ConcreteRep,
     ProjectionFamily,
+    _aperiodicity_objective,
+    _numerical_range_witness,
     action_on_projection_defect,
     aperiodicity_search,
     check_condition_C,
@@ -24,6 +27,7 @@ from ntforge.analysis import (
     fock_rep,
     ideal_unit,
 )
+from ntforge.bundles import CrossedProductBackend, swap_action
 from ntforge.fock import projection_QT
 from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColorIdeal, ColoredProductSystem, check_essential
@@ -339,6 +343,9 @@ def test_aperiodicity_trivial_action_stays_at_one():
     res = aperiodicity_search(ps, p, x, b, trials=4, seed=1, maxiter=30)
     assert abs(res.best - 1.0) <= 1e-6
     assert res.witness is not None and abs(res.witness.norm() - 1.0) <= 1e-9
+    # W(I) = {1}: the rank-one certificate is exactly the periodic value
+    assert abs(res.rank_one_bound - 1.0) <= 1e-12
+    assert res.search_best is not None
 
 
 def test_aperiodicity_flip_action_with_hereditary_constraint():
@@ -356,6 +363,7 @@ def test_aperiodicity_flip_action_with_hereditary_constraint():
     assert abs(oracle - 0.5) <= 1e-12
     assert res.best <= 0.5 + 1e-3
     assert res.best >= 0.5 - 1e-6
+    assert abs(res.rank_one_bound - 0.5) <= 1e-12
 
 
 def test_aperiodicity_flip_action_unconstrained_goes_low():
@@ -366,6 +374,187 @@ def test_aperiodicity_flip_action_unconstrained_goes_low():
     b = ps.arrow(px, p, [e11])
     res = aperiodicity_search(ps, p, x, b, twist=[swap], trials=8, seed=3, maxiter=60)
     assert res.best <= 5e-2
+    # M = swap e11 has W(M) = the disc of radius 1/2 about 0: exact 0, no search
+    assert res.attained_by == "rank-one" and res.best <= 1e-12
+    assert res.search_best is None
+    assert abs(res.witness.norm() - 1.0) <= 1e-12
+    assert (res.witness.adjoint() - res.witness).is_zero()
+
+
+def test_aperiodicity_rank_one_certificate_uses_the_twist():
+    # the flip gives M = swap b with W(M) = [-1, 3], so 0 is attained; the
+    # untwisted M = b has W = [1, 3] at distance 1
+    ps, p, x, px = aperiodicity_setup()
+    b = ps.arrow(px, p, [np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flip = aperiodicity_search(ps, p, x, b, twist=[swap], trials=1, seed=0, maxiter=10)
+    assert flip.attained_by == "rank-one" and flip.best <= 1e-12
+    plain = aperiodicity_search(ps, p, x, b, trials=1, seed=0, maxiter=10)
+    assert abs(plain.rank_one_bound - 1.0) <= 1e-12
+
+
+def test_aperiodicity_hereditary_corner_is_compressed_not_sandwiched():
+    """h lives in color 0 only.  Compressing to range(h) gives W = {1/2}; the
+    sandwich P_h M P_h would let vectors outside range(h) put 0 into W, and
+    color 1 (h = 0 there, but 0 in W(swap e11)) must not be searched."""
+    ext = UnitExtension(DirectSumN(1), cyclic_group(2))
+    ps = ColoredProductSystem(ext, [(2, 2)], check_depth=2)
+    p, x = ext.parse("(1,0)"), ext.parse("(0,1)")
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    b = ps.arrow(p * x, p, [e11, e11])
+    half = 0.5 * np.ones((2, 2), dtype=complex)
+    h = ps.arrow(p, p, [half, np.zeros((2, 2))])
+    sandwich = half @ swap @ e11 @ half
+    lam = np.linalg.eigvalsh((sandwich + sandwich.conj().T) / 2)
+    assert lam[0] <= 0.0 <= lam[-1]  # 0 is in W(P_h M P_h)
+
+    res = aperiodicity_search(ps, p, x, b, h=h, twist=[swap, swap], trials=1, seed=0, maxiter=10)
+    assert abs(res.rank_one_bound - 0.5) <= 1e-12
+    assert 0.5 - 1e-6 <= res.best <= 0.5 + 1e-12
+    assert not res.witness.blocks[1].any()
+
+
+def _fine_support_max(m, n=1 << 14):
+    theta = 2 * np.pi * np.arange(n) / n
+    rot = np.exp(1j * theta)[:, None, None] * m
+    return float(np.linalg.eigvalsh((rot + rot.conj().transpose(0, 2, 1)) / 2)[:, 0].max())
+
+
+def test_numerical_range_witness_against_support_function():
+    """|<v, M v>| for the witness v against the geometry of W(M).
+
+    lower is the 720-angle support maximum.  Outside W: lower <= dist <= value
+    and, since W lies in the disc of radius |M|, value <= (lower + 2|M|
+    sin(pi/720)) / cos(pi/720).  When 0 is deeper in W than the gap between
+    W and the hull of the support points (|M| sin(pi/720)), value is 0."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            shift = rng.uniform(0, 3) * np.exp(2j * np.pi * rng.uniform())
+            cases.append(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + shift * np.eye(n))
+    cases += [
+        (0.3 - 0.7j) * np.eye(3),  # W a point off 0
+        np.zeros((2, 2), dtype=complex),  # W = {0}
+        np.diag([0.5, 1.0, 2.0]).astype(complex),  # segment [0.5, 2]
+        np.diag([-1.0, 0.25, 3.0]).astype(complex),  # segment through 0
+        # a segment off 0 tilted half a grid step: the nearest point is
+        # inside an edge, far from both support points next to it
+        np.exp(0.5j * np.pi / NUMERICAL_RANGE_ANGLES) * np.diag([1 - 10j, 1 + 10j]),
+    ]
+    step = np.pi / NUMERICAL_RANGE_ANGLES
+    seen = {"outside": 0, "inside": 0}
+    for m in cases:
+        lower, v = _numerical_range_witness(m)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        value = abs(np.vdot(v, m @ v))
+        norm = spectral_norm(m)
+        fine = _fine_support_max(m)
+        if lower > 0:
+            seen["outside"] += 1
+            assert lower <= value + 1e-12 and fine <= value + 1e-12
+            assert value <= (lower + 2 * norm * np.sin(step)) / np.cos(step) + 1e-12
+        elif -fine > 2 * norm * np.sin(step) or norm == 0.0:
+            seen["inside"] += 1
+            assert value <= 1e-12
+        else:
+            assert value <= 2 * norm * np.tan(step) + 1e-12
+    assert seen["outside"] >= 10 and seen["inside"] >= 5, seen
+
+    # 0 on the boundary of W, at the support point of angle 0
+    m = np.array([[0.0, 1.0], [-1.0, 1.0]], dtype=complex)
+    _, v = _numerical_range_witness(m)
+    assert abs(np.vdot(v, m @ v)) <= 1e-12
+
+    # a grid angle need not be the optimal one, so the distance itself can
+    # exceed lower / cos(pi/720): W of this M is the disc of radius 1 about
+    # 2 e^{i pi/720}, at distance exactly 1 from 0
+    m = np.exp(1j * step) * np.array([[2.0, 2.0], [0.0, 2.0]])
+    lower, v = _numerical_range_witness(m)
+    value = abs(np.vdot(v, m @ v))
+    assert lower / np.cos(step) < 1.0 - 1e-6
+    assert 1.0 - 1e-12 <= value <= 1.0 + spectral_norm(m) * np.tan(step)
+
+
+def _reference_objective(backend, p, x, b, h=None, twist=None):
+    """The arrow-path objective: every evaluation builds validated arrows."""
+    shapes = backend.shape(p, p)
+    sizes = [r * c for r, c in shapes]
+    total = sum(sizes)
+
+    def build(params):
+        params = np.asarray(params, dtype=float)
+        scale = np.linalg.norm(params)
+        if not np.isfinite(scale) or scale <= 1e-14:
+            return None
+        params = params / scale
+        blocks = []
+        off = 0
+        for (r, c), n in zip(shapes, sizes):
+            re = params[off : off + n].reshape(r, c)
+            im = params[off + total : off + total + n].reshape(r, c)
+            blocks.append(re + 1j * im)
+            off += n
+        d = backend.arrow(p, p, blocks)
+        a = d.adjoint().compose(d)
+        if h is not None:
+            a = h.compose(a).compose(h)
+        n = a.norm()
+        return None if n <= 1e-14 else (1.0 / n) * a
+
+    def alpha(a):
+        shifted = a.rtensor(x)
+        if twist is None:
+            return shifted
+        blocks = [u @ blk @ u.conj().T for u, blk in zip(twist, shifted.blocks)]
+        return backend.arrow(shifted.range, shifted.source, blocks)
+
+    def value(a):
+        return alpha(a).compose(b).compose(a).norm()
+
+    return build, value
+
+
+def _objective_cases():
+    ps, p, x, px = aperiodicity_setup()
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rng = random.Random(5)
+    b = ps.random_arrow(px, p, rng)
+    h = ps.arrow(p, p, [np.array([[1.0, 0.3], [0.3, 0.2]], dtype=complex)])
+    z2 = cyclic_group(2)
+    cp = CrossedProductBackend(swap_action(z2, dim=2))
+    (u,) = [g for g in z2.elements(1) if g != z2.identity()]
+    e = z2.identity()
+    cb = cp.random_arrow(u, e, rng)
+    ch = cp.arrow(e, e, [np.diag([1.0, 0.0]), np.eye(2)])
+    return [
+        (ps, p, x, b, None, [swap]),
+        (ps, p, x, b, h, None),
+        (cp, e, u, cb, None, None),
+        (cp, e, u, cb, ch, [swap, np.eye(2)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["colored", "colored-h", "crossed", "crossed-h"])
+def test_tabulated_objective_matches_arrow_path(case):
+    backend, p, x, b, h, twist = _objective_cases()[case]
+    build, value = _aperiodicity_objective(backend, p, x, b, h, twist)
+    ref_build, ref_value = _reference_objective(backend, p, x, b, h, twist)
+    rng = np.random.default_rng(case)
+    dim = 2 * backend.space_dim(p, p)
+    for _ in range(20):
+        params = rng.normal(size=dim)
+        a, ref = build(params), ref_build(params)
+        for got, want in zip(a, ref.blocks):
+            assert np.abs(got - want).max() <= 1e-12
+        assert abs(value(a) - ref_value(ref)) <= 1e-12
+    assert build(np.zeros(dim)) is None and ref_build(np.zeros(dim)) is None
+
+    res = aperiodicity_search(backend, p, x, b, h=h, twist=twist, trials=1, seed=case, maxiter=4)
+    assert (res.rank_one_bound is None) == (backend.kind != "colored")
+    assert res.best == min(v for v in (res.rank_one_bound, res.search_best) if v is not None)
+    assert abs(ref_value(res.witness) - res.best) <= 1e-12
 
 
 def test_aperiodicity_zero_b_and_bad_unit():

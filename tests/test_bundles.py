@@ -74,25 +74,25 @@ def test_group_algebra_of_z2_multiplication_table():
     assert np.allclose(B.star(u, [np.array([[2 + 1j]])])[0], 2 - 1j)
 
 
-@pytest.mark.parametrize(
-    "bundle",
-    [
-        group_algebra_bundle(Z3),
-        semidirect_bundle(swap_action(Z2, dim=1)),
-        semidirect_bundle(
-            conjugation_action(
-                Z2,
-                {
-                    z2_pair()[0]: [np.eye(2)],
-                    z2_pair()[1]: [np.array([[0.0, 1.0], [1.0, 0.0]])],
-                },
-            )
-        ),
-        group_algebra_bundle(symmetric_group_3()),
-        bundle_from_precategory(ColoredProductSystem(Z2, [], colors=2, check_depth=1)),
-    ],
-    ids=["Z3-algebra", "Z2-swap", "Z2-conj", "S3-algebra", "Z2-colored"],
-)
+BUNDLES = [
+    group_algebra_bundle(Z3),
+    semidirect_bundle(swap_action(Z2, dim=1)),
+    semidirect_bundle(
+        conjugation_action(
+            Z2,
+            {
+                z2_pair()[0]: [np.eye(2)],
+                z2_pair()[1]: [np.array([[0.0, 1.0], [1.0, 0.0]])],
+            },
+        )
+    ),
+    group_algebra_bundle(symmetric_group_3()),
+    bundle_from_precategory(ColoredProductSystem(Z2, [], colors=2, check_depth=1)),
+]
+BUNDLE_IDS = ["Z3-algebra", "Z2-swap", "Z2-conj", "S3-algebra", "Z2-colored"]
+
+
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
 def test_bundle_laws(bundle):
     report = check_bundle_laws(bundle, samples=5, seed=3)
     assert report.ok, report.details
@@ -149,6 +149,47 @@ def test_regular_representation_z2_matrix_and_spectrum():
     spec = regular_spectrum(B, fam, rep)
     want = np.sort_complex(np.array([a + b, a - b]))
     assert np.max(np.abs(spec - want)) <= 1e-12
+
+
+def _reference_regular_phi(bundle):
+    """Left convolution column by column: one bundle product per basis vector."""
+    G = sorted(bundle.elements, key=bundle.group.sort_key)
+    offsets, total = {}, 0
+    for g in G:
+        offsets[g] = total
+        total += bundle.fiber_dim(g)
+    backend = precategory_from_bundle(bundle)
+
+    def phi(arrow):
+        s = backend._grade(arrow.range, arrow.source)
+        m = np.zeros((total, total), dtype=complex)
+        for k in G:
+            out = s * k
+            for j, basis_blocks in enumerate(bundle.basis(k)):
+                image = bundle.mul(s, arrow.blocks, k, basis_blocks)
+                m[offsets[out] : offsets[out] + bundle.fiber_dim(out), offsets[k] + j] = (
+                    np.concatenate([np.ravel(b) for b in image])
+                )
+        return m
+
+    return phi
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    BUNDLES
+    + [bundle_from_precategory(precategory_from_bundle(semidirect_bundle(swap_action(Z2, dim=2))))],
+    ids=BUNDLE_IDS + ["Z2-swap2-roundtrip"],
+)
+def test_regular_representation_matches_per_basis_reference(bundle):
+    rep = regular_representation(bundle)
+    ref = _reference_regular_phi(bundle)
+    e = bundle.group.identity()
+    rng = random.Random(11)
+    arrows = [rep.backend.arrow(g, e, blocks) for g in bundle.elements for blocks in bundle.basis(g)]
+    arrows += [rep.backend.arrow(g, e, bundle.random_fiber(g, rng)) for g in bundle.elements]
+    for a in arrows:
+        assert np.array_equal(rep.phi(a), ref(a))
 
 
 def test_sections_satisfy_cstar_identity():

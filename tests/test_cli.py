@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -117,6 +118,57 @@ def test_item_errors_do_not_abort_the_run(tmp_path, capsys):
     assert "precondition violated" in report["items"][0]["error"]
     assert report["items"][1]["status"] == "info"
     assert report["items"][1]["data"]["value"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "tol, offset, status", [(1e-6, 5e-7, "pass"), (1e-8, 5e-7, "fail"), (1e-8, 5e-9, "pass")]
+)
+def test_norm_agreement_uses_settings_tol(tmp_path, monkeypatch, tol, offset, status):
+    import ntforge.scenario as scenario_module
+
+    seen = []
+    real = scenario_module.fock_norm
+
+    def shifted(x, tr, **kw):
+        seen.append(kw.get("tol"))
+        return real(x, tr, **kw) + offset
+
+    monkeypatch.setattr(scenario_module, "fock_norm", shifted)
+    data = json.loads(pathlib.Path(TOEPLITZ).read_text())
+    data["settings"]["tol"] = tol
+    data["checks"] = [{"name": "norm-agreement", "element": "x"}]
+    p = tmp_path / "agree.json"
+    p.write_text(json.dumps(data))
+    report = run_scenario(str(p))
+    assert report["items"][0]["status"] == status
+    assert seen == [tol]
+
+
+def test_aperiodicity_report_carries_certificate(tmp_path):
+    data = {
+        "semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum", "rank": 1}, "units": "Z2"},
+        "backend": {"kind": "colored", "gen_dims": [[2]]},
+        "settings": {"depth": 3, "tol": 1e-8, "seed": 3},
+        # keys are canonical with the unit on the source: b sits in L(p, p x)
+        "elements": {
+            "b": [{"range": "(1,0)", "source": "(1,1)", "blocks": [[[1, 0], [0, 0]]]}],
+            "one": [{"range": "(1,0)", "source": "(1,1)", "blocks": [[[1, 0], [0, 1]]]}],
+        },
+        "checks": [
+            {"name": "aperiodicity", "p": "(1,1)", "unit": "(0,1)", "b": "b",
+             "twist": [[[0, 1], [1, 0]]], "trials": 2},
+            {"name": "aperiodicity", "p": "(1,1)", "unit": "(0,1)", "b": "one", "trials": 1},
+        ],
+    }
+    p = tmp_path / "aperiodic.json"
+    p.write_text(json.dumps(data))
+    report = run_scenario(str(p))
+    flip, trivial = (item["data"] for item in report["items"])
+    assert flip["attained_by"] == "rank-one" and flip["search_best"] is None
+    assert flip["best"] == flip["rank_one_bound"] <= 1e-12
+    assert abs(trivial["rank_one_bound"] - 1.0) <= 1e-12
+    assert trivial["search_best"] is not None and abs(trivial["best"] - 1.0) <= 1e-6
+    assert _normalized(run_scenario(str(p))) == _normalized(report)
 
 
 # -- explain / list-instances ----------------------------------------------------
@@ -314,3 +366,18 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert "Operator norm" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    code = (
+        "import sys, ntforge; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
