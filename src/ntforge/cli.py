@@ -58,10 +58,10 @@ EXPLAIN = {
     "fock-norm": (
         "Operator norm of the element on the truncated Fock space of the given\n"
         "depth: the largest over colors of the norm of the column factor (the\n"
-        "fibers over source objects only ampliate it).  A color slot of at most\n"
-        f"{SMALL_SLOT} columns takes a dense SVD; a larger one is assembled sparse and\n"
-        "solved by ARPACK to relative accuracy tol.  Parameters: element,\n"
-        "depth, tol.  Reports {norm, exact, depth}; exact is true when the\n"
+        "fibers over source objects only ampliate it), stored as one sparse\n"
+        f"matrix per color.  A color slot of at most {SMALL_SLOT} columns takes a dense\n"
+        "SVD; a larger one goes to ARPACK at relative accuracy tol.  Parameters:\n"
+        "element, depth, tol.  Reports {norm, exact, depth}; exact is true when the\n"
         "truncation provably attains the limit (diagonal element, depth at\n"
         "least max key length + 2)."
     ),
@@ -76,7 +76,7 @@ EXPLAIN = {
         "Q_w lift(x) Q_w.  Over right-cancellative instances every off-diagonal\n"
         "key dies; absorption-style instances keep some alive, which is the\n"
         "phenomenon this check measures.  Parameters: element, depth.  Reports\n"
-        "the compression's norm."
+        "the compression's norm, solved as in fock-norm at the scenario's tol."
     ),
     "grade": (
         "Grades of the element's keys under the generator-counting homomorphism\n"
@@ -140,7 +140,8 @@ EXPLAIN = {
         "smaller of the two and attained_by names its source; both are\n"
         "attained values, so best is an upper bound on the infimum.  Values\n"
         "near 0 witness aperiodicity; 1.0 is the trivial-action value.\n"
-        "Parameters: p, unit, b, optional h and twist, trials, seed.\n"
+        "Parameters: p, unit, b (one term, in L(p unit, p) up to a unit),\n"
+        "optional h (one term, in L(p, p)) and twist, trials, seed.\n"
         "Informational; reports best, rank_one_bound, search_best, attained_by\n"
         "and the witness."
     ),
@@ -259,7 +260,7 @@ def cmd_fock(args):
             op = projection_Qw(sc.parse_el(args.word), tr)
         else:
             op = projection_QT(sc.parse_el(args.above), tr)
-        rank = sum(int(round(b.trace().real)) for d in op.cols for b in d.values())
+        rank = sum(int(round(m.diagonal().sum().real)) for m in op.slots)
         norm = op.norm(tol=sc.settings["tol"])
         return _finish("info", {"norm": norm, "exact": True, "depth": depth, "rank": rank})
     x = sc.element(args.x)

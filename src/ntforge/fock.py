@@ -7,16 +7,18 @@ shift, so on a fixed source-object t and color c the operator is
     (column operator on  ⊕_s C^{dim(s)[c]})  ⊗  Identity(dim(t)[c])
 
 for a column operator that does not depend on t.  Operators are therefore
-stored factored: one sparse block matrix per color, indexed by pairs of
-elements of the truncation set S. Norms, products and adjoints are computed
-on the column factors (the t-ampliation is isometric and multiplicative);
-per-t fibers are materialized on demand for oracles and the t-th restricted
-representation.
+stored factored: one scipy.sparse CSR matrix per color, the column factor,
+with rows and columns ordered by the truncation set S.  It is built from COO
+triples: each nonzero of a coefficient block a_c is repeated along the
+diagonal of 1_{dim_c(v)} by index arithmetic (the backend's _rtensor_coo), so
+no a ⊗ 1_v block is ever stored dense.  Sums, products, adjoints and norms
+are sparse operations on the column factors (the t-ampliation is isometric
+and multiplicative); per-t fibers are materialized densely on demand for
+oracles and the t-th restricted representation.
 
 The norm is the maximum over colors of the column factor's largest singular
 value.  A color slot of at most SMALL_SLOT columns takes a dense SVD; a
-larger one is assembled as a sparse matrix of its nonzero entries and handed
-to ARPACK (scipy's svds) at relative accuracy tol.
+larger one goes to ARPACK (scipy's svds) at relative accuracy tol.
 
 Truncation keeps all normal forms of word length <= L. Blocks whose target
 leaves S are dropped, so equality assertions are made on interior source
@@ -49,7 +51,10 @@ class Truncation:
             for c in range(backend.slot_count)
         ]
         self._col_offsets = [
-            np.concatenate([[0], np.cumsum(d)]).astype(int) for d in self._col_dims
+            [0] + np.cumsum(d).tolist() for d in self._col_dims
+        ]
+        self._col_sources = [
+            np.repeat(np.arange(len(self.S)), d) for d in self._col_dims
         ]
 
     def interior(self, margin: int):
@@ -60,10 +65,14 @@ class Truncation:
         return self._col_dims[c][self.index[s]]
 
     def col_total(self, c) -> int:
-        return int(self._col_offsets[c][-1])
+        return self._col_offsets[c][-1]
 
     def col_offset(self, c, s) -> int:
-        return int(self._col_offsets[c][self.index[s]])
+        return self._col_offsets[c][self.index[s]]
+
+    def col_source(self, c):
+        """Index into S of the source object of each column of color c."""
+        return self._col_sources[c]
 
     def fiber_layout(self, t):
         """Offsets of the vectorized K(s,t) blocks inside the t-th fiber."""
@@ -83,17 +92,23 @@ class Truncation:
         return f"<truncation depth={self.depth} |S|={len(self.S)}>"
 
 
+def _csr(n, rows=(), cols=(), vals=()):
+    """n x n complex CSR matrix from COO triples (duplicates are summed)."""
+    import scipy.sparse as sp
+
+    coords = (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
+    return sp.csr_matrix((np.asarray(vals, dtype=complex), coords), shape=(n, n))
+
+
 class FockOperator:
-    """Block operator in factored form: per color, source-indexed blocks."""
+    """Block operator in factored form: per color, the column factor as CSR."""
 
-    def __init__(self, tr: Truncation, cols=None):
+    def __init__(self, tr: Truncation, slots=None):
         self.tr = tr
-        self.cols = cols if cols is not None else [dict() for _ in range(tr.backend.slot_count)]
-
-    def _bump(self, c, s_out, s_in, block):
-        key = (s_out, s_in)
-        cur = self.cols[c].get(key)
-        self.cols[c][key] = block if cur is None else cur + block
+        self.slots = (
+            slots if slots is not None
+            else [_csr(tr.col_total(c)) for c in range(tr.backend.slot_count)]
+        )
 
     def _check(self, other):
         if self.tr is not other.tr:
@@ -101,113 +116,67 @@ class FockOperator:
 
     def __add__(self, other):
         self._check(other)
-        out = FockOperator(self.tr, [dict(d) for d in self.cols])
-        for c, d in enumerate(other.cols):
-            for (so, si), b in d.items():
-                out._bump(c, so, si, b)
-        return out
+        return FockOperator(self.tr, [a + b for a, b in zip(self.slots, other.slots)])
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return FockOperator(
-            self.tr,
-            [{k: scalar * b for k, b in d.items()} for d in self.cols],
-        )
+        return FockOperator(self.tr, [scalar * m for m in self.slots])
 
     __rmul__ = __mul__
 
     def adjoint(self):
-        out = FockOperator(self.tr)
-        for c, d in enumerate(self.cols):
-            for (so, si), b in d.items():
-                out._bump(c, si, so, b.conj().T)
-        return out
+        return FockOperator(self.tr, [m.conj().T.tocsr() for m in self.slots])
 
     def compose(self, other):
         self._check(other)
-        out = FockOperator(self.tr)
-        for c in range(len(self.cols)):
-            by_range = {}
-            for (so, si), b in other.cols[c].items():
-                by_range.setdefault(so, []).append((si, b))
-            for (so, sm), a in self.cols[c].items():
-                for si, b in by_range.get(sm, ()):
-                    out._bump(c, so, si, a @ b)
-        return out
+        return FockOperator(self.tr, [a @ b for a, b in zip(self.slots, other.slots)])
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def restrict_sources(self, sources):
         """Keep only columns whose source index lies in the given set."""
-        sources = set(sources)
-        return FockOperator(
-            self.tr,
-            [
-                {k: b for k, b in d.items() if k[1] in sources}
-                for d in self.cols
-            ],
-        )
-
-    def assemble_slot(self, c):
-        tr = self.tr
-        n = tr.col_total(c)
-        m = np.zeros((n, n), dtype=complex)
-        for (so, si), b in self.cols[c].items():
-            ro, ci = tr.col_offset(c, so), tr.col_offset(c, si)
-            m[ro : ro + b.shape[0], ci : ci + b.shape[1]] = b
-        return m
+        return self @ _source_projection(self.tr, sources)
 
     def dense(self):
         """The t = e fiber: block-diagonal over colors of the column factors."""
-        mats = [self.assemble_slot(c) for c in range(len(self.cols))]
-        n = sum(m.shape[0] for m in mats)
+        n = sum(m.shape[0] for m in self.slots)
         out = np.zeros((n, n), dtype=complex)
         off = 0
-        for m in mats:
-            out[off : off + m.shape[0], off : off + m.shape[0]] = m
-            off += m.shape[0]
+        for m in self.slots:
+            k = m.shape[0]
+            out[off : off + k, off : off + k] = m.toarray()
+            off += k
         return out
 
     def fiber(self, t):
-        """Dense matrix of the operator on the t-th fiber ⊕_s K(s,t)."""
-        layout, total = self.tr.fiber_layout(t)
-        m = np.zeros((total, total), dtype=complex)
-        for c, d in enumerate(self.cols):
-            for (so, si), b in d.items():
-                if (so, c) not in layout or (si, c) not in layout:
-                    continue
-                oo, ro, co = layout[(so, c)]
-                oi, ri, ci = layout[(si, c)]
-                amp = np.kron(b, np.eye(co, dtype=complex))
-                m[oo : oo + ro * co, oi : oi + ri * ci] = amp
-        return m
+        """Dense matrix of the operator on the t-th fiber ⊕_s K(s,t): per
+        color, the slot on the sources present there, kron 1_{dim_c(t)}."""
+        tr = self.tr
+        layout, total = tr.fiber_layout(t)
+        out = np.zeros((total, total), dtype=complex)
+        for c, m in enumerate(self.slots):
+            present = [s for s in tr.S if (s, c) in layout]
+            if not present:
+                continue
+            off, _, width = layout[(present[0], c)]
+            idx = np.flatnonzero(np.isin(tr.col_source(c), [tr.index[s] for s in present]))
+            amp = np.kron(m.toarray()[np.ix_(idx, idx)], np.eye(width, dtype=complex))
+            out[off : off + amp.shape[0], off : off + amp.shape[0]] = amp
+        return out
 
     def _slot_norm(self, c, tol):
-        blocks = self.cols[c]
-        if not blocks:
-            return 0.0
-        tr = self.tr
-        n = tr.col_total(c)
+        m = self.slots[c]
+        if not m.count_nonzero():
+            return 0.0  # ARPACK refuses the zero operator's start space
+        n = m.shape[0]
+        # the CSR slot goes to ARPACK as it is; a small one is cheaper dense
         if n <= SMALL_SLOT:
-            return spectral_norm(self.assemble_slot(c))
-        import scipy.sparse as sp
+            return spectral_norm(m.toarray())
         from scipy.sparse.linalg import svds
 
-        # only the nonzeros: lift stores a (x) 1_v as dense kron blocks that
-        # are mostly zero
-        rows, cols, vals = [], [], []
-        for (so, si), b in blocks.items():
-            r, k = np.nonzero(b)
-            rows.append(r + tr.col_offset(c, so))
-            cols.append(k + tr.col_offset(c, si))
-            vals.append(b[r, k])
-        vals = np.concatenate(vals)
-        if not vals.size:
-            return 0.0
-        m = sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
         v0 = np.random.default_rng(0).standard_normal(n)
         return float(svds(m, k=1, tol=tol, v0=v0, return_singular_vectors=False)[0])
 
@@ -217,7 +186,7 @@ class FockOperator:
         tol is the relative accuracy asked of ARPACK on slots larger than
         SMALL_SLOT columns; ArpackNoConvergence propagates.
         """
-        return max((self._slot_norm(c, tol) for c in range(len(self.cols))), default=0.0)
+        return max((self._slot_norm(c, tol) for c in range(len(self.slots))), default=0.0)
 
     def norm_by_fibers(self, ts=None):
         """Honest per-fiber assembly; equals norm() — used as an oracle."""
@@ -225,28 +194,45 @@ class FockOperator:
         return max((spectral_norm(self.fiber(t)) for t in ts), default=0.0)
 
     def frobenius(self):
-        return float(
-            np.sqrt(
-                sum(
-                    np.sum(np.abs(b) ** 2)
-                    for d in self.cols
-                    for b in d.values()
-                )
-            )
-        )
+        return float(np.sqrt(sum(np.sum(np.abs(m.data) ** 2) for m in self.slots)))
 
     def is_zero(self, tol=1e-12):
         return self.frobenius() <= tol
 
     def diagonal_part(self):
-        return FockOperator(
-            self.tr,
-            [{k: b for k, b in d.items() if k[0] == k[1]} for d in self.cols],
-        )
+        """Keep the blocks whose target object equals their source object."""
+        out = []
+        for c, m in enumerate(self.slots):
+            owner = self.tr.col_source(c)
+            coo = m.tocoo()
+            keep = owner[coo.row] == owner[coo.col]
+            out.append(_csr(m.shape[0], coo.row[keep], coo.col[keep], coo.data[keep]))
+        return FockOperator(self.tr, out)
 
     def __repr__(self):
-        nblocks = sum(len(d) for d in self.cols)
-        return f"<fock-operator {nblocks} blocks over {self.tr!r}>"
+        nnz = sum(m.nnz for m in self.slots)
+        return f"<fock-operator nnz={nnz} over {self.tr!r}>"
+
+
+def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
+    """Sum over the keys of x, in key order, of the operators that send the
+    columns of s to those of target by a ⊗ 1_v, for each (target, s, v) in
+    placements(p, q).  Within one key every (target, s) occurs once, so the
+    COO triples hold no duplicates and the sums match blockwise addition."""
+    backend = tr.backend
+    total = None
+    for (p, q), a in x.terms.items():
+        entries = [[] for _ in range(backend.slot_count)]
+        for target, s, v in placements(p, q):
+            for c, (i, j, vals) in enumerate(backend._rtensor_coo(a, v)):
+                if vals.size:
+                    entries[c].append((i + tr.col_offset(c, target), j + tr.col_offset(c, s), vals))
+        op = FockOperator(tr, [
+            _csr(tr.col_total(c), *(np.concatenate(z) for z in zip(*parts)))
+            for c, parts in enumerate(entries)
+        ])
+        total = op if total is None else total + op
+    return total if total is not None else FockOperator(tr)
 
 
 def lift(x: NTElement, tr: Truncation) -> FockOperator:
@@ -256,20 +242,14 @@ def lift(x: NTElement, tr: Truncation) -> FockOperator:
     outside S are dropped (truncation).
     """
     sg = tr.backend.sg
-    out = FockOperator(tr)
-    for (p, q), a in x.terms.items():
+
+    def placements(p, q):
         for s in tr.S:
             v = sg.left_divide(q, s)
-            if v is None:
-                continue
-            target = p * v
-            if target not in tr.index:
-                continue
-            shifted = a.rtensor(v)
-            for c, b in enumerate(shifted.blocks):
-                if b.size:
-                    out._bump(c, target, s, b)
-    return out
+            if v is not None and (target := p * v) in tr.index:
+                yield target, s, v
+
+    return _assemble(x, tr, placements)
 
 
 def fock_norm(x: NTElement, tr: Truncation, tol=1e-8) -> float:
@@ -284,41 +264,35 @@ def transcendental_expectation(x: NTElement, tr: Truncation) -> FockOperator:
     off-diagonal keys alive (the transcendental part of the core).
     """
     sg = tr.backend.sg
-    out = FockOperator(tr)
-    for (p, q), a in x.terms.items():
+
+    def placements(p, q):
         for w in tr.S:
-            vp, vq = sg.left_divide(p, w), sg.left_divide(q, w)
-            if vp is None or vq is None or vp != vq:
-                continue
-            shifted = a.rtensor(vq)
-            for c, b in enumerate(shifted.blocks):
-                if b.size:
-                    out._bump(c, w, w, b)
-    return out
+            vq = sg.left_divide(q, w)
+            if vq is not None and vq == sg.left_divide(p, w):
+                yield w, w, vq
+
+    return _assemble(x, tr, placements)
+
+
+def _source_projection(tr: Truncation, sources) -> FockOperator:
+    """Projection onto the columns whose source object lies in sources."""
+    keep = [tr.index[s] for s in sources if s in tr.index]
+    slots = []
+    for c in range(tr.backend.slot_count):
+        idx = np.flatnonzero(np.isin(tr.col_source(c), keep))
+        slots.append(_csr(tr.col_total(c), idx, idx, np.ones(idx.size)))
+    return FockOperator(tr, slots)
 
 
 def projection_Qw(w, tr: Truncation) -> FockOperator:
     """Projection onto the blocks with source index w."""
-    out = FockOperator(tr)
-    for c in range(tr.backend.slot_count):
-        d = tr.col_dim(c, w)
-        if d:
-            out._bump(c, w, w, np.eye(d, dtype=complex))
-    return out
+    return _source_projection(tr, [w])
 
 
 def projection_QT(p, tr: Truncation) -> FockOperator:
     """Q_<p>: projection onto blocks with source index in pP."""
     sg = tr.backend.sg
-    out = FockOperator(tr)
-    for s in tr.S:
-        if sg.left_divide(p, s) is None:
-            continue
-        for c in range(tr.backend.slot_count):
-            d = tr.col_dim(c, s)
-            if d:
-                out._bump(c, s, s, np.eye(d, dtype=complex))
-    return out
+    return _source_projection(tr, [s for s in tr.S if sg.left_divide(p, s) is not None])
 
 
 class FiberRestriction:

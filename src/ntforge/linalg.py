@@ -19,6 +19,8 @@ def rank_of_span(vectors, tol=1e-8) -> int:
     if not rows:
         return 0
     m = np.array(rows)
+    # columns that vanish in every vector leave the singular values unchanged
+    m = m[:, np.any(m != 0, axis=0)]
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

@@ -85,7 +85,17 @@ class Arrow:
         return max((spectral_norm(b) for b in self.blocks), default=0.0)
 
     def is_zero(self, tol=1e-12):
-        return self.norm() <= tol
+        """norm() <= tol.  A block with an entry above tol is not zero and one
+        of Frobenius norm at most tol is (both bound the spectral norm), so
+        the SVD runs only in between."""
+        for b in self.blocks:
+            if b.size == 0:
+                continue
+            if np.abs(b).max() > tol:
+                return False
+            if np.linalg.norm(b) > tol and spectral_norm(b) > tol:
+                return False
+        return True
 
     def flat(self):
         return np.concatenate([np.ravel(b) for b in self.blocks]) if self.blocks else np.zeros(0)
@@ -179,6 +189,14 @@ class _BackendBase:
         shapes = self.shape(p, q)
         return sum(shapes[c][0] * shapes[c][1] for c in colors)
 
+    def _rtensor_coo(self, a, r):
+        """a x 1_r as per-slot COO triples (rows, cols, vals) of its nonzeros."""
+        out = []
+        for b in self._rtensor(a, r).blocks:
+            i, j = np.nonzero(b)
+            out.append((i, j, b[i, j]))
+        return out
+
 
 class ColoredProductSystem(_BackendBase):
     """Block-matrix morphism spaces with a multiplicative dimension function.
@@ -247,11 +265,26 @@ class ColoredProductSystem(_BackendBase):
         return Arrow(self, a.source, a.range, [b.conj().T for b in a.blocks])
 
     def _rtensor(self, a, r):
-        dr = self.dim(r)
+        # blocks are read-only, so a color with dim 1 shares the block itself
         return Arrow(
             self, a.range * r, a.source * r,
-            [np.kron(b, np.eye(dr[c], dtype=complex)) for c, b in enumerate(a.blocks)],
+            [b if d == 1 else np.kron(b, np.eye(d, dtype=complex))
+             for b, d in zip(a.blocks, self.dim(r))],
         )
+
+    def _rtensor_coo(self, a, r):
+        # kron(b, 1_d) holds b[i, j] at (i d + k, j d + k) for k < d
+        out = []
+        for b, d in zip(a.blocks, self.dim(r)):
+            i, j = np.nonzero(b)
+            vals = b[i, j]
+            if d > 1:
+                k = np.arange(d)
+                i = (i[:, None] * d + k).ravel()
+                j = (j[:, None] * d + k).ravel()
+                vals = np.repeat(vals, d)
+            out.append((i, j, vals))
+        return out
 
 
 class ZeroTensorBackend(_BackendBase):

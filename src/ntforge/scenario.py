@@ -323,17 +323,29 @@ def run_projections(sc: Scenario, params):
     }
 
 
+def _coefficient_in(sc: Scenario, field, name, range_, source):
+    """The one coefficient of the named element as an arrow in L(range_, source).
+
+    Keys are stored unit-canonical, so the stored coefficient at (r, s) is
+    transported by the unit u with (r u, s u) = (range_, source).
+    """
+    x = sc.element(name)
+    (key,) = list(x.keys())
+    r, s = key
+    for u in sc.sg.units():
+        if r * u == range_ and s * u == source:
+            return x.terms[key].rtensor(u)
+    raise ScenarioError(
+        f"{field}: element {name!r} sits at ({_fmt(sc.sg, r)},{_fmt(sc.sg, s)}), "
+        f"not in L({_fmt(sc.sg, range_)},{_fmt(sc.sg, source)}) up to a unit"
+    )
+
+
 def run_aperiodicity(sc: Scenario, params):
     p = sc.parse_el(params["p"])
     u = sc.parse_el(params["unit"])
-    b_el = sc.element(params["b"])
-    (key,) = list(b_el.keys())
-    b = b_el.terms[key]
-    h = None
-    if params.get("h"):
-        h_el = sc.element(params["h"])
-        (hkey,) = list(h_el.keys())
-        h = h_el.terms[hkey]
+    b = _coefficient_in(sc, "b", params["b"], p * u, p)
+    h = _coefficient_in(sc, "h", params["h"], p, p) if params.get("h") else None
     twist = [to_matrix(m) for m in params["twist"]] if params.get("twist") else None
     res = aperiodicity_search(
         sc.backend, p, u, b, h=h, twist=twist,

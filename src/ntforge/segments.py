@@ -85,10 +85,12 @@ def partition_member(s, F, C) -> bool:
     sg = s.sg
     if not is_initial_segment(sg, F, C):
         raise ValueError(f"{sorted(map(repr, C))} is not an initial segment of F")
-    sig = sigma_in(sg, C)
-    if not leq(sig, s):
-        return False
-    return all(not leq(f, s) for f in set(F) - set(C))
+    return _in_cell(s, F, Segment(C, sigma_in(sg, C)))
+
+
+def _in_cell(s, F, seg: Segment) -> bool:
+    """s in P_{F,C} for a segment already known to be initial in F."""
+    return leq(seg.sig, s) and not any(leq(f, s) for f in F if f not in seg.C)
 
 
 def segment_of(sg, F, s):
@@ -122,7 +124,7 @@ def check_partition(sg, F, depth: int) -> PartitionReport:
     checked = 0
     for s in sg.elements(depth):
         checked += 1
-        hits = [seg for seg in segs if partition_member(s, F, seg.C)]
+        hits = [seg for seg in segs if _in_cell(s, F, seg)]
         if len(hits) != 1:
             failures.append((s, f"lies in {len(hits)} cells"))
             continue

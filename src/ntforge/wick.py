@@ -21,7 +21,7 @@ import itertools
 from typing import NamedTuple
 
 from .precategory import ideal_membership, full_ideal
-from .segments import initial_segments, partition_member
+from .segments import _in_cell, initial_segments
 from .semigroups import FiniteGroup
 
 PRUNE_TOL = 1e-12
@@ -311,7 +311,7 @@ def core_norm(x: NTElement, wdepth: int = 4, witness_depth: int = 4) -> CoreNorm
     best = 0.0
     for seg in initial_segments(sg, F):
         for w in sg.elements(wdepth):
-            if not partition_member(w, F, seg.C):
+            if not _in_cell(w, F, seg):
                 continue
             acc = None
             for (p, q), a in x.terms.items():

@@ -171,6 +171,45 @@ def test_aperiodicity_report_carries_certificate(tmp_path):
     assert _normalized(run_scenario(str(p))) == _normalized(report)
 
 
+def _flip_scenario(p, b_range, b_source):
+    return {
+        "semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum", "rank": 1}, "units": "Z2"},
+        "backend": {"kind": "colored", "gen_dims": [[2]]},
+        "settings": {"depth": 3, "tol": 1e-8, "seed": 3},
+        "elements": {
+            "b": [{"range": b_range, "source": b_source, "blocks": [[[1, 0], [0, 0]]]}],
+            "one": [{"range": b_range, "source": b_source, "blocks": [[[1, 0], [0, 1]]]}],
+        },
+        "checks": [
+            {"name": "aperiodicity", "p": p, "unit": "(0,1)", "b": "b",
+             "twist": [[[0, 1], [1, 0]]], "trials": 2},
+            {"name": "aperiodicity", "p": p, "unit": "(0,1)", "b": "one", "trials": 1},
+        ],
+    }
+
+
+def test_aperiodicity_takes_b_in_the_written_frame(tmp_path, capsys):
+    # b in L(px, p) for p = (1,0), x = (0,1), written as range (1,1), source
+    # (1,0); its stored canonical key is ((1,0),(1,1)), the canonical form of
+    # the certificate test above (p = (1,1))
+    reports = []
+    for name, args in [("canonical", ("(1,1)", "(1,0)", "(1,1)")),
+                       ("written", ("(1,0)", "(1,1)", "(1,0)"))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_flip_scenario(*args)))
+        reports.append([item["data"] for item in run_scenario(str(path))["items"]])
+    canonical, written = reports
+    assert written[0]["attained_by"] == "rank-one" and written[0]["best"] <= 1e-12
+    assert written == canonical
+    # no unit moves ((1,1),(1,0)) into L(px, p) = L((2,1),(2,0))
+    path = tmp_path / "misplaced.json"
+    path.write_text(json.dumps(_flip_scenario("(2,0)", "(1,1)", "(1,0)")))
+    argv = ["check", "aperiodicity", str(path), "--p", "(2,0)", "--unit", "(0,1)", "--b", "b"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "b: element 'b'" in err and "L((2,1),(2,0))" in err
+
+
 # -- explain / list-instances ----------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,10 +52,19 @@ def random_element(ps, rng, nterms=2, keylen=2, pool=None):
     return x
 
 
+def _same_entries(a, b):
+    """Equal sparse matrices: the same stored positions and the same values."""
+    a, b = a.tocoo(), b.tocoo()
+    return (
+        set(zip(a.row.tolist(), a.col.tolist())) == set(zip(b.row.tolist(), b.col.tolist()))
+        and np.array_equal(a.toarray(), b.toarray())
+    )
+
+
 def test_shift_matrix_over_N():
     tr = Truncation(ps_N, 4)
     u = scalar(ps_N, "1", "0")
-    m = lift(u, tr).assemble_slot(0)
+    m = lift(u, tr).slots[0].toarray()
     expect = np.zeros((5, 5))
     for i in range(4):
         expect[i + 1, i] = 1.0
@@ -67,10 +77,8 @@ def test_lift_adjoint_commutes():
     tr = Truncation(ps_FM, 3)
     x = random_element(ps_FM, rng)
     a, b = lift(nt_adjoint(x), tr), lift(x, tr).adjoint()
-    assert set(a.cols[0]) == set(b.cols[0])
     for c in range(2):
-        for k, blk in a.cols[c].items():
-            assert np.array_equal(blk, b.cols[c][k])
+        assert _same_entries(a.slots[c], b.slots[c])
 
 
 @pytest.mark.parametrize("ps,depth", [(ps_N, 6), (ps_FM, 5), (ps_N2, 4)])
@@ -111,7 +119,7 @@ def test_fock_norm_examples():
     uu = nt_mul(nt_adjoint(scalar(ps_N, "1", "0")), scalar(ps_N, "1", "0"))
     assert abs(fock_norm(uu, tr) - 1.0) <= 1e-12
     x = scalar(ps_N, "0", "0", 1.0) + scalar(ps_N, "1", "1", -1.0)
-    m = lift(x, tr).assemble_slot(0)
+    m = lift(x, tr).slots[0].toarray()
     assert abs(np.linalg.norm(m, 2) - 1.0) <= 1e-12
     assert abs(fock_norm(x, tr) - 1.0) <= 1e-12
 
@@ -177,6 +185,138 @@ def test_factored_norm_matches_fiberwise_assembly():
     assert abs(op.norm() - op.norm_by_fibers()) <= 1e-10
 
 
+def _dense_block_reference(tr, blocks_at):
+    """The dict-of-dense-blocks assembly the CSR slots replaced, per color:
+    blocks summed per (target, source) in the order given, then written into
+    a dense slot."""
+    acc = [dict() for _ in range(tr.backend.slot_count)]
+    for target, s, arrow in blocks_at:
+        for c, b in enumerate(arrow.blocks):
+            if b.size:
+                key = (target, s)
+                acc[c][key] = b if key not in acc[c] else acc[c][key] + b
+    out = []
+    for c, d in enumerate(acc):
+        n = tr.col_total(c)
+        m = np.zeros((n, n), dtype=complex)
+        for (so, si), b in d.items():
+            ro, ci = tr.col_offset(c, so), tr.col_offset(c, si)
+            m[ro : ro + b.shape[0], ci : ci + b.shape[1]] = b
+        out.append(m)
+    return out
+
+
+def _reference_lift(x, tr, expectation=False):
+    """Old lift / transcendental_expectation: a x 1_v as the kron block of
+    Arrow.rtensor at every source."""
+    sg = tr.backend.sg
+    placed = []
+    for (p, q), a in x.terms.items():
+        for s in tr.S:
+            v = sg.left_divide(q, s)
+            if v is None:
+                continue
+            if expectation:
+                if v != sg.left_divide(p, s):
+                    continue
+                target = s
+            else:
+                target = p * v
+                if target not in tr.index:
+                    continue
+            placed.append((target, s, a.rtensor(v)))
+    return _dense_block_reference(tr, placed)
+
+
+def _reference_fiber(tr, slots, t):
+    """Old FockOperator.fiber on dense slots: every (target, source) block,
+    kron the identity of the target's K(s,t) columns, at the fiber layout."""
+    layout, total = tr.fiber_layout(t)
+    m = np.zeros((total, total), dtype=complex)
+    for (so, c), (oo, ro, co) in layout.items():
+        for (si, ci_), (oi, ri, cc) in layout.items():
+            if ci_ != c:
+                continue
+            r0, c0 = tr.col_offset(c, so), tr.col_offset(c, si)
+            b = slots[c][r0 : r0 + tr.col_dim(c, so), c0 : c0 + tr.col_dim(c, si)]
+            if not b.any():
+                continue
+            m[oo : oo + ro * co, oi : oi + ri * cc] = np.kron(b, np.eye(co, dtype=complex))
+    return m
+
+
+def _reference_projection_QT(p, tr):
+    sg = tr.backend.sg
+    return _dense_block_reference(
+        tr,
+        [(s, s, tr.backend.identity_arrow(s)) for s in tr.S if sg.left_divide(p, s) is not None],
+    )
+
+
+ps_N2_21 = ColoredProductSystem(N2, gen_dims=[(2,), (1,)])
+ps_AB_21 = ColoredProductSystem(AbsorptionMonoid(), gen_dims=[(2,), (1,)])
+zb_122 = ZeroTensorBackend([1, 2, 2])
+
+
+@pytest.mark.parametrize(
+    "ps,depth",
+    [(ps_N, 5), (ps_N2_21, 5), (ps_FM, 4), (ps_AB, 4), (ps_AB_21, 4), (zb_122, 3)],
+    ids=["N", "N2-dims21", "FM-two-colors", "absorb", "absorb-dims21", "zero-tensor"],
+)
+def test_sparse_slots_equal_dense_block_reference(ps, depth):
+    rng = random.Random(f"{ps.sg.tag}-{ps.kind}-{depth}")
+    tr = Truncation(ps, depth)
+    pool = ps.sg.elements(2)
+    for _ in range(4):
+        x = NTElement(ps)
+        for _ in range(5):  # several keys, so sums onto one block occur
+            p, q = rng.choice(pool), rng.choice(pool)
+            if ps.kind == "zero":
+                q = p  # off-diagonal arrows of this backend are zero
+            x.add_term(p, q, ps.random_arrow(p, q, rng))
+        for op, want in [
+            (lift(x, tr), _reference_lift(x, tr)),
+            (transcendental_expectation(x, tr), _reference_lift(x, tr, expectation=True)),
+        ]:
+            for c in range(ps.slot_count):
+                assert np.array_equal(op.slots[c].toarray(), want[c])
+                assert op.slots[c].nnz == np.count_nonzero(want[c])
+            for t in tr.S[:3]:  # e and two generators: widths 1 and above
+                assert np.array_equal(op.fiber(t), _reference_fiber(tr, want, t))
+    for p in ps.sg.elements(2):
+        got, want = projection_QT(p, tr), _reference_projection_QT(p, tr)
+        for c in range(ps.slot_count):
+            assert np.array_equal(got.slots[c].toarray(), want[c])
+
+
+def test_lift_stores_no_dense_kron_blocks():
+    # the fock-norm n2d11-diag shape: N^2, dims (2,), depth 11, 8,178 columns.
+    # Dense a x 1_v blocks took 7.46 M entries (over 100 MB) for 16,344
+    # nonzeros; the CSR slot holds just the nonzeros.
+    ps = ColoredProductSystem(N2, gen_dims=[(2,), (1,)])
+    tr = Truncation(ps, 11)
+    x = NTElement(ps)
+    for k in ["(0,0)", "(1,0)", "(0,1)", "(1,1)"]:
+        p = N2.parse(k)
+        rows, cols = ps.shape(p, p)[0]
+        # entries 1 + i: no sum onto one entry cancels
+        x.add_term(p, p, ps.arrow(p, p, [1.0 + np.arange(rows * cols).reshape(rows, cols)]))
+    lift(NTElement(ps), tr)  # loads scipy.sparse outside the traced peak
+    tracemalloc.start()
+    try:
+        op = lift(x, tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.col_total(0) == 8178
+    assert peak < 4 * 2**20
+    # at s = (k,l) the block is a_e x 1 + a_(1,0) x 1 + ...: for k >= 1 the
+    # kron of a full 2x2 with 1_{2^(k-1)}, which covers the diagonal; 1 entry at k = 0
+    want = sum(2 ** (k + 1) if k else 1 for k, _ in (s.data for s in tr.S))
+    assert want == 16344
+    assert op.slots[0].nnz == np.count_nonzero(op.slots[0].data) == want
+
+
 def test_expectation_kills_offdiagonal_cancellative():
     tr = Truncation(ps_FM, 4)
     rng = random.Random(1)
@@ -197,9 +337,7 @@ def test_expectation_fixes_diagonal_keys():
     ex = transcendental_expectation(x, tr)
     lf = lift(x, tr)
     for c in range(2):
-        assert set(ex.cols[c]) == set(lf.cols[c])
-        for k, blk in ex.cols[c].items():
-            assert np.array_equal(blk, lf.cols[c][k])
+        assert _same_entries(ex.slots[c], lf.slots[c])
 
 
 def test_expectation_is_diagonal_compression_of_lift():
@@ -207,6 +345,10 @@ def test_expectation_is_diagonal_compression_of_lift():
     for ps in (ps_FM, ps_AB):
         tr = Truncation(ps, 3)
         x = random_element(ps, rng)
+        # a diagonal key puts whole a x 1_v blocks, not only their diagonals,
+        # on the block diagonal (ps_FM has dims above 1)
+        p = rng.choice(ps.sg.elements(2))
+        x.add_term(p, p, ps.random_arrow(p, p, rng))
         ex = transcendental_expectation(x, tr)
         compress = lift(x, tr).diagonal_part()
         assert (ex - compress).frobenius() <= 1e-12
@@ -226,7 +368,10 @@ def test_transcendental_phenomenon_on_absorption():
     et = transcendental_expectation(x, tr)
     assert et.norm() >= 0.99
     # survives exactly at sources (l,n) with l >= 1
-    live = {k for k, b in et.cols[0].items() if np.abs(b).max() > 1e-12}
+    m = et.slots[0].tocoo()
+    big = np.abs(m.data) > 1e-12
+    owner = tr.col_source(0)
+    live = {(tr.S[owner[r]], tr.S[owner[k]]) for r, k in zip(m.row[big], m.col[big])}
     assert all(w.data[0] >= 1 for w, _ in live)
     assert (AB.parse("(1,0)"), AB.parse("(1,0)")) in live
 

@@ -193,3 +193,39 @@ def test_group_backend_has_scalar_fibers():
     assert ps.dim(g.parse("1")) == (1, 1, 1)
     a = ps.identity_arrow(g.parse("0"))
     assert a.norm() == 1.0
+
+
+def test_rtensor_shares_dim_one_blocks_and_krons_the_rest():
+    ps = colored_FM(d_a=(2, 1), d_b=(1, 3))
+    rng = random.Random(17)
+    p, q, r = FM.parse("ab"), FM.parse("b"), FM.parse("a")  # dim(a) = (2, 1)
+    a = ps.random_arrow(p, q, rng)
+    t = a.rtensor(r)
+    assert t.blocks[1] is a.blocks[1]
+    assert np.array_equal(t.blocks[0], np.kron(a.blocks[0], np.eye(2)))
+    assert not t.blocks[1].flags.writeable
+    for c, (i, j, vals) in enumerate(ps._rtensor_coo(a, r)):
+        dense = np.zeros(t.blocks[c].shape, dtype=complex)
+        dense[i, j] = vals
+        assert np.array_equal(dense, t.blocks[c])
+        assert len(vals) == np.count_nonzero(t.blocks[c])
+
+
+def test_arrow_is_zero_keeps_the_spectral_verdict():
+    # max|entry| <= |A|_2 <= |A|_F: the shortcuts decide outside that band,
+    # the SVD inside it; the verdict must equal norm() <= tol everywhere
+    ps = colored_N(dims=(3,))
+    rng = np.random.default_rng(23)
+    p = N.parse("1")
+    tol = 1e-3
+    seen = set()
+    for _ in range(300):
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        if rng.random() < 0.3:
+            b = np.outer(b[0], b[1])  # rank one: |A|_2 = |A|_F
+        b *= tol * rng.uniform(0.2, 2.0) / np.linalg.norm(b, 2)
+        a = ps.arrow(p, p, [b])
+        assert a.is_zero(tol) == (a.norm() <= tol)
+        seen.add((np.abs(b).max() > tol, np.linalg.norm(b) <= tol, a.norm() <= tol))
+    assert (False, False, True) in seen and (False, False, False) in seen
+    assert ps.zero(p, p).is_zero(tol=0)
