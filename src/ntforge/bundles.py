@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import CheckReport, ConcreteRep
 from .linalg import rank_of_span, spectral_norm
-from .precategory import _BackendBase
+from .precategory import Arrow, _BackendBase
 from .semigroups import FiniteGroup
 
 
@@ -139,21 +139,9 @@ class CrossedProductBackend(_BackendBase):
     def shape(self, p, q):
         return [(d, d) for d in self.action.dims]
 
-    def _compose(self, a, b):
-        from .precategory import Arrow
-
-        return Arrow(self, a.range, b.source, [x @ y for x, y in zip(a.blocks, b.blocks)])
-
-    def _adjoint(self, a):
-        from .precategory import Arrow
-
-        return Arrow(self, a.source, a.range, [x.conj().T for x in a.blocks])
-
     def _rtensor(self, a, r):
-        from .precategory import Arrow
-
         self.sg.check_same(r)
-        return Arrow(
+        return Arrow._derived(
             self, a.range * r, a.source * r, self.action.apply(r, a.blocks)
         )
 
@@ -193,9 +181,6 @@ class BundleFiberFamily:
         e = self.group.identity()
         return self.backend.random_arrow(g, e, rng).blocks
 
-    def zero_fiber(self, g):
-        return [np.zeros(sh, dtype=complex) for sh in self.shape(g)]
-
     def fiber_norm(self, blocks):
         return max((spectral_norm(b) for b in blocks), default=0.0)
 
@@ -224,24 +209,18 @@ class BundleBackend(_BackendBase):
         return self.bundle.shape(self._grade(p, q))
 
     def _compose(self, a, b):
-        from .precategory import Arrow
-
         s = self._grade(a.range, a.source)
         t = self._grade(b.range, b.source)
         blocks = self.bundle.mul(s, a.blocks, t, b.blocks)
-        return Arrow(self, a.range, b.source, blocks)
+        return Arrow._derived(self, a.range, b.source, blocks)
 
     def _adjoint(self, a):
-        from .precategory import Arrow
-
         s = self._grade(a.range, a.source)
         return Arrow(self, a.source, a.range, self.bundle.star(s, a.blocks))
 
     def _rtensor(self, a, r):
-        from .precategory import Arrow
-
         self.sg.check_same(r)
-        return Arrow(self, a.range * r, a.source * r, [b.copy() for b in a.blocks])
+        return Arrow._derived(self, a.range * r, a.source * r, [b.copy() for b in a.blocks])
 
 
 def precategory_from_bundle(bundle: BundleFiberFamily) -> BundleBackend:

@@ -36,11 +36,13 @@ from .wick import core_norm, diagonal_expectation, nt_adjoint, nt_mul
 
 EXPLAIN = {
     "segments": (
-        "Enumerate the initial segments of a finite family F: the distinct sets\n"
-        "C of elements of F that admit a common multiple, each recorded with the\n"
-        "least such multiple sigma(C).  Parameters: F (elements), depth.\n"
-        "Informational; also reports whether the induced cells partition the\n"
-        "enumerated ball (see partition-check)."
+        "List the initial segments of a finite family F: the sets C in F whose\n"
+        "iterated right LCM sigma(C) exists and that hold every t in F with\n"
+        "t <= sigma(C), each recorded with the canonical sigma(C).  They are\n"
+        "found from the closure of {e} under right LCMs with members of F, one\n"
+        "segment {t in F : t <= w} per w in the closure, so |F| is not bounded.\n"
+        "Parameters: F (elements), depth.  Informational; also reports whether\n"
+        "the induced cells partition the enumerated ball (see partition-check)."
     ),
     "partition-check": (
         "Verify that the cells {p : the part of F dividing p is exactly C} for C\n"

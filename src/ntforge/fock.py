@@ -9,12 +9,12 @@ shift, so on a fixed source-object t and color c the operator is
 for a column operator that does not depend on t.  Operators are therefore
 stored factored: one scipy.sparse CSR matrix per color, the column factor,
 with rows and columns ordered by the truncation set S.  It is built from COO
-triples: each nonzero of a coefficient block a_c is repeated along the
-diagonal of 1_{dim_c(v)} by index arithmetic (the backend's _rtensor_coo), so
-no a ⊗ 1_v block is ever stored dense.  Sums, products, adjoints and norms
-are sparse operations on the column factors (the t-ampliation is isometric
-and multiplicative); per-t fibers are materialized densely on demand for
-oracles and the t-th restricted representation.
+triples: the nonzeros of a coefficient block a_c are taken once per key, and
+each is repeated along the diagonal of 1_{dim_c(v)} by index arithmetic (the
+backend's _rtensor_coo), so no a ⊗ 1_v block is ever stored dense.  Sums,
+products, adjoints and norms are sparse operations on the column factors (the
+t-ampliation is isometric and multiplicative); per-t fibers are materialized
+densely on demand for oracles and the t-th restricted representation.
 
 The norm is the maximum over colors of the column factor's largest singular
 value.  A color slot of at most SMALL_SLOT columns takes a dense SVD; a
@@ -223,8 +223,9 @@ def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
     total = None
     for (p, q), a in x.terms.items():
         entries = [[] for _ in range(backend.slot_count)]
+        coo = backend._coo(a)
         for target, s, v in placements(p, q):
-            for c, (i, j, vals) in enumerate(backend._rtensor_coo(a, v)):
+            for c, (i, j, vals) in enumerate(backend._rtensor_coo(a, v, coo)):
                 if vals.size:
                     entries[c].append((i + tr.col_offset(c, target), j + tr.col_offset(c, s), vals))
         op = FockOperator(tr, [

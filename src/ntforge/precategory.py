@@ -32,8 +32,21 @@ class Arrow:
     __slots__ = ("backend", "range", "source", "blocks")
 
     def __init__(self, backend, range_, source, blocks):
-        shapes = backend.shape(range_, source)
         blocks = tuple(np.ascontiguousarray(b, dtype=complex) for b in blocks)
+        self._set(backend, range_, source, blocks)
+
+    @classmethod
+    def _derived(cls, backend, range_, source, blocks):
+        """An arrow from blocks computed out of validated arrows: sums,
+        products and ampliations of complex C-contiguous blocks are complex
+        and C-contiguous already, so only the copy of the public path is
+        skipped; shapes are still checked and blocks made read-only."""
+        a = cls.__new__(cls)
+        a._set(backend, range_, source, tuple(blocks))
+        return a
+
+    def _set(self, backend, range_, source, blocks):
+        shapes = backend.shape(range_, source)
         if len(blocks) != len(shapes):
             raise ValueError(f"expected {len(shapes)} blocks, got {len(blocks)}")
         for b, sh in zip(blocks, shapes):
@@ -54,7 +67,7 @@ class Arrow:
         self._like(other)
         if (self.range, self.source) != (other.range, other.source):
             raise ValueError("object mismatch in arrow sum")
-        return Arrow(
+        return Arrow._derived(
             self.backend, self.range, self.source,
             [x + y for x, y in zip(self.blocks, other.blocks)],
         )
@@ -133,7 +146,8 @@ def full_ideal(backend) -> ColorIdeal:
 
 
 class _BackendBase:
-    """Shared arrow constructors; subclasses define shapes and the product."""
+    """Shared arrow constructors, blockwise product and adjoint; subclasses
+    define shapes and right tensoring."""
 
     sg = None
     slot_count = 0
@@ -189,13 +203,35 @@ class _BackendBase:
         shapes = self.shape(p, q)
         return sum(shapes[c][0] * shapes[c][1] for c in colors)
 
-    def _rtensor_coo(self, a, r):
-        """a x 1_r as per-slot COO triples (rows, cols, vals) of its nonzeros."""
+    def _compose(self, a, b):
+        blocks = [x @ y for x, y in zip(a.blocks, b.blocks)]
+        return Arrow._derived(self, a.range, b.source, blocks)
+
+    def _adjoint(self, a):
+        return Arrow(self, a.source, a.range, [b.conj().T for b in a.blocks])
+
+    @staticmethod
+    def _coo(a):
+        """Per-slot COO triples (rows, cols, vals) of the nonzeros of a."""
         out = []
-        for b in self._rtensor(a, r).blocks:
+        for b in a.blocks:
             i, j = np.nonzero(b)
             out.append((i, j, b[i, j]))
         return out
+
+    def _rtensor_coo(self, a, r, coo):
+        """a x 1_r as per-slot COO triples of its nonzeros; coo = _coo(a),
+        taken once per arrow by callers that amplify it many times."""
+        return self._coo(self._rtensor(a, r))
+
+
+def _amplify(b, d):
+    """kron(b, 1_d): b written into the diagonal slices of an (m, d, n, d) array."""
+    m, n = b.shape
+    out = np.zeros((m, d, n, d), dtype=complex)
+    k = np.arange(d)
+    out[:, k, :, k] = b
+    return out.reshape(m * d, n * d)
 
 
 class ColoredProductSystem(_BackendBase):
@@ -226,6 +262,7 @@ class ColoredProductSystem(_BackendBase):
             raise ValueError("dims must be >= 1")
         self.slot_count = int(colors)
         self.gen_dims = gen_dims
+        self._e = sg.identity()
         self._dim_cache = {}
         self._validate(check_depth)
 
@@ -258,26 +295,19 @@ class ColoredProductSystem(_BackendBase):
                     f"dim({p!r})*dim({q!r}) = {want}"
                 )
 
-    def _compose(self, a, b):
-        return Arrow(self, a.range, b.source, [x @ y for x, y in zip(a.blocks, b.blocks)])
-
-    def _adjoint(self, a):
-        return Arrow(self, a.source, a.range, [b.conj().T for b in a.blocks])
-
     def _rtensor(self, a, r):
+        if r == self._e:
+            return a
         # blocks are read-only, so a color with dim 1 shares the block itself
-        return Arrow(
+        return Arrow._derived(
             self, a.range * r, a.source * r,
-            [b if d == 1 else np.kron(b, np.eye(d, dtype=complex))
-             for b, d in zip(a.blocks, self.dim(r))],
+            [b if d == 1 else _amplify(b, d) for b, d in zip(a.blocks, self.dim(r))],
         )
 
-    def _rtensor_coo(self, a, r):
+    def _rtensor_coo(self, a, r, coo):
         # kron(b, 1_d) holds b[i, j] at (i d + k, j d + k) for k < d
         out = []
-        for b, d in zip(a.blocks, self.dim(r)):
-            i, j = np.nonzero(b)
-            vals = b[i, j]
+        for (i, j, vals), d in zip(coo, self.dim(r)):
             if d > 1:
                 k = np.arange(d)
                 i = (i[:, None] * d + k).ravel()
@@ -327,13 +357,6 @@ class ZeroTensorBackend(_BackendBase):
 
     def space_dim(self, p, q, ideal=None):
         return 0 if p != q else super().space_dim(p, q, ideal)
-
-    def _compose(self, a, b):
-        # off-diagonal arrows are zero, so plain block product is the truth
-        return Arrow(self, a.range, b.source, [a.blocks[0] @ b.blocks[0]])
-
-    def _adjoint(self, a):
-        return Arrow(self, a.source, a.range, [a.blocks[0].conj().T])
 
     def _rtensor(self, a, r):
         if r == self.sg.identity():

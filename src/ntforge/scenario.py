@@ -50,7 +50,7 @@ from .precategory import (
     check_well_aligned,
     full_ideal,
 )
-from .segments import check_partition, initial_segments
+from .segments import check_partition
 from .semigroups import make_group, make_semigroup
 from .wick import NTElement, abelianization_grading, core_norm, diagonal_expectation
 
@@ -218,13 +218,12 @@ def _fmt(sg, p):
 
 def run_segments(sc: Scenario, params):
     F = [sc.parse_el(t) for t in params["F"]]
-    segs = initial_segments(sc.sg, F)
     report = check_partition(sc.sg, F, depth=int(params.get("depth", sc.settings["depth"])))
     data = {
         "F": [_fmt(sc.sg, f) for f in F],
         "segments": [
             {"C": sorted(_fmt(sc.sg, t) for t in seg.C), "sigma": _fmt(sc.sg, seg.sig)}
-            for seg in segs
+            for seg in report.segments
         ],
         "partition_ok": bool(report.ok),
     }

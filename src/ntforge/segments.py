@@ -9,11 +9,15 @@ right LCM sigma(C) exists and C = {t in F : t <= sigma(C)}.  The cells
 over the initial segments C partition P; equivalently s lies in the cell of
 C = {t in F : t <= s}.  All predicates are invariant under replacing sigma(C)
 by a unit translate, which the test suite checks rather than assumes.
+
+C -> sigma(C) is a bijection from the initial segments onto the closure W of
+{e} under right LCMs with members of F (modulo units): each w in W is the
+LCM of some D in F, and C_w = {t in F : t <= w} contains D, so sigma(C_w)
+generates wP.  Enumerating segments therefore walks W breadth first, one LCM
+per (w, f) pair, and needs no bound on |F|.
 """
 
 from __future__ import annotations
-
-import itertools
 
 
 def leq(p, q) -> bool:
@@ -67,16 +71,27 @@ def is_initial_segment(sg, F, C) -> bool:
     return set(C) == {t for t in F if leq(t, sig)}
 
 
-def initial_segments(sg, F, max_size: int = 10):
-    """All initial segments of F, by exhaustive enumeration over subsets."""
+def initial_segments(sg, F):
+    """All initial segments of F, one C_w per w in the right-LCM closure of
+    {e} (sigma(C_w) = w as right_lcm returns it), ordered as subsets of F:
+    by size, then by the positions of their members in F."""
     F = list(dict.fromkeys(F))
-    if len(F) > max_size:
-        raise ValueError(f"|F| = {len(F)} exceeds the enumeration bound {max_size}")
-    segs = []
-    for k in range(len(F) + 1):
-        for C in itertools.combinations(F, k):
-            if is_initial_segment(sg, F, C):
-                segs.append(Segment(C, sigma_in(sg, C)))
+    pos = {t: i for i, t in enumerate(F)}
+    frontier = [sg.identity()]
+    closure = list(frontier)
+    seen = set(frontier)
+    while frontier:
+        grown = []
+        for w in frontier:
+            for f in F:
+                r = sg.right_lcm(w, f)
+                if r is not None and r not in seen:
+                    seen.add(r)
+                    grown.append(r)
+        closure += grown
+        frontier = grown
+    segs = [Segment((t for t in F if leq(t, w)), w) for w in closure]
+    segs.sort(key=lambda seg: (len(seg.C), sorted(pos[t] for t in seg.C)))
     return segs
 
 

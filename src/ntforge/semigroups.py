@@ -26,6 +26,7 @@ Elements are immutable and hashable; equality is equality of normal forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -45,12 +46,13 @@ class Element:
     def __eq__(self, other):
         return (
             isinstance(other, Element)
-            and self.sg.tag == other.sg.tag
             and self.data == other.data
+            and (self.sg is other.sg or self.sg.tag == other.sg.tag)
         )
 
     def __hash__(self):
-        return hash((self.sg.tag, self.data))
+        # equal elements have equal data, so the data alone is a valid hash
+        return hash(self.data)
 
     def __repr__(self):
         return self.sg.format(self)
@@ -117,14 +119,24 @@ class RightLcmSemigroup:
 
     def check_same(self, *els):
         for el in els:
-            if el.sg.tag != self.tag:
+            if el.sg is not self and el.sg.tag != self.tag:
                 raise MismatchError(f"element {el!r} is not from instance {self.tag}")
 
     def el(self, data) -> Element:
         return Element(self, data)
 
+    @functools.cached_property
+    def unit_tuple(self) -> tuple:
+        """units(), built once per instance."""
+        return tuple(self.units())
+
+    @functools.cached_property
+    def trivial_units(self) -> bool:
+        """P* = {e}: every unit orbit is a single element."""
+        return len(self.unit_tuple) == 1
+
     def is_unit(self, p: Element) -> bool:
-        return any(p == x for x in self.units())
+        return p in self.unit_tuple
 
     def right_lcm(self, p: Element, q: Element):
         """Canonical generator of pP & qP, or None when the intersection is empty.
@@ -133,9 +145,9 @@ class RightLcmSemigroup:
         """
         self.check_same(p, q)
         r = self._raw_lcm(p, q)
-        if r is None:
-            return None
-        return min((r * x for x in self.units()), key=self.sort_key)
+        if r is None or self.trivial_units:
+            return r
+        return min((r * x for x in self.unit_tuple), key=self.sort_key)
 
 
 class DirectSumN(RightLcmSemigroup):
@@ -360,10 +372,6 @@ class FreeProduct(RightLcmSemigroup):
 
     def identity(self):
         return self.el(())
-
-    def _block_el(self, block):
-        i, x = block
-        return Element(self.factors[i], x)
 
     def mul(self, p, q):
         self.check_same(p, q)
@@ -746,29 +754,30 @@ def check_controlled_map(theta: SemigroupHom, depth: int) -> ControlledMapReport
     els = dom.elements(depth)
     if theta(dom.identity()) != cod.identity():
         failures.append(("identity", "theta(e) != e"))
-    dom_unit_images = {theta(x) for x in dom.units()}
-    if dom_unit_images != set(cod.units()):
+    dom_unit_images = {theta(x) for x in dom.unit_tuple}
+    if dom_unit_images != set(cod.unit_tuple):
         failures.append(("units", "theta(P*) != P'*"))
+    image = {s: theta(s) for s in els}
     checked = 0
     for s, t in itertools.product(els, repeat=2):
         checked += 1
-        if theta(s * t) != theta(s) * theta(t):
+        ts, tt = image[s], image[t]
+        if theta(s * t) != ts * tt:
             failures.append((f"hom s={s!r} t={t!r}", "theta(st) != theta(s)theta(t)"))
             continue
         r = dom.right_lcm(s, t)
         if r is None:
             continue
-        if theta(s) == theta(t) and s != t:
+        if ts == tt and s != t:
             failures.append((f"s={s!r} t={t!r}", "equal images on a comparable pair"))
-        rr = cod.right_lcm(theta(s), theta(t))
+        rr = cod.right_lcm(ts, tt)
         if rr is None:
             failures.append((f"s={s!r} t={t!r}", "image pair has no LCM"))
             continue
         # theta(r) must generate the same ideal as rr, i.e. differ by a unit
-        if not any(rr * x == theta(r) for x in cod.units()):
-            failures.append(
-                (f"s={s!r} t={t!r}", f"LCM not transported: {theta(r)!r} vs {rr!r}")
-            )
+        tr = theta(r)
+        if not any(rr * x == tr for x in cod.unit_tuple):
+            failures.append((f"s={s!r} t={t!r}", f"LCM not transported: {tr!r} vs {rr!r}"))
     return ControlledMapReport(not failures, checked, failures)
 
 

@@ -44,11 +44,12 @@ class NTElement:
 
     def _canonical(self, p, q):
         sg = self.backend.sg
-        best = min(
-            ((p * u, q * u, u) for u in sg.units()),
+        if sg.trivial_units:
+            return p, q, sg.unit_tuple[0]
+        return min(
+            ((p * u, q * u, u) for u in sg.unit_tuple),
             key=lambda t: (sg.sort_key(t[0]), sg.sort_key(t[1])),
         )
-        return best
 
     def add_term(self, p, q, arrow):
         if not ideal_membership(arrow, self.ideal):
@@ -196,11 +197,6 @@ class GradingMap:
         self.rank = rank
         if (group is None) == (rank is None):
             raise ValueError("exactly one of group/rank must be given")
-
-    def identity_grade(self):
-        if self.group is not None:
-            return self.group.identity()
-        return (0,) * self.rank
 
     def grade_of_key(self, p, q):
         tp, tq = self.theta(p), self.theta(q)

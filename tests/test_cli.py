@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ntforge.cli import main
@@ -144,6 +145,27 @@ def test_norm_agreement_uses_settings_tol(tmp_path, monkeypatch, tol, offset, st
     assert seen == [tol]
 
 
+def test_norm_agreement_on_sixteen_diagonal_keys():
+    # F = the 4 x 4 box in N^2: more keys than any subset enumeration could
+    # take; every sigma(C) lies in the box, so inside the Fock truncation
+    rng = np.random.default_rng(16)
+    terms = []
+    for i in range(4):
+        for j in range(4):
+            block = rng.standard_normal((2 ** i, 2 ** i)).tolist()
+            terms.append({"range": f"({i},{j})", "source": f"({i},{j})", "blocks": [block]})
+    report = run_scenario({
+        "semigroup": {"kind": "direct_sum", "rank": 2},
+        "backend": {"gen_dims": [[2], [1]]},
+        "settings": {"depth": 8, "tol": 1e-8},
+        "elements": {"x": terms},
+        "checks": [{"name": "norm-agreement", "element": "x"}],
+    })
+    (item,) = report["items"]
+    assert item["status"] == "pass", item
+    assert item["data"]["depth"] == 8
+
+
 def test_aperiodicity_report_carries_certificate(tmp_path):
     data = {
         "semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum", "rank": 1}, "units": "Z2"},
@@ -252,6 +274,17 @@ def test_segments_json_shape(capsys):
     sigs = {seg["sigma"] for seg in data["segments"]}
     assert sigs == {"0", "1", "2"}
     assert all(set(seg) == {"C", "sigma"} for seg in data["segments"])
+
+
+def test_segments_takes_sixteen_F_flags(tmp_path, capsys):
+    p = tmp_path / "n2.json"
+    p.write_text(json.dumps({"semigroup": {"kind": "direct_sum", "rank": 2}}))
+    argv = ["segments", str(p), "--depth", "17"]
+    for i in range(16):
+        argv += ["-F", f"({i},{15 - i})"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["segments"]) == 137 and data["partition_ok"] is True
 
 
 def test_partition_check_exit(capsys):

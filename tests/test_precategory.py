@@ -3,7 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from ntforge.bundles import (
+    CrossedProductBackend,
+    bundle_from_precategory,
+    precategory_from_bundle,
+    swap_action,
+)
 from ntforge.precategory import (
+    Arrow,
     ColorIdeal,
     ColoredProductSystem,
     ZeroTensorBackend,
@@ -204,11 +211,48 @@ def test_rtensor_shares_dim_one_blocks_and_krons_the_rest():
     assert t.blocks[1] is a.blocks[1]
     assert np.array_equal(t.blocks[0], np.kron(a.blocks[0], np.eye(2)))
     assert not t.blocks[1].flags.writeable
-    for c, (i, j, vals) in enumerate(ps._rtensor_coo(a, r)):
+    for c, (i, j, vals) in enumerate(ps._rtensor_coo(a, r, ps._coo(a))):
         dense = np.zeros(t.blocks[c].shape, dtype=complex)
         dense[i, j] = vals
         assert np.array_equal(dense, t.blocks[c])
         assert len(vals) == np.count_nonzero(t.blocks[c])
+    assert a.rtensor(FM.identity()) is a
+    for w in ["b", "ab", "a^2b^2"]:  # dims (1, 3), (2, 3), (4, 9)
+        t = a.rtensor(FM.parse(w))
+        for b, tb, d in zip(a.blocks, t.blocks, ps.dim(FM.parse(w))):
+            assert np.array_equal(tb, np.kron(b, np.eye(d)))
+
+
+def _contract_backends():
+    crossed = CrossedProductBackend(swap_action(cyclic_group(2), dim=2))
+    return [
+        colored_FM(),
+        ZeroTensorBackend([2, 3]),
+        crossed,
+        precategory_from_bundle(bundle_from_precategory(crossed)),
+    ]
+
+
+@pytest.mark.parametrize("ps", _contract_backends(), ids=lambda ps: ps.kind)
+def test_derived_arrows_keep_the_block_contract(ps):
+    # +, compose and rtensor build their arrows without the public copy;
+    # every block must still have the backend's shape and be a read-only,
+    # complex, C-contiguous array
+    rng = random.Random(f"contract-{ps.kind}")
+    pool = ps.sg.elements(2)
+    for _ in range(12):
+        p, q, t, r = (rng.choice(pool) for _ in range(4))
+        a, a2 = ps.random_arrow(p, q, rng), ps.random_arrow(p, q, rng)
+        b = ps.random_arrow(q, t, rng)
+        for x in (a + a2, a.compose(b), a.rtensor(r), a.rtensor(r).compose(b.rtensor(r))):
+            assert [blk.shape for blk in x.blocks] == list(ps.shape(x.range, x.source))
+            for blk in x.blocks:
+                assert blk.dtype == complex and blk.flags.c_contiguous
+                assert not blk.flags.writeable
+    p, q = pool[0], pool[-1]
+    wrong = [np.zeros((rows + 1, cols), dtype=complex) for rows, cols in ps.shape(p, q)]
+    with pytest.raises(ValueError, match="block shape"):
+        Arrow._derived(ps, p, q, wrong)
 
 
 def test_arrow_is_zero_keeps_the_spectral_verdict():

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from ntforge.segments import (
+    Segment,
     check_partition,
     initial_segments,
+    is_initial_segment,
     leq,
     partition_member,
     sigma_in,
@@ -17,6 +19,7 @@ from ntforge.semigroups import (
     UnitExtension,
     cyclic_group,
     free_monoid,
+    symmetric_group_3,
 )
 
 N = DirectSumN(1)
@@ -83,6 +86,54 @@ def test_initial_segments_with_identity_in_F():
         frozenset({"0"}),
         frozenset({"0", "1"}),
     }
+
+
+def _subset_segments(sg, F):
+    """Reference: every subset C of F, by size and then position in F, that
+    is initial, i.e. sigma(C) exists and C = {t in F : t <= sigma(C)}."""
+    F = list(dict.fromkeys(F))
+    return [
+        Segment(C, sigma_in(sg, C))
+        for k in range(len(F) + 1)
+        for C in itertools.combinations(F, k)
+        if is_initial_segment(sg, F, C)
+    ]
+
+
+@pytest.mark.parametrize(
+    "sg,depth",
+    [
+        (N2, 4),
+        (DirectSumN(3), 3),
+        (FM, 3),
+        (AbsorptionMonoid(), 4),
+        (UnitExtension(N2, cyclic_group(2)), 2),
+        (symmetric_group_3(), 0),
+    ],
+    ids=lambda v: getattr(v, "tag", str(v)),
+)
+def test_closure_segments_match_subset_enumeration(sg, depth):
+    rng = random.Random(f"segments-{sg.tag}")
+    pool = sg.elements(depth)
+    # draws with repeats exercise the dedup; the last family has 10 members
+    families = [rng.choices(pool, k=k) for k in range(9)] + [rng.sample(pool, min(10, len(pool)))]
+    for F in families:
+        got = initial_segments(sg, F)
+        want = _subset_segments(sg, F)
+        assert [(seg.C, seg.sig) for seg in got] == [(seg.C, seg.sig) for seg in want], F
+
+
+def test_initial_segments_of_a_16_element_antichain():
+    # F = {(i, 15 - i)}: the segments are the empty set and the 136 runs
+    # F[i..j], with sigma = (j, 15 - i)
+    F = [N2.el((i, 15 - i)) for i in range(16)]
+    segs = initial_segments(N2, F)
+    assert len(segs) == 137
+    runs = {frozenset(F[i:j + 1]): N2.el((j, 15 - i)) for i in range(16) for j in range(i, 16)}
+    runs[frozenset()] = N2.identity()
+    assert {seg.C: seg.sig for seg in segs} == runs
+    report = check_partition(N2, F, 17)
+    assert report.ok and report.checked == 171 and len(report.segments) == 137
 
 
 def test_partition_member_examples():

@@ -17,6 +17,8 @@ from ntforge.semigroups import (
     symmetric_group_3,
     SemigroupHom,
 )
+from ntforge.precategory import ColoredProductSystem
+from ntforge.wick import NTElement
 
 N = DirectSumN(1)
 N2 = DirectSumN(2)
@@ -174,6 +176,105 @@ def test_constant_map_fails_injectivity():
     report = check_controlled_map(const, 2)
     assert not report.ok
     assert any("equal images" in msg for _, msg in report.failures)
+
+
+def _reference_controlled_map(theta, depth):
+    """The controlled-map check applying theta afresh on every use: the
+    reference for verdicts, counts and failure texts."""
+    dom, cod = theta.domain, theta.codomain
+    failures = []
+    els = dom.elements(depth)
+    if theta(dom.identity()) != cod.identity():
+        failures.append(("identity", "theta(e) != e"))
+    if {theta(x) for x in dom.units()} != set(cod.units()):
+        failures.append(("units", "theta(P*) != P'*"))
+    checked = 0
+    for s, t in itertools.product(els, repeat=2):
+        checked += 1
+        if theta(s * t) != theta(s) * theta(t):
+            failures.append((f"hom s={s!r} t={t!r}", "theta(st) != theta(s)theta(t)"))
+            continue
+        r = dom.right_lcm(s, t)
+        if r is None:
+            continue
+        if theta(s) == theta(t) and s != t:
+            failures.append((f"s={s!r} t={t!r}", "equal images on a comparable pair"))
+        rr = cod.right_lcm(theta(s), theta(t))
+        if rr is None:
+            failures.append((f"s={s!r} t={t!r}", "image pair has no LCM"))
+            continue
+        if not any(rr * x == theta(r) for x in cod.units()):
+            failures.append((f"s={s!r} t={t!r}", f"LCM not transported: {theta(r)!r} vs {rr!r}"))
+    return not failures, checked, failures
+
+
+EXT2 = UnitExtension(N2, cyclic_group(2))
+CONTROLLED_MAPS = [
+    (controlled_abelianization(FM), 3),
+    (SemigroupHom(N2, N2, lambda p: p, name="id"), 3),
+    (SemigroupHom(N2, N2, lambda p: N2.identity(), name="const"), 2),
+    # a homomorphism onto N that does not transport LCMs
+    (SemigroupHom(N2, N, lambda p: N.el((sum(p.data),)), name="sum"), 3),
+    # not a homomorphism: the second coordinate gains one once the first is positive
+    (SemigroupHom(N2, N2, lambda p: N2.el((p.data[0], p.data[1] + (p.data[0] > 0))), name="bump"), 2),
+    # forgets the unit: equal images on unit-equivalent pairs, P* not onto
+    (SemigroupHom(EXT2, EXT2, lambda p: EXT2.el((p.data[0], "0")), name="forget"), 2),
+    # (i, j) -> a^i b^j: a and b have no common multiple in the free monoid
+    (SemigroupHom(N2, FM, lambda p: FM.parse("a" * p.data[0] + "b" * p.data[1]), name="words"), 2),
+    (SemigroupHom(N, N, lambda p: N.el((p.data[0] + 1,)), name="shift"), 2),
+]
+
+
+@pytest.mark.parametrize("theta,depth", CONTROLLED_MAPS, ids=lambda v: getattr(v, "name", str(v)))
+def test_controlled_map_matches_reference(theta, depth):
+    report = check_controlled_map(theta, depth)
+    assert (report.ok, report.checked, report.failures) == _reference_controlled_map(theta, depth)
+
+
+def _orbit_lcm(sg, p, q):
+    r = sg._raw_lcm(p, q)
+    return None if r is None else min((r * x for x in sg.units()), key=sg.sort_key)
+
+
+def _orbit_canonical(sg, p, q):
+    return min(
+        ((p * u, q * u, u) for u in sg.units()),
+        key=lambda t: (sg.sort_key(t[0]), sg.sort_key(t[1])),
+    )
+
+
+class _OffsetLcm(UnitExtension):
+    """A unit extension whose raw LCM is a non-canonical generator, so that
+    right_lcm must take the orbit minimum to be right."""
+
+    def _raw_lcm(self, p, q):
+        r = super()._raw_lcm(p, q)
+        return None if r is None else r * self.units()[-1]
+
+
+ORBIT_INSTANCES = [
+    UnitExtension(N2, cyclic_group(3)),
+    _OffsetLcm(N2, cyclic_group(3)),
+    N2,
+    FM,
+    AB,
+]
+ORBIT_POOLS = {id(sg): sg.elements(3) for sg in ORBIT_INSTANCES}
+ORBIT_BACKENDS = {
+    id(sg): ColoredProductSystem(sg, gen_dims=[(1,)] * len(sg.generators()))
+    for sg in ORBIT_INSTANCES
+}
+
+
+@pytest.mark.parametrize("sg", ORBIT_INSTANCES, ids=lambda sg: type(sg).__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_unit_fast_paths_match_orbit_min(sg, data):
+    pool = ORBIT_POOLS[id(sg)]
+    p, q = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    assert sg.right_lcm(p, q) == _orbit_lcm(sg, p, q)
+    assert sg.is_unit(p) == any(p == x for x in sg.units())
+    assert NTElement(ORBIT_BACKENDS[id(sg)])._canonical(p, q) == _orbit_canonical(sg, p, q)
 
 
 def test_make_semigroup_registry():
