@@ -259,22 +259,21 @@ ORBIT_INSTANCES = [
     FM,
     AB,
 ]
-ORBIT_POOLS = {id(sg): sg.elements(3) for sg in ORBIT_INSTANCES}
-ORBIT_BACKENDS = {
-    id(sg): ColoredProductSystem(sg, gen_dims=[(1,)] * len(sg.generators()))
-    for sg in ORBIT_INSTANCES
-}
 
 
-@pytest.mark.parametrize("sg", ORBIT_INSTANCES, ids=lambda sg: type(sg).__name__)
+@pytest.mark.parametrize(
+    "sg,pool,backend",
+    [(sg, sg.elements(3), ColoredProductSystem(sg, gen_dims=[(1,)] * len(sg.generators())))
+     for sg in ORBIT_INSTANCES],
+    ids=[type(sg).__name__ for sg in ORBIT_INSTANCES],
+)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_unit_fast_paths_match_orbit_min(sg, data):
-    pool = ORBIT_POOLS[id(sg)]
+def test_unit_fast_paths_match_orbit_min(sg, pool, backend, data):
     p, q = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
     assert sg.right_lcm(p, q) == _orbit_lcm(sg, p, q)
     assert sg.is_unit(p) == any(p == x for x in sg.units())
-    assert NTElement(ORBIT_BACKENDS[id(sg)])._canonical(p, q) == _orbit_canonical(sg, p, q)
+    assert NTElement(backend)._canonical(p, q) == _orbit_canonical(sg, p, q)
 
 
 def test_make_semigroup_registry():
