@@ -41,6 +41,7 @@ from .precategory import (
     ColoredProductSystem,
     ZeroTensorBackend,
     full_ideal,
+    ideal_unit,
 )
 from .segments import leq
 from .wick import NTElement
@@ -339,17 +340,6 @@ def check_injective(rep: ConcreteRep, keys, tol=RANK_TOL):
 
 
 # -- representation extension --------------------------------------------------
-
-
-def ideal_unit(backend, K: ColorIdeal, p):
-    """The unit 1_K of K(p,p): identity on the ideal's colors, 0 elsewhere."""
-    blocks = []
-    for c, (rows, cols) in enumerate(backend.shape(p, p)):
-        if c in K.colors:
-            blocks.append(np.eye(rows, dtype=complex))
-        else:
-            blocks.append(np.zeros((rows, cols), dtype=complex))
-    return backend.arrow(p, p, blocks)
 
 
 def extend_representation(rep: ConcreteRep, K: ColorIdeal) -> ConcreteRep:

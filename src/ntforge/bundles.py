@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import CheckReport, ConcreteRep
 from .linalg import rank_of_span, spectral_norm
-from .precategory import Arrow, _BackendBase
+from .precategory import Arrow, _amplify, _BackendBase
 from .semigroups import FiniteGroup
 
 
@@ -296,7 +296,7 @@ def regular_representation(bundle: BundleFiberFamily) -> ConcreteRep:
             unit = [np.eye(rows, dtype=complex) for rows, _ in bundle.shape(k)]
             row, col = offsets[s * k], offsets[k]
             for x_c, (_, cols) in zip(bundle.mul(s, arrow.blocks, k, unit), bundle.shape(k)):
-                blk = np.kron(x_c, np.eye(cols))
+                blk = _amplify(x_c, cols)
                 m[row : row + blk.shape[0], col : col + blk.shape[1]] = blk
                 row, col = row + blk.shape[0], col + blk.shape[1]
         return m

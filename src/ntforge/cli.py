@@ -92,8 +92,12 @@ EXPLAIN = {
     ),
     "nondegenerate": (
         "For every non-unit p and every r, the products (K(p,p) x 1_r) K(pr,pr)\n"
-        "span K(pr,pr), restricted to the ideal's colors (rank test).\n"
-        "Parameters: depth.  Verdict: pass iff every span attains full dimension."
+        "span K(pr,pr), restricted to the ideal's colors.  Unit certificate\n"
+        "first: when 1_K(p) x 1_r equals 1_K(pr) entry for entry, it fixes every\n"
+        "arrow of K(pr,pr) and the span is exact; rank test as fallback on the\n"
+        "other pairs.  Parameters: depth.  Verdict: pass iff every span attains\n"
+        "full dimension.  Reports checked and certified (the pairs the unit\n"
+        "certificate settled)."
     ),
     "essential": (
         "K(p,p) is essential in L(p,p): no (p,p) fiber carries a nonzero block\n"
@@ -116,8 +120,8 @@ EXPLAIN = {
     "condition-cprime": (
         "Norm preservation in the corner: compressing the represented element by\n"
         "1 - (Q_{q_1} v ... v Q_{q_n}) must not change its norm.  Parameters:\n"
-        "p, qs, element, tol.  Precondition: no q may divide p.  Certificate:\n"
-        "full norm and corner norm."
+        "p, qs, element, depth, tol.  Precondition: no q may divide p.\n"
+        "Certificate: full norm and corner norm."
     ),
     "projections": (
         "Semilattice law for the range projections: Q_<p> Q_<q> equals Q_<lcm>\n"
@@ -157,7 +161,8 @@ EXPLAIN = {
     "bundle-roundtrip": (
         "Rebuild the fiber family from its own arrow category and replay random\n"
         "products and stars along both routes.  Verdict: pass iff every replay\n"
-        "is bit-for-bit identical (the two routes execute the same float ops)."
+        "is bit-for-bit identical (the two routes execute the same float ops).\n"
+        "Parameters: seed."
     ),
     "bundle-regular": (
         "Left-convolution representation on the direct sum of the fibers with\n"
@@ -229,7 +234,7 @@ def cmd_segments(args):
     params = {"F": args.F}
     if args.depth is not None:
         params["depth"] = args.depth
-    status, data = CHECKS["segments"](sc, params)
+    status, data = CHECKS["segments"].run(sc, params)
     _print(data)
     return 0 if (args.command == "segments" or status == "pass") else 1
 
@@ -245,7 +250,7 @@ def cmd_nt(args):
     if args.op == "expect":
         return _finish("info", {"terms": element_to_json(diagonal_expectation(x))})
     if args.op == "grade":
-        status, data = CHECKS["grade"](sc, {"element": args.x})
+        status, data = CHECKS["grade"].run(sc, {"element": args.x})
         return _finish(status, data)
     value = core_norm(x, wdepth=sc.settings["depth"])
     return _finish("info", {"value": value.value, "exact": value.exact})
@@ -277,9 +282,9 @@ def cmd_fock(args):
         }
         return _finish("info", data)
     if args.op == "norm":
-        status, data = CHECKS["fock-norm"](sc, {"element": args.x, "depth": depth})
+        status, data = CHECKS["fock-norm"].run(sc, {"element": args.x, "depth": depth})
         return _finish(status, data)
-    status, data = CHECKS["expect"](sc, {"element": args.x, "depth": depth})
+    status, data = CHECKS["expect"].run(sc, {"element": args.x, "depth": depth})
     data["exact"] = False
     return _finish(status, data)
 
@@ -302,7 +307,7 @@ def cmd_check(args):
     elif args.which == "projections":
         params["depth"] = min(sc.settings["depth"], 2)
         params["fock_depth"] = sc.settings["depth"]
-    status, data = CHECKS[args.which](sc, params)
+    status, data = CHECKS[args.which].run(sc, params)
     return _finish(status, data)
 
 
@@ -311,13 +316,13 @@ def cmd_bundle(args):
     if sc.bundle is None:
         raise ScenarioError("scenario has no bundle section")
     if args.op == "roundtrip":
-        status, data = CHECKS["bundle-roundtrip"](sc, {"seed": sc.settings["seed"]})
+        status, data = CHECKS["bundle-roundtrip"].run(sc, {"seed": sc.settings["seed"]})
     elif args.op == "regular":
-        status, data = CHECKS["bundle-regular"](sc, {})
+        status, data = CHECKS["bundle-regular"].run(sc, {})
     else:
         if not args.section:
             raise ScenarioError("bundle spectrum needs --section")
-        status, data = CHECKS["bundle-spectrum"](sc, {"section": args.section})
+        status, data = CHECKS["bundle-spectrum"].run(sc, {"section": args.section})
     return _finish(status, data)
 
 

@@ -12,8 +12,10 @@ Two backends share one arrow model:
   tensor-nondegeneracy.
 
 Ideals are determined by their diagonal parts; in the block model that means
-a subset of colors.  The structural checks (well-alignment, nondegeneracy,
-essentiality) are sampled or exhaustive rank tests at a chosen depth.
+a subset of colors.  The structural checks run at a chosen depth: well-alignment
+is sampled, essentiality reads the block shapes, and nondegeneracy and Cohen
+factorization settle each pair by a unit certificate first, with a rank test
+as the fallback where the certificate does not apply.
 """
 
 from __future__ import annotations
@@ -143,6 +145,17 @@ class ColorIdeal:
 
 def full_ideal(backend) -> ColorIdeal:
     return ColorIdeal(range(backend.slot_count))
+
+
+def ideal_unit(backend, K: ColorIdeal, p) -> Arrow:
+    """The unit 1_K of K(p,p): identity on the ideal's colors, 0 elsewhere."""
+    blocks = []
+    for c, (rows, cols) in enumerate(backend.shape(p, p)):
+        if c in K.colors:
+            blocks.append(np.eye(rows, dtype=complex))
+        else:
+            blocks.append(np.zeros((rows, cols), dtype=complex))
+    return backend.arrow(p, p, blocks)
 
 
 class _BackendBase:
@@ -372,10 +385,15 @@ def ideal_membership(a: Arrow, K: ColorIdeal, tol=1e-12) -> bool:
 
 
 class StructureReport:
-    def __init__(self, name, ok, checked, failures):
+    """A structure verdict: how many pairs were checked, how many of them the
+    unit certificate settled exactly (the rest took the rank test), and the
+    failures."""
+
+    def __init__(self, name, ok, checked, failures, certified=0):
         self.name = name
         self.ok = ok
         self.checked = checked
+        self.certified = certified
         self.failures = failures
 
     def __repr__(self):
@@ -417,26 +435,37 @@ def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0, samples=2, to
 
 
 def check_nondegenerate(backend, K: ColorIdeal, depth: int, tol=1e-8):
-    """(K(p,p) x 1_r) K(pr,pr) spans K(pr,pr), for non-unit p; rank test."""
+    """(K(p,p) x 1_r) K(pr,pr) spans K(pr,pr), for non-unit p.
+
+    Unit certificate first: when 1_K(p) x 1_r equals 1_K(pr) entry for
+    entry, (1_K(p) x 1_r) v = v for every v in K(pr,pr), so the products span
+    K(pr,pr) exactly.  Rank test as fallback, for the pairs whose tensoring
+    kills or moves the unit (ZeroTensorBackend): the numerical rank of the
+    products of basis arrows must reach dim K(pr,pr).
+    """
     sg = backend.sg
     els = sg.elements(depth)
     failures = []
-    checked = 0
+    checked = certified = 0
     for p in els:
         if sg.is_unit(p):
             continue
+        unit_p = ideal_unit(backend, K, p)
         for r in els:
             pr = p * r
             target = backend.space_dim(pr, pr, ideal=K)
             if target == 0:
                 continue
             checked += 1
+            if _same_blocks(unit_p.rtensor(r), ideal_unit(backend, K, pr)):
+                certified += 1
+                continue
             left = [u.rtensor(r) for u in backend.basis(p, p, ideal=K)]
             right = backend.basis(pr, pr, ideal=K)
             prods = [l.compose(v).flat() for l in left for v in right]
             if rank_of_span(prods, tol) < target:
                 failures.append(((p, r), f"span deficient (target {target})"))
-    return StructureReport("tensor-nondegenerate", not failures, checked, failures)
+    return StructureReport("tensor-nondegenerate", not failures, checked, failures, certified)
 
 
 def check_essential(backend, K: ColorIdeal, depth: int):
@@ -457,21 +486,34 @@ def check_essential(backend, K: ColorIdeal, depth: int):
 
 
 def check_factorization(backend, depth: int, tol=1e-8):
-    """L(p,p) L(p,q) spans L(p,q) (finite-dimensional Cohen factorization)."""
+    """L(p,p) L(p,q) spans L(p,q) (finite-dimensional Cohen factorization).
+
+    Unit certificate first: when 1_p b = b entry for entry for every basis
+    arrow b of L(p,q), the products already contain that basis.  Rank test as
+    fallback, for compositions that do not reproduce b exactly: the numerical
+    rank of all products of basis arrows must reach dim L(p,q).
+    """
     sg = backend.sg
     els = sg.elements(depth)
     failures = []
-    checked = 0
-    for p, q in itertools.product(els, repeat=2):
-        target = backend.space_dim(p, q)
-        if target == 0:
-            continue
-        checked += 1
-        prods = [
-            a.compose(b).flat()
-            for a in backend.basis(p, p)
-            for b in backend.basis(p, q)
-        ]
-        if rank_of_span(prods, tol) < target:
-            failures.append(((p, q), "factorization span deficient"))
-    return StructureReport("factorization", not failures, checked, failures)
+    checked = certified = 0
+    for p in els:
+        one = backend.identity_arrow(p)
+        for q in els:
+            target = backend.space_dim(p, q)
+            if target == 0:
+                continue
+            checked += 1
+            right = backend.basis(p, q)
+            if all(_same_blocks(one.compose(b), b) for b in right):
+                certified += 1
+                continue
+            prods = [a.compose(b).flat() for a in backend.basis(p, p) for b in right]
+            if rank_of_span(prods, tol) < target:
+                failures.append(((p, q), "factorization span deficient"))
+    return StructureReport("factorization", not failures, checked, failures, certified)
+
+
+def _same_blocks(a: Arrow, b: Arrow) -> bool:
+    """a and b are the same arrow, entry for entry."""
+    return all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))

@@ -10,6 +10,7 @@ only non-deterministic field is "generated_at".
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 import numpy as np
 
@@ -183,6 +184,16 @@ class Scenario:
                     self.bundle.group.parse(g): to_blocks(blocks) for g, blocks in fam.items()
                 }
         self.checks = data.get("checks", [])
+        for check in self.checks:
+            spec = CHECKS.get(check.get("name"))
+            if spec is None:
+                continue  # reported in place by run_scenario
+            unknown = sorted(set(check) - {"name"} - set(spec.params))
+            if unknown:
+                raise ScenarioError(
+                    f"check {check['name']!r}: unknown parameter {unknown[0]!r}; "
+                    f"parameters are {', '.join(spec.params) or 'none'}"
+                )
 
     @classmethod
     def from_path(cls, path):
@@ -276,19 +287,24 @@ def run_grade(sc: Scenario, params):
 def run_structure(sc: Scenario, params, which):
     depth = int(params.get("depth", min(2, sc.settings["depth"])))
     if which == "well-aligned":
-        rep = check_well_aligned(sc.backend, sc.ideal, depth=depth, seed=sc.settings["seed"])
+        seed = int(params.get("seed", sc.settings["seed"]))
+        rep = check_well_aligned(sc.backend, sc.ideal, depth=depth, seed=seed)
     elif which == "nondegenerate":
         rep = check_nondegenerate(sc.backend, sc.ideal, depth=depth)
     else:
         rep = check_essential(sc.backend, sc.ideal, depth=depth)
-    return ("pass" if rep.ok else "fail"), {"checked": rep.checked, "failures": [repr(f) for f in rep.failures[:5]]}
+    return ("pass" if rep.ok else "fail"), {
+        "checked": rep.checked,
+        "certified": rep.certified,
+        "failures": [repr(f) for f in rep.failures[:5]],
+    }
 
 
 def run_toeplitz(sc: Scenario, params):
     rep, tr, fam = sc.fock_family(params.get("depth"))
     p = sc.parse_el(params["p"])
     qs = [sc.parse_el(q) for q in params["qs"]]
-    rp = check_toeplitz_covariance(rep, p, qs, tol=sc.settings["tol"])
+    rp = check_toeplitz_covariance(rep, p, qs, tol=float(params.get("tol", sc.settings["tol"])))
     return ("pass" if rp.ok else "fail"), rp.details
 
 
@@ -296,7 +312,7 @@ def run_condition_c(sc: Scenario, params):
     rep, tr, fam = sc.fock_family(params.get("depth"))
     p = sc.parse_el(params["p"])
     qs = [sc.parse_el(q) for q in params["qs"]]
-    rp = check_condition_C(rep, fam, p, qs, tol=sc.settings["tol"])
+    rp = check_condition_C(rep, fam, p, qs, tol=float(params.get("tol", sc.settings["tol"])))
     return ("pass" if rp.ok else "fail"), rp.details
 
 
@@ -415,26 +431,29 @@ def run_bundle_spectrum(sc: Scenario, params):
     return "info", {"spectrum": [from_complex(z) for z in spec]}
 
 
+#: one entry per check: the runner and the names of the parameters it reads
+Check = namedtuple("Check", "run params")
+
 CHECKS = {
-    "segments": run_segments,
-    "partition-check": run_segments,
-    "core-norm": run_core_norm,
-    "fock-norm": run_fock_norm,
-    "norm-agreement": run_norm_agreement,
-    "expect": run_expect,
-    "grade": run_grade,
-    "well-aligned": lambda sc, p: run_structure(sc, p, "well-aligned"),
-    "nondegenerate": lambda sc, p: run_structure(sc, p, "nondegenerate"),
-    "essential": lambda sc, p: run_structure(sc, p, "essential"),
-    "toeplitz": run_toeplitz,
-    "condition-c": run_condition_c,
-    "condition-cprime": run_condition_cprime,
-    "projections": run_projections,
-    "aperiodicity": run_aperiodicity,
-    "graded": run_graded,
-    "bundle-roundtrip": run_bundle_roundtrip,
-    "bundle-regular": run_bundle_regular,
-    "bundle-spectrum": run_bundle_spectrum,
+    "segments": Check(run_segments, ("F", "depth")),
+    "partition-check": Check(run_segments, ("F", "depth")),
+    "core-norm": Check(run_core_norm, ("element", "wdepth")),
+    "fock-norm": Check(run_fock_norm, ("element", "depth")),
+    "norm-agreement": Check(run_norm_agreement, ("element",)),
+    "expect": Check(run_expect, ("element", "depth")),
+    "grade": Check(run_grade, ("element",)),
+    "well-aligned": Check(lambda sc, p: run_structure(sc, p, "well-aligned"), ("depth", "seed")),
+    "nondegenerate": Check(lambda sc, p: run_structure(sc, p, "nondegenerate"), ("depth",)),
+    "essential": Check(lambda sc, p: run_structure(sc, p, "essential"), ("depth",)),
+    "toeplitz": Check(run_toeplitz, ("p", "qs", "depth", "tol")),
+    "condition-c": Check(run_condition_c, ("p", "qs", "depth", "tol")),
+    "condition-cprime": Check(run_condition_cprime, ("p", "qs", "element", "depth", "tol")),
+    "projections": Check(run_projections, ("depth", "fock_depth", "tol")),
+    "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b", "h", "twist", "trials", "seed")),
+    "graded": Check(run_graded, ("trials", "seed", "tol", "sections")),
+    "bundle-roundtrip": Check(run_bundle_roundtrip, ("seed",)),
+    "bundle-regular": Check(run_bundle_regular, ()),
+    "bundle-spectrum": Check(run_bundle_spectrum, ("section",)),
 }
 
 
@@ -453,7 +472,7 @@ def run_scenario(source, overrides=None) -> dict:
             items.append({"name": name, "status": "error", "error": f"unknown check {name!r}"})
             continue
         try:
-            status, data = CHECKS[name](sc, params)
+            status, data = CHECKS[name].run(sc, params)
             items.append({"name": name, "params": params, "status": status, "data": data})
         except Exception as exc:  # keep going; report the failure in place
             items.append({"name": name, "params": params, "status": "error", "error": str(exc)})

@@ -369,6 +369,12 @@ class FreeProduct(RightLcmSemigroup):
         self.tag = "free(" + ",".join(
             f"{n}:{f.tag}" for n, f in zip(self.names, self.factors)
         ) + ")"
+        # factor i's generators start at _gen_offsets[i] in generators() order;
+        # the last entry is the total
+        self._gen_offsets = [0]
+        for f in self.factors:
+            self._gen_offsets.append(self._gen_offsets[-1] + len(f.generators()))
+        self._block_keys = {}
 
     def identity(self):
         return self.el(())
@@ -442,9 +448,7 @@ class FreeProduct(RightLcmSemigroup):
         return out
 
     def length(self, p):
-        return sum(
-            self.factors[i].length(Element(self.factors[i], x)) for i, x in p.data
-        )
+        return sum(self._block_key(block)[0] for block in p.data)
 
     def elements(self, depth):
         factor_chunks = [
@@ -471,20 +475,28 @@ class FreeProduct(RightLcmSemigroup):
         grow((), 0, -1)
         return sorted(out, key=self.sort_key)
 
+    def _block_key(self, block):
+        """(length, sort key) of one block (i, x), computed once per instance."""
+        cached = self._block_keys.get(block)
+        if cached is None:
+            i, x = block
+            f = self.factors[i]
+            el = Element(f, x)
+            cached = self._block_keys[block] = (f.length(el), (i, f.sort_key(el)))
+        return cached
+
     def sort_key(self, p):
-        key = tuple(
-            (i, self.factors[i].sort_key(Element(self.factors[i], x)))
-            for i, x in p.data
-        )
-        return (self.length(p), key)
+        length = 0
+        key = []
+        for block in p.data:
+            n, k = self._block_key(block)
+            length += n
+            key.append(k)
+        return (length, tuple(key))
 
     def gen_exponents(self, p):
-        offsets = []
-        total = 0
-        for f in self.factors:
-            offsets.append(total)
-            total += len(f.generators())
-        exps = [0] * total
+        offsets = self._gen_offsets
+        exps = [0] * offsets[-1]
         for i, x in p.data:
             fexp = self.factors[i].gen_exponents(Element(self.factors[i], x))
             for k, v in enumerate(fexp):

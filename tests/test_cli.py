@@ -85,6 +85,44 @@ def test_removed_dense_cap_flag_is_rejected(capsys):
     assert "--dense-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "check, field",
+    [
+        ({"name": "projections", "depht": 2}, "depht"),
+        ({"name": "fock-norm", "element": "x", "deptth": 3}, "deptth"),
+        ({"name": "nondegenerate", "dpeth": 1}, "dpeth"),
+    ],
+)
+def test_misspelled_check_parameter_is_rejected(tmp_path, capsys, check, field):
+    p = tmp_path / "typo.json"
+    data = json.loads(pathlib.Path(TOEPLITZ).read_text())
+    data["checks"] = [{"name": "core-norm", "element": "x"}, check]
+    p.write_text(json.dumps(data))
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"check {check['name']!r}: unknown parameter {field!r}" in captured.err
+
+
+def test_structure_checks_report_certified_pairs(tmp_path, capsys):
+    p = tmp_path / "structure.json"
+    p.write_text(json.dumps({
+        "semigroup": {"kind": "direct_sum", "rank": 2},
+        "backend": {"gen_dims": [[2], [1]]},
+        "checks": [
+            {"name": "well-aligned", "depth": 1, "seed": 3},
+            {"name": "nondegenerate"},
+            {"name": "essential", "depth": 1},
+        ],
+    }))
+    assert main(["run", str(p)]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert [i["status"] for i in items] == ["pass"] * 3
+    # 5 non-units times 6 elements of N^2 at the default depth 2
+    assert items[1]["data"] == {"checked": 30, "certified": 30, "failures": []}
+    assert items[0]["data"]["certified"] == 0
+
+
 def test_run_writes_out_file(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", TOEPLITZ, "--out", str(out)]) == 0

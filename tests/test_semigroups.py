@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ntforge.semigroups import (
     AbsorptionMonoid,
     DirectSumN,
+    Element,
     FreeProduct,
     UnitExtension,
     check_controlled_map,
@@ -126,6 +127,38 @@ def test_free_product_with_vector_factor():
     r = fp.right_lcm(s, t)
     assert r == u1 * v * (u1 * u2)
     assert fp.right_lcm(s, u1 * u1) is None
+
+
+def _reference_free_product_tables(fp, p):
+    """sort_key and gen_exponents of a free-product element, recomputed from
+    the factors (and the generator offsets from generators()) on every call."""
+    blocks = [(i, fp.factors[i], Element(fp.factors[i], x)) for i, x in p.data]
+    key = (sum(f.length(el) for _, f, el in blocks), tuple((i, f.sort_key(el)) for i, f, el in blocks))
+    offsets = list(itertools.accumulate((len(f.generators()) for f in fp.factors), initial=0))
+    exps = [0] * offsets[-1]
+    for i, f, el in blocks:
+        for k, v in enumerate(f.gen_exponents(el)):
+            exps[offsets[i] + k] += v
+    return key, tuple(exps)
+
+
+def test_free_product_keys_and_exponents_match_recomputation():
+    abc = free_monoid("abc")
+    els = abc.elements(4)
+    words = ["".join(w) for n in range(5) for w in itertools.product("abc", repeat=n)]
+    assert set(els) == {abc.parse(w) for w in words}
+    assert els == sorted(els, key=lambda p: _reference_free_product_tables(abc, p)[0])
+    for w in words:
+        p = abc.parse(w)
+        key, exps = _reference_free_product_tables(abc, p)
+        assert (abc.sort_key(p), abc.length(p)) == (key, len(w))
+        assert abc.gen_exponents(p) == exps == tuple(w.count(c) for c in "abc")
+    # a factor with two generators shifts the offsets of the next one
+    fp = FreeProduct([DirectSumN(2), DirectSumN(1)], names=["u", "v"])
+    els = fp.elements(4)
+    assert els == sorted(els, key=lambda p: _reference_free_product_tables(fp, p)[0])
+    for p in els:
+        assert (fp.sort_key(p), fp.gen_exponents(p)) == _reference_free_product_tables(fp, p)
 
 
 def test_absorption_examples():
