@@ -87,8 +87,9 @@ EXPLAIN = {
     ),
     "well-aligned": (
         "Random products of ideal-supported arrows stay ideal-supported after\n"
-        "composition and right tensoring.  Parameters: depth, seed.  Verdict:\n"
-        "pass iff no sampled product leaves the ideal."
+        "composition and right tensoring, sampled with the scenario's seed.\n"
+        "Parameters: depth.  Verdict: pass iff no sampled product leaves the\n"
+        "ideal."
     ),
     "nondegenerate": (
         "For every non-unit p and every r, the products (K(p,p) x 1_r) K(pr,pr)\n"
@@ -107,15 +108,15 @@ EXPLAIN = {
     "toeplitz": (
         "Rank test for covariance: the (p,p) fiber image must intersect the span\n"
         "of the (q,q) fiber images trivially, i.e. rank[A|B] = rank A + rank B\n"
-        "for the vectorized images.  Parameters: p, qs, depth, tol.\n"
-        "Precondition: no q may divide p.  Certificate: the three ranks."
+        "for the vectorized images, at the scenario's tol.  Parameters: p, qs,\n"
+        "depth.  Precondition: no q may divide p.  Certificate: the three ranks."
     ),
     "condition-c": (
         "Faithfulness of a |-> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber:\n"
-        "the smallest singular value of the linearized map must exceed tol, and\n"
-        "the compression must commute with the fiber action.  Parameters: p,\n"
-        "qs, depth, tol.  Precondition: no q may divide p.  Certificate:\n"
-        "sigma_min and the commutation defect."
+        "the smallest singular value of the linearized map must exceed the\n"
+        "scenario's tol, and the compression must commute with the fiber action.\n"
+        "Parameters: p, qs, depth.  Precondition: no q may divide p.\n"
+        "Certificate: sigma_min and the commutation defect."
     ),
     "condition-cprime": (
         "Norm preservation in the corner: compressing the represented element by\n"

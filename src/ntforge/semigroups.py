@@ -374,7 +374,6 @@ class FreeProduct(RightLcmSemigroup):
         self._gen_offsets = [0]
         for f in self.factors:
             self._gen_offsets.append(self._gen_offsets[-1] + len(f.generators()))
-        self._block_keys = {}
 
     def identity(self):
         return self.el(())
@@ -448,7 +447,9 @@ class FreeProduct(RightLcmSemigroup):
         return out
 
     def length(self, p):
-        return sum(self._block_key(block)[0] for block in p.data)
+        return sum(
+            self.factors[i].length(Element(self.factors[i], x)) for i, x in p.data
+        )
 
     def elements(self, depth):
         factor_chunks = [
@@ -475,23 +476,14 @@ class FreeProduct(RightLcmSemigroup):
         grow((), 0, -1)
         return sorted(out, key=self.sort_key)
 
-    def _block_key(self, block):
-        """(length, sort key) of one block (i, x), computed once per instance."""
-        cached = self._block_keys.get(block)
-        if cached is None:
-            i, x = block
-            f = self.factors[i]
-            el = Element(f, x)
-            cached = self._block_keys[block] = (f.length(el), (i, f.sort_key(el)))
-        return cached
-
     def sort_key(self, p):
         length = 0
         key = []
-        for block in p.data:
-            n, k = self._block_key(block)
-            length += n
-            key.append(k)
+        for i, x in p.data:
+            f = self.factors[i]
+            el = Element(f, x)
+            length += f.length(el)
+            key.append((i, f.sort_key(el)))
         return (length, tuple(key))
 
     def gen_exponents(self, p):

@@ -91,6 +91,8 @@ def test_removed_dense_cap_flag_is_rejected(capsys):
         ({"name": "projections", "depht": 2}, "depht"),
         ({"name": "fock-norm", "element": "x", "deptth": 3}, "deptth"),
         ({"name": "nondegenerate", "dpeth": 1}, "dpeth"),
+        # well-aligned samples with the scenario's seed, not a seed of its own
+        ({"name": "well-aligned", "seed": 3}, "seed"),
     ],
 )
 def test_misspelled_check_parameter_is_rejected(tmp_path, capsys, check, field):
@@ -110,7 +112,7 @@ def test_structure_checks_report_certified_pairs(tmp_path, capsys):
         "semigroup": {"kind": "direct_sum", "rank": 2},
         "backend": {"gen_dims": [[2], [1]]},
         "checks": [
-            {"name": "well-aligned", "depth": 1, "seed": 3},
+            {"name": "well-aligned", "depth": 1},
             {"name": "nondegenerate"},
             {"name": "essential", "depth": 1},
         ],
@@ -120,7 +122,8 @@ def test_structure_checks_report_certified_pairs(tmp_path, capsys):
     assert [i["status"] for i in items] == ["pass"] * 3
     # 5 non-units times 6 elements of N^2 at the default depth 2
     assert items[1]["data"] == {"checked": 30, "certified": 30, "failures": []}
-    assert items[0]["data"]["certified"] == 0
+    # only nondegenerate has a unit certificate
+    assert "certified" not in items[0]["data"] and "certified" not in items[2]["data"]
 
 
 def test_run_writes_out_file(tmp_path):
