@@ -208,11 +208,10 @@ class BundleBackend(_BackendBase):
     def shape(self, p, q):
         return self.bundle.shape(self._grade(p, q))
 
-    def _compose(self, a, b):
+    def _compose_blocks(self, a, b):
         s = self._grade(a.range, a.source)
         t = self._grade(b.range, b.source)
-        blocks = self.bundle.mul(s, a.blocks, t, b.blocks)
-        return Arrow._derived(self, a.range, b.source, blocks)
+        return self.bundle.mul(s, a.blocks, t, b.blocks)
 
     def _adjoint(self, a):
         s = self._grade(a.range, a.source)

@@ -89,12 +89,16 @@ class Arrow:
         return self.backend._rtensor(self, r)
 
     def compose(self, other):
+        self._composable(other)
+        return self.backend._compose(self, other)
+
+    def _composable(self, other):
+        """Raise unless self's source is other's range in the same backend."""
         self._like(other)
         if self.source != other.range:
             raise ValueError(
                 f"object mismatch: cannot compose source {self.source!r} with range {other.range!r}"
             )
-        return self.backend._compose(self, other)
 
     def norm(self):
         return max((spectral_norm(b) for b in self.blocks), default=0.0)
@@ -217,8 +221,11 @@ class _BackendBase:
         return sum(shapes[c][0] * shapes[c][1] for c in colors)
 
     def _compose(self, a, b):
-        blocks = [x @ y for x, y in zip(a.blocks, b.blocks)]
-        return Arrow._derived(self, a.range, b.source, blocks)
+        return Arrow._derived(self, a.range, b.source, self._compose_blocks(a, b))
+
+    def _compose_blocks(self, a, b):
+        """The blocks of a b for composable arrows: slotwise matrix products."""
+        return [x @ y for x, y in zip(a.blocks, b.blocks)]
 
     def _adjoint(self, a):
         return Arrow(self, a.source, a.range, [b.conj().T for b in a.blocks])
@@ -275,7 +282,6 @@ class ColoredProductSystem(_BackendBase):
             raise ValueError("dims must be >= 1")
         self.slot_count = int(colors)
         self.gen_dims = gen_dims
-        self._e = sg.identity()
         self._dim_cache = {}
         self._validate(check_depth)
 
@@ -309,7 +315,7 @@ class ColoredProductSystem(_BackendBase):
                 )
 
     def _rtensor(self, a, r):
-        if r == self._e:
+        if r == self.sg.one:
             return a
         # blocks are read-only, so a color with dim 1 shares the block itself
         return Arrow._derived(
@@ -372,16 +378,19 @@ class ZeroTensorBackend(_BackendBase):
         return 0 if p != q else super().space_dim(p, q, ideal)
 
     def _rtensor(self, a, r):
-        if r == self.sg.identity():
+        if r == self.sg.one:
             return a
         return self.zero(a.range * r, a.source * r)
 
 
 def ideal_membership(a: Arrow, K: ColorIdeal, tol=1e-12) -> bool:
     """a lies in K(range, source): blocks off the ideal's colors vanish."""
-    return all(
-        c in K.colors or spectral_norm(b) <= tol for c, b in enumerate(a.blocks)
-    )
+    return blocks_in_ideal(a.blocks, K, tol)
+
+
+def blocks_in_ideal(blocks, K: ColorIdeal, tol=1e-12) -> bool:
+    """ideal_membership on an arrow's blocks alone."""
+    return all(c in K.colors or spectral_norm(b) <= tol for c, b in enumerate(blocks))
 
 
 class StructureReport:

@@ -126,6 +126,11 @@ class RightLcmSemigroup:
         return Element(self, data)
 
     @functools.cached_property
+    def one(self) -> Element:
+        """identity(), built once per instance."""
+        return self.identity()
+
+    @functools.cached_property
     def unit_tuple(self) -> tuple:
         """units(), built once per instance."""
         return tuple(self.units())
@@ -407,7 +412,7 @@ class FreeProduct(RightLcmSemigroup):
         d = f.left_divide(Element(f, x), Element(f, y))
         if d is None:
             return None
-        if d == f.identity():
+        if d == f.one:
             return self.el(b[n:])
         return self.el(((i, d.data),) + b[n:])
 
@@ -456,7 +461,7 @@ class FreeProduct(RightLcmSemigroup):
             [
                 el
                 for el in f.elements(depth)
-                if el != f.identity()
+                if el != f.one
             ]
             for f in self.factors
         ]

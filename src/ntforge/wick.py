@@ -11,6 +11,12 @@ Keys are canonicalized over the unit orbit {(px, qx) : x unit}, with the
 coefficient transported by x 1_x (an exact operation: units have
 one-dimensional fibers).
 
+The product is evaluated as a key-pair contraction: the LCM and quotients
+are found once per distinct (q, s), each ampliation a x 1_{q^-1 r} once per
+(term, quotient), and the products are summed as raw blocks under their
+output key before any arrow is built, so each output key is canonicalized
+and pruned once.
+
 The closed-form core norm evaluates the initial-segment formula: exact for
 diagonal elements, a truncated lower bound for mixed core keys.
 """
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .precategory import ideal_membership, full_ideal
+from .precategory import Arrow, blocks_in_ideal, full_ideal, ideal_membership
 from .segments import _in_cell, initial_segments
 from .semigroups import FiniteGroup
 
@@ -55,7 +61,7 @@ class NTElement:
         if not ideal_membership(arrow, self.ideal):
             raise ValueError(f"coefficient at ({p!r},{q!r}) escapes the ideal")
         cp, cq, u = self._canonical(p, q)
-        if u != self.backend.sg.identity():
+        if u != self.backend.sg.one:
             arrow = arrow.rtensor(u)
         key = (cp, cq)
         if key in self.terms:
@@ -128,18 +134,73 @@ class NTElement:
         return out
 
     def mul(self, other):
+        """The Wick product, contracted once per distinct key pair.
+
+        Each distinct (q, s) gets its right LCM r and both quotients once;
+        each (term, quotient) its ampliation and output key part once.  Every
+        pair's product is checked against the ideal, transported to its
+        canonical key and added as raw blocks in pair order, which are the
+        same floating-point sums as adding the products one at a time.  Each
+        sum then becomes one arrow, pruned at PRUNE_TOL on its final value.
+        All caches live for this call only.
+        """
         self._check(other)
-        sg = self.backend.sg
-        out = NTElement(self.backend, self.ideal)
+        backend, ideal = self.backend, self.ideal
+        rights = list(other.terms.items())
+        right_amps = [{} for _ in rights]  # per right term: s^-1 r -> (t s^-1 r, b x 1)
+        rows = {}  # q -> contraction row, see _contraction_row
+        canonical = {}  # output key -> (canonical key, transporting unit or None)
+        sums = {}  # canonical key -> summed blocks
         for (p, q), a in self.terms.items():
-            for (s, t), b in other.terms.items():
-                r = sg.right_lcm(q, s)
-                if r is None:
-                    continue
-                qr, sr = sg.left_divide(q, r), sg.left_divide(s, r)
-                prod = a.rtensor(qr).compose(b.rtensor(sr))
-                out.add_term(p * qr, t * sr, prod)
+            row = rows.get(q)
+            if row is None:
+                row = rows[q] = self._contraction_row(q, rights, right_amps)
+            left_amps = {}  # q^-1 r -> (p q^-1 r, a x 1)
+            for qr, tk, bb in row:
+                hit = left_amps.get(qr)
+                if hit is None:
+                    hit = left_amps[qr] = (p * qr, a.rtensor(qr))
+                pk, aa = hit
+                aa._composable(bb)
+                blocks = backend._compose_blocks(aa, bb)
+                if not blocks_in_ideal(blocks, ideal):
+                    raise ValueError(f"coefficient at ({pk!r},{tk!r}) escapes the ideal")
+                canon = canonical.get((pk, tk))
+                if canon is None:
+                    cp, cq, u = self._canonical(pk, tk)
+                    canon = canonical[pk, tk] = ((cp, cq), None if u == backend.sg.one else u)
+                key, u = canon
+                if u is not None:
+                    blocks = Arrow._derived(backend, aa.range, bb.source, blocks).rtensor(u).blocks
+                acc = sums.get(key)
+                sums[key] = blocks if acc is None else [x + y for x, y in zip(acc, blocks)]
+        out = NTElement(backend, ideal)
+        for (cp, cq), blocks in sums.items():
+            arrow = Arrow._derived(backend, cp, cq, blocks)
+            if not arrow.is_zero(PRUNE_TOL):
+                out.terms[cp, cq] = arrow
         return out
+
+    def _contraction_row(self, q, rights, right_amps):
+        """(q^-1 r, t s^-1 r, b x 1_{s^-1 r}) for each right term (s, t) in
+        order whose s has a right LCM r with q; one LCM per distinct s, and
+        the ampliations shared through right_amps."""
+        sg = self.backend.sg
+        quotients = {}
+        row = []
+        for amps, ((s, t), b) in zip(right_amps, rights):
+            if s not in quotients:
+                r = sg.right_lcm(q, s)
+                quotients[s] = None if r is None else (sg.left_divide(q, r), sg.left_divide(s, r))
+            qs = quotients[s]
+            if qs is None:
+                continue
+            qr, sr = qs
+            hit = amps.get(sr)
+            if hit is None:
+                hit = amps[sr] = (t * sr, b.rtensor(sr))
+            row.append((qr, *hit))
+        return row
 
     def __repr__(self):
         body = ", ".join(f"({p!r},{q!r})" for p, q in self.keys())

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from ntforge.cli import main
-from ntforge.scenario import Scenario, run_scenario, report_ok
+from ntforge.cli import EXPLAIN, build_parser, main
+from ntforge.scenario import CHECKS, Scenario, run_scenario, report_ok
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -281,6 +282,15 @@ def test_explain_known_checks(capsys):
         assert main(["explain", name]) == 0
         out = capsys.readouterr().out
         assert name in out and "Parameters" in out or "Verdict" in out
+
+
+def test_check_lists_agree():
+    # explain texts, scenario runners and the `ntforge check` choices are
+    # three hand-kept lists; they must name the same checks
+    assert set(EXPLAIN) == set(CHECKS)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (which,) = [a for a in sub.choices["check"]._actions if a.dest == "which"]
+    assert which.choices and set(which.choices) <= set(CHECKS)
 
 
 def test_explain_unknown_suggests(capsys):

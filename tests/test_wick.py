@@ -1,15 +1,31 @@
 import random
+import zlib
 
 import numpy as np
 import pytest
 
-from ntforge.precategory import ColoredProductSystem
+from ntforge.bundles import (
+    CrossedProductBackend,
+    conjugation_action,
+    precategory_from_bundle,
+    semidirect_bundle,
+    trivial_action,
+)
+from ntforge.precategory import (
+    Arrow,
+    ColoredProductSystem,
+    ColorIdeal,
+    ZeroTensorBackend,
+    _BackendBase,
+)
 from ntforge.semigroups import (
     AbsorptionMonoid,
     DirectSumN,
+    MismatchError,
     UnitExtension,
     cyclic_group,
     free_monoid,
+    symmetric_group_3,
 )
 from ntforge.wick import (
     GradingMap,
@@ -201,3 +217,182 @@ def test_mul_bilinear():
     lhs = nt_mul(2.0 * x, y)
     rhs = 2.0 * nt_mul(x, y)
     assert _close(lhs, rhs, tol=1e-12)
+
+
+# -- the key-pair contraction against the pairwise loop -----------------------
+
+
+def _pairwise_mul(x, y):
+    """The Wick product one term pair at a time, each product entered through
+    add_term: the definition the contraction in NTElement.mul must reproduce."""
+    sg = x.backend.sg
+    out = NTElement(x.backend, x.ideal)
+    for (p, q), a in x.terms.items():
+        for (s, t), b in y.terms.items():
+            r = sg.right_lcm(q, s)
+            if r is None:
+                continue
+            qr, sr = sg.left_divide(q, r), sg.left_divide(s, r)
+            out.add_term(p * qr, t * sr, a.rtensor(qr).compose(b.rtensor(sr)))
+    return out
+
+
+H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
+def _product_cases():
+    """name -> (backend, key pool, whether the product must match bit for bit)."""
+    z2 = cyclic_group(2)
+    hadamard = conjugation_action(z2, {z2.identity(): [np.eye(2)], z2.parse("1"): [H2]})
+    ext = UnitExtension(N2, z2)
+    return {
+        "n2": (ColoredProductSystem(N2, gen_dims=[(2,), (1,)]), N2.elements(2), True),
+        "ab": (ColoredProductSystem(FM, gen_dims=[(2, 1), (1, 1)]), FM.elements(2), True),
+        "absorb": (ColoredProductSystem(AbsorptionMonoid(), gen_dims=[(2,), (1,)]),
+                   AbsorptionMonoid().elements(2), True),
+        "zero": (ZeroTensorBackend([2, 1, 3]), N.elements(3), False),
+        "unit-ext": (ColoredProductSystem(ext, gen_dims=[(2,), (1,)]), ext.elements(2), False),
+        "s3-bundle": (precategory_from_bundle(semidirect_bundle(
+            trivial_action(symmetric_group_3(), [2, 1]))), symmetric_group_3().elements(1), False),
+        "z2-hadamard-bundle": (precategory_from_bundle(semidirect_bundle(hadamard)),
+                               z2.elements(1), False),
+        # tensoring by the unit conjugates, so the orbit transport is not the identity
+        "z2-hadamard-crossed": (CrossedProductBackend(hadamard), z2.elements(1), False),
+    }
+
+
+PRODUCT_CASES = _product_cases()
+
+
+def _random_element(backend, pool, rng, terms=6):
+    x = NTElement(backend)
+    for _ in range(terms):
+        p, q = rng.choice(pool), rng.choice(pool)
+        x.add_term(p, q, backend.random_arrow(p, q, rng))
+    return x
+
+
+def _assert_same_product(z, ref, exact):
+    if exact:
+        assert list(z.terms) == list(ref.terms)
+        for k, a in ref.terms.items():
+            assert all(np.array_equal(u, v) for u, v in zip(z.terms[k].blocks, a.blocks)), k
+        return
+    assert set(z.terms) == set(ref.terms)
+    scale = max((a.norm() for a in ref.terms.values()), default=0.0)
+    for k, a in ref.terms.items():
+        assert (z.terms[k] - a).norm() <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_wick_product_matches_pairwise_reference(name):
+    backend, pool, exact = PRODUCT_CASES[name]
+    rng = random.Random(zlib.crc32(name.encode()))
+    x, y = _random_element(backend, pool, rng), _random_element(backend, pool, rng)
+    xx = nt_mul(x, nt_adjoint(x))
+    # the square of x x* sums several products under most of its keys
+    for left, right in [(x, y), (y, x), (x, nt_adjoint(x)), (xx, xx)]:
+        z = nt_mul(left, right)
+        assert not z.is_zero()
+        _assert_same_product(z, _pairwise_mul(left, right), exact)
+
+
+def test_wick_product_drops_a_key_that_cancels_exactly():
+    # (1 at (0,0) - 1 at (1,1)) (1 at (1,1)): both pairs land on (1,1)
+    x = scalar(ps_N, "0", "0", 1.0) + scalar(ps_N, "1", "1", -1.0)
+    y = scalar(ps_N, "1", "1", 1.0) + scalar(ps_N, "0", "2", 1.0)
+    z = nt_mul(x, y)
+    assert (N.parse("1"), N.parse("1")) not in z.terms
+    assert list(z.terms) == list(_pairwise_mul(x, y).terms) == [
+        (N.parse("0"), N.parse("2")), (N.parse("1"), N.parse("3"))
+    ]
+
+
+def test_wick_product_keeps_the_mismatch_errors():
+    backend = PRODUCT_CASES["ab"][0]
+    e, a, b = FM.parse("e"), FM.parse("a"), FM.parse("b")
+    y = NTElement(backend).add_term(a, e, backend.random_arrow(a, e, random.Random(1)))
+    # a coefficient filed under (e, a) that is an arrow e <- b
+    x = NTElement(backend).add_term(e, a, backend.random_arrow(e, b, random.Random(2)))
+    with pytest.raises(ValueError, match="object mismatch: cannot compose source b with range a"):
+        nt_mul(x, y)
+    other = free_monoid("xy")
+    z = NTElement(backend).add_term(e, other.parse("x"), backend.random_arrow(e, a, random.Random(3)))
+    with pytest.raises(MismatchError) as want:
+        _pairwise_mul(z, y)
+    with pytest.raises(MismatchError) as got:
+        nt_mul(z, y)
+    assert str(got.value) == str(want.value)
+
+
+class _SwapN2(_BackendBase):
+    """N^2 with two 1x1 colors; a x 1_r swaps the colors |r| times, so an
+    ideal on one color is not closed under aligned products."""
+
+    kind = "swap"
+    slot_count = 2
+
+    def __init__(self):
+        self.sg = N2
+
+    def shape(self, p, q):
+        return [(1, 1), (1, 1)]
+
+    def _rtensor(self, a, r):
+        blocks = a.blocks if sum(r.data) % 2 == 0 else a.blocks[::-1]
+        return Arrow._derived(self, a.range * r, a.source * r, blocks)
+
+
+def test_wick_product_raises_when_a_product_escapes_the_ideal():
+    backend, ideal = _SwapN2(), ColorIdeal({0})
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    e, s1, s2 = N2.parse("(0,0)"), N2.parse("(1,0)"), N2.parse("(0,1)")
+    x = NTElement(backend, ideal).add_term(e, s1, backend.arrow(e, s1, [one, zero]))
+    y = NTElement(backend, ideal).add_term(s2, e, backend.arrow(s2, e, [one, zero]))
+    # both quotients are odd, so the product lives on color 1 only
+    with pytest.raises(ValueError) as want:
+        _pairwise_mul(x, y)
+    with pytest.raises(ValueError) as got:
+        nt_mul(x, y)
+    assert str(got.value) == str(want.value) == "coefficient at ((0,1),(1,0)) escapes the ideal"
+
+
+def test_wick_product_contracts_once_per_key_pair(monkeypatch):
+    backend = PRODUCT_CASES["ab"][0]
+    sg = backend.sg
+    rng = random.Random(3)
+    y = NTElement(backend)
+    for p, q in [("e", "e"), ("a", "e"), ("e", "b"), ("ab", "e")]:
+        p, q = sg.parse(p), sg.parse(q)
+        y.add_term(p, q, backend.random_arrow(p, q, rng))
+    x = nt_mul(y, nt_adjoint(y))
+    key_pairs, left, right, pairs = set(), set(), set(), 0
+    for (p, q) in x.terms:
+        for (s, t) in x.terms:
+            key_pairs.add((q, s))
+            r = sg.right_lcm(q, s)
+            if r is None:
+                continue
+            pairs += 1
+            left.add((p, q, sg.left_divide(q, r)))
+            right.add((s, t, sg.left_divide(s, r)))
+    want = _pairwise_mul(x, x)
+    assert len(key_pairs) < pairs and len(left) + len(right) < 2 * pairs
+
+    calls = {"right_lcm": 0, "rtensor": 0}
+    right_lcm, rtensor = sg.right_lcm, Arrow.rtensor
+
+    def counting_lcm(p, q):
+        calls["right_lcm"] += 1
+        return right_lcm(p, q)
+
+    def counting_rtensor(a, r):
+        calls["rtensor"] += 1
+        return rtensor(a, r)
+
+    monkeypatch.setattr(sg, "right_lcm", counting_lcm)
+    monkeypatch.setattr(Arrow, "rtensor", counting_rtensor)
+    z = nt_mul(x, x)
+    monkeypatch.undo()
+    assert calls == {"right_lcm": len(key_pairs), "rtensor": len(left) + len(right)}
+    _assert_same_product(z, want, exact=True)
