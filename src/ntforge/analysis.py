@@ -52,12 +52,11 @@ RANK_TOL = 1e-8
 class ConcreteRep:
     """Arrow -> operator on C^dim, linear per fiber and *-compatible."""
 
-    def __init__(self, backend, dim, phi_fn, ideal=None, nica=True, label="rep"):
+    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep"):
         self.backend = backend
         self.dim = dim
         self._phi = phi_fn
         self.ideal = ideal if ideal is not None else full_ideal(backend)
-        self.nica = nica
         self.label = label
 
     def phi(self, arrow):
@@ -96,7 +95,7 @@ def fock_rep(backend, depth: int, ideal=None):
         x.add_term(arrow.range, arrow.source, arrow)
         return lift(x, tr).dense()
 
-    return ConcreteRep(backend, dim, phi, ideal, nica=True, label="fock"), tr
+    return ConcreteRep(backend, dim, phi, ideal, label="fock"), tr
 
 
 def degenerate_example_rep(dims):
@@ -118,7 +117,7 @@ def degenerate_example_rep(dims):
                 m[o : o + d, o : o + d] = arrow.blocks[0]
         return m
 
-    return ConcreteRep(zb, H, phi, nica=True, label="degenerate"), zb
+    return ConcreteRep(zb, H, phi, label="degenerate"), zb
 
 
 def _range_basis(m, tol):
@@ -349,8 +348,7 @@ def extend_representation(rep: ConcreteRep, K: ColorIdeal) -> ConcreteRep:
         return rep.phi(arrow.compose(ideal_unit(rep.backend, K, arrow.source)))
 
     return ConcreteRep(
-        rep.backend, rep.dim, phi, ideal=full_ideal(rep.backend),
-        nica=rep.nica, label=f"{rep.label}-extended",
+        rep.backend, rep.dim, phi, ideal=full_ideal(rep.backend), label=f"{rep.label}-extended"
     )
 
 

@@ -300,7 +300,7 @@ def regular_representation(bundle: BundleFiberFamily) -> ConcreteRep:
                 row, col = row + blk.shape[0], col + blk.shape[1]
         return m
 
-    return ConcreteRep(backend, total, phi, nica=True, label="regular")
+    return ConcreteRep(backend, total, phi, label="regular")
 
 
 def section_star(bundle: BundleFiberFamily, fam):

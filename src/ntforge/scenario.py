@@ -35,13 +35,7 @@ from .bundles import (
     semidirect_bundle,
     image_algebra_rank,
 )
-from .fock import (
-    Truncation,
-    fock_norm,
-    lift,
-    projection_QT,
-    transcendental_expectation,
-)
+from .fock import SMALL_SLOT, Truncation, fock_norm, transcendental_expectation
 from .precategory import (
     ColorIdeal,
     ColoredProductSystem,
@@ -53,7 +47,7 @@ from .precategory import (
 )
 from .segments import check_partition
 from .semigroups import make_group, make_semigroup
-from .wick import NTElement, abelianization_grading, core_norm, diagonal_expectation
+from .wick import NTElement, abelianization_grading, core_norm
 
 
 class ScenarioError(ValueError):
@@ -185,15 +179,8 @@ class Scenario:
                 }
         self.checks = data.get("checks", [])
         for check in self.checks:
-            spec = CHECKS.get(check.get("name"))
-            if spec is None:
-                continue  # reported in place by run_scenario
-            unknown = sorted(set(check) - {"name"} - set(spec.params))
-            if unknown:
-                raise ScenarioError(
-                    f"check {check['name']!r}: unknown parameter {unknown[0]!r}; "
-                    f"parameters are {', '.join(spec.params) or 'none'}"
-                )
+            if check.get("name") in CHECKS:  # an unknown name is reported in place by run_scenario
+                check_params(check["name"], _params(check))
 
     @classmethod
     def from_path(cls, path):
@@ -209,6 +196,18 @@ class Scenario:
             raise ScenarioError(f"unknown element {name!r}; defined: {sorted(self.elements)}")
         return self.elements[name]
 
+    def need_bundle(self):
+        """The bundle of the scenario; a ScenarioError when it has none."""
+        if self.bundle is None:
+            raise ScenarioError("scenario has no bundle section; this check needs one")
+        return self.bundle
+
+    def section(self, name):
+        self.need_bundle()
+        if name not in self.sections:
+            raise ScenarioError(f"unknown section {name!r}; defined: {sorted(self.sections)}")
+        return self.sections[name]
+
     def parse_el(self, text):
         return self.sg.parse(text)
 
@@ -223,17 +222,13 @@ class Scenario:
 # -- check registry ----------------------------------------------------------------
 
 
-def _fmt(sg, p):
-    return sg.format(p)
-
-
 def run_segments(sc: Scenario, params):
     F = [sc.parse_el(t) for t in params["F"]]
     report = check_partition(sc.sg, F, depth=int(params.get("depth", sc.settings["depth"])))
     data = {
-        "F": [_fmt(sc.sg, f) for f in F],
+        "F": [sc.sg.format(f) for f in F],
         "segments": [
-            {"C": sorted(_fmt(sc.sg, t) for t in seg.C), "sigma": _fmt(sc.sg, seg.sig)}
+            {"C": sorted(sc.sg.format(t) for t in seg.C), "sigma": sc.sg.format(seg.sig)}
             for seg in report.segments
         ],
         "partition_ok": bool(report.ok),
@@ -319,9 +314,8 @@ def run_condition_cprime(sc: Scenario, params):
     rep, tr, fam = sc.fock_family(params.get("depth"))
     p = sc.parse_el(params["p"])
     qs = [sc.parse_el(q) for q in params["qs"]]
-    x = sc.element(params["element"])
-    (key,) = list(x.keys())
-    rp = check_condition_Cprime(rep, fam, p, qs, x.terms[key], tol=float(params.get("tol", 1e-6)))
+    _, arrow = _single_term(sc, "element", params["element"])
+    rp = check_condition_Cprime(rep, fam, p, qs, arrow, tol=float(params.get("tol", 1e-6)))
     return ("pass" if rp.ok else "fail"), rp.details
 
 
@@ -337,21 +331,29 @@ def run_projections(sc: Scenario, params):
     }
 
 
+def _single_term(sc: Scenario, field, name):
+    """The one (key, coefficient) of the named element; a ScenarioError
+    naming the element when it has another number of terms."""
+    x = sc.element(name)
+    if len(x.terms) != 1:
+        raise ScenarioError(f"{field}: element {name!r} has {len(x.terms)} terms, not one")
+    return next(iter(x.terms.items()))
+
+
 def _coefficient_in(sc: Scenario, field, name, range_, source):
     """The one coefficient of the named element as an arrow in L(range_, source).
 
     Keys are stored unit-canonical, so the stored coefficient at (r, s) is
     transported by the unit u with (r u, s u) = (range_, source).
     """
-    x = sc.element(name)
-    (key,) = list(x.keys())
-    r, s = key
+    (r, s), arrow = _single_term(sc, field, name)
     for u in sc.sg.units():
         if r * u == range_ and s * u == source:
-            return x.terms[key].rtensor(u)
+            return arrow.rtensor(u)
+    fmt = sc.sg.format
     raise ScenarioError(
-        f"{field}: element {name!r} sits at ({_fmt(sc.sg, r)},{_fmt(sc.sg, s)}), "
-        f"not in L({_fmt(sc.sg, range_)},{_fmt(sc.sg, source)}) up to a unit"
+        f"{field}: element {name!r} sits at ({fmt(r)},{fmt(s)}), "
+        f"not in L({fmt(range_)},{fmt(source)}) up to a unit"
     )
 
 
@@ -378,32 +380,29 @@ def run_aperiodicity(sc: Scenario, params):
 
 
 def run_graded(sc: Scenario, params):
-    if sc.bundle is None:
-        raise ScenarioError("graded check needs a bundle section")
-    rep = regular_representation(sc.bundle)
+    bundle = sc.need_bundle()
+    rep = regular_representation(bundle)
     backend = rep.backend
-    e = sc.bundle.group.identity()
+    e = bundle.group.identity()
     import random as _random
 
     rng = _random.Random(int(params.get("seed", sc.settings["seed"])))
     samples = []
     for _ in range(int(params.get("trials", 8))):
         samples.append(
-            {g: backend.arrow(g, e, sc.bundle.random_fiber(g, rng)) for g in sc.bundle.elements}
+            {g: backend.arrow(g, e, bundle.random_fiber(g, rng)) for g in bundle.elements}
         )
     for name in params.get("sections", []):
-        fam = sc.sections[name]
+        fam = sc.section(name)
         samples.append({g: backend.arrow(g, e, blocks) for g, blocks in fam.items()})
     rp = check_graded(rep, samples, tol=float(params.get("tol", 1e-9)))
     return ("pass" if rp.ok else "fail"), rp.details
 
 
 def run_bundle_roundtrip(sc: Scenario, params):
-    if sc.bundle is None:
-        raise ScenarioError("roundtrip needs a bundle section")
     import random as _random
 
-    B = sc.bundle
+    B = sc.need_bundle()
     B2 = bundle_from_precategory(precategory_from_bundle(B))
     rng = _random.Random(int(params.get("seed", sc.settings["seed"])))
     exact = True
@@ -418,42 +417,167 @@ def run_bundle_roundtrip(sc: Scenario, params):
 
 
 def run_bundle_regular(sc: Scenario, params):
-    rep = regular_representation(sc.bundle)
-    rank = image_algebra_rank(sc.bundle, rep)
-    total = sum(sc.bundle.fiber_dim(g) for g in sc.bundle.elements)
+    bundle = sc.need_bundle()
+    rep = regular_representation(bundle)
+    rank = image_algebra_rank(bundle, rep)
+    total = sum(bundle.fiber_dim(g) for g in bundle.elements)
     return ("pass" if rank == total else "fail"), {"dim": rep.dim, "image_rank": rank, "fiber_dim_sum": total}
 
 
 def run_bundle_spectrum(sc: Scenario, params):
-    fam = sc.sections[params["section"]]
-    spec = regular_spectrum(sc.bundle, fam)
+    spec = regular_spectrum(sc.need_bundle(), sc.section(params["section"]))
     return "info", {"spectrum": [from_complex(z) for z in spec]}
 
 
-#: one entry per check: the runner and the names of the parameters it reads
-Check = namedtuple("Check", "run params")
+#: one entry per check: the runner, the parameters it must be given, the
+#: parameters it may be given, and the text `ntforge explain` prints
+Check = namedtuple("Check", "run required optional doc")
 
 CHECKS = {
-    "segments": Check(run_segments, ("F", "depth")),
-    "partition-check": Check(run_segments, ("F", "depth")),
-    "core-norm": Check(run_core_norm, ("element", "wdepth")),
-    "fock-norm": Check(run_fock_norm, ("element", "depth")),
-    "norm-agreement": Check(run_norm_agreement, ("element",)),
-    "expect": Check(run_expect, ("element", "depth")),
-    "grade": Check(run_grade, ("element",)),
-    "well-aligned": Check(lambda sc, p: run_structure(sc, p, "well-aligned"), ("depth",)),
-    "nondegenerate": Check(lambda sc, p: run_structure(sc, p, "nondegenerate"), ("depth",)),
-    "essential": Check(lambda sc, p: run_structure(sc, p, "essential"), ("depth",)),
-    "toeplitz": Check(run_toeplitz, ("p", "qs", "depth")),
-    "condition-c": Check(run_condition_c, ("p", "qs", "depth")),
-    "condition-cprime": Check(run_condition_cprime, ("p", "qs", "element", "depth", "tol")),
-    "projections": Check(run_projections, ("depth", "fock_depth", "tol")),
-    "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b", "h", "twist", "trials", "seed")),
-    "graded": Check(run_graded, ("trials", "seed", "tol", "sections")),
-    "bundle-roundtrip": Check(run_bundle_roundtrip, ("seed",)),
-    "bundle-regular": Check(run_bundle_regular, ()),
-    "bundle-spectrum": Check(run_bundle_spectrum, ("section",)),
+    "segments": Check(run_segments, ("F",), ("depth",),
+        "List the initial segments of a finite family F: the sets C in F whose\n"
+        "iterated right LCM sigma(C) exists and that hold every t in F with\n"
+        "t <= sigma(C), each recorded with the canonical sigma(C).  They are\n"
+        "found from the closure of {e} under right LCMs with members of F, one\n"
+        "segment {t in F : t <= w} per w in the closure, so |F| is not bounded.\n"
+        "Informational; also reports whether the induced cells partition the\n"
+        "enumerated ball (see partition-check)."),
+    "partition-check": Check(run_segments, ("F",), ("depth",),
+        "Verify that the cells {p : the part of F dividing p is exactly C} for C\n"
+        "ranging over the initial segments of F cover every enumerated element\n"
+        "exactly once.  Verdict: pass iff no element lies in zero or two cells."),
+    "core-norm": Check(run_core_norm, ("element",), ("wdepth",),
+        "Exact norm of a diagonal core element from the initial-segment formula:\n"
+        "the maximum over segments C of the norm of sum_{p in C} a_p tensored\n"
+        "into the fiber at sigma(C).  Reports {value, exact}; exact is false\n"
+        "when off-diagonal keys force a truncated lower-bound estimate instead."),
+    "fock-norm": Check(run_fock_norm, ("element",), ("depth",),
+        "Operator norm of the element on the truncated Fock space of the given\n"
+        "depth: the largest over colors of the norm of the column factor (the\n"
+        "fibers over source objects only ampliate it), stored as one sparse\n"
+        f"matrix per color.  A color slot of at most {SMALL_SLOT} columns takes a dense\n"
+        "SVD; a larger one goes to ARPACK at the scenario's tol as relative\n"
+        "accuracy.  Reports {norm, exact, depth}; exact is true when the\n"
+        "truncation provably attains the limit (diagonal element, depth at\n"
+        "least max key length + 2)."),
+    "norm-agreement": Check(run_norm_agreement, ("element",), (),
+        "Cross-check that core-norm and fock-norm agree on a diagonal core\n"
+        "element at depth max key length + 2, the Fock norm solved at the\n"
+        "scenario's tol.  Verdict: pass iff the exact value and the Fock value\n"
+        "differ by at most tol * max(1, exact value)."),
+    "expect": Check(run_expect, ("element",), ("depth",),
+        "Block-diagonal compression of the lifted element: sum over sources w of\n"
+        "Q_w lift(x) Q_w.  Over right-cancellative instances every off-diagonal\n"
+        "key dies; absorption-style instances keep some alive, which is the\n"
+        "phenomenon this check measures.  Reports the compression's norm,\n"
+        "solved as in fock-norm at the scenario's tol."),
+    "grade": Check(run_grade, ("element",), (),
+        "Grades of the element's keys under the generator-counting homomorphism\n"
+        "to Z^k (or the group itself when the instance is a group).  The grade\n"
+        "of a key (p, q) is theta(p) - theta(q).  Informational."),
+    "well-aligned": Check(lambda sc, p: run_structure(sc, p, "well-aligned"), (), ("depth",),
+        "Random products of ideal-supported arrows stay ideal-supported after\n"
+        "composition and right tensoring, sampled with the scenario's seed.\n"
+        "Verdict: pass iff no sampled product leaves the ideal."),
+    "nondegenerate": Check(lambda sc, p: run_structure(sc, p, "nondegenerate"), (), ("depth",),
+        "For every non-unit p and every r, the products (K(p,p) x 1_r) K(pr,pr)\n"
+        "span K(pr,pr), restricted to the ideal's colors.  Unit certificate\n"
+        "first: when 1_K(p) x 1_r equals 1_K(pr) entry for entry, it fixes every\n"
+        "arrow of K(pr,pr) and the span is exact; rank test as fallback on the\n"
+        "other pairs.  Verdict: pass iff every span attains full dimension.\n"
+        "Reports checked and certified (the pairs the unit certificate settled)."),
+    "essential": Check(lambda sc, p: run_structure(sc, p, "essential"), (), ("depth",),
+        "K(p,p) is essential in L(p,p): no (p,p) fiber carries a nonzero block\n"
+        "in a color outside the ideal.  Verdict: pass iff no such block occurs."),
+    "toeplitz": Check(run_toeplitz, ("p", "qs"), ("depth",),
+        "Rank test for covariance: the (p,p) fiber image must intersect the span\n"
+        "of the (q,q) fiber images trivially, i.e. rank[A|B] = rank A + rank B\n"
+        "for the vectorized images, at the scenario's tol.  Precondition: no q\n"
+        "may divide p.  Certificate: the three ranks."),
+    "condition-c": Check(run_condition_c, ("p", "qs"), ("depth",),
+        "Faithfulness of a |-> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber:\n"
+        "the smallest singular value of the linearized map must exceed the\n"
+        "scenario's tol, and the compression must commute with the fiber action.\n"
+        "Precondition: no q may divide p.  Certificate: sigma_min and the\n"
+        "commutation defect."),
+    "condition-cprime": Check(run_condition_cprime, ("p", "qs", "element"), ("depth", "tol"),
+        "Norm preservation in the corner: compressing the represented element by\n"
+        "1 - (Q_{q_1} v ... v Q_{q_n}) must not change its norm by more than tol\n"
+        "(default 1e-6).  The element has one term.  Precondition: no q may\n"
+        "divide p.  Certificate: full norm and corner norm."),
+    "projections": Check(run_projections, (), ("depth", "fock_depth", "tol"),
+        "Semilattice law for the range projections: Q_<p> Q_<q> equals Q_<lcm>\n"
+        "when p and q have a common multiple and 0 otherwise, plus the per-\n"
+        "element equality Q_p = Q_<p>.  Q_p = phi(1_p), the image of the unit\n"
+        "of K(p,p); Q_<p> is the range projection of the sum of the phi(1_w)\n"
+        "over the window's w in pP, by eigh with relative cutoff 1e-8.  depth is\n"
+        "the word length of the pairs and tol bounds each defect.\n"
+        "Certificate: worst defect per law."),
+    "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b"), ("h", "twist", "trials", "seed"),
+        "Infimum of |alpha(a) b a| over positive norm-one a supported on a\n"
+        "hereditary corner of the (p,p) fiber, where alpha twists by the given\n"
+        "unit.  On a colored backend it starts from a closed form: for rank-one\n"
+        "a = v v* in one color the value is |<v, M v>| with M = V* U* b V (V a\n"
+        "basis of range(h), U the twist), so the rank-one infimum is the\n"
+        "distance from 0 to the numerical range of M.  A sweep of 720 support\n"
+        "angles plus two segment steps gives a witness; its value is\n"
+        "rank_one_bound, exactly 0 when 0 is inside the numerical range.  Only\n"
+        "when it is positive (or off the colored backend) do random restarts\n"
+        "with Powell refinement search further (search_best).  best is the\n"
+        "smaller of the two and attained_by names its source; both are\n"
+        "attained values, so best is an upper bound on the infimum.  Values\n"
+        "near 0 witness aperiodicity; 1.0 is the trivial-action value.  b is one\n"
+        "term, in L(p unit, p) up to a unit; h is one term, in L(p, p).\n"
+        "Informational; reports best, rank_one_bound, search_best, attained_by\n"
+        "and the witness."),
+    "graded": Check(run_graded, (), ("trials", "seed", "tol", "sections"),
+        "Topological-grading inequality for a representation of a group-graded\n"
+        "family: the identity-fiber coefficient satisfies |b_e| <= |sum_g\n"
+        "phi(b_g)| on every sample.  Collapsing representations (for instance\n"
+        "sending a unitary generator to 1) fail on elements like 1 - u.\n"
+        "The samples are random fibers plus the named sections."),
+    "bundle-roundtrip": Check(run_bundle_roundtrip, (), ("seed",),
+        "Rebuild the fiber family from its own arrow category and replay random\n"
+        "products and stars along both routes.  Verdict: pass iff every replay\n"
+        "is bit-for-bit identical (the two routes execute the same float ops)."),
+    "bundle-regular": Check(run_bundle_regular, (), (),
+        "Left-convolution representation on the direct sum of the fibers with\n"
+        "the Hilbert-Schmidt inner product.  Verdict: pass iff the image algebra\n"
+        "has full rank, i.e. the representation separates the fibers."),
+    "bundle-spectrum": Check(run_bundle_spectrum, ("section",), (),
+        "Eigenvalues of the regular-representation matrix of a named section.\n"
+        "For the order-two group acting trivially on C, a + b u has spectrum\n"
+        "{a + b, a - b}.  Informational."),
 }
+
+
+def params_text(name) -> str:
+    """The parameters of a check in one line, generated from its entry."""
+    spec = CHECKS[name]
+    required, optional = (", ".join(names) or "none" for names in (spec.required, spec.optional))
+    return f"required {required}; optional {optional}"
+
+
+def check_params(name, params):
+    """Reject a parameter the check does not read, or a missing required one."""
+    spec = CHECKS[name]
+    unknown = sorted(set(params) - set(spec.required) - set(spec.optional))
+    missing = [k for k in spec.required if k not in params]
+    if unknown or missing:
+        problem = (
+            f"unknown parameter {unknown[0]!r}" if unknown else f"missing parameter {missing[0]!r}"
+        )
+        raise ScenarioError(f"check {name!r}: {problem}; {params_text(name)}")
+
+
+def run_check(sc: Scenario, name, params):
+    """Validate the parameters, then run the check: (status, data)."""
+    check_params(name, params)
+    return CHECKS[name].run(sc, params)
+
+
+def _params(check: dict) -> dict:
+    return {k: v for k, v in check.items() if k != "name"}
 
 
 def run_scenario(source, overrides=None) -> dict:
@@ -466,12 +590,12 @@ def run_scenario(source, overrides=None) -> dict:
     items = []
     for check in sc.checks:
         name = check.get("name")
-        params = {k: v for k, v in check.items() if k != "name"}
+        params = _params(check)
         if name not in CHECKS:
             items.append({"name": name, "status": "error", "error": f"unknown check {name!r}"})
             continue
         try:
-            status, data = CHECKS[name].run(sc, params)
+            status, data = run_check(sc, name, params)
             items.append({"name": name, "params": params, "status": status, "data": data})
         except Exception as exc:  # keep going; report the failure in place
             items.append({"name": name, "params": params, "status": "error", "error": str(exc)})

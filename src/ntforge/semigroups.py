@@ -793,26 +793,6 @@ def check_controlled_map(theta: SemigroupHom, depth: int) -> ControlledMapReport
 # -- instance registry (used by the CLI and scenario files) ------------------
 
 
-def make_semigroup(spec: dict) -> RightLcmSemigroup:
-    """Build an instance from a scenario description (see the cli module)."""
-    kind = spec["kind"]
-    if kind == "direct_sum":
-        return DirectSumN(int(spec.get("rank", 1)))
-    if kind == "free_monoid":
-        return free_monoid(spec["letters"])
-    if kind == "free_product":
-        factors = [make_semigroup(s) for s in spec["factors"]]
-        return FreeProduct(factors, names=spec.get("names"))
-    if kind == "absorption":
-        return AbsorptionMonoid()
-    if kind == "unit_extension":
-        base = make_semigroup(spec["base"])
-        return UnitExtension(base, make_group(spec["units"]))
-    if kind == "finite_group":
-        return make_group(spec)
-    raise ValueError(f"unknown semigroup kind {kind!r}")
-
-
 def make_group(spec) -> FiniteGroup:
     if isinstance(spec, str):
         name = spec
@@ -830,11 +810,30 @@ def make_group(spec) -> FiniteGroup:
     return FiniteGroup(spec.get("name", "G"), names, table)
 
 
+#: kind -> (builder from the scenario spec, description for list-instances)
 INSTANCE_KINDS = {
-    "direct_sum": "N^k vectors under addition (rank parameter)",
-    "free_monoid": "free monoid on letters (free product of copies of N)",
-    "free_product": "free product of trivial-unit instances",
-    "absorption": "pairs (k,m), (k,m)(l,n)=(k+l,n) for l>0; not right cancellative",
-    "unit_extension": "base instance times a finite abelian unit group",
-    "finite_group": "multiplication-table group; builtins " + ", ".join(sorted(BUILTIN_GROUPS)),
+    "direct_sum": (lambda spec: DirectSumN(int(spec.get("rank", 1))),
+                   "N^k vectors under addition (rank parameter)"),
+    "free_monoid": (lambda spec: free_monoid(spec["letters"]),
+                    "free monoid on letters (free product of copies of N)"),
+    "free_product": (lambda spec: FreeProduct([make_semigroup(f) for f in spec["factors"]],
+                                              names=spec.get("names")),
+                     "free product of trivial-unit instances"),
+    "absorption": (lambda spec: AbsorptionMonoid(),
+                   "pairs (k,m), (k,m)(l,n)=(k+l,n) for l>0; not right cancellative"),
+    "unit_extension": (lambda spec: UnitExtension(make_semigroup(spec["base"]),
+                                                  make_group(spec["units"])),
+                       "base instance times a finite abelian unit group"),
+    "finite_group": (make_group,
+                     "multiplication-table group; builtins " + ", ".join(sorted(BUILTIN_GROUPS))),
 }
+
+
+def make_semigroup(spec: dict) -> RightLcmSemigroup:
+    """Build an instance from a scenario description (see the cli module)."""
+    kind = spec.get("kind")
+    if kind not in INSTANCE_KINDS:
+        problem = "needs a 'kind'" if kind is None else f"has unknown kind {kind!r}"
+        raise ValueError(f"semigroup spec {problem}; kinds: {', '.join(INSTANCE_KINDS)}")
+    build, _ = INSTANCE_KINDS[kind]
+    return build(spec)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ntforge.cli import EXPLAIN, build_parser, main
+from ntforge.cli import build_parser, main
 from ntforge.scenario import CHECKS, Scenario, run_scenario, report_ok
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -105,6 +105,39 @@ def test_misspelled_check_parameter_is_rejected(tmp_path, capsys, check, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"check {check['name']!r}: unknown parameter {field!r}" in captured.err
+
+
+def _with_checks(*checks):
+    data = json.loads(pathlib.Path(TOEPLITZ).read_text())
+    data["checks"] = list(checks)
+    return data
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["check", "aperiodicity", TOEPLITZ, "--p", "1"], "unit"),
+        (["check", "toeplitz", TOEPLITZ, "--p", "1", "--qs", "2", "--trials", "3"], "trials"),
+        (["check", "toeplitz", TOEPLITZ], "p"),
+        # y = u + u* has two terms; condition-cprime takes a one-term element
+        (["check", "condition-cprime", TOEPLITZ, "--p", "1", "--qs", "2", "--element", "y"], "y"),
+        (["run", _with_checks({"name": "fock-norm"})], "element"),
+        (["bundle", "spectrum", Z2, "--section", "nope"], "nope"),
+        (["run", {"semigroup": {"rank": 1}}], "kind"),
+    ],
+    ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
+         "unknown-section", "missing-kind"],
+)
+def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
+    path = tmp_path / "scenario.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(field) in captured.err
 
 
 def test_structure_checks_report_certified_pairs(tmp_path, capsys):
@@ -284,13 +317,18 @@ def test_explain_known_checks(capsys):
         assert name in out and "Parameters" in out or "Verdict" in out
 
 
-def test_check_lists_agree():
-    # explain texts, scenario runners and the `ntforge check` choices are
-    # three hand-kept lists; they must name the same checks
-    assert set(EXPLAIN) == set(CHECKS)
+def test_check_lists_agree(capsys):
+    # scenario.CHECKS is the one list: `ntforge check` offers exactly its
+    # names and `explain` prints each entry's parameters from the entry
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (which,) = [a for a in sub.choices["check"]._actions if a.dest == "which"]
-    assert which.choices and set(which.choices) <= set(CHECKS)
+    assert which.choices == sorted(CHECKS)
+    for name, check in CHECKS.items():
+        assert main(["explain", name]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("Parameters:")]
+        required, optional = line[len("Parameters: "):].rstrip(".").split("; ")
+        assert required == "required " + (", ".join(check.required) or "none")
+        assert optional == "optional " + (", ".join(check.optional) or "none")
 
 
 def test_explain_unknown_suggests(capsys):
