@@ -18,9 +18,12 @@ unit x has dim(x) = 1, so for rank-one a = v v* in one color |alpha(a) b a|
 is |<v, M v>| with M = V* U* b V, and the rank-one infimum is the distance
 from 0 to the numerical range W(M).  A 720-angle support sweep and two
 segment steps (Johnson 1978; Carden 2009) give an attained witness,
-rank_one_bound, exactly 0 when 0 is inside W(M).  Powell restarts on a
-tabulated ndarray objective refine it only when it is positive
-(search_best); best is the smaller and attained_by names its source.
+rank_one_bound, exactly 0 when 0 is inside W(M).  Every a, not only the
+rank-one ones, is worth at least the distance from 0 to W(M) in some color,
+so the support function gives lower_bound, a proven lower bound.  Powell
+restarts on a tabulated ndarray objective search only while the bracket
+[lower_bound, rank_one_bound] is open (search_best); best is the smaller
+attained value and attained_by names its source.
 
 Numerical conventions: spans are compared by singular-value rank arithmetic
 with cutoff 1e-8; faithfulness means smallest singular value > 1e-8; these are
@@ -488,42 +491,89 @@ def _aperiodicity_objective(backend, p, x, b, h=None, twist=None):
     return build, value
 
 
+def _powell_search(build, value, total, trials, seed, maxiter):
+    """(value, blocks) of the best of trials Powell runs on the objective of
+    _aperiodicity_objective, from seeded random starts in 2*total parameters."""
+    from scipy import optimize
+
+    rng = random.Random(seed)
+
+    def objective(params):
+        a = build(params)
+        return 1e6 if a is None else value(a)
+
+    best, found = float("inf"), None
+    for _ in range(trials):
+        start = np.array([rng.gauss(0, 1) for _ in range(2 * total)])
+        start /= max(1.0, np.linalg.norm(start) / 2.0)
+        res = optimize.minimize(
+            objective, start, method="Powell",
+            bounds=[(-4.0, 4.0)] * (2 * total),
+            options={"maxiter": maxiter, "xtol": 1e-8, "ftol": 1e-12},
+        )
+        if float(res.fun) < best:
+            best, found = float(res.fun), build(res.x)
+    return best, found
+
+
 def _rank_one_witness(backend, p, x, b, h=None, twist=None):
-    """Blocks of the rank-one a = V_c v v* V_c* with the least |<v, M_c v>|
-    over the colors where h is nonzero; None off the colored backend, where
-    tensoring by a unit need not act on each block as a -> U a U*."""
+    """(blocks, lower_bound) on the colored backend, None off it, where
+    tensoring by a unit need not act on each block as a -> U a U*.
+
+    blocks is the rank-one a = V_c v v* V_c* with the least |<v, M_c v>| over
+    the colors where h is nonzero.  lower_bound is the least over those
+    colors of max(lower_c, 0), lower_c the larger of the sweep's lower and
+    lambda_min(Re(e^{i theta} M_c)) at the witness's own angle theta =
+    -arg <v, M_c v>; that angle meets |<v, M_c v>| when v attains the point
+    of W(M_c) nearest 0.
+
+    Every positive norm-one a on range(h) bounds the objective below: a_c v
+    = v for a unit v in range(h_c) in some color c, alpha(a)_c = U_c a_c U_c*
+    fixes U_c v, so |alpha(a) b a| >= |<U_c v, alpha(a)_c b_c a_c v>| =
+    |<v, U_c* b_c v>|, a point of W(M_c), at least lower_c from 0.
+    """
     if not isinstance(backend, ColoredProductSystem):
         return None
-    best = None
+    best, lower_bound = None, float("inf")
     for c, (rows, _) in enumerate(backend.shape(p, p)):
         v_c = np.eye(rows, dtype=complex) if h is None else _range_basis(h.blocks[c], RANK_TOL)
         if v_c.shape[1] == 0:
             continue
         u_c = np.eye(rows) if twist is None else twist[c]
         m = v_c.conj().T @ u_c.conj().T @ b.blocks[c] @ v_c
-        _, v = _numerical_range_witness(m)
+        lower, v = _numerical_range_witness(m)
+        z = np.vdot(v, m @ v)
+        rot = np.exp(-1j * np.angle(z)) * m
+        lower = max(lower, float(np.linalg.eigvalsh((rot + rot.conj().T) / 2.0)[0]))
+        lower_bound = min(lower_bound, max(lower, 0.0))
         w = v_c @ v
-        value = abs(np.vdot(v, m @ v))
-        if best is None or value < best[0]:
-            best = (value, c, np.outer(w, w.conj()))
+        if best is None or abs(z) < best[0]:
+            best = (abs(z), c, np.outer(w, w.conj()))
     if best is None:
         return None
     _, c, a_c = best
     blocks = [np.zeros(sh, dtype=complex) for sh in backend.shape(p, p)]
     blocks[c] = a_c
-    return blocks
+    return blocks, lower_bound
 
 
 class AperiodicityResult:
-    """best = min(rank_one_bound, search_best), attained by witness.
+    """lower_bound <= inf |alpha(a) b a| <= best = min(rank_one_bound,
+    search_best), attained by witness, over positive norm-one a on the
+    corner range(h) taken at RANK_TOL.
 
-    rank_one_bound is None off the colored backend; search_best is None when
-    the rank-one certificate already reached 0 and no search ran.
+    lower_bound and rank_one_bound are None off the colored backend;
+    search_best is None when the bracket [lower_bound, rank_one_bound] was
+    already closed to 1e-12 |b| and no search ran.
     """
 
-    def __init__(self, best, witness, rank_one_bound=None, search_best=None, attained_by=None):
+    def __init__(
+        self, best, witness, lower_bound=None, rank_one_bound=None, search_best=None,
+        attained_by=None,
+    ):
         self.best = best
         self.witness = witness
+        self.lower_bound = lower_bound
         self.rank_one_bound = rank_one_bound
         self.search_best = search_best
         self.attained_by = attained_by
@@ -535,21 +585,26 @@ class AperiodicityResult:
 def aperiodicity_search(
     backend, p, x, b, h=None, twist=None, trials=24, seed=0, maxiter=60,
 ):
-    """Minimize |alpha(a) b a| over positive norm-one a in the hereditary
-    subalgebra generated by h (all of K(p,p) when h is None).
+    """Bracket the infimum of |alpha(a) b a| over positive norm-one a in the
+    hereditary corner of h: the a supported on range(h), taken at RANK_TOL
+    as in the certificate below (all of K(p,p) when h is None).
 
     alpha(a) = (a x 1_x), conjugated per color by the optional twist unitaries
     (the unit's action when it does not act trivially on fibers).  On a colored
-    backend a closed form comes first: over rank-one a in one color the
-    value is |<v, M_c v>| with M_c = V_c* U_c* b_c V_c (V_c an orthonormal basis
-    of range(h_c), U_c the twist), so the rank-one infimum is the distance
-    from 0 to the numerical range W(M_c).  A support-function sweep over 720
-    angles and two segment steps give an explicit witness; its value is
-    rank_one_bound (exactly 0 up to round-off when 0 is inside W).  When that
-    value exceeds 1e-12 |b|, or off the colored backend, random restarts with
-    Powell refinement on a tabulated ndarray objective search further
-    (search_best).  Both are attained values, so best = the smaller one
-    certifies an upper bound on the infimum; attained_by says which.
+    backend a closed form comes first.  A unit x has dimension 1 in every
+    color, so over rank-one a in one color the value is |<v, M_c v>| with
+    M_c = V_c* U_c* b_c V_c (V_c an orthonormal basis of range(h_c), U_c the
+    twist), and every a is worth at least the distance from 0 to W(M_c) in
+    some color: the infimum is the least such distance.  A support-function
+    sweep over 720 angles and two segment steps give a witness whose value
+    is rank_one_bound (exactly 0 up to round-off when 0 is inside W), and
+    the support function at the sweep angles and at the witness's own angle
+    gives lower_bound, a proven lower bound on the infimum.  Only off the
+    colored backend, or when rank_one_bound - lower_bound exceeds 1e-12 |b|,
+    do random restarts with Powell refinement on a tabulated ndarray
+    objective search further (search_best).  Both are attained values, so
+    best = the smaller one is an upper bound on the infimum; attained_by
+    says which.
     """
     sg = backend.sg
     if not sg.is_unit(x) or x == sg.identity():
@@ -558,38 +613,21 @@ def aperiodicity_search(
         return AperiodicityResult(0.0, None)
     build, value = _aperiodicity_objective(backend, p, x, b, h, twist)
     best, witness, attained_by = float("inf"), None, None
-    rank_one_bound = None
-    blocks = _rank_one_witness(backend, p, x, b, h, twist)
-    if blocks is not None:
+    lower_bound = rank_one_bound = None
+    certificate = _rank_one_witness(backend, p, x, b, h, twist)
+    if certificate is not None:
+        blocks, lower_bound = certificate
         rank_one_bound = value(blocks)
         best, witness, attained_by = rank_one_bound, blocks, "rank-one"
     search_best = None
-    if rank_one_bound is None or rank_one_bound > 1e-12 * b.norm():
-        from scipy import optimize
-
-        total = backend.space_dim(p, p)
-        rng = random.Random(seed)
-
-        def objective(params):
-            a = build(params)
-            return 1e6 if a is None else value(a)
-
-        search_best, found = float("inf"), None
-        for _ in range(trials):
-            start = np.array([rng.gauss(0, 1) for _ in range(2 * total)])
-            start /= max(1.0, np.linalg.norm(start) / 2.0)
-            res = optimize.minimize(
-                objective, start, method="Powell",
-                bounds=[(-4.0, 4.0)] * (2 * total),
-                options={"maxiter": maxiter, "xtol": 1e-8, "ftol": 1e-12},
-            )
-            cand = float(res.fun)
-            if cand < search_best:
-                search_best, found = cand, build(res.x)
+    if rank_one_bound is None or rank_one_bound - lower_bound > 1e-12 * b.norm():
+        search_best, found = _powell_search(
+            build, value, backend.space_dim(p, p), trials, seed, maxiter
+        )
         if search_best < best:
             best, witness, attained_by = search_best, found, "search"
     witness = None if witness is None else backend.arrow(p, p, witness)
-    return AperiodicityResult(best, witness, rank_one_bound, search_best, attained_by)
+    return AperiodicityResult(best, witness, lower_bound, rank_one_bound, search_best, attained_by)
 
 
 # -- topological grading ---------------------------------------------------------

@@ -16,7 +16,10 @@ a (x) 1_r := alpha_r(a).
 
 The regular representation acts by left convolution on the direct sum of the
 fibers with the Hilbert-Schmidt inner product; for a finite group this is a
-faithful picture of the (reduced = full) cross-sectional algebra.
+faithful picture of the (reduced = full) cross-sectional algebra.  Left
+convolution by b in B_s maps B_k into B_{sk}, so the images of distinct
+grades have disjoint supports: ``image_algebra_rank`` ranks them with one SVD
+per grade and one cutoff relative to the largest singular value of all.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 import numpy as np
 
 from .analysis import CheckReport, ConcreteRep
-from .linalg import rank_of_span, spectral_norm
+from .linalg import rank_of_values, span_singular_values, spectral_norm
 from .precategory import Arrow, _amplify, _BackendBase
 from .semigroups import FiniteGroup
 
@@ -284,18 +287,27 @@ def regular_representation(bundle: BundleFiberFamily) -> ConcreteRep:
         offsets[g] = total
         total += bundle.fiber_dim(g)
     backend = precategory_from_bundle(bundle)
+    base, e = bundle.backend, bundle.group.identity()
+    # the units 1_k in B_k and the column counts of their blocks, built once
+    units = {
+        k: (base.arrow(k, e, [np.eye(rows, dtype=complex) for rows, _ in bundle.shape(k)]),
+            [cols for _, cols in bundle.shape(k)])
+        for k in G
+    }
 
     def phi(arrow):
         s = backend._grade(arrow.range, arrow.source)
+        a = base.arrow(s, e, arrow.blocks)
         m = np.zeros((total, total), dtype=complex)
         for k in G:
             # fibers over a finite group are square, and b -> (a x 1_k) b acts
             # blockwise by left multiplication with X = (a x 1_k) 1_k, which is
-            # kron(X_c, 1) on row-major coordinates
-            unit = [np.eye(rows, dtype=complex) for rows, _ in bundle.shape(k)]
+            # kron(X_c, 1) on row-major coordinates; the product with 1_k
+            # applies the action of k, which a x 1_k alone may not
+            unit, cols = units[k]
             row, col = offsets[s * k], offsets[k]
-            for x_c, (_, cols) in zip(bundle.mul(s, arrow.blocks, k, unit), bundle.shape(k)):
-                blk = _amplify(x_c, cols)
+            for x_c, n in zip(a.rtensor(k).compose(unit).blocks, cols):
+                blk = _amplify(x_c, n)
                 m[row : row + blk.shape[0], col : col + blk.shape[1]] = blk
                 row, col = row + blk.shape[0], col + blk.shape[1]
         return m
@@ -342,11 +354,25 @@ def regular_spectrum(bundle: BundleFiberFamily, fam, rep: ConcreteRep = None):
 
 
 def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1e-8):
-    """Linear dimension of the image of ⊕_g B_g under the representation."""
+    """Linear dimension of the image of ⊕_g B_g under the regular representation.
+
+    Left convolution by b in B_s maps B_k into B_{sk}, so the images of
+    distinct grades have disjoint supports and the singular values of all the
+    images together are the union of the per-grade ones.  One SVD per grade,
+    then the cutoff tol times the largest value over all grades: the same
+    count as one SVD of every image stacked.  rep, when given, must be the
+    regular representation of the bundle; overlapping supports raise.
+    """
     rep = rep if rep is not None else regular_representation(bundle)
     backend = rep.backend
     e = bundle.group.identity()
-    return rank_of_span(
-        [rep.phi(backend.arrow(g, e, blocks)) for g in bundle.elements for blocks in bundle.basis(g)],
-        tol,
-    )
+    seen = np.zeros(rep.dim * rep.dim, dtype=bool)
+    values = []
+    for g in bundle.elements:
+        images = [np.ravel(rep.phi(backend.arrow(g, e, blocks))) for blocks in bundle.basis(g)]
+        support = np.any([im != 0 for im in images], axis=0)
+        if (seen & support).any():
+            raise ValueError(f"images of grade {g!r} overlap those of another grade")
+        seen |= support
+        values.append(span_singular_values(images))
+    return rank_of_values(np.concatenate(values), tol)

@@ -13,15 +13,24 @@ def spectral_norm(mat) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def rank_of_span(vectors, tol=1e-8) -> int:
-    """Numerical rank of the span of flattened arrays."""
+def span_singular_values(vectors) -> np.ndarray:
+    """Singular values, largest first, of the matrix whose rows are the
+    flattened arrays (empty when there are none)."""
     rows = [np.ravel(v) for v in vectors if np.size(v)]
     if not rows:
-        return 0
+        return np.zeros(0)
     m = np.array(rows)
     # columns that vanish in every vector leave the singular values unchanged
     m = m[:, np.any(m != 0, axis=0)]
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def rank_of_values(s, tol=1e-8) -> int:
+    """Number of singular values above tol times the largest of them."""
+    top = float(np.max(s, initial=0.0))
+    return 0 if top == 0.0 else int(np.sum(np.asarray(s) > tol * top))
+
+
+def rank_of_span(vectors, tol=1e-8) -> int:
+    """Numerical rank of the span of flattened arrays."""
+    return rank_of_values(span_singular_values(vectors), tol)

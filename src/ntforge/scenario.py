@@ -109,7 +109,11 @@ def build_backend(sg, spec: dict):
 
 def build_element(sg, backend, ideal, terms) -> NTElement:
     x = NTElement(backend, ideal)
-    for term in terms:
+    for i, term in enumerate(terms):
+        fields = ("range", "source", "blocks")
+        missing = [k for k in fields if not isinstance(term, dict) or k not in term]
+        if missing:
+            raise ScenarioError(f"term {i} needs a {missing[0]!r}")
         p = sg.parse(term["range"])
         q = sg.parse(term["source"])
         blocks = to_blocks(term["blocks"])
@@ -169,7 +173,10 @@ class Scenario:
             self.sg = make_semigroup(data["semigroup"])
             self.backend, self.ideal = build_backend(self.sg, data.get("backend"))
             for name, terms in data.get("elements", {}).items():
-                self.elements[name] = build_element(self.sg, self.backend, self.ideal, terms)
+                try:
+                    self.elements[name] = build_element(self.sg, self.backend, self.ideal, terms)
+                except ScenarioError as exc:
+                    raise ScenarioError(f"element {name!r}: {exc}") from None
         self.bundle = build_bundle(data["bundle"]) if "bundle" in data else None
         self.sections = {}
         if self.bundle is not None:
@@ -178,7 +185,11 @@ class Scenario:
                     self.bundle.group.parse(g): to_blocks(blocks) for g, blocks in fam.items()
                 }
         self.checks = data.get("checks", [])
-        for check in self.checks:
+        for i, check in enumerate(self.checks):
+            if not isinstance(check, dict):
+                raise ScenarioError(
+                    f"'checks' entry {i} is {check!r}, not an object with a 'name'"
+                )
             if check.get("name") in CHECKS:  # an unknown name is reported in place by run_scenario
                 check_params(check["name"], _params(check))
 
@@ -370,6 +381,7 @@ def run_aperiodicity(sc: Scenario, params):
     )
     data = {
         "best": res.best,
+        "lower_bound": res.lower_bound,
         "rank_one_bound": res.rank_one_bound,
         "search_best": res.search_best,
         "attained_by": res.attained_by,
@@ -514,22 +526,25 @@ CHECKS = {
         "the word length of the pairs and tol bounds each defect.\n"
         "Certificate: worst defect per law."),
     "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b"), ("h", "twist", "trials", "seed"),
-        "Infimum of |alpha(a) b a| over positive norm-one a supported on a\n"
-        "hereditary corner of the (p,p) fiber, where alpha twists by the given\n"
-        "unit.  On a colored backend it starts from a closed form: for rank-one\n"
+        "Bracket the infimum of |alpha(a) b a| over positive norm-one a supported\n"
+        "on the hereditary corner of the (p,p) fiber cut out by range(h), taken\n"
+        "at relative cutoff 1e-8, where alpha twists by the given unit.  On a\n"
+        "colored backend the unit has dimension 1 in every color, so for rank-one\n"
         "a = v v* in one color the value is |<v, M v>| with M = V* U* b V (V a\n"
-        "basis of range(h), U the twist), so the rank-one infimum is the\n"
-        "distance from 0 to the numerical range of M.  A sweep of 720 support\n"
-        "angles plus two segment steps gives a witness; its value is\n"
-        "rank_one_bound, exactly 0 when 0 is inside the numerical range.  Only\n"
-        "when it is positive (or off the colored backend) do random restarts\n"
-        "with Powell refinement search further (search_best).  best is the\n"
-        "smaller of the two and attained_by names its source; both are\n"
-        "attained values, so best is an upper bound on the infimum.  Values\n"
-        "near 0 witness aperiodicity; 1.0 is the trivial-action value.  b is one\n"
-        "term, in L(p unit, p) up to a unit; h is one term, in L(p, p).\n"
-        "Informational; reports best, rank_one_bound, search_best, attained_by\n"
-        "and the witness."),
+        "basis of range(h), U the twist), and every a is worth at least the\n"
+        "distance from 0 to the numerical range of M in some color.  A sweep of\n"
+        "720 support angles plus two segment steps gives a witness; its value is\n"
+        "rank_one_bound, exactly 0 when 0 is inside the numerical range.  The\n"
+        "support function at those angles and at the witness's own angle gives\n"
+        "lower_bound, a proven lower bound on the infimum.  Only when the\n"
+        "bracket stays open by more than 1e-12 |b| (or off the colored backend)\n"
+        "do random restarts with Powell refinement search further (search_best).\n"
+        "best is the smaller attained value and attained_by names its source,\n"
+        "so lower_bound <= infimum <= best (lower_bound and rank_one_bound are\n"
+        "null off the colored backend).  Values near 0 witness aperiodicity;\n"
+        "1.0 is the trivial-action value.  b is one term, in L(p unit, p) up to\n"
+        "a unit; h is one term, in L(p, p).  Informational; reports best,\n"
+        "lower_bound, rank_one_bound, search_best, attained_by and the witness."),
     "graded": Check(run_graded, (), ("trials", "seed", "tol", "sections"),
         "Topological-grading inequality for a representation of a group-graded\n"
         "family: the identity-fiber coefficient satisfies |b_e| <= |sum_g\n"

@@ -810,19 +810,26 @@ def make_group(spec) -> FiniteGroup:
     return FiniteGroup(spec.get("name", "G"), names, table)
 
 
+def _field(spec, name):
+    """spec[name]; a ValueError naming the field and the kind when it is missing."""
+    if name not in spec:
+        raise ValueError(f"semigroup spec of kind {spec.get('kind')!r} needs a {name!r}")
+    return spec[name]
+
+
 #: kind -> (builder from the scenario spec, description for list-instances)
 INSTANCE_KINDS = {
     "direct_sum": (lambda spec: DirectSumN(int(spec.get("rank", 1))),
                    "N^k vectors under addition (rank parameter)"),
-    "free_monoid": (lambda spec: free_monoid(spec["letters"]),
+    "free_monoid": (lambda spec: free_monoid(_field(spec, "letters")),
                     "free monoid on letters (free product of copies of N)"),
-    "free_product": (lambda spec: FreeProduct([make_semigroup(f) for f in spec["factors"]],
+    "free_product": (lambda spec: FreeProduct([make_semigroup(f) for f in _field(spec, "factors")],
                                               names=spec.get("names")),
                      "free product of trivial-unit instances"),
     "absorption": (lambda spec: AbsorptionMonoid(),
                    "pairs (k,m), (k,m)(l,n)=(k+l,n) for l>0; not right cancellative"),
-    "unit_extension": (lambda spec: UnitExtension(make_semigroup(spec["base"]),
-                                                  make_group(spec["units"])),
+    "unit_extension": (lambda spec: UnitExtension(make_semigroup(_field(spec, "base")),
+                                                  make_group(_field(spec, "units"))),
                        "base instance times a finite abelian unit group"),
     "finite_group": (make_group,
                      "multiplication-table group; builtins " + ", ".join(sorted(BUILTIN_GROUPS))),

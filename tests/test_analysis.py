@@ -10,6 +10,7 @@ from ntforge.analysis import (
     ProjectionFamily,
     _aperiodicity_objective,
     _numerical_range_witness,
+    _powell_search,
     action_on_projection_defect,
     aperiodicity_search,
     check_condition_C,
@@ -343,9 +344,11 @@ def test_aperiodicity_trivial_action_stays_at_one():
     res = aperiodicity_search(ps, p, x, b, trials=4, seed=1, maxiter=30)
     assert abs(res.best - 1.0) <= 1e-6
     assert res.witness is not None and abs(res.witness.norm() - 1.0) <= 1e-9
-    # W(I) = {1}: the rank-one certificate is exactly the periodic value
-    assert abs(res.rank_one_bound - 1.0) <= 1e-12
-    assert res.search_best is not None
+    # W(I) = {1}: the support function meets the witness there, so the
+    # bracket closes at the periodic value and no search runs
+    for value in (res.lower_bound, res.rank_one_bound, res.best):
+        assert abs(value - 1.0) <= 1e-12
+    assert res.search_best is None and res.attained_by == "rank-one"
 
 
 def test_aperiodicity_flip_action_with_hereditary_constraint():
@@ -555,6 +558,57 @@ def test_tabulated_objective_matches_arrow_path(case):
     assert (res.rank_one_bound is None) == (backend.kind != "colored")
     assert res.best == min(v for v in (res.rank_one_bound, res.search_best) if v is not None)
     assert abs(ref_value(res.witness) - res.best) <= 1e-12
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _bracket_cases():
+    """Seeded cases on UnitExtension(N, Z2) per dims: an untwisted b near 3
+    (W curved and far from 0, so the bracket stays open by the sweep's
+    error), the same twisted (the twist moves W), a twisted random b on a
+    rank-one h (W(M_c) is a point per color) and an untwisted random b."""
+    ext = UnitExtension(DirectSumN(1), cyclic_group(2))
+    p, x = ext.parse("(1,0)"), ext.parse("(0,1)")
+    rng = np.random.default_rng(17)
+    gauss = lambda d: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))  # noqa: E731
+    for dims in [(2,), (3,), (2, 3)]:
+        ps = ColoredProductSystem(ext, [dims], check_depth=2)
+        for twisted, rank_one, near_one in [
+            (False, False, True), (True, False, True), (True, True, False), (False, False, False),
+        ]:
+            b = ps.arrow(p * x, p, [3.0 * np.eye(d) + 0.3 * gauss(d) if near_one else gauss(d)
+                                    for d in dims])
+            twist = [_random_unitary(rng, d) for d in dims] if twisted else None
+            h = None
+            if rank_one:
+                ws = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+                h = ps.arrow(p, p, [np.outer(w, w.conj()) for w in ws])
+            yield ps, p, x, b, h, twist
+
+
+def test_aperiodicity_bracket_holds_against_powell():
+    """lower_bound is proven for every a on range(h), so no Powell value may
+    go below it; the search runs exactly when the bracket is open."""
+    seen = {"open": 0, "closed-positive": 0}
+    for ps, p, x, b, h, twist in _bracket_cases():
+        slack = 1e-12 * b.norm()
+        res = aperiodicity_search(ps, p, x, b, h=h, twist=twist, trials=1, seed=1, maxiter=1)
+        build, value = _aperiodicity_objective(ps, p, x, b, h, twist)
+        search_best, _ = _powell_search(build, value, ps.space_dim(p, p), 1, 1, 1)
+        assert search_best >= res.lower_bound - slack
+        assert res.lower_bound <= res.best + slack
+        is_open = res.rank_one_bound - res.lower_bound > slack
+        assert (res.search_best is not None) == is_open
+        if res.search_best is not None:
+            assert res.search_best >= res.lower_bound - slack
+            seen["open"] += 1
+        else:
+            assert res.best - res.lower_bound <= slack
+            seen["closed-positive"] += res.lower_bound > 0.1
+    assert seen["open"] >= 2 and seen["closed-positive"] >= 3, seen
 
 
 def test_aperiodicity_zero_b_and_bad_unit():

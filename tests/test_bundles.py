@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from ntforge.analysis import check_graded
+from ntforge.analysis import ConcreteRep, check_graded
 from ntforge.bundles import (
     BlockAction,
     CrossedProductBackend,
@@ -261,6 +261,50 @@ def test_image_algebra_rank_counts_fibers():
     assert image_algebra_rank(group_algebra_bundle(Z3)) == 3
     B = semidirect_bundle(swap_action(Z2, dim=1))
     assert image_algebra_rank(B) == 4
+
+
+def _stacked_rank(bundle, rep, tol=1e-8):
+    """The rank from one SVD of every image stacked: the route the per-grade
+    SVDs of image_algebra_rank replace."""
+    e = bundle.group.identity()
+    m = np.array([
+        np.ravel(rep.phi(rep.backend.arrow(g, e, blocks)))
+        for g in bundle.elements
+        for blocks in bundle.basis(g)
+    ])
+    m = m[:, np.any(m != 0, axis=0)]
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] else 0
+
+
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
+def test_image_algebra_rank_matches_stacked_svd(bundle):
+    rep = regular_representation(bundle)
+    total = sum(bundle.fiber_dim(g) for g in bundle.elements)
+    assert image_algebra_rank(bundle, rep) == _stacked_rank(bundle, rep) == total
+
+
+def test_image_algebra_rank_cuts_off_against_the_largest_grade():
+    """Two grades on disjoint supports whose scales differ by more than
+    1/tol: the one cutoff over all grades drops the small grade, as the
+    stacked SVD does, where a cutoff per grade would keep it."""
+    B = group_algebra_bundle(Z2)
+    backend = precategory_from_bundle(B)
+    e, _ = z2_pair()
+
+    def phi(arrow):
+        m = np.zeros((2, 2), dtype=complex)
+        if arrow.range == e:
+            m[0, 0] = arrow.blocks[0][0, 0]
+        else:
+            m[1, 1] = 1e-10 * arrow.blocks[0][0, 0]
+        return m
+
+    scaled = ConcreteRep(backend, 2, phi, label="scaled")
+    assert image_algebra_rank(B, scaled) == _stacked_rank(B, scaled) == 1
+    overlap = ConcreteRep(backend, 2, lambda a: np.full((2, 2), a.blocks[0][0, 0]), label="overlap")
+    with pytest.raises(ValueError, match="overlap"):
+        image_algebra_rank(B, overlap)
 
 
 def test_ideal_correspondence_well_aligned():

@@ -124,9 +124,13 @@ def _with_checks(*checks):
         (["run", _with_checks({"name": "fock-norm"})], "element"),
         (["bundle", "spectrum", Z2, "--section", "nope"], "nope"),
         (["run", {"semigroup": {"rank": 1}}], "kind"),
+        (["run", {"semigroup": {"kind": "free_monoid"}}], "letters"),
+        (["run", _with_checks("core-norm")], "checks"),
+        (["run", {"semigroup": {"kind": "direct_sum", "rank": 1},
+                  "elements": {"x": [{"range": "1", "source": "0"}]}}], "blocks"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
-         "unknown-section", "missing-kind"],
+         "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"
@@ -263,8 +267,11 @@ def test_aperiodicity_report_carries_certificate(tmp_path):
     flip, trivial = (item["data"] for item in report["items"])
     assert flip["attained_by"] == "rank-one" and flip["search_best"] is None
     assert flip["best"] == flip["rank_one_bound"] <= 1e-12
-    assert abs(trivial["rank_one_bound"] - 1.0) <= 1e-12
-    assert trivial["search_best"] is not None and abs(trivial["best"] - 1.0) <= 1e-6
+    assert flip["lower_bound"] == 0.0
+    # W(I) = {1}: the bracket closes at the periodic value, so no search runs
+    for key in ("lower_bound", "rank_one_bound", "best"):
+        assert abs(trivial[key] - 1.0) <= 1e-12
+    assert trivial["search_best"] is None and trivial["attained_by"] == "rank-one"
     assert _normalized(run_scenario(str(p))) == _normalized(report)
 
 
@@ -530,9 +537,16 @@ def test_console_script_end_to_end():
 
 
 def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    # then a closed-bracket aperiodicity search (the trivial action, W = {1})
+    # still runs no Powell search, so it loads no scipy.optimize either
     code = (
-        "import sys, ntforge; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+        "import sys, numpy as np, ntforge as nt\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+        "ext = nt.UnitExtension(nt.DirectSumN(1), nt.cyclic_group(2))\n"
+        "ps = nt.ColoredProductSystem(ext, [(2,)], check_depth=2)\n"
+        "p, x = ext.parse('(1,0)'), ext.parse('(0,1)')\n"
+        "res = nt.aperiodicity_search(ps, p, x, ps.arrow(p * x, p, [np.eye(2)]))\n"
+        "print(res.search_best, 'scipy.optimize' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -541,4 +555,4 @@ def test_import_leaves_scipy_optimize_and_sparse_unloaded():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "None False", ""]
