@@ -56,12 +56,20 @@ class BlockAction:
             for c, src in enumerate(perms[g]):
                 if self.dims[c] != self.dims[src]:
                     raise ValueError("slot permutation must preserve dimensions")
+        # per g, the slots whose unitary is exactly the identity: there
+        # alpha_g only moves the block, and apply skips the conjugation
+        self._plain = {
+            g: [np.array_equal(u, np.eye(u.shape[0])) for u in us]
+            for g, us in self.unitaries.items()
+        }
         self._check_homomorphism()
 
     def apply(self, g, blocks):
-        perm = self.perms[g]
-        us = self.unitaries[g]
-        return [us[c] @ blocks[perm[c]] @ us[c].conj().T for c in range(len(self.dims))]
+        perm, us, plain = self.perms[g], self.unitaries[g], self._plain[g]
+        return [
+            blocks[perm[c]] if plain[c] else us[c] @ blocks[perm[c]] @ us[c].conj().T
+            for c in range(len(self.dims))
+        ]
 
     def _basis_blocks(self):
         for c, d in enumerate(self.dims):

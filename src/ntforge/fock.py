@@ -8,17 +8,27 @@ shift, so on a fixed source-object t and color c the operator is
 
 for a column operator that does not depend on t.  Operators are therefore
 stored factored: one scipy.sparse CSR matrix per color, the column factor,
-with rows and columns ordered by the truncation set S.  It is built from COO
-triples: the nonzeros of a coefficient block a_c are taken once per key, and
-each is repeated along the diagonal of 1_{dim_c(v)} by index arithmetic (the
-backend's _rtensor_coo), so no a ⊗ 1_v block is ever stored dense.  Sums,
-products, adjoints and norms are sparse operations on the column factors (the
+with rows and columns ordered by the truncation set S.  Sums, products,
+adjoints and norms are sparse operations on the column factors (the
 t-ampliation is isometric and multiplicative); per-t fibers are materialized
 densely on demand for oracles and the t-th restricted representation.
 
+The truncation is indexed: a right-multiplication table over the generators
+and units, and a BFS spanning tree of S, give the index of x·v for every
+v in S with one numpy step per tree level (Truncation.right_orbit).  A key
+(p, q) is placed at every v where both q·v and p·v stay in S, and its
+ampliation a ⊗ 1_v is computed once per ampliation class of v (the color
+dims on the colored backend, v itself elsewhere) and broadcast over the
+class's placements as COO triples, so no a ⊗ 1_v block is ever stored dense.
+
 The norm is the maximum over colors of the column factor's largest singular
-value.  A color slot of at most SMALL_SLOT columns takes a dense SVD; a
-larger one goes to ARPACK (scipy's svds) at relative accuracy tol.
+value.  A color slot of at most SMALL_SLOT columns takes a dense SVD.  A
+larger one runs plain Lanczos on the Gram operator G = A*A (two sparse
+matvecs a step, no reorthogonalisation), stopping once Paige's residual
+estimate beta_k |s_k| of the top Ritz value theta is at most tol * theta; a
+second pass rebuilds the Ritz vector y, whose ||Ay|| / ||y|| is a proven lower
+bound.  A run that misses the rule within its step cap raises
+LanczosNoConvergence.
 
 Truncation keeps all normal forms of word length <= L. Blocks whose target
 leaves S are dropped, so equality assertions are made on interior source
@@ -27,48 +37,118 @@ columns only: if len(s) + margin <= L, the full column over s is exact.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .linalg import rank_of_span, spectral_norm
 from .precategory import StructureReport
 from .wick import NTElement
 
-# Column count up to which a color slot's norm is a dense SVD rather than
-# ARPACK, which needs more columns than singular values asked for.
+# Column count up to which a color slot's norm is a dense SVD.  A larger slot
+# takes plain Lanczos on its Gram operator A*A, stopped once Paige's residual
+# estimate is at most tol times the top Ritz value; past its step cap (ten
+# steps per column) it raises LanczosNoConvergence.
 SMALL_SLOT = 64
 
 
 class Truncation:
-    """The finite window: all normal forms of word length <= depth."""
+    """The finite window: all normal forms of word length <= depth, indexed.
+
+    Besides S (in elements() order) it keeps a right-multiplication table,
+    the index in S of S[i]·g or -1, over the edges g (the generators and the
+    non-identity units), and a BFS spanning tree of S rooted at e, in which
+    every v is reached once, along a shortest edge path.  Construction raises
+    if the tree does not cover S.
+    """
 
     def __init__(self, backend, depth: int):
         self.backend = backend
         self.depth = depth
-        self.S = backend.sg.elements(depth)
+        sg = backend.sg
+        self.S = sg.elements(depth)
         self.index = {s: i for i, s in enumerate(self.S)}
+        self._build_tree(sg)
+        shapes = [backend.shape(s, s) for s in self.S]
         self._col_dims = [
-            [backend.shape(s, s)[c][0] for s in self.S]
+            np.array([sh[c][0] for sh in shapes], dtype=np.int64)
             for c in range(backend.slot_count)
         ]
-        self._col_offsets = [
-            [0] + np.cumsum(d).tolist() for d in self._col_dims
-        ]
+        self._col_offsets = [np.concatenate(([0], np.cumsum(d))) for d in self._col_dims]
         self._col_sources = [
             np.repeat(np.arange(len(self.S)), d) for d in self._col_dims
         ]
+        # v and v' with the same ampliation class have a ⊗ 1_v = a ⊗ 1_v'
+        classes = {}
+        self._amp_class = np.array(
+            [classes.setdefault(backend._ampliation_class(s), len(classes)) for s in self.S],
+            dtype=np.intp,
+        )
+
+    def _build_tree(self, sg):
+        n = len(self.S)
+        edges = list(sg.generators()) + [u for u in sg.unit_tuple if u != sg.one]
+        # normal forms of one instance are equal iff their data are, and
+        # tuples hash without a Python-level call
+        get, mul = {s.data: i for i, s in enumerate(self.S)}.get, sg.mul
+        # row n is the sentinel: an index that has left S stays at -1 (= n)
+        self._child = np.array(
+            [[get(mul(s, g).data, -1) for g in edges] for s in self.S] + [[-1] * len(edges)],
+            dtype=np.intp,
+        ).reshape(n + 1, len(edges))
+        self._root = self.index[sg.one]
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[[self._root, n]] = True
+        frontier = np.array([self._root], dtype=np.intp)
+        self._levels = []  # per tree level: (nodes, their parents, their edges)
+        while frontier.size:
+            kids = self._child[frontier].ravel()
+            fresh = np.flatnonzero(~seen[kids])
+            # the first fresh occurrence of each node: BFS visits it once
+            nodes, first = np.unique(kids[fresh], return_index=True)
+            if not nodes.size:
+                break
+            at = fresh[first]
+            self._levels.append((nodes, frontier[at // len(edges)], at % len(edges)))
+            seen[nodes] = True
+            frontier = nodes
+        if not seen.all():
+            raise ValueError(
+                "the truncation is not reachable from e inside S along the "
+                "generators and units"
+            )
+
+    def right_orbit(self, x):
+        """The index in S of x·v for every v in S, or -1 where x·v leaves S.
+
+        The first tree level is multiplied out, since x itself may lie outside
+        S while x·g does not (absorption: (0,5)(1,0) = (1,0)).  Each deeper
+        level is one read of the child table, which is exact under the
+        premise, held by every shipped instance: along a tree edge u -> u·g
+        with u != e, x·u·g is no shorter than x·u, so once x·u has left S
+        (a length ball) its descendants stay out.
+        """
+        orbit = np.empty(len(self.S), dtype=np.intp)
+        orbit[self._root] = self.index.get(x, -1)
+        if self._levels:
+            nodes = self._levels[0][0]
+            orbit[nodes] = [self.index.get(x * self.S[v], -1) for v in nodes]
+        for nodes, parents, edges in self._levels[1:]:
+            orbit[nodes] = self._child[orbit[parents], edges]
+        return orbit
 
     def interior(self, margin: int):
         sg = self.backend.sg
         return frozenset(s for s in self.S if sg.length(s) + margin <= self.depth)
 
     def col_dim(self, c, s) -> int:
-        return self._col_dims[c][self.index[s]]
+        return int(self._col_dims[c][self.index[s]])
 
     def col_total(self, c) -> int:
-        return self._col_offsets[c][-1]
+        return int(self._col_offsets[c][-1])
 
     def col_offset(self, c, s) -> int:
-        return self._col_offsets[c][self.index[s]]
+        return int(self._col_offsets[c][self.index[s]])
 
     def col_source(self, c):
         """Index into S of the source object of each column of color c."""
@@ -93,11 +173,107 @@ class Truncation:
 
 
 def _csr(n, rows=(), cols=(), vals=()):
-    """n x n complex CSR matrix from COO triples (duplicates are summed)."""
+    """n x n complex CSR matrix from COO triples at distinct positions.
+
+    The CSR arrays are written directly from the triples ordered by
+    position, a third of the cost of scipy's COO route on small slots.  A
+    repeated position raises: its sum would follow no order the caller set.
+    """
     import scipy.sparse as sp
 
-    coords = (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
-    return sp.csr_matrix((np.asarray(vals, dtype=complex), coords), shape=(n, n))
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    pos = rows * n + cols
+    order = np.argsort(pos)
+    pos = pos[order]
+    if (pos[1:] == pos[:-1]).any():
+        raise ValueError("repeated position in a CSR assembly")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    vals = np.asarray(vals, dtype=complex)[order]
+    return sp.csr_matrix((vals, cols[order], indptr), shape=(n, n))
+
+
+class LanczosNoConvergence(RuntimeError):
+    """The Gram Lanczos norm missed its stopping rule within its step cap."""
+
+
+class GramNorm(NamedTuple):
+    """A Gram Lanczos norm with its certificate."""
+
+    value: float  # the larger of sqrt(theta) and lower
+    lower: float  # ||A y|| / ||y|| for the rebuilt Ritz vector y: a proven lower bound
+    residual: float  # ||G y - theta y|| / ||y||
+
+
+def _top_ritz(alphas, betas):
+    """Top eigenvalue theta of the Lanczos tridiagonal and its unit eigenvector."""
+    from scipy.linalg import lapack
+
+    d, e = np.array(alphas), np.array(betas)
+    k = d.size
+    if k == 1:
+        return float(d[0]), np.ones(1)
+    _, w, block, split, info = lapack.dstebz(d, e, 3, 0.0, 0.0, k, k, 0.0, "E")
+    if info == 0:
+        z, info = lapack.dstein(d, e, w[:1], block, split)
+    if info != 0:
+        raise LanczosNoConvergence(f"tridiagonal eigensolver failed (info {info}) at step {k}")
+    return float(w[0]), z[:, 0]
+
+
+def _gram_lanczos(a, tol, cap) -> GramNorm:
+    """Largest singular value of the sparse matrix a: plain Lanczos on a*a.
+
+    G = a*a is formed once as CSR: on lifted slots it holds under twice the
+    nonzeros of a, and one G matvec a step beat the pair a, a* in timing.  No
+    reorthogonalisation: lost orthogonality only repeats converged Ritz
+    values, and the top one is all that is asked.  The stopping rule,
+    beta_k |s_k| <= tol * theta with s_k the last entry of the top Ritz
+    vector of the tridiagonal, is tested every max(1, k // 16) steps, so the
+    tridiagonal solves stay a small share at a cost of at most 1/16 extra
+    steps.  A
+    second pass replays the recurrence to rebuild the Ritz vector y.  Vector
+    updates are in-place BLAS calls, with no temporaries.
+    """
+    from scipy.linalg import blas
+
+    g = (a.conj().T @ a).tocsr()
+    n = a.shape[1]
+    start = np.random.default_rng(0).standard_normal(n).astype(complex)
+    start /= np.linalg.norm(start)
+    alphas, betas = [], []
+    q, q_prev, beta, due = start, None, 0.0, 1
+    for k in range(1, cap + 1):
+        w = g @ q
+        alphas.append(blas.zdotc(q, w).real)
+        w = blas.zaxpy(q, w, a=-alphas[-1])
+        if q_prev is not None:
+            w = blas.zaxpy(q_prev, w, a=-beta)
+        beta = blas.dznrm2(w)
+        if k >= due or beta == 0.0:
+            theta, s = _top_ritz(alphas, betas)
+            if beta * abs(s[-1]) <= tol * theta:
+                break
+            due = k + max(1, k // 16)
+        betas.append(beta)
+        q_prev, q = q, blas.zdscal(1.0 / beta, w)
+    else:
+        raise LanczosNoConvergence(
+            f"Gram Lanczos norm: stopping rule not met in {cap} steps on {n} columns"
+        )
+    y = s[0] * start
+    q, q_prev = start, None
+    for j, beta in enumerate(betas):
+        w = blas.zaxpy(q, g @ q, a=-alphas[j])
+        if q_prev is not None:
+            w = blas.zaxpy(q_prev, w, a=-betas[j - 1])
+        q_prev, q = q, blas.zdscal(1.0 / beta, w)
+        y = blas.zaxpy(q, y, a=s[j + 1])
+    size = blas.dznrm2(y)
+    lower = blas.dznrm2(a @ y) / size
+    residual = blas.dznrm2(blas.zaxpy(y, g @ y, a=-theta)) / size
+    return GramNorm(max(float(np.sqrt(max(theta, 0.0))), lower), lower, residual)
 
 
 class FockOperator:
@@ -138,7 +314,7 @@ class FockOperator:
 
     def restrict_sources(self, sources):
         """Keep only columns whose source index lies in the given set."""
-        return self @ _source_projection(self.tr, sources)
+        return self @ _source_projection(self.tr, _indices(self.tr, sources))
 
     def dense(self):
         """The t = e fiber: block-diagonal over colors of the column factors."""
@@ -169,22 +345,20 @@ class FockOperator:
 
     def _slot_norm(self, c, tol):
         m = self.slots[c]
-        if not m.count_nonzero():
-            return 0.0  # ARPACK refuses the zero operator's start space
         n = m.shape[0]
-        # the CSR slot goes to ARPACK as it is; a small one is cheaper dense
         if n <= SMALL_SLOT:
             return spectral_norm(m.toarray())
-        from scipy.sparse.linalg import svds
-
-        v0 = np.random.default_rng(0).standard_normal(n)
-        return float(svds(m, k=1, tol=tol, v0=v0, return_singular_vectors=False)[0])
+        # ten steps per column, as ARPACK's default iteration cap
+        return _gram_lanczos(m, tol, cap=10 * n).value
 
     def norm(self, tol=1e-8):
         """Operator norm over the whole truncated module (sup over fibers).
 
-        tol is the relative accuracy asked of ARPACK on slots larger than
-        SMALL_SLOT columns; ArpackNoConvergence propagates.
+        A color slot of at most SMALL_SLOT columns takes a dense SVD; a
+        larger one takes the Gram Lanczos iteration, which stops once Paige's
+        residual estimate is at most tol times the top Ritz value of A*A and
+        raises LanczosNoConvergence if that takes more than ten steps per
+        column.
         """
         return max((self._slot_norm(c, tol) for c in range(len(self.slots))), default=0.0)
 
@@ -216,18 +390,30 @@ class FockOperator:
 
 def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
     """Sum over the keys of x, in key order, of the operators that send the
-    columns of s to those of target by a ⊗ 1_v, for each (target, s, v) in
-    placements(p, q).  Within one key every (target, s) occurs once, so the
-    COO triples hold no duplicates and the sums match blockwise addition."""
+    columns of source to those of target by a ⊗ 1_v, for the index arrays
+    (v, target, source) of placements(p, q).  a ⊗ 1_v is taken once per
+    ampliation class of v and broadcast over the class's placements.  Within
+    one key every (target, source) occurs once, so the COO triples hold no
+    duplicates and the sums match blockwise addition."""
     backend = tr.backend
     total = None
     for (p, q), a in x.terms.items():
+        v, target, source = placements(p, q)
         entries = [[] for _ in range(backend.slot_count)]
-        coo = backend._coo(a)
-        for target, s, v in placements(p, q):
-            for c, (i, j, vals) in enumerate(backend._rtensor_coo(a, v, coo)):
-                if vals.size:
-                    entries[c].append((i + tr.col_offset(c, target), j + tr.col_offset(c, s), vals))
+        if v.size:
+            coo = backend._coo(a)
+            label = tr._amp_class[v]
+            order = np.argsort(label, kind="stable")
+            for group in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+                amp = backend._rtensor_coo(a, tr.S[v[group[0]]], coo)
+                for c, (i, j, vals) in enumerate(amp):
+                    if vals.size:
+                        offsets = tr._col_offsets[c]
+                        entries[c].append((
+                            (offsets[target[group], None] + i).ravel(),
+                            (offsets[source[group], None] + j).ravel(),
+                            np.tile(vals, group.size),
+                        ))
         op = FockOperator(tr, [
             _csr(tr.col_total(c), *(np.concatenate(z) for z in zip(*parts)))
             for c, parts in enumerate(entries)
@@ -239,16 +425,14 @@ def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
 def lift(x: NTElement, tr: Truncation) -> FockOperator:
     """Left multiplication by x on the truncated module.
 
-    Key (p,q,a) sends the source block at s in qP to p(q^-1 s); targets
-    outside S are dropped (truncation).
+    Key (p,q,a) sends the source block at s = q·v to p·v, for every v in S
+    with both in S; targets outside S are dropped (truncation).
     """
-    sg = tr.backend.sg
 
     def placements(p, q):
-        for s in tr.S:
-            v = sg.left_divide(q, s)
-            if v is not None and (target := p * v) in tr.index:
-                yield target, s, v
+        at_q, at_p = tr.right_orbit(q), tr.right_orbit(p)
+        v = np.flatnonzero((at_q >= 0) & (at_p >= 0))
+        return v, at_p[v], at_q[v]
 
     return _assemble(x, tr, placements)
 
@@ -260,40 +444,44 @@ def fock_norm(x: NTElement, tr: Truncation, tol=1e-8) -> float:
 def transcendental_expectation(x: NTElement, tr: Truncation) -> FockOperator:
     """Block-diagonal compression of lift(x): sum of Q_w lift(x) Q_w.
 
-    Key (p,q,a) survives at sources w in pP & qP with p^-1 w = q^-1 w.  Over a
-    right-cancellative semigroup that forces p = q; the absorption monoid keeps
-    off-diagonal keys alive (the transcendental part of the core).
+    Key (p,q,a) survives at sources w in pP & qP with p^-1 w = q^-1 w, i.e.
+    at w = q·v = p·v.  Over a right-cancellative semigroup that forces p = q;
+    the absorption monoid keeps off-diagonal keys alive (the transcendental
+    part of the core).
     """
-    sg = tr.backend.sg
 
     def placements(p, q):
-        for w in tr.S:
-            vq = sg.left_divide(q, w)
-            if vq is not None and vq == sg.left_divide(p, w):
-                yield w, w, vq
+        at_q, at_p = tr.right_orbit(q), tr.right_orbit(p)
+        v = np.flatnonzero((at_q >= 0) & (at_q == at_p))
+        return v, at_q[v], at_q[v]
 
     return _assemble(x, tr, placements)
 
 
-def _source_projection(tr: Truncation, sources) -> FockOperator:
-    """Projection onto the columns whose source object lies in sources."""
-    keep = [tr.index[s] for s in sources if s in tr.index]
+def _source_projection(tr: Truncation, keep) -> FockOperator:
+    """Projection onto the columns whose source object has its index in keep."""
+    mask = np.zeros(len(tr.S), dtype=bool)
+    mask[np.asarray(keep, dtype=np.intp)] = True
     slots = []
     for c in range(tr.backend.slot_count):
-        idx = np.flatnonzero(np.isin(tr.col_source(c), keep))
+        idx = np.flatnonzero(mask[tr.col_source(c)])
         slots.append(_csr(tr.col_total(c), idx, idx, np.ones(idx.size)))
     return FockOperator(tr, slots)
 
 
+def _indices(tr: Truncation, elements):
+    return [tr.index[s] for s in elements if s in tr.index]
+
+
 def projection_Qw(w, tr: Truncation) -> FockOperator:
     """Projection onto the blocks with source index w."""
-    return _source_projection(tr, [w])
+    return _source_projection(tr, _indices(tr, [w]))
 
 
 def projection_QT(p, tr: Truncation) -> FockOperator:
-    """Q_<p>: projection onto blocks with source index in pP."""
-    sg = tr.backend.sg
-    return _source_projection(tr, [s for s in tr.S if sg.left_divide(p, s) is not None])
+    """Q_<p>: projection onto blocks with source index in pP, i.e. p·v for v in S."""
+    at_p = tr.right_orbit(p)
+    return _source_projection(tr, at_p[at_p >= 0])
 
 
 class FiberRestriction:

@@ -244,6 +244,11 @@ class _BackendBase:
         taken once per arrow by callers that amplify it many times."""
         return self._coo(self._rtensor(a, r))
 
+    def _ampliation_class(self, r):
+        """A hashable key on which a x 1_r depends alone, for every arrow a:
+        r itself unless the backend knows a coarser one."""
+        return r
+
 
 def _amplify(b, d):
     """kron(b, 1_d): b written into the diagonal slices of an (m, d, n, d) array."""
@@ -288,12 +293,12 @@ class ColoredProductSystem(_BackendBase):
     def dim(self, p):
         cached = self._dim_cache.get(p)
         if cached is None:
-            exps = self.sg.gen_exponents(p)
-            cached = tuple(
-                int(np.prod([row[c] ** e for row, e in zip(self.gen_dims, exps)], initial=1))
-                for c in range(self.slot_count)
-            )
-            self._dim_cache[p] = cached
+            dims = [1] * self.slot_count
+            for row, e in zip(self.gen_dims, self.sg.gen_exponents(p)):
+                if e:
+                    for c, d in enumerate(row):
+                        dims[c] *= d**e
+            cached = self._dim_cache[p] = tuple(dims)
         return cached
 
     def shape(self, p, q):
@@ -322,6 +327,10 @@ class ColoredProductSystem(_BackendBase):
             self, a.range * r, a.source * r,
             [b if d == 1 else _amplify(b, d) for b, d in zip(a.blocks, self.dim(r))],
         )
+
+    def _ampliation_class(self, r):
+        # a x 1_r is the kron with 1_{dim(r)[c]} in every color
+        return self.dim(r)
 
     def _rtensor_coo(self, a, r, coo):
         # kron(b, 1_d) holds b[i, j] at (i d + k, j d + k) for k < d

@@ -468,10 +468,13 @@ CHECKS = {
         "depth: the largest over colors of the norm of the column factor (the\n"
         "fibers over source objects only ampliate it), stored as one sparse\n"
         f"matrix per color.  A color slot of at most {SMALL_SLOT} columns takes a dense\n"
-        "SVD; a larger one goes to ARPACK at the scenario's tol as relative\n"
-        "accuracy.  Reports {norm, exact, depth}; exact is true when the\n"
-        "truncation provably attains the limit (diagonal element, depth at\n"
-        "least max key length + 2)."),
+        "SVD; a larger one takes plain Lanczos on its Gram operator A*A, which\n"
+        "stops once Paige's residual estimate beta_k |s_k| is at most the\n"
+        "scenario's tol times the top Ritz value; past ten steps per column it\n"
+        "raises LanczosNoConvergence, reported as an error item.  Reports\n"
+        "{norm, exact, depth}; exact is true when the truncation provably\n"
+        "attains the limit (diagonal element, depth at least max key\n"
+        "length + 2)."),
     "norm-agreement": Check(run_norm_agreement, ("element",), (),
         "Cross-check that core-norm and fock-norm agree on a diagonal core\n"
         "element at depth max key length + 2, the Fock norm solved at the\n"
@@ -523,7 +526,8 @@ CHECKS = {
         "element equality Q_p = Q_<p>.  Q_p = phi(1_p), the image of the unit\n"
         "of K(p,p); Q_<p> is the range projection of the sum of the phi(1_w)\n"
         "over the window's w in pP, by eigh with relative cutoff 1e-8.  depth is\n"
-        "the word length of the pairs and tol bounds each defect.\n"
+        "the word length of the pairs and tol bounds each defect; tol defaults\n"
+        "to 1e-9 and does not follow the scenario's settings.tol.\n"
         "Certificate: worst defect per law."),
     "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b"), ("h", "twist", "trials", "seed"),
         "Bracket the infimum of |alpha(a) b a| over positive norm-one a supported\n"
@@ -550,7 +554,9 @@ CHECKS = {
         "family: the identity-fiber coefficient satisfies |b_e| <= |sum_g\n"
         "phi(b_g)| on every sample.  Collapsing representations (for instance\n"
         "sending a unitary generator to 1) fail on elements like 1 - u.\n"
-        "The samples are random fibers plus the named sections."),
+        "The samples are random fibers plus the named sections.  tol is the\n"
+        "slack of the inequality; it defaults to 1e-9 and does not follow the\n"
+        "scenario's settings.tol."),
     "bundle-roundtrip": Check(run_bundle_roundtrip, (), ("seed",),
         "Rebuild the fiber family from its own arrow category and replay random\n"
         "products and stars along both routes.  Verdict: pass iff every replay\n"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 
 
@@ -457,29 +458,26 @@ class FreeProduct(RightLcmSemigroup):
         )
 
     def elements(self, depth):
-        factor_chunks = [
-            [
-                el
-                for el in f.elements(depth)
-                if el != f.one
-            ]
+        # per factor, (data, length, sort key) of each non-identity element:
+        # a word's sort_key is grown block by block along with the word
+        chunks = [
+            [(x.data, f.length(x), f.sort_key(x)) for x in f.elements(depth) if x != f.one]
             for f in self.factors
         ]
-
         out = []
 
-        def grow(word, used, last):
-            out.append(self.el(word))
-            for i, chunk in enumerate(factor_chunks):
+        def grow(word, used, key, last):
+            out.append(((used, key), word))
+            for i, chunk in enumerate(chunks):
                 if i == last:
                     continue
-                for x in chunk:
-                    l = self.factors[i].length(x)
-                    if used + l <= depth:
-                        grow(word + ((i, x.data),), used + l, i)
+                for data, length, sk in chunk:
+                    if used + length <= depth:
+                        grow(word + ((i, data),), used + length, key + ((i, sk),), i)
 
-        grow((), 0, -1)
-        return sorted(out, key=self.sort_key)
+        grow((), 0, (), -1)
+        out.sort(key=operator.itemgetter(0))
+        return [self.el(word) for _, word in out]
 
     def sort_key(self, p):
         length = 0

@@ -538,7 +538,9 @@ def test_console_script_end_to_end():
 
 def test_import_leaves_scipy_optimize_and_sparse_unloaded():
     # then a closed-bracket aperiodicity search (the trivial action, W = {1})
-    # still runs no Powell search, so it loads no scipy.optimize either
+    # still runs no Powell search, so it loads no scipy.optimize either; and a
+    # Fock norm on a slot above SMALL_SLOT (126 columns) takes the Gram
+    # Lanczos path, which loads no scipy.sparse.linalg
     code = (
         "import sys, numpy as np, ntforge as nt\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
@@ -547,6 +549,9 @@ def test_import_leaves_scipy_optimize_and_sparse_unloaded():
         "p, x = ext.parse('(1,0)'), ext.parse('(0,1)')\n"
         "res = nt.aperiodicity_search(ps, p, x, ps.arrow(p * x, p, [np.eye(2)]))\n"
         "print(res.search_best, 'scipy.optimize' in sys.modules)\n"
+        "tr = nt.Truncation(ps, 5)\n"
+        "y = nt.nt_monomial(ps, p, ext.identity(), [np.ones((2, 1))])\n"
+        "print(tr.col_total(0), round(nt.fock_norm(y, tr), 12), 'scipy.sparse.linalg' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -555,4 +560,4 @@ def test_import_leaves_scipy_optimize_and_sparse_unloaded():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "None False", ""]
+    assert proc.stdout.split("\n") == ["[]", "None False", f"126 {round(2 ** 0.5, 12)} False", ""]

@@ -6,10 +6,13 @@ import zlib
 import numpy as np
 import pytest
 
+from ntforge.bundles import precategory_from_bundle, semidirect_bundle, trivial_action
 from ntforge.fock import (
     SMALL_SLOT,
     FockOperator,
+    LanczosNoConvergence,
     Truncation,
+    _gram_lanczos,
     check_divisor_closure,
     check_reducing_condition,
     fock_norm,
@@ -19,12 +22,17 @@ from ntforge.fock import (
     projection_Qw,
     transcendental_expectation,
 )
+from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColoredProductSystem, ZeroTensorBackend, full_ideal
 from ntforge.semigroups import (
+    INSTANCE_KINDS,
     AbsorptionMonoid,
     DirectSumN,
+    UnitExtension,
     cyclic_group,
     free_monoid,
+    make_semigroup,
+    symmetric_group_3,
 )
 from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_monomial, nt_mul
 
@@ -129,7 +137,7 @@ def test_truncated_toeplitz_norm_vs_closed_form():
     u = scalar(ps_N, "1", "0")
     x = u + nt_adjoint(u)
     vals = []
-    for L in (3, 4, 5, 20, 22, 1000):  # L = 1000 is above SMALL_SLOT: ARPACK
+    for L in (3, 4, 5, 20, 22, 1000):  # L = 1000 is above SMALL_SLOT: Lanczos
         tr = Truncation(ps_N, L)
         got = fock_norm(x, tr)
         # (L+1)-point tridiagonal with unit off-diagonals
@@ -161,7 +169,7 @@ def test_factored_norm_matches_fiberwise_assembly():
     for _ in range(6):
         op = lift(random_element(ps_FM, rng, pool=FM.elements(2)), tr)
         assert abs(op.norm() - op.norm_by_fibers()) <= 1e-10
-    # both color slots above SMALL_SLOT: ARPACK against the dense SVD of the
+    # both color slots above SMALL_SLOT: Lanczos against the dense SVD of the
     # t = e fiber, which holds both column factors
     tr = Truncation(ps_FM, 4)
     assert min(tr.col_total(c) for c in range(2)) > SMALL_SLOT
@@ -172,7 +180,7 @@ def test_factored_norm_matches_fiberwise_assembly():
             x.add_term(p, q, ps_FM.random_arrow(p, q, rng))
         op = lift(x, tr)
         assert abs(op.norm() - op.norm_by_fibers(ts=[FM.identity()])) <= 1e-10
-    assert (op - op).norm() == 0.0  # ARPACK refuses an all-zero operator
+    assert (op - op).norm() == 0.0  # an all-zero slot above SMALL_SLOT
     # zero-tensor backend: K(s,t) = 0 off the diagonal, so each fiber holds
     # only its own diagonal block
     zb = ZeroTensorBackend([1, 2, 2])
@@ -257,13 +265,18 @@ def _reference_projection_QT(p, tr):
 ps_N2_21 = ColoredProductSystem(N2, gen_dims=[(2,), (1,)])
 ps_AB_21 = ColoredProductSystem(AbsorptionMonoid(), gen_dims=[(2,), (1,)])
 zb_122 = ZeroTensorBackend([1, 2, 2])
+# units (e, 1) act with dimension 1, so every a x 1_v is still a kron
+ps_EXT = ColoredProductSystem(UnitExtension(N2, cyclic_group(2)), gen_dims=[(2, 1), (1, 2)])
+# a bundle backend over S3: every object is a unit, right tensoring the identity
+bundle_S3 = precategory_from_bundle(semidirect_bundle(trivial_action(symmetric_group_3(), [2, 1])))
+
+BACKENDS = [(ps_N, 5), (ps_N2_21, 5), (ps_FM, 4), (ps_AB, 4), (ps_AB_21, 4), (zb_122, 3),
+            (ps_EXT, 3), (bundle_S3, 1)]
+BACKEND_IDS = ["N", "N2-dims21", "FM-two-colors", "absorb", "absorb-dims21", "zero-tensor",
+               "ext-N2-Z2", "bundle-S3"]
 
 
-@pytest.mark.parametrize(
-    "ps,depth",
-    [(ps_N, 5), (ps_N2_21, 5), (ps_FM, 4), (ps_AB, 4), (ps_AB_21, 4), (zb_122, 3)],
-    ids=["N", "N2-dims21", "FM-two-colors", "absorb", "absorb-dims21", "zero-tensor"],
-)
+@pytest.mark.parametrize("ps,depth", BACKENDS, ids=BACKEND_IDS)
 def test_sparse_slots_equal_dense_block_reference(ps, depth):
     rng = random.Random(f"{ps.sg.tag}-{ps.kind}-{depth}")
     tr = Truncation(ps, depth)
@@ -288,6 +301,165 @@ def test_sparse_slots_equal_dense_block_reference(ps, depth):
         got, want = projection_QT(p, tr), _reference_projection_QT(p, tr)
         for c in range(ps.slot_count):
             assert np.array_equal(got.slots[c].toarray(), want[c])
+            assert got.slots[c].nnz == np.count_nonzero(want[c])
+
+
+# one spec per instance kind; free_product mixes in the absorption monoid,
+# whose products can be shorter than their factors
+INSTANCE_SPECS = {
+    "direct_sum": ({"kind": "direct_sum", "rank": 2}, 4),
+    "free_monoid": ({"kind": "free_monoid", "letters": "abc"}, 3),
+    "free_product": ({"kind": "free_product", "factors": [
+        {"kind": "absorption"}, {"kind": "direct_sum", "rank": 1}]}, 4),
+    "absorption": ({"kind": "absorption"}, 5),
+    "unit_extension": ({"kind": "unit_extension", "base": {"kind": "free_monoid", "letters": "ab"},
+                        "units": "Z3"}, 3),
+    "finite_group": ({"kind": "finite_group", "name": "S3"}, 1),
+}
+
+
+def test_instance_specs_cover_every_kind():
+    assert set(INSTANCE_SPECS) == set(INSTANCE_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(INSTANCE_SPECS))
+def test_truncation_tree_and_right_orbits_match_left_divide_scan(kind):
+    spec, depth = INSTANCE_SPECS[kind]
+    sg = make_semigroup(spec)
+    ps = ColoredProductSystem(sg, gen_dims=[(1,)] * len(sg.generators()), colors=1)
+    tr = Truncation(ps, depth)
+    assert tr.S == sg.elements(depth)
+    # the BFS tree covers S once, each level one edge below the last
+    level_of = {tr.index[sg.one]: 0}
+    for k, (nodes, parents, edges) in enumerate(tr._levels, start=1):
+        for v, u, g in zip(nodes.tolist(), parents.tolist(), edges.tolist()):
+            assert v not in level_of and level_of[u] == k - 1
+            assert tr.S[u] * tr.S[tr._child[tr._root, g]] == tr.S[v]
+            level_of[v] = k
+    assert sorted(level_of) == list(range(len(tr.S)))
+    # the premise: below the root, a tree edge u -> ug never shortens x u
+    window = sg.elements(depth + 2)
+    for nodes, parents, edges in tr._levels[1:]:
+        for v, u in zip(nodes.tolist(), parents.tolist()):
+            for x in window:
+                assert sg.length(x * tr.S[v]) >= sg.length(x * tr.S[u])
+    # the orbit arrays against the scan over S, for x inside and outside S
+    for x in window:
+        want = np.full(len(tr.S), -1)
+        for i, s in enumerate(tr.S):
+            v = sg.left_divide(x, s)
+            if v is not None:
+                assert v in tr.index  # quotients of S stay in S
+                want[tr.index[v]] = i
+        assert np.array_equal(tr.right_orbit(x), want)
+
+
+def test_lift_amplifies_once_per_key_and_dim_class(monkeypatch):
+    # ab depth 8: a x 1_v depends on v only through dim(v), so lift takes one
+    # ampliation per (key, dim class), not one per placement
+    ps = ColoredProductSystem(FM, gen_dims=[(2, 1), (1, 2)])
+    tr = Truncation(ps, 8)
+    rng = random.Random(7)
+    x = NTElement(ps)
+    for p, q in [("a", "e"), ("e", "b"), ("ab", "ab")]:
+        p, q = FM.parse(p), FM.parse(q)
+        x.add_term(p, q, ps.random_arrow(p, q, rng))
+    calls = []
+    real = ps._rtensor_coo
+    monkeypatch.setattr(ps, "_rtensor_coo", lambda a, r, coo: calls.append(r) or real(a, r, coo))
+    op = lift(x, tr)
+    classes = placements = 0
+    for (p, q), a in x.terms.items():
+        dims = set()
+        for s in tr.S:
+            v = FM.left_divide(q, s)
+            if v is not None and p * v in tr.index:
+                dims.add(ps.dim(v))
+                placements += 1
+        classes += len(dims)
+    assert len(calls) == classes
+    assert placements > 5 * classes
+    # the broadcast reaches every placement: one stored entry per nonzero of
+    # each a x 1_v (no two keys share a (target, source) block here)
+    nnz = sum(
+        np.count_nonzero(b) * d
+        for (p, q), a in x.terms.items()
+        for s in tr.S
+        if (v := FM.left_divide(q, s)) is not None and p * v in tr.index
+        for b, d in zip(a.blocks, ps.dim(v))
+    )
+    assert sum(m.nnz for m in op.slots) == nnz
+
+
+# every backend, at a depth where some color slot is just above SMALL_SLOT
+LANCZOS_BACKENDS = [(ps_N, 66), (ps_N2_21, 5), (ps_FM, 4), (ps_AB, 10), (ps_AB_21, 5),
+                    (zb_122, 33), (ps_EXT, 4), (
+                        precategory_from_bundle(semidirect_bundle(
+                            trivial_action(symmetric_group_3(), [11, 2]))), 1)]
+
+
+@pytest.mark.parametrize("ps,depth", LANCZOS_BACKENDS, ids=BACKEND_IDS)
+def test_lanczos_norm_matches_dense_svd_on_every_backend(ps, depth):
+    rng = random.Random(f"lanczos-{ps.sg.tag}-{ps.kind}")
+    tr = Truncation(ps, depth)
+    assert max(tr.col_total(c) for c in range(ps.slot_count)) in range(SMALL_SLOT + 1, 2 * SMALL_SLOT)
+    pool = ps.sg.elements(1)
+    x = NTElement(ps)
+    for _ in range(3):
+        p, q = rng.choice(pool), rng.choice(pool)
+        if ps.kind == "zero":
+            q = p
+        x.add_term(p, q, ps.random_arrow(p, q, rng))
+    op = lift(x, tr)
+    want = max(spectral_norm(m.toarray()) for m in op.slots)
+    assert abs(op.norm() - want) <= 1e-8 * want
+
+
+def _lanczos_cases(n, rng):
+    """Zero, rank-one and a repeated top singular value, with their norms."""
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    top = np.linspace(1.0, 0.0, n)
+    top[:2] = 3.0
+    return [
+        ("zero", np.zeros((n, n)), 0.0),
+        ("rank-one", np.outer(u, v.conj()), np.linalg.norm(u) * np.linalg.norm(v)),
+        ("repeated-top", (q1 * top) @ q2, 3.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [SMALL_SLOT + 1, SMALL_SLOT + 7])
+def test_lanczos_special_slots_and_lower_bound(n):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(n)
+    tol = 1e-8
+    for name, dense, sigma in _lanczos_cases(n, rng):
+        res = _gram_lanczos(sp.csr_matrix(dense), tol, cap=10 * n)
+        assert res.lower <= res.value, name
+        assert res.lower >= (1 - tol) * sigma, name
+        assert abs(res.value - sigma) <= tol * sigma, name
+
+
+def test_lanczos_step_cap_raises_named_error():
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(3)
+    a = sp.csr_matrix(rng.standard_normal((SMALL_SLOT + 1, SMALL_SLOT + 1)))
+    with pytest.raises(LanczosNoConvergence, match="not met in 3 steps"):
+        _gram_lanczos(a, 1e-8, cap=3)
+    assert _gram_lanczos(a, 1e-8, cap=10 * a.shape[0]).value > 0
+
+
+def test_csr_assembly_rejects_repeated_positions():
+    from ntforge.fock import _csr
+
+    m = _csr(3, [2, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
+    assert np.array_equal(m.toarray(), [[0, 0, 2], [0, 3, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match="repeated position"):
+        _csr(3, [0, 1, 0], [1, 1, 1], [1.0, 2.0, 3.0])
 
 
 def test_lift_stores_no_dense_kron_blocks():
