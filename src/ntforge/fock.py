@@ -88,12 +88,13 @@ class Truncation:
     def _build_tree(self, sg):
         n = len(self.S)
         edges = list(sg.generators()) + [u for u in sg.unit_tuple if u != sg.one]
-        # normal forms of one instance are equal iff their data are, and
-        # tuples hash without a Python-level call
-        get, mul = {s.data: i for i, s in enumerate(self.S)}.get, sg.mul
+        # normal forms of one instance are equal iff their data are, so the
+        # table is built on data through the instance's product hook
+        get, mul = {s.data: i for i, s in enumerate(self.S)}.get, sg._mul
+        gs = [g.data for g in edges]
         # row n is the sentinel: an index that has left S stays at -1 (= n)
         self._child = np.array(
-            [[get(mul(s, g).data, -1) for g in edges] for s in self.S] + [[-1] * len(edges)],
+            [[get(mul(s.data, g), -1) for g in gs] for s in self.S] + [[-1] * len(edges)],
             dtype=np.intp,
         ).reshape(n + 1, len(edges))
         self._root = self.index[sg.one]

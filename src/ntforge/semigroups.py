@@ -21,7 +21,14 @@ Shipped instances:
 * :class:`FiniteGroup` -- multiplication-table groups, where every element
   is a unit and every pair has ideal intersection equal to the whole group.
 
-Elements are immutable and hashable; equality is equality of normal forms.
+Elements are immutable and hashable; equality is equality of normal forms,
+and the hash (that of the data) is computed once per element.
+
+Each instance implements the arithmetic as the hooks ``_mul``, ``_ldiv`` and
+``_lcm`` on normal-form data: data in, data or ``None`` out.  The base class
+alone defines ``mul``, ``left_divide`` and ``right_lcm``, which check the
+instance once per call and wrap the hook's result in one :class:`Element`;
+composite instances call their factors' hooks directly.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ import re
 class Element:
     """An element of a semigroup instance, stored in canonical normal form."""
 
-    __slots__ = ("sg", "data")
+    __slots__ = ("sg", "data", "_hash")
 
     def __init__(self, sg, data):
         self.sg = sg
         self.data = data
+        # equal elements have equal data, so the data alone is a valid hash
+        self._hash = hash(data)
 
     def __mul__(self, other):
         return self.sg.mul(self, other)
@@ -52,8 +61,7 @@ class Element:
         )
 
     def __hash__(self):
-        # equal elements have equal data, so the data alone is a valid hash
-        return hash(self.data)
+        return self._hash
 
     def __repr__(self):
         return self.sg.format(self)
@@ -75,19 +83,27 @@ class RightLcmSemigroup:
     right_cancellative = True
 
     # -- abstract hooks -----------------------------------------------------
+    # _mul, _ldiv, _lcm: normal-form data in, data or None out, no checks;
+    # mul, left_divide and right_lcm check the instance once and wrap.
 
     def identity(self) -> Element:
         raise NotImplementedError
 
-    def mul(self, p: Element, q: Element) -> Element:
+    def _mul(self, a, b):
+        """The data of p*q, for p, q with data a, b."""
         raise NotImplementedError
 
-    def left_divide(self, p: Element, w: Element):
-        """The unique r with p*r == w, or None.  Uniqueness is left cancellation."""
+    def _ldiv(self, a, b):
+        """The data of the unique r with p*r == w, or None; p, w have data a, b."""
+        raise NotImplementedError
+
+    def _lcm(self, a, b):
+        """The data of some generator of pP & qP, or None; canonicalized by right_lcm."""
         raise NotImplementedError
 
     def units(self):
-        raise NotImplementedError
+        """The unit group P*; trivial unless the instance overrides it."""
+        return (self.identity(),)
 
     def generators(self):
         raise NotImplementedError
@@ -110,10 +126,6 @@ class RightLcmSemigroup:
 
     def gen_exponents(self, p: Element):
         """Abelianized generator multiplicities of p, aligned with generators()."""
-        raise NotImplementedError
-
-    def _raw_lcm(self, p: Element, q: Element):
-        """Some generator of pP & qP, or None; canonicalized by right_lcm."""
         raise NotImplementedError
 
     # -- shared layer -------------------------------------------------------
@@ -144,16 +156,34 @@ class RightLcmSemigroup:
     def is_unit(self, p: Element) -> bool:
         return p in self.unit_tuple
 
+    # the identity test settles elements of this very instance; any other
+    # element takes the full tag check
+
+    def mul(self, p: Element, q: Element) -> Element:
+        if p.sg is not self or q.sg is not self:
+            self.check_same(p, q)
+        return Element(self, self._mul(p.data, q.data))
+
+    def left_divide(self, p: Element, w: Element):
+        """The unique r with p*r == w, or None.  Uniqueness is left cancellation."""
+        if p.sg is not self or w.sg is not self:
+            self.check_same(p, w)
+        d = self._ldiv(p.data, w.data)
+        return None if d is None else Element(self, d)
+
     def right_lcm(self, p: Element, q: Element):
         """Canonical generator of pP & qP, or None when the intersection is empty.
 
         Canonical means least sort_key within the unit orbit {r*x : x in P*}.
         """
-        self.check_same(p, q)
-        r = self._raw_lcm(p, q)
-        if r is None or self.trivial_units:
-            return r
-        return min((r * x for x in self.unit_tuple), key=self.sort_key)
+        if p.sg is not self or q.sg is not self:
+            self.check_same(p, q)
+        r = self._lcm(p.data, q.data)
+        if r is None:
+            return None
+        if self.trivial_units:
+            return Element(self, r)
+        return min((Element(self, self._mul(r, x.data)) for x in self.unit_tuple), key=self.sort_key)
 
 
 class DirectSumN(RightLcmSemigroup):
@@ -168,20 +198,15 @@ class DirectSumN(RightLcmSemigroup):
     def identity(self):
         return self.el((0,) * self.rank)
 
-    def mul(self, p, q):
-        self.check_same(p, q)
-        return self.el(tuple(a + b for a, b in zip(p.data, q.data)))
+    def _mul(self, a, b):
+        return tuple(map(operator.add, a, b))
 
-    def left_divide(self, p, w):
-        self.check_same(p, w)
-        diff = tuple(b - a for a, b in zip(p.data, w.data))
-        return self.el(diff) if all(d >= 0 for d in diff) else None
+    def _ldiv(self, a, b):
+        diff = tuple(map(operator.sub, b, a))
+        return diff if min(diff) >= 0 else None
 
-    def _raw_lcm(self, p, q):
-        return self.el(tuple(max(a, b) for a, b in zip(p.data, q.data)))
-
-    def units(self):
-        return (self.identity(),)
+    def _lcm(self, a, b):
+        return tuple(map(max, a, b))
 
     def generators(self):
         out = []
@@ -257,20 +282,18 @@ class FiniteGroup(RightLcmSemigroup):
     def identity(self):
         return self.el(self._ident)
 
-    def mul(self, p, q):
-        self.check_same(p, q)
-        return self.el(self.table[(p.data, q.data)])
+    def _mul(self, a, b):
+        return self.table[(a, b)]
 
     def inverse(self, p):
         return self.el(self._inv[p.data])
 
-    def left_divide(self, p, w):
-        self.check_same(p, w)
-        return self.inverse(p) * w
+    def _ldiv(self, a, b):
+        return self.table[(self._inv[a], b)]
 
-    def _raw_lcm(self, p, q):
+    def _lcm(self, a, b):
         # pP & qP is the whole group; any element generates it.
-        return self.identity()
+        return self._ident
 
     def units(self):
         return tuple(self.el(n) for n in self.names)
@@ -384,66 +407,51 @@ class FreeProduct(RightLcmSemigroup):
     def identity(self):
         return self.el(())
 
-    def mul(self, p, q):
-        self.check_same(p, q)
-        a, b = p.data, q.data
+    def _mul(self, a, b):
         if not a:
-            return self.el(b)
+            return b
         if not b:
-            return self.el(a)
+            return a
         (i, x), (j, y) = a[-1], b[0]
         if i != j:
-            return self.el(a + b)
-        f = self.factors[i]
-        merged = f.mul(Element(f, x), Element(f, y))
-        return self.el(a[:-1] + ((i, merged.data),) + b[1:])
+            return a + b
+        return a[:-1] + ((i, self.factors[i]._mul(x, y)),) + b[1:]
 
-    def left_divide(self, p, w):
-        self.check_same(p, w)
-        a, b = p.data, w.data
-        n, m = len(a), len(b)
-        if n == 0:
-            return self.el(b)
-        if n > m or a[: n - 1] != b[: n - 1]:
-            return None
-        (i, x), (j, y) = a[n - 1], b[n - 1]
-        if i != j:
-            return None
-        f = self.factors[i]
-        d = f.left_divide(Element(f, x), Element(f, y))
-        if d is None:
-            return None
-        if d == f.one:
-            return self.el(b[n:])
-        return self.el(((i, d.data),) + b[n:])
-
-    def _raw_lcm(self, p, q):
-        a, b = p.data, q.data
-        if len(a) > len(b):
-            a, b = b, a
+    def _ldiv(self, a, b):
         n = len(a)
         if n == 0:
-            return self.el(b)
-        if a[: n - 1] != b[: n - 1]:
+            return b
+        if n > len(b) or a[: n - 1] != b[: n - 1]:
             return None
         (i, x), (j, y) = a[n - 1], b[n - 1]
         if i != j:
             return None
         f = self.factors[i]
-        if len(b) > n:
+        d = f._ldiv(x, y)
+        if d is None:
+            return None
+        if d == f.one.data:
+            return b[n:]
+        return ((i, d),) + b[n:]
+
+    def _lcm(self, a, b):
+        n, m = len(a), len(b)
+        if n > m:
+            a, b, n, m = b, a, m, n
+        if n == 0:
+            return b
+        (i, x), (j, y) = a[n - 1], b[n - 1]
+        if i != j or a[: n - 1] != b[: n - 1]:
+            return None
+        f = self.factors[i]
+        if m > n:
             # common multiples exist iff the last block of the shorter word
             # divides the matching block of the longer one, and then the
             # longer word generates the intersection
-            if f.left_divide(Element(f, x), Element(f, y)) is None:
-                return None
-            return self.el(b)
-        r = f.right_lcm(Element(f, x), Element(f, y))
-        if r is None:
-            return None
-        return self.el(a[: n - 1] + ((i, r.data),))
-
-    def units(self):
-        return (self.identity(),)
+            return None if f._ldiv(x, y) is None else b
+        # the factor has trivial units, so its raw LCM is already canonical
+        r = f._lcm(x, y)
+        return None if r is None else a[: n - 1] + ((i, r),)
 
     def generators(self):
         out = []
@@ -565,28 +573,17 @@ class UnitExtension(RightLcmSemigroup):
         b, u = p.data
         return Element(self.base, b), Element(self.u, u)
 
-    def mul(self, p, q):
-        self.check_same(p, q)
-        pb, pu = self._split(p)
-        qb, qu = self._split(q)
-        return self.el(((pb * qb).data, (pu * qu).data))
+    def _mul(self, a, b):
+        return (self.base._mul(a[0], b[0]), self.u._mul(a[1], b[1]))
 
-    def left_divide(self, p, w):
-        self.check_same(p, w)
-        pb, pu = self._split(p)
-        wb, wu = self._split(w)
-        d = self.base.left_divide(pb, wb)
-        if d is None:
-            return None
-        return self.el((d.data, self.u.left_divide(pu, wu).data))
+    def _ldiv(self, a, b):
+        d = self.base._ldiv(a[0], b[0])
+        return None if d is None else (d, self.u._ldiv(a[1], b[1]))
 
-    def _raw_lcm(self, p, q):
-        pb, _ = self._split(p)
-        qb, _ = self._split(q)
-        r = self.base.right_lcm(pb, qb)
-        if r is None:
-            return None
-        return self.el((r.data, self.u.identity().data))
+    def _lcm(self, a, b):
+        # the base has trivial units, so its raw LCM is already canonical
+        r = self.base._lcm(a[0], b[0])
+        return None if r is None else (r, self.u.one.data)
 
     def units(self):
         e = self.base.identity().data
@@ -645,31 +642,24 @@ class AbsorptionMonoid(RightLcmSemigroup):
     def identity(self):
         return self.el((0, 0))
 
-    def mul(self, p, q):
-        self.check_same(p, q)
-        k, m = p.data
-        l, n = q.data
-        return self.el((k + l, n) if l > 0 else (k, m + n))
+    def _mul(self, a, b):
+        (k, m), (l, n) = a, b
+        return (k + l, n) if l > 0 else (k, m + n)
 
-    def left_divide(self, p, w):
-        self.check_same(p, w)
-        k, m = p.data
-        kk, mm = w.data
+    def _ldiv(self, a, b):
+        (k, m), (kk, mm) = a, b
         if kk > k:
-            return self.el((kk - k, mm))
+            return (kk - k, mm)
         if kk == k and mm >= m:
-            return self.el((0, mm - m))
+            return (0, mm - m)
         return None
 
-    def _raw_lcm(self, p, q):
+    def _lcm(self, a, b):
         # pP = {(K, N) : K > k} | {(k, M) : M >= m}
-        (k, m), (kk, mm) = p.data, q.data
+        (k, m), (kk, mm) = a, b
         if k == kk:
-            return self.el((k, max(m, mm)))
-        return self.el((kk, mm)) if k < kk else self.el((k, m))
-
-    def units(self):
-        return (self.identity(),)
+            return (k, max(m, mm))
+        return b if k < kk else a
 
     def generators(self):
         return [self.el((1, 0)), self.el((0, 1))]

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from ntforge.semigroups import (
     DirectSumN,
     Element,
     FreeProduct,
+    MismatchError,
     UnitExtension,
     check_controlled_map,
     controlled_abelianization,
@@ -16,6 +18,7 @@ from ntforge.semigroups import (
     klein_group,
     make_semigroup,
     symmetric_group_3,
+    INSTANCE_KINDS,
     SemigroupHom,
 )
 from ntforge.precategory import ColoredProductSystem
@@ -264,9 +267,175 @@ def test_controlled_map_matches_reference(theta, depth):
     assert (report.ok, report.checked, report.failures) == _reference_controlled_map(theta, depth)
 
 
+# -- the public layer over the data hooks -------------------------------------
+
+KERNEL_INSTANCES = INSTANCES + [
+    (FreeProduct([DirectSumN(2), DirectSumN(1)], names=["u", "v"]), 2),
+]
+FOREIGN = DirectSumN(7).identity()  # its tag N^7 is no instance's above
+
+
+@pytest.mark.parametrize("sg,depth", KERNEL_INSTANCES, ids=lambda v: getattr(v, "tag", v))
+def test_public_operations_check_the_instance(sg, depth):
+    twin = copy.deepcopy(sg)  # a second, distinct instance with the same tag
+    assert twin is not sg and twin.tag == sg.tag
+    els = sg.elements(depth)
+    ops = [(sg.mul, twin.mul), (sg.left_divide, twin.left_divide), (sg.right_lcm, twin.right_lcm)]
+    for op, _ in ops:
+        for args in ((FOREIGN, els[-1]), (els[-1], FOREIGN)):
+            with pytest.raises(MismatchError):
+                op(*args)
+    for p, q in itertools.product(els, repeat=2):
+        p2, q2 = twin.el(p.data), twin.el(q.data)
+        for op, twin_op in ops:
+            want = op(p, q)
+            assert op(p2, q) == op(p, q2) == op(p2, q2) == twin_op(p, q) == want, (op, p, q)
+
+
+@pytest.mark.parametrize("sg,depth", KERNEL_INSTANCES, ids=lambda v: getattr(v, "tag", v))
+def test_element_hash_is_the_data_hash_across_instances(sg, depth):
+    twin = copy.deepcopy(sg)
+    els = sg.elements(depth)
+    index = {p: i for i, p in enumerate(els)}
+    for i, p in enumerate(els):
+        p2 = twin.el(p.data)
+        assert hash(p) == hash(p.data) == hash(p2) and p2 == p
+        assert index[p2] == i
+    assert len(index) == len(els)
+
+
+def _reference_ops(sg):
+    """mul, left_divide and a raw LCM of sg on Elements, written per instance
+    type from the definitions; a composite instance applies its factors'
+    reference operations to one Element per block."""
+    if isinstance(sg, DirectSumN):
+        def mul(p, q):
+            return sg.el(tuple(a + b for a, b in zip(p.data, q.data)))
+
+        def ldiv(p, w):
+            diff = tuple(b - a for a, b in zip(p.data, w.data))
+            return sg.el(diff) if all(d >= 0 for d in diff) else None
+
+        def lcm(p, q):
+            return sg.el(tuple(max(a, b) for a, b in zip(p.data, q.data)))
+    elif isinstance(sg, AbsorptionMonoid):
+        def mul(p, q):
+            (k, m), (l, n) = p.data, q.data
+            return sg.el((k + l, n) if l > 0 else (k, m + n))
+
+        def ldiv(p, w):
+            found = [s for s in sg.elements(sum(w.data)) if mul(p, s) == w]
+            return found[0] if found else None
+
+        def lcm(p, q):
+            (k, m), (kk, mm) = p.data, q.data
+            return sg.el((k, max(m, mm))) if k == kk else max(p, q, key=lambda x: x.data[0])
+    elif isinstance(sg, UnitExtension):
+        (bmul, bldiv, blcm), (umul, uldiv, _) = _reference_ops(sg.base), _reference_ops(sg.u)
+
+        def split(p):
+            return Element(sg.base, p.data[0]), Element(sg.u, p.data[1])
+
+        def mul(p, q):
+            (pb, pu), (qb, qu) = split(p), split(q)
+            return sg.el((bmul(pb, qb).data, umul(pu, qu).data))
+
+        def ldiv(p, w):
+            (pb, pu), (wb, wu) = split(p), split(w)
+            d = bldiv(pb, wb)
+            return None if d is None else sg.el((d.data, uldiv(pu, wu).data))
+
+        def lcm(p, q):
+            r = blcm(split(p)[0], split(q)[0])
+            return None if r is None else sg.el((r.data, sg.u.identity().data))
+    elif isinstance(sg, FreeProduct):
+        refs = [_reference_ops(f) for f in sg.factors]
+
+        def blocks(p):
+            return [(i, Element(sg.factors[i], x)) for i, x in p.data]
+
+        def word(bl):
+            # drop identity blocks and merge equal neighbours through the factor
+            out = []
+            for i, x in bl:
+                if out and out[-1][0] == i:
+                    x = refs[i][0](out.pop()[1], x)
+                if x != sg.factors[i].identity():
+                    out.append((i, x))
+            return sg.el(tuple((i, x.data) for i, x in out))
+
+        def mul(p, q):
+            return word(blocks(p) + blocks(q))
+
+        def ldiv(p, w):
+            a, b = blocks(p), blocks(w)
+            if not a:
+                return w
+            n, i = len(a), a[-1][0]
+            if n > len(b) or a[:-1] != b[: n - 1] or i != b[n - 1][0]:
+                return None
+            d = refs[i][1](a[-1][1], b[n - 1][1])
+            return None if d is None else word([(i, d)] + b[n:])
+
+        def lcm(p, q):
+            # one of p, q is a prefix of the other up to the factor LCM of the
+            # last block of the shorter one
+            a, b = sorted((blocks(p), blocks(q)), key=len)
+            if not a:
+                return word(b)
+            n, i = len(a), a[-1][0]
+            if a[:-1] != b[: n - 1] or i != b[n - 1][0]:
+                return None
+            if len(b) > n:
+                return word(b) if refs[i][1](a[-1][1], b[n - 1][1]) is not None else None
+            r = refs[i][2](a[-1][1], b[n - 1][1])
+            return None if r is None else word(a[:-1] + [(i, r)])
+    else:  # a finite group: every element is a unit
+        def mul(p, q):
+            return sg.el(sg.table[(p.data, q.data)])
+
+        def ldiv(p, w):
+            return next(s for s in sg.units() if mul(p, s) == w)
+
+        def lcm(p, q):
+            return sg.identity()
+    return mul, ldiv, lcm
+
+
+KIND_SPECS = [
+    ({"kind": "direct_sum", "rank": 2}, 3),
+    ({"kind": "free_monoid", "letters": "ab"}, 3),
+    ({"kind": "free_product", "names": ["u", "v"],
+      "factors": [{"kind": "direct_sum", "rank": 2}, {"kind": "direct_sum", "rank": 1}]}, 3),
+    ({"kind": "absorption"}, 4),
+    ({"kind": "unit_extension", "base": {"kind": "free_monoid", "letters": "ab"}, "units": "Z3"}, 2),
+    ({"kind": "finite_group", "name": "S3"}, 1),
+]
+
+
+def test_kind_specs_cover_every_kind():
+    assert {spec["kind"] for spec, _ in KIND_SPECS} == set(INSTANCE_KINDS)
+
+
+@pytest.mark.parametrize("spec,depth", KIND_SPECS, ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_data_hooks_match_element_reference(spec, depth):
+    sg = make_semigroup(spec)
+    mul, ldiv, lcm = _reference_ops(sg)
+
+    def data(x):
+        return None if x is None else x.data
+
+    for p, q in itertools.product(sg.elements(depth), repeat=2):
+        assert sg._mul(p.data, q.data) == mul(p, q).data, (p, q)
+        w = mul(p, q)
+        for a, b in ((p, q), (p, w), (q, w)):
+            assert sg._ldiv(a.data, b.data) == data(ldiv(a, b)), (a, b)
+        assert sg._lcm(p.data, q.data) == data(lcm(p, q)), (p, q)
+
+
 def _orbit_lcm(sg, p, q):
-    r = sg._raw_lcm(p, q)
-    return None if r is None else min((r * x for x in sg.units()), key=sg.sort_key)
+    r = sg._lcm(p.data, q.data)
+    return None if r is None else min((sg.el(r) * x for x in sg.units()), key=sg.sort_key)
 
 
 def _orbit_canonical(sg, p, q):
@@ -280,9 +449,9 @@ class _OffsetLcm(UnitExtension):
     """A unit extension whose raw LCM is a non-canonical generator, so that
     right_lcm must take the orbit minimum to be right."""
 
-    def _raw_lcm(self, p, q):
-        r = super()._raw_lcm(p, q)
-        return None if r is None else r * self.units()[-1]
+    def _lcm(self, a, b):
+        r = super()._lcm(a, b)
+        return None if r is None else self._mul(r, self.units()[-1].data)
 
 
 ORBIT_INSTANCES = [
