@@ -291,14 +291,14 @@ class ColoredProductSystem(_BackendBase):
         self._validate(check_depth)
 
     def dim(self, p):
-        cached = self._dim_cache.get(p)
+        cached = self._dim_cache.get(p.data)
         if cached is None:
             dims = [1] * self.slot_count
-            for row, e in zip(self.gen_dims, self.sg.gen_exponents(p)):
+            for row, e in zip(self.gen_dims, self.sg._exps(p.data)):
                 if e:
                     for c, d in enumerate(row):
                         dims[c] *= d**e
-            cached = self._dim_cache[p] = tuple(dims)
+            cached = self._dim_cache[p.data] = tuple(dims)
         return cached
 
     def shape(self, p, q):

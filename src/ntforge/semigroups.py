@@ -24,11 +24,15 @@ Shipped instances:
 Elements are immutable and hashable; equality is equality of normal forms,
 and the hash (that of the data) is computed once per element.
 
-Each instance implements the arithmetic as the hooks ``_mul``, ``_ldiv`` and
-``_lcm`` on normal-form data: data in, data or ``None`` out.  The base class
-alone defines ``mul``, ``left_divide`` and ``right_lcm``, which check the
-instance once per call and wrap the hook's result in one :class:`Element`;
-composite instances call their factors' hooks directly.
+Each instance implements only hooks on normal-form data, with no checks:
+``_mul``, ``_ldiv`` and ``_lcm`` (data in, data or ``None`` out), ``_length``,
+``_key``, ``_exps`` and ``_fmt`` (data in, a value out) and ``_elements``
+(all data up to a depth, in ``_key`` order), beside the constructors
+``identity``, ``generators``, ``units`` and ``parse``.  The base class alone
+defines the public methods on Elements: ``mul``, ``left_divide`` and
+``right_lcm`` check the instance once per call and wrap the hook's result in
+one :class:`Element`; ``elements`` wraps each element once.  Composite
+instances call their factors' hooks directly.
 """
 
 from __future__ import annotations
@@ -66,10 +70,6 @@ class Element:
     def __repr__(self):
         return self.sg.format(self)
 
-    @property
-    def length(self):
-        return self.sg.length(self)
-
 
 class MismatchError(ValueError):
     """Raised when elements of different semigroup instances are mixed."""
@@ -83,49 +83,31 @@ class RightLcmSemigroup:
     right_cancellative = True
 
     # -- abstract hooks -----------------------------------------------------
-    # _mul, _ldiv, _lcm: normal-form data in, data or None out, no checks;
-    # mul, left_divide and right_lcm check the instance once and wrap.
+    # identity, generators, units and parse build Elements.  The other hooks
+    # take the normal-form data a, b of elements p, q and do no checks:
+    #   _mul(a, b)       the data of p*q
+    #   _ldiv(a, b)      the data of the unique r with p*r == q, or None
+    #   _lcm(a, b)       the data of some generator of pP & qP, or None
+    #                    (right_lcm takes the least of its unit orbit)
+    #   _length(a)       the word length of p
+    #   _key(a)          the sort key of p: a total order, length first
+    #   _exps(a)         abelianized generator multiplicities of p, aligned
+    #                    with generators()
+    #   _fmt(a)          the text of p that parse reads back
+    #   _elements(depth) the data of every element of length <= depth, in
+    #                    _key order
 
     def identity(self) -> Element:
         raise NotImplementedError
 
-    def _mul(self, a, b):
-        """The data of p*q, for p, q with data a, b."""
-        raise NotImplementedError
-
-    def _ldiv(self, a, b):
-        """The data of the unique r with p*r == w, or None; p, w have data a, b."""
-        raise NotImplementedError
-
-    def _lcm(self, a, b):
-        """The data of some generator of pP & qP, or None; canonicalized by right_lcm."""
+    def generators(self):
         raise NotImplementedError
 
     def units(self):
         """The unit group P*; trivial unless the instance overrides it."""
         return (self.identity(),)
 
-    def generators(self):
-        raise NotImplementedError
-
-    def length(self, p: Element) -> int:
-        raise NotImplementedError
-
-    def elements(self, depth: int):
-        """All elements of word length <= depth, sorted by sort_key."""
-        raise NotImplementedError
-
-    def sort_key(self, p: Element):
-        raise NotImplementedError
-
     def parse(self, text: str) -> Element:
-        raise NotImplementedError
-
-    def format(self, p: Element) -> str:
-        raise NotImplementedError
-
-    def gen_exponents(self, p: Element):
-        """Abelianized generator multiplicities of p, aligned with generators()."""
         raise NotImplementedError
 
     # -- shared layer -------------------------------------------------------
@@ -156,6 +138,24 @@ class RightLcmSemigroup:
     def is_unit(self, p: Element) -> bool:
         return p in self.unit_tuple
 
+    def length(self, p: Element) -> int:
+        return self._length(p.data)
+
+    def sort_key(self, p: Element):
+        return self._key(p.data)
+
+    def gen_exponents(self, p: Element):
+        return self._exps(p.data)
+
+    def format(self, p: Element) -> str:
+        return self._fmt(p.data)
+
+    def elements(self, depth: int):
+        """All elements of word length <= depth, sorted by sort_key."""
+        if depth < 0:
+            raise ValueError(f"'depth' must be >= 0, got {depth}")
+        return [Element(self, a) for a in self._elements(depth)]
+
     # the identity test settles elements of this very instance; any other
     # element takes the full tag check
 
@@ -181,9 +181,9 @@ class RightLcmSemigroup:
         r = self._lcm(p.data, q.data)
         if r is None:
             return None
-        if self.trivial_units:
-            return Element(self, r)
-        return min((Element(self, self._mul(r, x.data)) for x in self.unit_tuple), key=self.sort_key)
+        if not self.trivial_units:
+            r = min((self._mul(r, x.data) for x in self.unit_tuple), key=self._key)
+        return Element(self, r)
 
 
 class DirectSumN(RightLcmSemigroup):
@@ -216,22 +216,18 @@ class DirectSumN(RightLcmSemigroup):
             out.append(self.el(tuple(v)))
         return out
 
-    def length(self, p):
-        return sum(p.data)
+    def _length(self, a):
+        return sum(a)
 
-    def elements(self, depth):
-        vs = [
-            v
-            for v in itertools.product(range(depth + 1), repeat=self.rank)
-            if sum(v) <= depth
-        ]
-        return sorted((self.el(v) for v in vs), key=self.sort_key)
+    def _key(self, a):
+        return (sum(a), a)
 
-    def sort_key(self, p):
-        return (sum(p.data), p.data)
+    def _exps(self, a):
+        return a
 
-    def gen_exponents(self, p):
-        return p.data
+    def _elements(self, depth):
+        vs = itertools.product(range(depth + 1), repeat=self.rank)
+        return sorted((v for v in vs if sum(v) <= depth), key=self._key)
 
     def parse(self, text):
         text = text.strip()
@@ -245,10 +241,10 @@ class DirectSumN(RightLcmSemigroup):
             raise ValueError(f"expected {self.rank} components in {text!r}")
         return self.el(parts)
 
-    def format(self, p):
+    def _fmt(self, a):
         if self.rank == 1:
-            return str(p.data[0])
-        return "(" + ",".join(str(c) for c in p.data) + ")"
+            return str(a[0])
+        return "(" + ",".join(str(c) for c in a) + ")"
 
 
 class FiniteGroup(RightLcmSemigroup):
@@ -260,6 +256,11 @@ class FiniteGroup(RightLcmSemigroup):
         self.names = tuple(names)
         self.table = dict(table)
         self.tag = f"group({name})"
+        if not set(self.table.values()) <= set(self.names):
+            raise ValueError("group 'table' is not closed")
+        for x, y, z in itertools.product(self.names, repeat=3):
+            if self.table[(self.table[(x, y)], z)] != self.table[(x, self.table[(y, z)])]:
+                raise ValueError(f"group 'table' is not associative: ({x}*{y})*{z} != {x}*({y}*{z})")
         ident = None
         for x in self.names:
             if all(
@@ -301,18 +302,18 @@ class FiniteGroup(RightLcmSemigroup):
     def generators(self):
         return []
 
-    def length(self, p):
+    def _length(self, a):
         return 0
 
-    def elements(self, depth):
-        return sorted(self.units(), key=self.sort_key)
-
-    def sort_key(self, p):
+    def _key(self, a):
         # identity first, then by name; keeps canonical LCM == identity
-        return (0 if p.data == self._ident else 1, p.data)
+        return (0 if a == self._ident else 1, a)
 
-    def gen_exponents(self, p):
+    def _exps(self, a):
         return ()
+
+    def _elements(self, depth):
+        return sorted(self.names, key=self._key)
 
     def parse(self, text):
         text = text.strip()
@@ -322,8 +323,8 @@ class FiniteGroup(RightLcmSemigroup):
             raise ValueError(f"unknown element {text!r} of {self.name}")
         return self.el(text)
 
-    def format(self, p):
-        return p.data
+    def _fmt(self, a):
+        return a
 
     def is_abelian(self):
         return all(
@@ -392,6 +393,11 @@ class FreeProduct(RightLcmSemigroup):
             if len(f.units()) != 1:
                 raise ValueError("free product factors must have trivial units")
         self.names = list(names) if names else [f"p{i}" for i in range(len(factors))]
+        if len(set(self.names)) != len(self.names) or len(self.names) != len(self.factors):
+            raise ValueError(
+                f"free product 'names' must give one distinct name per factor: "
+                f"{self.names} for {len(self.factors)} factors"
+            )
         self._letters = all(
             isinstance(f, DirectSumN) and f.rank == 1 for f in self.factors
         ) and all(len(n) == 1 for n in self.names)
@@ -460,16 +466,31 @@ class FreeProduct(RightLcmSemigroup):
                 out.append(self.el(((i, g.data),)))
         return out
 
-    def length(self, p):
-        return sum(
-            self.factors[i].length(Element(self.factors[i], x)) for i, x in p.data
-        )
+    def _length(self, a):
+        return sum(self.factors[i]._length(x) for i, x in a)
 
-    def elements(self, depth):
+    def _key(self, a):
+        length = 0
+        key = []
+        for i, x in a:
+            f = self.factors[i]
+            length += f._length(x)
+            key.append((i, f._key(x)))
+        return (length, tuple(key))
+
+    def _exps(self, a):
+        offsets = self._gen_offsets
+        exps = [0] * offsets[-1]
+        for i, x in a:
+            for k, v in enumerate(self.factors[i]._exps(x)):
+                exps[offsets[i] + k] += v
+        return tuple(exps)
+
+    def _elements(self, depth):
         # per factor, (data, length, sort key) of each non-identity element:
-        # a word's sort_key is grown block by block along with the word
+        # a word's _key is grown block by block along with the word
         chunks = [
-            [(x.data, f.length(x), f.sort_key(x)) for x in f.elements(depth) if x != f.one]
+            [(x, f._length(x), f._key(x)) for x in f._elements(depth) if x != f.one.data]
             for f in self.factors
         ]
         out = []
@@ -485,26 +506,7 @@ class FreeProduct(RightLcmSemigroup):
 
         grow((), 0, (), -1)
         out.sort(key=operator.itemgetter(0))
-        return [self.el(word) for _, word in out]
-
-    def sort_key(self, p):
-        length = 0
-        key = []
-        for i, x in p.data:
-            f = self.factors[i]
-            el = Element(f, x)
-            length += f.length(el)
-            key.append((i, f.sort_key(el)))
-        return (length, tuple(key))
-
-    def gen_exponents(self, p):
-        offsets = self._gen_offsets
-        exps = [0] * offsets[-1]
-        for i, x in p.data:
-            fexp = self.factors[i].gen_exponents(Element(self.factors[i], x))
-            for k, v in enumerate(fexp):
-                exps[offsets[i] + k] += v
-        return tuple(exps)
+        return [word for _, word in out]
 
     _token = re.compile(r"\s*([a-zA-Z])(?:\^(\d+))?")
 
@@ -530,23 +532,20 @@ class FreeProduct(RightLcmSemigroup):
             pos = m.end()
         return word
 
-    def format(self, p):
-        if not p.data:
+    def _fmt(self, a):
+        if not a:
             return "e"
         if self._letters:
-            parts = []
-            for i, x in p.data:
-                exp = x[0]
-                parts.append(self.names[i] if exp == 1 else f"{self.names[i]}^{exp}")
-            return "".join(parts)
-        return " ".join(
-            f"{self.names[i]}:{self.factors[i].format(Element(self.factors[i], x))}"
-            for i, x in p.data
-        )
+            return "".join(
+                self.names[i] if exp == 1 else f"{self.names[i]}^{exp}" for i, (exp,) in a
+            )
+        return " ".join(f"{self.names[i]}:{self.factors[i]._fmt(x)}" for i, x in a)
 
 
 def free_monoid(letters) -> FreeProduct:
     letters = list(letters)
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"free monoid 'letters' must be distinct, got {''.join(letters)!r}")
     return FreeProduct([DirectSumN(1) for _ in letters], names=letters)
 
 
@@ -569,10 +568,6 @@ class UnitExtension(RightLcmSemigroup):
     def identity(self):
         return self.el((self.base.identity().data, self.u.identity().data))
 
-    def _split(self, p):
-        b, u = p.data
-        return Element(self.base, b), Element(self.u, u)
-
     def _mul(self, a, b):
         return (self.base._mul(a[0], b[0]), self.u._mul(a[1], b[1]))
 
@@ -593,25 +588,18 @@ class UnitExtension(RightLcmSemigroup):
         eu = self.u.identity().data
         return [self.el((g.data, eu)) for g in self.base.generators()]
 
-    def length(self, p):
-        b, _ = self._split(p)
-        return self.base.length(b)
+    def _length(self, a):
+        return self.base._length(a[0])
 
-    def elements(self, depth):
-        out = [
-            self.el((b.data, x.data))
-            for b in self.base.elements(depth)
-            for x in self.u.units()
-        ]
-        return sorted(out, key=self.sort_key)
+    def _key(self, a):
+        return (self.base._key(a[0]), self.u._key(a[1]))
 
-    def sort_key(self, p):
-        b, x = self._split(p)
-        return (self.base.sort_key(b), self.u.sort_key(x))
+    def _exps(self, a):
+        return self.base._exps(a[0])
 
-    def gen_exponents(self, p):
-        b, _ = self._split(p)
-        return self.base.gen_exponents(b)
+    def _elements(self, depth):
+        # both factors list in _key order, so the pairs come out in _key order
+        return [(b, x) for b in self.base._elements(depth) for x in self.u._elements(depth)]
 
     def parse(self, text):
         text = text.strip()
@@ -623,9 +611,8 @@ class UnitExtension(RightLcmSemigroup):
             (self.base.parse(base_part).data, self.u.parse(unit_part).data)
         )
 
-    def format(self, p):
-        b, x = self._split(p)
-        return f"({self.base.format(b)},{self.u.format(x)})"
+    def _fmt(self, a):
+        return f"({self.base._fmt(a[0])},{self.u._fmt(a[1])})"
 
 
 class AbsorptionMonoid(RightLcmSemigroup):
@@ -664,22 +651,17 @@ class AbsorptionMonoid(RightLcmSemigroup):
     def generators(self):
         return [self.el((1, 0)), self.el((0, 1))]
 
-    def length(self, p):
-        return p.data[0] + p.data[1]
+    def _length(self, a):
+        return a[0] + a[1]
 
-    def elements(self, depth):
-        out = [
-            self.el((k, m))
-            for k in range(depth + 1)
-            for m in range(depth + 1 - k)
-        ]
-        return sorted(out, key=self.sort_key)
+    def _key(self, a):
+        return (a[0] + a[1], a)
 
-    def sort_key(self, p):
-        return (self.length(p), p.data)
+    def _exps(self, a):
+        return a
 
-    def gen_exponents(self, p):
-        return p.data
+    def _elements(self, depth):
+        return [(k, n - k) for n in range(depth + 1) for k in range(n + 1)]
 
     def parse(self, text):
         text = text.strip()
@@ -688,8 +670,8 @@ class AbsorptionMonoid(RightLcmSemigroup):
         k, m = text.strip("()").split(",")
         return self.el((int(k), int(m)))
 
-    def format(self, p):
-        return f"({p.data[0]},{p.data[1]})"
+    def _fmt(self, a):
+        return f"({a[0]},{a[1]})"
 
 
 # -- controlled maps --------------------------------------------------------

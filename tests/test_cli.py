@@ -128,9 +128,17 @@ def _with_checks(*checks):
         (["run", _with_checks("core-norm")], "checks"),
         (["run", {"semigroup": {"kind": "direct_sum", "rank": 1},
                   "elements": {"x": [{"range": "1", "source": "0"}]}}], "blocks"),
+        (["run", {"semigroup": {"kind": "free_monoid", "letters": "aa"}}], "letters"),
+        (["run", {"semigroup": {"kind": "free_product", "names": ["u"],
+                                "factors": [{"kind": "direct_sum"}, {"kind": "direct_sum"}]}}],
+         "names"),
+        (["fock", "norm", TOEPLITZ, "y", "--depth", "-1"], "depth"),
+        (["run", {"semigroup": {"kind": "finite_group", "name": "L5", "elements": list("01234"),
+                                "table": ["01234", "10342", "24013", "32401", "43120"]}}], "table"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
-         "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks"],
+         "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
+         "repeated-letters", "missing-name", "negative-depth", "non-associative-table"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"

@@ -4,12 +4,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ntforge.semigroups as semigroups
 from ntforge.semigroups import (
     AbsorptionMonoid,
     DirectSumN,
     Element,
+    FiniteGroup,
     FreeProduct,
     MismatchError,
+    RightLcmSemigroup,
     UnitExtension,
     check_controlled_map,
     controlled_abelianization,
@@ -185,6 +188,25 @@ def test_unit_extension_units():
     assert p != q
     # same principal ideal
     assert EXT.left_divide(p, q) is not None and EXT.left_divide(q, p) is not None
+
+
+def test_free_product_needs_one_distinct_name_per_factor():
+    with pytest.raises(ValueError, match="'letters' must be distinct"):
+        free_monoid("aa")
+    for names in (["u"], ["u", "u"], ["u", "v", "w"]):
+        with pytest.raises(ValueError, match="'names'"):
+            FreeProduct([N, N], names=names)
+    assert FreeProduct([N, N]).tag == "free(p0:N^1,p1:N^1)"
+
+
+def test_finite_group_rejects_a_non_associative_table():
+    # identity 0 and two-sided inverses, but (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    table = {(a, b): rows[a][b] for a in range(5) for b in range(5)}
+    with pytest.raises(ValueError, match=r"not associative: \(1\*1\)\*2 != 1\*\(1\*2\)"):
+        FiniteGroup("L5", range(5), table)
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup("G", [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2})
 
 
 def test_group_lcm_is_identity():
@@ -417,6 +439,32 @@ def test_kind_specs_cover_every_kind():
     assert {spec["kind"] for spec, _ in KIND_SPECS} == set(INSTANCE_KINDS)
 
 
+def _reference_tables(sg, p):
+    """Length, sort key, generator exponents and text of p, written per
+    instance type from the definitions; a composite instance applies its
+    factors' references to one Element per block."""
+    d = p.data
+    if isinstance(sg, (DirectSumN, AbsorptionMonoid)):
+        text = str(d[0]) if sg.tag == "N^1" else "(" + ",".join(map(str, d)) + ")"
+        return sum(d), (sum(d), d), d, text
+    if isinstance(sg, UnitExtension):
+        b = _reference_tables(sg.base, Element(sg.base, d[0]))
+        u = _reference_tables(sg.u, Element(sg.u, d[1]))
+        return b[0], (b[1], u[1]), b[2], f"({b[3]},{u[3]})"
+    if isinstance(sg, FreeProduct):
+        key, exps = _reference_free_product_tables(sg, p)
+        if all(f.tag == "N^1" for f in sg.factors):
+            text = "".join(sg.names[i] + ("" if x == (1,) else f"^{x[0]}") for i, x in d) or "e"
+        else:
+            text = " ".join(
+                f"{sg.names[i]}:{_reference_tables(sg.factors[i], Element(sg.factors[i], x))[3]}"
+                for i, x in d
+            ) or "e"
+        return key[0], key, exps, text
+    # a finite group: every element has length 0; the identity sorts first
+    return 0, (0 if p == sg.identity() else 1, d), (), d
+
+
 @pytest.mark.parametrize("spec,depth", KIND_SPECS, ids=lambda v: v["kind"] if isinstance(v, dict) else v)
 def test_data_hooks_match_element_reference(spec, depth):
     sg = make_semigroup(spec)
@@ -431,6 +479,40 @@ def test_data_hooks_match_element_reference(spec, depth):
         for a, b in ((p, q), (p, w), (q, w)):
             assert sg._ldiv(a.data, b.data) == data(ldiv(a, b)), (a, b)
         assert sg._lcm(p.data, q.data) == data(lcm(p, q)), (p, q)
+    # every unit times at most depth generators, by the reference product
+    reached = set(sg.units())
+    layer = reached
+    for _ in range(depth):
+        layer = {mul(s, g) for s in layer for g in sg.generators()} - reached
+        reached |= layer
+    want = sorted(reached, key=lambda p: _reference_tables(sg, p)[1])
+    assert sg._elements(depth) == [p.data for p in want]
+    for p in want:
+        tables = (sg._length(p.data), sg._key(p.data), sg._exps(p.data), sg._fmt(p.data))
+        assert tables == _reference_tables(sg, p), p
+        assert tables[0] <= depth
+
+
+def test_instances_define_only_the_data_hooks():
+    public = {"mul", "left_divide", "right_lcm", "length", "sort_key", "gen_exponents",
+              "format", "elements"}
+    kinds = [
+        c for c in vars(semigroups).values()
+        if isinstance(c, type) and issubclass(c, RightLcmSemigroup) and c is not RightLcmSemigroup
+    ]
+    assert {c.__name__ for c in kinds} == {
+        "DirectSumN", "FiniteGroup", "FreeProduct", "UnitExtension", "AbsorptionMonoid"
+    }
+    for c in kinds:
+        assert not public & set(vars(c)), (c.__name__, public & set(vars(c)))
+
+
+@pytest.mark.parametrize("spec,depth", KIND_SPECS, ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_negative_depth_is_rejected(spec, depth):
+    sg = make_semigroup(spec)
+    with pytest.raises(ValueError, match="'depth' must be >= 0, got -1"):
+        sg.elements(-1)
+    assert sg.elements(0)[0] == sg.identity()
 
 
 def _orbit_lcm(sg, p, q):
@@ -491,9 +573,14 @@ def test_make_semigroup_registry():
 
 
 def test_parse_format_roundtrip():
-    for sg, depth in INSTANCES:
+    for sg, depth in INSTANCES + [(make_semigroup(spec), depth) for spec, depth in KIND_SPECS]:
         for p in sg.elements(depth):
-            assert sg.parse(sg.format(p)) == p
+            if isinstance(sg, FreeProduct) and p != sg.one and not sg._letters:
+                # words over factors other than N have no parser
+                with pytest.raises(ValueError, match="only available for free monoids"):
+                    sg.parse(sg.format(p))
+            else:
+                assert sg.parse(sg.format(p)) == p
 
 
 # -- property tests over random elements -------------------------------------
