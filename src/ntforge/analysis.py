@@ -65,12 +65,16 @@ class ConcreteRep:
     def phi(self, arrow):
         return self._phi(arrow)
 
+    def flat(self, arrow):
+        """vec(phi(arrow)), or any isometric image of it, for ranks of images."""
+        return np.ravel(self.phi(arrow))
+
     def fiber_image(self, p, q):
-        """Columns vec(phi(a_k)) over the matrix-unit basis of K(p,q)."""
+        """Columns flat(a_k) over the matrix-unit basis of K(p,q)."""
         basis = self.backend.basis(p, q, ideal=self.ideal)
         if not basis:
             return np.zeros((self.dim * self.dim, 0))
-        return np.column_stack([np.ravel(self.phi(a)) for a in basis])
+        return np.column_stack([self.flat(a) for a in basis])
 
     def check_star(self, keys, tol=1e-10):
         for p, q in keys:
@@ -277,7 +281,7 @@ def check_toeplitz_covariance(rep: ConcreteRep, p, qs, tol=RANK_TOL):
     _precondition(sg, p, qs)
     A = rep.fiber_image(p, p)
     Bs = [rep.fiber_image(q, q) for q in qs]
-    B = np.hstack(Bs) if Bs else np.zeros((rep.dim * rep.dim, 0))
+    B = np.hstack(Bs) if Bs else A[:, :0]
     ra = rank_of_span(A.T, tol)
     rb = rank_of_span(B.T, tol)
     rab = rank_of_span(np.hstack([A, B]).T, tol)

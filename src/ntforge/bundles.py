@@ -17,9 +17,14 @@ a (x) 1_r := alpha_r(a).
 The regular representation acts by left convolution on the direct sum of the
 fibers with the Hilbert-Schmidt inner product; for a finite group this is a
 faithful picture of the (reduced = full) cross-sectional algebra.  Left
-convolution by b in B_s maps B_k into B_{sk}, so the images of distinct
-grades have disjoint supports: ``image_algebra_rank`` ranks them with one SVD
-per grade and one cutoff relative to the largest singular value of all.
+convolution by b in B_s maps B_k into B_{sk} by y -> X y colour by colour,
+with X = (b (x) 1_k) 1_k, so up to a fixed permutation of H the image is
+⊕_c kron(M_c(b), 1_{d_c}) with one |G|·d_c matrix M_c per colour
+(``RegularRep``).  Spectra and norms of sections are read from the M_c, and
+ranks from the coordinates √d_c · vec(M_c), an isometric image of vec(phi(b)),
+so no |H| x |H| matrix is built.  The images of distinct grades have disjoint
+supports: ``image_algebra_rank`` ranks them with one SVD per grade and one
+cutoff relative to the largest singular value of all.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import itertools
 import numpy as np
 
 from .analysis import CheckReport, ConcreteRep
-from .linalg import rank_of_values, span_singular_values, spectral_norm
-from .precategory import Arrow, _amplify, _BackendBase
+from .linalg import norm_at_most, rank_of_values, span_singular_values, spectral_norm
+from .precategory import Arrow, _BackendBase
 from .semigroups import FiniteGroup
 
 
@@ -83,17 +88,16 @@ class BlockAction:
         g_all = self.group.elements(1)
         e = self.group.identity()
         for blocks in self._basis_blocks():
-            for c, blk in enumerate(self.apply(e, blocks)):
-                if spectral_norm(blk - blocks[c]) > tol:
-                    raise ValueError("action is not a homomorphism: alpha_e != id")
+            if not _agree(self.apply(e, blocks), blocks, tol):
+                raise ValueError("action is not a homomorphism: alpha_e != id")
             for g, h in itertools.product(g_all, repeat=2):
-                lhs = self.apply(g, self.apply(h, blocks))
-                rhs = self.apply(g * h, blocks)
-                for x, y in zip(lhs, rhs):
-                    if spectral_norm(x - y) > tol:
-                        raise ValueError(
-                            f"action is not a homomorphism at ({g!r}, {h!r})"
-                        )
+                if not _agree(self.apply(g, self.apply(h, blocks)), self.apply(g * h, blocks), tol):
+                    raise ValueError(f"action is not a homomorphism at ({g!r}, {h!r})")
+
+
+def _agree(xs, ys, tol):
+    """Every block of xs - ys has spectral norm at most tol."""
+    return all(norm_at_most(x - y, tol) for x, y in zip(xs, ys))
 
 
 def trivial_action(group, dims) -> BlockAction:
@@ -137,8 +141,7 @@ class CrossedProductBackend(_BackendBase):
             for blocks in action._basis_blocks():
                 for g, h in itertools.product(action.group.elements(1), repeat=2):
                     lhs = action.apply(g, action.apply(h, blocks))
-                    rhs = action.apply(h, action.apply(g, blocks))
-                    if any(spectral_norm(x - y) > 1e-12 for x, y in zip(lhs, rhs)):
+                    if not _agree(lhs, action.apply(h, action.apply(g, blocks)), 1e-12):
                         raise ValueError(
                             "tensoring by automorphisms needs a commuting image "
                             f"(fails at ({g!r}, {h!r}))"
@@ -286,48 +289,64 @@ def check_bundle_laws(bundle: BundleFiberFamily, samples=4, seed=0, tol=1e-10):
 # -- regular representation -----------------------------------------------------
 
 
-def regular_representation(bundle: BundleFiberFamily) -> ConcreteRep:
-    """Left convolution on H = ⊕_g B_g with Hilbert-Schmidt coordinates."""
-    G = sorted(bundle.elements, key=bundle.group.sort_key)
-    offsets = {}
-    total = 0
-    for g in G:
-        offsets[g] = total
-        total += bundle.fiber_dim(g)
-    backend = precategory_from_bundle(bundle)
-    base, e = bundle.backend, bundle.group.identity()
-    # the units 1_k in B_k and the column counts of their blocks, built once
-    units = {
-        k: (base.arrow(k, e, [np.eye(rows, dtype=complex) for rows, _ in bundle.shape(k)]),
-            [cols for _, cols in bundle.shape(k)])
-        for k in G
-    }
+class RegularRep(ConcreteRep):
+    """Left convolution on H = ⊕_k B_k, kept as one matrix per colour.
 
-    def phi(arrow):
-        s = backend._grade(arrow.range, arrow.source)
-        a = base.arrow(s, e, arrow.blocks)
-        m = np.zeros((total, total), dtype=complex)
-        for k in G:
-            # fibers over a finite group are square, and b -> (a x 1_k) b acts
-            # blockwise by left multiplication with X = (a x 1_k) 1_k, which is
-            # kron(X_c, 1) on row-major coordinates; the product with 1_k
-            # applies the action of k, which a x 1_k alone may not
-            unit, cols = units[k]
-            row, col = offsets[s * k], offsets[k]
-            for x_c, n in zip(a.rtensor(k).compose(unit).blocks, cols):
-                blk = _amplify(x_c, n)
-                m[row : row + blk.shape[0], col : col + blk.shape[1]] = blk
-                row, col = row + blk.shape[0], col + blk.shape[1]
+    Block (sk, k) of M_c(b), b in B_s, is colour c of (b (x) 1_k) 1_k.  phi
+    scatters kron(M_c, 1_{d_c}) into H through pos_c, whose row (k, i) and
+    column j is the coordinate of entry (i, j) of colour c of B_k.
+    """
+
+    def __init__(self, bundle: BundleFiberFamily):
+        G = sorted(bundle.elements, key=bundle.group.sort_key)
+        shapes = {tuple(bundle.shape(g)) for g in G}
+        if len(shapes) != 1 or any(r != c for r, c in next(iter(shapes))):
+            raise ValueError("the regular representation needs square fibers of one shape per colour")
+        self.dims = [d for d, _ in shapes.pop()]
+        fiber = sum(d * d for d in self.dims)
+        super().__init__(precategory_from_bundle(bundle), len(G) * fiber, None, label="regular")
+        self._G, self._index = G, {g: i for i, g in enumerate(G)}
+        self._base, self._e = bundle.backend, bundle.group.identity()
+        eyes = [np.eye(d, dtype=complex) for d in self.dims]
+        self._units = {k: self._base.arrow(k, self._e, eyes) for k in G}  # 1_k in B_k
+        corners = np.cumsum([0] + [d * d for d in self.dims])
+        self._pos = [
+            (fiber * np.arange(len(G))[:, None, None] + corner
+             + d * np.arange(d)[:, None] + np.arange(d)).reshape(len(G) * d, d)
+            for d, corner in zip(self.dims, corners)
+        ]
+
+    def colour_blocks(self, arrow):
+        """[M_c(arrow)], one |G|·d_c matrix per colour.  The product with 1_k
+        applies the action of k, which a (x) 1_k alone may not."""
+        s = self.backend._grade(arrow.range, arrow.source)
+        a = self._base.arrow(s, self._e, arrow.blocks)
+        ms = [np.zeros((len(self._G) * d,) * 2, dtype=complex) for d in self.dims]
+        for i, k in enumerate(self._G):
+            j = self._index[s * k]
+            for m, d, x in zip(ms, self.dims, a.rtensor(k).compose(self._units[k]).blocks):
+                m[j * d : (j + 1) * d, i * d : (i + 1) * d] = x
+        return ms
+
+    def phi(self, arrow):
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for pos, mc in zip(self._pos, self.colour_blocks(arrow)):
+            m[pos[:, None, :], pos[None, :, :]] = mc[:, :, None]
         return m
 
-    return ConcreteRep(backend, total, phi, label="regular")
+    def flat(self, arrow):
+        return np.concatenate(
+            [np.sqrt(d) * np.ravel(m) for d, m in zip(self.dims, self.colour_blocks(arrow))]
+        )
+
+
+def regular_representation(bundle: BundleFiberFamily) -> RegularRep:
+    """Left convolution on H = ⊕_g B_g with Hilbert-Schmidt coordinates."""
+    return RegularRep(bundle)
 
 
 def section_star(bundle: BundleFiberFamily, fam):
-    out = {}
-    for g, blocks in fam.items():
-        out[bundle.group.inverse(g)] = bundle.star(g, blocks)
-    return out
+    return {bundle.group.inverse(g): bundle.star(g, blocks) for g, blocks in fam.items()}
 
 
 def section_conv(bundle: BundleFiberFamily, fam1, fam2):
@@ -342,23 +361,30 @@ def section_conv(bundle: BundleFiberFamily, fam1, fam2):
     return out
 
 
-def section_matrix(bundle: BundleFiberFamily, fam, rep: ConcreteRep = None):
+def _section_colour_blocks(bundle: BundleFiberFamily, fam, rep):
+    """The rep and Σ_g M_c(fam[g]) per colour, summed from zeros in section order."""
     rep = rep if rep is not None else regular_representation(bundle)
-    backend = rep.backend
-    e = bundle.group.identity()
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
+    if not isinstance(rep, RegularRep):
+        raise TypeError("rep must be the bundle's regular_representation")
+    totals = [np.zeros((len(bundle.elements) * d,) * 2, dtype=complex) for d in rep.dims]
     for g, blocks in fam.items():
-        total += rep.phi(backend.arrow(g, e, blocks))
-    return total
+        for t, m in zip(totals, rep.colour_blocks(rep.backend.arrow(g, rep._e, blocks))):
+            t += m
+    return rep, totals
 
 
-def section_norm(bundle: BundleFiberFamily, fam, rep: ConcreteRep = None) -> float:
+def section_norm(bundle: BundleFiberFamily, fam, rep: RegularRep = None) -> float:
     """Reduced (= full, by finiteness) norm of a finitely supported section."""
-    return spectral_norm(section_matrix(bundle, fam, rep))
+    _, totals = _section_colour_blocks(bundle, fam, rep)
+    return max((spectral_norm(t) for t in totals), default=0.0)
 
 
-def regular_spectrum(bundle: BundleFiberFamily, fam, rep: ConcreteRep = None):
-    return np.sort_complex(np.linalg.eigvals(section_matrix(bundle, fam, rep)))
+def regular_spectrum(bundle: BundleFiberFamily, fam, rep: RegularRep = None):
+    """Eigenvalues of the section's image: those of each Σ_g M_c, d_c times each."""
+    rep, totals = _section_colour_blocks(bundle, fam, rep)
+    return np.sort_complex(
+        np.concatenate([np.repeat(np.linalg.eigvals(t), d) for d, t in zip(rep.dims, totals)])
+    )
 
 
 def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1e-8):
@@ -368,19 +394,18 @@ def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1
     distinct grades have disjoint supports and the singular values of all the
     images together are the union of the per-grade ones.  One SVD per grade,
     then the cutoff tol times the largest value over all grades: the same
-    count as one SVD of every image stacked.  rep, when given, must be the
-    regular representation of the bundle; overlapping supports raise.
+    count as one SVD of every image stacked.  The images are read through
+    rep.flat, which on a RegularRep never builds phi; any rep whose grades
+    have overlapping supports raises.
     """
     rep = rep if rep is not None else regular_representation(bundle)
-    backend = rep.backend
     e = bundle.group.identity()
-    seen = np.zeros(rep.dim * rep.dim, dtype=bool)
-    values = []
+    seen, values = False, []
     for g in bundle.elements:
-        images = [np.ravel(rep.phi(backend.arrow(g, e, blocks))) for blocks in bundle.basis(g)]
+        images = [rep.flat(rep.backend.arrow(g, e, blocks)) for blocks in bundle.basis(g)]
         support = np.any([im != 0 for im in images], axis=0)
         if (seen & support).any():
             raise ValueError(f"images of grade {g!r} overlap those of another grade")
-        seen |= support
+        seen = seen | support
         values.append(span_singular_values(images))
     return rank_of_values(np.concatenate(values), tol)

@@ -13,6 +13,14 @@ def spectral_norm(mat) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def norm_at_most(mat, tol) -> bool:
+    """spectral_norm(mat) <= tol, bounded below by the largest entry and above
+    by the Frobenius norm; the SVD runs only when tol lies between them."""
+    if mat.size and np.abs(mat).max() > tol:
+        return False
+    return bool(np.linalg.norm(mat) <= tol) or spectral_norm(mat) <= tol
+
+
 def span_singular_values(vectors) -> np.ndarray:
     """Singular values, largest first, of the matrix whose rows are the
     flattened arrays (empty when there are none)."""

@@ -25,7 +25,7 @@ import random
 
 import numpy as np
 
-from .linalg import rank_of_span, spectral_norm
+from .linalg import norm_at_most, rank_of_span, spectral_norm
 
 
 class Arrow:
@@ -104,17 +104,8 @@ class Arrow:
         return max((spectral_norm(b) for b in self.blocks), default=0.0)
 
     def is_zero(self, tol=1e-12):
-        """norm() <= tol.  A block with an entry above tol is not zero and one
-        of Frobenius norm at most tol is (both bound the spectral norm), so
-        the SVD runs only in between."""
-        for b in self.blocks:
-            if b.size == 0:
-                continue
-            if np.abs(b).max() > tol:
-                return False
-            if np.linalg.norm(b) > tol and spectral_norm(b) > tol:
-                return False
-        return True
+        """norm() <= tol, with the SVD only where the cheap bounds do not decide."""
+        return all(norm_at_most(b, tol) for b in self.blocks)
 
     def flat(self):
         return np.concatenate([np.ravel(b) for b in self.blocks]) if self.blocks else np.zeros(0)
@@ -399,7 +390,7 @@ def ideal_membership(a: Arrow, K: ColorIdeal, tol=1e-12) -> bool:
 
 def blocks_in_ideal(blocks, K: ColorIdeal, tol=1e-12) -> bool:
     """ideal_membership on an arrow's blocks alone."""
-    return all(c in K.colors or spectral_norm(b) <= tol for c, b in enumerate(blocks))
+    return all(c in K.colors or norm_at_most(b, tol) for c, b in enumerate(blocks))
 
 
 class StructureReport:

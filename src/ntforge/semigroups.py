@@ -254,6 +254,8 @@ class FiniteGroup(RightLcmSemigroup):
         # table: dict (a, b) -> c on element names
         self.name = name
         self.names = tuple(names)
+        if not all(isinstance(n, str) for n in self.names) or len(set(self.names)) != len(self.names):
+            raise ValueError(f"group 'elements' must be distinct strings, got {list(self.names)!r}")
         self.table = dict(table)
         self.tag = f"group({name})"
         if not set(self.table.values()) <= set(self.names):

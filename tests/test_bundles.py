@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ntforge.analysis import ConcreteRep, check_graded
 from ntforge.bundles import (
     BlockAction,
     CrossedProductBackend,
+    RegularRep,
     bundle_from_precategory,
     check_bundle_laws,
     conjugation_action,
@@ -88,8 +90,11 @@ BUNDLES = [
     ),
     group_algebra_bundle(symmetric_group_3()),
     bundle_from_precategory(ColoredProductSystem(Z2, [], colors=2, check_depth=1)),
+    semidirect_bundle(trivial_action(symmetric_group_3(), [2, 1])),
+    semidirect_bundle(swap_action(Z2, dim=2)),
 ]
-BUNDLE_IDS = ["Z3-algebra", "Z2-swap", "Z2-conj", "S3-algebra", "Z2-colored"]
+BUNDLE_IDS = ["Z3-algebra", "Z2-swap", "Z2-conj", "S3-algebra", "Z2-colored", "S3-trivial21",
+              "Z2-swap2"]
 
 
 @pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
@@ -255,6 +260,77 @@ def test_e_fiber_compression_is_the_expectation():
     compressed = P @ m @ P
     only_e = rep.phi(backend.arrow(e, e, fam[e]))
     assert spectral_norm(compressed - P @ only_e @ P) <= 1e-12
+
+
+def _random_section(bundle, seed):
+    rng = random.Random(seed)
+    return {g: bundle.random_fiber(g, rng) for g in bundle.elements}
+
+
+def _dense_section_matrix(bundle, fam, rep):
+    """Σ_g phi(fam[g]) as one |H| x |H| matrix: the route the per-colour
+    spectrum and norm replace."""
+    e = bundle.group.identity()
+    return sum(rep.phi(rep.backend.arrow(g, e, blocks)) for g, blocks in fam.items())
+
+
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
+def test_regular_spectrum_and_norm_match_the_dense_sum(bundle):
+    rep = regular_representation(bundle)
+    for seed in (5, 6):
+        fam = _random_section(bundle, seed)
+        dense = _dense_section_matrix(bundle, fam, rep)
+        want = np.linalg.eigvals(dense)
+        got = regular_spectrum(bundle, fam, rep)
+        assert np.array_equal(got, np.sort_complex(got))
+        # match the two multisets; sort order alone is fragile at ties
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        scale = np.max(np.abs(want))
+        assert got.shape == want.shape and np.max(dist[rows, cols]) <= 1e-10 * scale
+        norm = spectral_norm(dense)
+        assert abs(section_norm(bundle, fam, rep) - norm) <= 1e-10 * norm
+
+
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
+def test_regular_flat_is_an_isometry_of_the_raveled_image(bundle):
+    rep = regular_representation(bundle)
+    e = bundle.group.identity()
+    for g in bundle.elements:
+        arrows = [rep.backend.arrow(g, e, blocks) for blocks in bundle.basis(g)]
+        flat = np.array([rep.flat(a) for a in arrows])
+        dense = np.array([np.ravel(rep.phi(a)) for a in arrows])
+        assert flat.shape[1] == sum((len(bundle.elements) * d) ** 2 for d in rep.dims)
+        assert np.allclose(flat.conj() @ flat.T, dense.conj() @ dense.T, rtol=0, atol=1e-12)
+
+
+def test_rank_spectrum_and_norm_never_build_the_dense_image(monkeypatch):
+    bundle = semidirect_bundle(trivial_action(symmetric_group_3(), [2, 1]))
+    rep = regular_representation(bundle)
+    assert isinstance(rep, RegularRep)
+
+    def dense(self, arrow):
+        raise AssertionError("built a dense |H| x |H| image")
+
+    monkeypatch.setattr(RegularRep, "phi", dense)
+    fam = _random_section(bundle, 7)
+    assert image_algebra_rank(bundle, rep) == image_algebra_rank(bundle) == rep.dim
+    assert regular_spectrum(bundle, fam, rep).shape == (rep.dim,)
+    assert section_norm(bundle, fam) == section_norm(bundle, fam, rep) > 0
+
+
+def test_regular_representation_needs_one_square_shape_per_colour():
+    bundle = group_algebra_bundle(Z2)
+    bundle.shape = lambda g: [(1, 2)]
+    with pytest.raises(ValueError, match="square fibers of one shape per colour"):
+        regular_representation(bundle)
+    e = Z2.identity()
+    bundle.shape = lambda g: [(1, 1) if g == e else (2, 2)]
+    with pytest.raises(ValueError, match="square fibers of one shape per colour"):
+        regular_representation(bundle)
+    other = ConcreteRep(precategory_from_bundle(group_algebra_bundle(Z2)), 2, np.zeros)
+    with pytest.raises(TypeError, match="regular_representation"):
+        section_norm(group_algebra_bundle(Z2), {e: [np.eye(1)]}, other)
 
 
 def test_image_algebra_rank_counts_fibers():

@@ -135,10 +135,16 @@ def _with_checks(*checks):
         (["fock", "norm", TOEPLITZ, "y", "--depth", "-1"], "depth"),
         (["run", {"semigroup": {"kind": "finite_group", "name": "L5", "elements": list("01234"),
                                 "table": ["01234", "10342", "24013", "32401", "43120"]}}], "table"),
+        (["run", {"semigroup": {"kind": "finite_group", "elements": [0, 1],
+                                "table": [[0, 1], [1, 0]]}}], "elements"),
+        (["run", {"semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum"},
+                                "units": {"elements": ["a", "a"], "table": ["aa", "aa"]}}}],
+         "elements"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
-         "repeated-letters", "missing-name", "negative-depth", "non-associative-table"],
+         "repeated-letters", "missing-name", "negative-depth", "non-associative-table",
+         "numeric-group-elements", "repeated-unit-elements"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"

@@ -201,12 +201,21 @@ def test_free_product_needs_one_distinct_name_per_factor():
 
 def test_finite_group_rejects_a_non_associative_table():
     # identity 0 and two-sided inverses, but (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4
-    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    table = {(a, b): rows[a][b] for a in range(5) for b in range(5)}
+    rows = ["01234", "10342", "24013", "32401", "43120"]
+    table = {(a, b): rows[int(a)][int(b)] for a in "01234" for b in "01234"}
     with pytest.raises(ValueError, match=r"not associative: \(1\*1\)\*2 != 1\*\(1\*2\)"):
-        FiniteGroup("L5", range(5), table)
+        FiniteGroup("L5", "01234", table)
     with pytest.raises(ValueError, match="not closed"):
-        FiniteGroup("G", [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2})
+        FiniteGroup("G", "01", {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "2"})
+
+
+@pytest.mark.parametrize("names", [[0, 1], ["a", "a"]], ids=["numbers", "repeated"])
+def test_finite_group_names_its_elements_by_distinct_strings(names):
+    table = {(a, b): a for a in names for b in names}
+    with pytest.raises(ValueError, match="'elements' must be distinct strings"):
+        FiniteGroup("G", names, table)
+    with pytest.raises(ValueError, match="'elements'"):
+        semigroups.make_group({"elements": names, "table": [names, names]})
 
 
 def test_group_lcm_is_identity():
