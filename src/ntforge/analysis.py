@@ -9,9 +9,17 @@ the aperiodicity search, and the topological-grading test for group-indexed
 fibers.
 
 For a non-unit p, Q_p = phi(1_p), the image of the unit of K(p,p) (restricted
-to the ideal's colors); it is checked to be a self-adjoint idempotent.  Q_<p>
-is the range projection of the sum of the phi(1_w) over the window's w in pP,
-taken from eigh with relative cutoff tol; for a unit p, Q_p = Q_<p>.
+to the ideal's colors); for a unit p, Q_p = Q_<p>.  A diagonal certificate
+comes first: a phi(1_w) with no nonzero entry off its diagonal and every
+diagonal entry exactly 0 or 1 (no tolerance) projects onto an index set.
+Where every w in pP has such an image, Q_<p> is the union of their sets, the
+semilattice and equality laws are set identities, and in condition (C) the
+product of the 1 - Q_<q> is a column mask.  Otherwise (the dense fallback)
+phi(1_w) is checked to be a self-adjoint idempotent and Q_<p> is the range
+projection of the sum of the phi(1_w) over the window's w in pP, from eigh
+with relative cutoff tol.  The Fock representation's phi scatters the lifted
+key's COO triples into a dense matrix; on a colored backend every phi(1_w)
+is a 0/1 diagonal.
 
 The aperiodicity search starts, on a colored backend, from a closed form: a
 unit x has dim(x) = 1, so for rank-one a = v v* in one color |alpha(a) b a|
@@ -37,17 +45,18 @@ import random
 
 import numpy as np
 
-from .fock import Truncation, lift
+from .fock import Truncation, _key_triples, _lift_placements
 from .linalg import rank_of_span, spectral_norm
 from .precategory import (
     ColorIdeal,
     ColoredProductSystem,
     ZeroTensorBackend,
     full_ideal,
+    ideal_membership,
     ideal_unit,
 )
 from .segments import leq
-from .wick import NTElement
+from .wick import canonical_key
 
 RANK_TOL = 1e-8
 
@@ -76,13 +85,6 @@ class ConcreteRep:
             return np.zeros((self.dim * self.dim, 0))
         return np.column_stack([self.flat(a) for a in basis])
 
-    def check_star(self, keys, tol=1e-10):
-        for p, q in keys:
-            for a in self.backend.basis(p, q, ideal=self.ideal):
-                if spectral_norm(self.phi(a.adjoint()) - self.phi(a).conj().T) > tol:
-                    return False
-        return True
-
     def __repr__(self):
         return f"<rep {self.label} dim={self.dim}>"
 
@@ -91,16 +93,33 @@ def fock_rep(backend, depth: int, ideal=None):
     """The truncated Fock representation on the source-e fiber.
 
     Returns (rep, truncation); the Hilbert space is the direct sum over
-    colors and source objects of the column spaces.
+    colors and source objects of the column spaces.  phi(a) is
+    lift(x, tr).dense() for the one-term element x = a at its unit-canonical
+    key, the key's triples scattered straight into the dense layout (and,
+    unlike NTElement, a coefficient below PRUNE_TOL is not dropped).
     """
     tr = Truncation(backend, depth)
-    dim = sum(tr.col_total(c) for c in range(backend.slot_count))
+    sizes = [tr.col_total(c) for c in range(backend.slot_count)]
+    dim = sum(sizes)
+    offsets = np.cumsum([0] + sizes)
     ideal = ideal if ideal is not None else full_ideal(backend)
+    sg = backend.sg
+    keys = {}  # (range, source) -> (transporting unit, lift placements)
 
     def phi(arrow):
-        x = NTElement(backend, ideal)
-        x.add_term(arrow.range, arrow.source, arrow)
-        return lift(x, tr).dense()
+        key = (arrow.range, arrow.source)
+        if not ideal_membership(arrow, ideal):
+            raise ValueError(f"coefficient at ({key[0]!r},{key[1]!r}) escapes the ideal")
+        if key not in keys:
+            p, q, u = canonical_key(sg, *key)
+            keys[key] = (u, _lift_placements(tr, p, q))
+        u, placed = keys[key]
+        out = np.zeros((dim, dim), dtype=complex)
+        triples = _key_triples(tr, arrow if u == sg.one else arrow.rtensor(u), *placed)
+        for off, t in zip(offsets, triples):
+            if t:
+                out[off + t[0], off + t[1]] = t[2]
+        return out
 
     return ConcreteRep(backend, dim, phi, ideal, label="fock"), tr
 
@@ -142,43 +161,77 @@ def _range(m, tol):
     return u @ u.conj().T
 
 
+def _as_set(q):
+    """The index set of a stored projection, None for a dense one."""
+    return q if q.ndim == 1 else None
+
+
+def _as_dense(q):
+    return np.diag(q.astype(complex)) if q.ndim == 1 else q
+
+
 class ProjectionFamily:
-    """Q_p and Q_<p> for a representation, computed on a finite window."""
+    """Q_p and Q_<p> for a representation, computed on a finite window.
+
+    A phi(1_w) that passes the diagonal certificate (no nonzero entry off the
+    diagonal, every diagonal entry exactly 0 or 1) is stored as its index set
+    alone; any other must be a self-adjoint idempotent to tol and is stored
+    dense.  Q_<p> is the union of the sets of the window's w in pP when all
+    are certified, else the range projection of the sum of their images
+    (eigh, relative cutoff tol).  Q_set and Q_angle_set give the sets (None
+    off the certificate); Q and Q_angle give dense matrices.
+    """
 
     def __init__(self, rep: ConcreteRep, window, tol=RANK_TOL):
         self.rep = rep
         self.window = list(window)
         self.tol = tol
-        self._unit_image = {}
-        self._q_angle = {}
+        self._unit_image = {}  # w -> the index set of phi(1_w), or phi(1_w) dense
+        self._q_angle = {}  # p -> the index set of Q_<p>, or Q_<p> dense
 
     def _fiber(self, w):
-        """phi(1_w), the projection onto phi(K(w,w))H."""
+        """phi(1_w), the projection onto phi(K(w,w))H, as stored."""
         if w not in self._unit_image:
             rep = self.rep
             m = rep.phi(ideal_unit(rep.backend, rep.ideal, w))
-            defect = max(spectral_norm(m - m.conj().T), spectral_norm(m @ m - m))
-            if defect > self.tol:
-                raise ValueError(
-                    f"phi(1_{w!r}) is not a self-adjoint idempotent: defect {defect:.3e}"
-                )
+            d = np.diagonal(m)
+            if np.count_nonzero(m) == np.count_nonzero(d) and ((d == 0) | (d == 1)).all():
+                m = d == 1
+            else:
+                defect = max(spectral_norm(m - m.conj().T), spectral_norm(m @ m - m))
+                if defect > self.tol:
+                    raise ValueError(
+                        f"phi(1_{w!r}) is not a self-adjoint idempotent: defect {defect:.3e}"
+                    )
             self._unit_image[w] = m
         return self._unit_image[w]
 
+    def _angle(self, p):
+        if p not in self._q_angle:
+            sg, n = self.rep.backend.sg, self.rep.dim
+            images = [self._fiber(w) for w in self.window if sg.left_divide(p, w) is not None]
+            if all(q.ndim == 1 for q in images):
+                out = np.any([np.zeros(n, dtype=bool)] + images, axis=0)
+            else:
+                total = sum(map(_as_dense, images), np.zeros((n, n), dtype=complex))
+                out = _range(total, self.tol)
+            self._q_angle[p] = out
+        return self._q_angle[p]
+
+    def _q(self, p):
+        return self._angle(p) if self.rep.backend.sg.is_unit(p) else self._fiber(p)
+
+    def Q_set(self, p):
+        return _as_set(self._q(p))
+
+    def Q_angle_set(self, p):
+        return _as_set(self._angle(p))
+
     def Q(self, p):
-        if self.rep.backend.sg.is_unit(p):
-            return self.Q_angle(p)
-        return self._fiber(p)
+        return _as_dense(self._q(p))
 
     def Q_angle(self, p):
-        if p not in self._q_angle:
-            sg = self.rep.backend.sg
-            total = np.zeros((self.rep.dim, self.rep.dim), dtype=complex)
-            for w in self.window:
-                if sg.left_divide(p, w) is not None:
-                    total += self._fiber(w)
-            self._q_angle[p] = _range(total, self.tol)
-        return self._q_angle[p]
+        return _as_dense(self._angle(p))
 
 
 class CheckReport:
@@ -192,16 +245,27 @@ class CheckReport:
 
 
 def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9):
-    """Q_<p> Q_<q> = Q_<lcm> (or 0) on all pairs up to the given length."""
+    """Q_<p> Q_<q> = Q_<lcm> (or 0) on all pairs up to the given length.
+
+    Where all three index sets exist the defect is exact: the spectral norm
+    of a difference of two diagonal projections, 1.0 if their sets differ and
+    0.0 if not.  Otherwise it is the spectral norm of the dense difference.
+    """
     sg = family.rep.backend.sg
     els = sg.elements(depth)
+    empty = np.zeros(family.rep.dim, dtype=bool)
     worst = 0.0
     failures = []
     for p, q in itertools.product(els, repeat=2):
-        prod = family.Q_angle(p) @ family.Q_angle(q)
         r = sg.right_lcm(p, q)
-        want = family.Q_angle(r) if r is not None else np.zeros_like(prod)
-        defect = spectral_norm(prod - want)
+        a, b = family.Q_angle_set(p), family.Q_angle_set(q)
+        c = empty if r is None else family.Q_angle_set(r)
+        if a is not None and b is not None and c is not None:
+            defect = float(((a & b) != c).any())
+        else:
+            prod = family.Q_angle(p) @ family.Q_angle(q)
+            want = family.Q_angle(r) if r is not None else np.zeros_like(prod)
+            defect = spectral_norm(prod - want)
         worst = max(worst, defect)
         if defect > tol:
             failures.append(((p, q), defect))
@@ -209,61 +273,20 @@ def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9)
 
 
 def check_projection_equalities(family: ProjectionFamily, elements, tol=1e-9):
-    """Q_p = Q_<p> per element (holds under tensor-nondegeneracy)."""
+    """Q_p = Q_<p> per element (holds under tensor-nondegeneracy); exact, as
+    in the semilattice check, where both index sets exist."""
     failures = []
     worst = 0.0
     for p in elements:
-        defect = spectral_norm(family.Q(p) - family.Q_angle(p))
+        a, b = family.Q_set(p), family.Q_angle_set(p)
+        if a is not None and b is not None:
+            defect = float((a != b).any())
+        else:
+            defect = spectral_norm(family.Q(p) - family.Q_angle(p))
         worst = max(worst, defect)
         if defect > tol:
             failures.append((p, defect))
     return CheckReport("projection-equality", not failures, {"worst": worst, "failures": failures[:5]})
-
-
-def check_projection_orthogonality(family: ProjectionFamily, elements, tol=1e-10):
-    """pP & qP empty implies Q_p Q_q = 0."""
-    sg = family.rep.backend.sg
-    failures = []
-    for p, q in itertools.product(elements, repeat=2):
-        if sg.right_lcm(p, q) is not None:
-            continue
-        defect = spectral_norm(family.Q(p) @ family.Q(q))
-        if defect > tol:
-            failures.append(((p, q), defect))
-    return CheckReport("projection-orthogonality", not failures, {"failures": failures[:5]})
-
-
-def check_projection_commutation(family: ProjectionFamily, pairs, tol=1e-9):
-    """Q_<q> commutes with phi(K(p,p))."""
-    rep = family.rep
-    failures = []
-    worst = 0.0
-    for p, q in pairs:
-        qm = family.Q_angle(q)
-        for a in rep.backend.basis(p, p, ideal=rep.ideal):
-            m = rep.phi(a)
-            defect = spectral_norm(m @ qm - qm @ m)
-            worst = max(worst, defect)
-            if defect > tol:
-                failures.append(((p, q), defect))
-    return CheckReport("projection-commutation", not failures, {"worst": worst, "failures": failures[:3]})
-
-
-def action_on_projection_defect(rep: ConcreteRep, family: ProjectionFamily, arrow, s, angled=False):
-    """Defect of  phi(a) Q_s = phi(a x 1_{q^-1 r})  (with qP & sP = rP, else 0).
-
-    arrow sits in K(p0, q); angled=True uses Q_<s> instead of Q_s.  Returns the
-    spectral norm of LHS - RHS.
-    """
-    sg = rep.backend.sg
-    q = arrow.source
-    Q = family.Q_angle(s) if angled else family.Q(s)
-    lhs = rep.phi(arrow) @ Q
-    r = sg.right_lcm(q, s)
-    if r is None:
-        return spectral_norm(lhs)
-    shifted = arrow.rtensor(sg.left_divide(q, r))
-    return spectral_norm(lhs - rep.phi(shifted))
 
 
 # -- covariance and faithfulness conditions -----------------------------------
@@ -294,19 +317,38 @@ def check_toeplitz_covariance(rep: ConcreteRep, p, qs, tol=RANK_TOL):
 
 
 def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RANK_TOL):
-    """Faithfulness of a -> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber."""
+    """Faithfulness of a -> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber.
+
+    When every Q_<q_i> has an index set, the product keeps the columns
+    outside all of them, and its commutator with phi(a) holds phi(a) where
+    the row and column masks differ: a spectral norm is taken only when such
+    an entry is nonzero.  Otherwise the product is formed densely.
+    """
     sg = rep.backend.sg
     _precondition(sg, p, qs)
-    comp = np.eye(rep.dim, dtype=complex)
-    for q in qs:
-        comp = comp @ (np.eye(rep.dim) - family.Q_angle(q))
+    sets = [family.Q_angle_set(q) for q in qs]
+    if all(s is not None for s in sets):
+        keep = ~np.any([np.zeros(rep.dim, dtype=bool)] + sets, axis=0)
+        sign = keep[None, :].astype(float) - keep[:, None]  # m comp - comp m = m * sign
+
+        def compress(m):
+            gap = m * sign
+            return m * keep, (spectral_norm(gap) if gap.any() else 0.0)
+    else:
+        comp = np.eye(rep.dim, dtype=complex)
+        for q in qs:
+            comp = comp @ (np.eye(rep.dim) - family.Q_angle(q))
+
+        def compress(m):
+            mc = m @ comp
+            return mc, spectral_norm(mc - comp @ m)
     basis = rep.backend.basis(p, p, ideal=rep.ideal)
     cols = []
     commutation = 0.0
     for a in basis:
-        m = rep.phi(a)
-        cols.append(np.ravel(m @ comp))
-        commutation = max(commutation, spectral_norm(m @ comp - comp @ m))
+        mc, defect = compress(rep.phi(a))
+        cols.append(np.ravel(mc))
+        commutation = max(commutation, defect)
     M = np.column_stack(cols) if cols else np.zeros((rep.dim * rep.dim, 0))
     if M.shape[1] == 0:
         return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})

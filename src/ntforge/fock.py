@@ -10,8 +10,7 @@ for a column operator that does not depend on t.  Operators are therefore
 stored factored: one scipy.sparse CSR matrix per color, the column factor,
 with rows and columns ordered by the truncation set S.  Sums, products,
 adjoints and norms are sparse operations on the column factors (the
-t-ampliation is isometric and multiplicative); per-t fibers are materialized
-densely on demand for oracles and the t-th restricted representation.
+t-ampliation is isometric and multiplicative).
 
 The truncation is indexed: a right-multiplication table over the generators
 and units, and a BFS spanning tree of S, give the index of x·v for every
@@ -154,20 +153,6 @@ class Truncation:
     def col_source(self, c):
         """Index into S of the source object of each column of color c."""
         return self._col_sources[c]
-
-    def fiber_layout(self, t):
-        """Offsets of the vectorized K(s,t) blocks inside the t-th fiber."""
-        layout = {}
-        off = 0
-        present = [s for s in self.S if self.backend.space_dim(s, t)]
-        for c in range(self.backend.slot_count):
-            for s in present:
-                rows, cols = self.backend.shape(s, t)[c]
-                if rows * cols == 0:
-                    continue
-                layout[(s, c)] = (off, rows, cols)
-                off += rows * cols
-        return layout, off
 
     def __repr__(self):
         return f"<truncation depth={self.depth} |S|={len(self.S)}>"
@@ -328,22 +313,6 @@ class FockOperator:
             off += k
         return out
 
-    def fiber(self, t):
-        """Dense matrix of the operator on the t-th fiber ⊕_s K(s,t): per
-        color, the slot on the sources present there, kron 1_{dim_c(t)}."""
-        tr = self.tr
-        layout, total = tr.fiber_layout(t)
-        out = np.zeros((total, total), dtype=complex)
-        for c, m in enumerate(self.slots):
-            present = [s for s in tr.S if (s, c) in layout]
-            if not present:
-                continue
-            off, _, width = layout[(present[0], c)]
-            idx = np.flatnonzero(np.isin(tr.col_source(c), [tr.index[s] for s in present]))
-            amp = np.kron(m.toarray()[np.ix_(idx, idx)], np.eye(width, dtype=complex))
-            out[off : off + amp.shape[0], off : off + amp.shape[0]] = amp
-        return out
-
     def _slot_norm(self, c, tol):
         m = self.slots[c]
         n = m.shape[0]
@@ -363,64 +332,62 @@ class FockOperator:
         """
         return max((self._slot_norm(c, tol) for c in range(len(self.slots))), default=0.0)
 
-    def norm_by_fibers(self, ts=None):
-        """Honest per-fiber assembly; equals norm() — used as an oracle."""
-        ts = list(ts) if ts is not None else self.tr.S
-        return max((spectral_norm(self.fiber(t)) for t in ts), default=0.0)
-
     def frobenius(self):
         return float(np.sqrt(sum(np.sum(np.abs(m.data) ** 2) for m in self.slots)))
 
     def is_zero(self, tol=1e-12):
         return self.frobenius() <= tol
 
-    def diagonal_part(self):
-        """Keep the blocks whose target object equals their source object."""
-        out = []
-        for c, m in enumerate(self.slots):
-            owner = self.tr.col_source(c)
-            coo = m.tocoo()
-            keep = owner[coo.row] == owner[coo.col]
-            out.append(_csr(m.shape[0], coo.row[keep], coo.col[keep], coo.data[keep]))
-        return FockOperator(self.tr, out)
-
     def __repr__(self):
         nnz = sum(m.nnz for m in self.slots)
         return f"<fock-operator nnz={nnz} over {self.tr!r}>"
 
 
-def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
-    """Sum over the keys of x, in key order, of the operators that send the
-    columns of source to those of target by a ⊗ 1_v, for the index arrays
-    (v, target, source) of placements(p, q).  a ⊗ 1_v is taken once per
-    ampliation class of v and broadcast over the class's placements.  Within
-    one key every (target, source) occurs once, so the COO triples hold no
-    duplicates and the sums match blockwise addition."""
+def _key_triples(tr: Truncation, a, v, target, source):
+    """Per color, the COO triples (rows, cols, vals) in slot coordinates of
+    the operator that sends the columns of source[k] to those of target[k]
+    by a ⊗ 1_v[k], for the index arrays of one key's placements; () for a
+    color with no entry.  a ⊗ 1_v is taken once per ampliation class of v
+    and broadcast over the class's placements.  Within one key every
+    (target, source) occurs once, so no position repeats."""
     backend = tr.backend
+    parts = [[] for _ in range(backend.slot_count)]
+    if v.size:
+        coo = backend._coo(a)
+        label = tr._amp_class[v]
+        order = np.argsort(label, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+            amp = backend._rtensor_coo(a, tr.S[v[group[0]]], coo)
+            for c, (i, j, vals) in enumerate(amp):
+                if vals.size:
+                    offsets = tr._col_offsets[c]
+                    parts[c].append((
+                        (offsets[target[group], None] + i).ravel(),
+                        (offsets[source[group], None] + j).ravel(),
+                        np.tile(vals, group.size),
+                    ))
+    return [tuple(np.concatenate(z) for z in zip(*part)) for part in parts]
+
+
+def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
+    """Sum over the keys of x, in key order, of the operators of _key_triples
+    for the index arrays (v, target, source) of placements(p, q).  A key's
+    triples hold no repeated position, so the sums match blockwise
+    addition."""
     total = None
     for (p, q), a in x.terms.items():
-        v, target, source = placements(p, q)
-        entries = [[] for _ in range(backend.slot_count)]
-        if v.size:
-            coo = backend._coo(a)
-            label = tr._amp_class[v]
-            order = np.argsort(label, kind="stable")
-            for group in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-                amp = backend._rtensor_coo(a, tr.S[v[group[0]]], coo)
-                for c, (i, j, vals) in enumerate(amp):
-                    if vals.size:
-                        offsets = tr._col_offsets[c]
-                        entries[c].append((
-                            (offsets[target[group], None] + i).ravel(),
-                            (offsets[source[group], None] + j).ravel(),
-                            np.tile(vals, group.size),
-                        ))
-        op = FockOperator(tr, [
-            _csr(tr.col_total(c), *(np.concatenate(z) for z in zip(*parts)))
-            for c, parts in enumerate(entries)
-        ])
+        triples = _key_triples(tr, a, *placements(p, q))
+        op = FockOperator(tr, [_csr(tr.col_total(c), *t) for c, t in enumerate(triples)])
         total = op if total is None else total + op
     return total if total is not None else FockOperator(tr)
+
+
+def _lift_placements(tr: Truncation, p, q):
+    """(v, target, source) of key (p, q) in lift: the v in S with both q·v
+    and p·v in S, and the indices of p·v and q·v."""
+    at_q, at_p = tr.right_orbit(q), tr.right_orbit(p)
+    v = np.flatnonzero((at_q >= 0) & (at_p >= 0))
+    return v, at_p[v], at_q[v]
 
 
 def lift(x: NTElement, tr: Truncation) -> FockOperator:
@@ -429,13 +396,7 @@ def lift(x: NTElement, tr: Truncation) -> FockOperator:
     Key (p,q,a) sends the source block at s = q·v to p·v, for every v in S
     with both in S; targets outside S are dropped (truncation).
     """
-
-    def placements(p, q):
-        at_q, at_p = tr.right_orbit(q), tr.right_orbit(p)
-        v = np.flatnonzero((at_q >= 0) & (at_p >= 0))
-        return v, at_p[v], at_q[v]
-
-    return _assemble(x, tr, placements)
+    return _assemble(x, tr, lambda p, q: _lift_placements(tr, p, q))
 
 
 def fock_norm(x: NTElement, tr: Truncation, tol=1e-8) -> float:
@@ -485,24 +446,6 @@ def projection_QT(p, tr: Truncation) -> FockOperator:
     return _source_projection(tr, at_p[at_p >= 0])
 
 
-class FiberRestriction:
-    """lift(x) restricted to the t-th fiber, materialized densely."""
-
-    def __init__(self, t, matrix):
-        self.t = t
-        self.matrix = matrix
-
-    def norm(self):
-        return spectral_norm(self.matrix)
-
-    def __repr__(self):
-        return f"<fiber t={self.t!r} dim={self.matrix.shape[0]}>"
-
-
-def fock_source_restricted(x: NTElement, t, tr: Truncation) -> FiberRestriction:
-    return FiberRestriction(t, lift(x, tr).fiber(t))
-
-
 def check_reducing_condition(backend, K, t, depth: int, tol=1e-8) -> StructureReport:
     """For each p, some unit x makes span K(px,t)K(t,px) essential in L_K(px,px).
 
@@ -530,16 +473,3 @@ def check_reducing_condition(backend, K, t, depth: int, tol=1e-8) -> StructureRe
         if not ok:
             failures.append((p, f"K(px,{t!r})K({t!r},px) never spans the diagonal"))
     return StructureReport("reducing-condition", not failures, checked, failures)
-
-
-def check_divisor_closure(tr: Truncation, slack: int = 3) -> bool:
-    """S closed under left divisors; probed against a larger enumeration.
-
-    Holds for length-graded instances; necessarily fails for the absorption
-    monoid, whose divisor sets are infinite.
-    """
-    sg = tr.backend.sg
-    probe = [u for u in sg.elements(tr.depth + slack) if u not in tr.index]
-    return not any(
-        sg.left_divide(u, s) is not None for s in tr.S for u in probe
-    )

@@ -513,8 +513,12 @@ CHECKS = {
         "Faithfulness of a |-> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber:\n"
         "the smallest singular value of the linearized map must exceed the\n"
         "scenario's tol, and the compression must commute with the fiber action.\n"
-        "Precondition: no q may divide p.  Certificate: sigma_min and the\n"
-        "commutation defect."),
+        "When every Q_<q_i> is an index set (see projections), the product is a\n"
+        "column mask: phi(a) times it zeroes columns, and the commutator is\n"
+        "nonzero only where phi(a) has an entry whose row and column the mask\n"
+        "treats differently, so a spectral norm is taken only then.  Otherwise\n"
+        "the product is formed densely.  Precondition: no q may divide p.\n"
+        "Certificate: sigma_min and the commutation defect."),
     "condition-cprime": Check(run_condition_cprime, ("p", "qs", "element"), ("depth", "tol"),
         "Norm preservation in the corner: compressing the represented element by\n"
         "1 - (Q_{q_1} v ... v Q_{q_n}) must not change its norm by more than tol\n"
@@ -524,10 +528,18 @@ CHECKS = {
         "Semilattice law for the range projections: Q_<p> Q_<q> equals Q_<lcm>\n"
         "when p and q have a common multiple and 0 otherwise, plus the per-\n"
         "element equality Q_p = Q_<p>.  Q_p = phi(1_p), the image of the unit\n"
-        "of K(p,p); Q_<p> is the range projection of the sum of the phi(1_w)\n"
-        "over the window's w in pP, by eigh with relative cutoff 1e-8.  depth is\n"
-        "the word length of the pairs and tol bounds each defect; tol defaults\n"
-        "to 1e-9 and does not follow the scenario's settings.tol.\n"
+        "of K(p,p).  Diagonal certificate first: a phi(1_w) with no nonzero\n"
+        "entry off its diagonal and every diagonal entry exactly 0 or 1 (no\n"
+        "tolerance) is the projection onto an index set.  When every w in pP of\n"
+        "the window is certified, Q_<p> is the union of their sets and both laws\n"
+        "are set identities, each defect exactly 0.0 or 1.0.  On the Fock\n"
+        "representation of a colored backend every phi(1_w) is certified.\n"
+        "Otherwise (dense fallback) phi(1_w) must be a self-adjoint idempotent,\n"
+        "Q_<p> is the range projection of the sum of the phi(1_w) over the\n"
+        "window's w in pP by eigh with relative cutoff 1e-8, and a defect is a\n"
+        "spectral norm.  depth is the word length of the pairs and tol bounds\n"
+        "each defect; tol defaults to 1e-9 and does not follow the scenario's\n"
+        "settings.tol.\n"
         "Certificate: worst defect per law."),
     "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b"), ("h", "twist", "trials", "seed"),
         "Bracket the infimum of |alpha(a) b a| over positive norm-one a supported\n"

@@ -33,6 +33,17 @@ from .semigroups import FiniteGroup
 PRUNE_TOL = 1e-12
 
 
+def canonical_key(sg, p, q):
+    """(p u, q u, u): the least key of the unit orbit of (p, q), with the unit
+    u that transports a coefficient there by a -> a x 1_u."""
+    if sg.trivial_units:
+        return p, q, sg.unit_tuple[0]
+    return min(
+        ((p * u, q * u, u) for u in sg.unit_tuple),
+        key=lambda t: (sg.sort_key(t[0]), sg.sort_key(t[1])),
+    )
+
+
 class NTElement:
     """Formal sum  sum_{(p,q)} i(a_{p,q})  with unit-canonical keys."""
 
@@ -48,19 +59,10 @@ class NTElement:
             x.add_term(p, q, arrow)
         return x
 
-    def _canonical(self, p, q):
-        sg = self.backend.sg
-        if sg.trivial_units:
-            return p, q, sg.unit_tuple[0]
-        return min(
-            ((p * u, q * u, u) for u in sg.unit_tuple),
-            key=lambda t: (sg.sort_key(t[0]), sg.sort_key(t[1])),
-        )
-
     def add_term(self, p, q, arrow):
         if not ideal_membership(arrow, self.ideal):
             raise ValueError(f"coefficient at ({p!r},{q!r}) escapes the ideal")
-        cp, cq, u = self._canonical(p, q)
+        cp, cq, u = canonical_key(self.backend.sg, p, q)
         if u != self.backend.sg.one:
             arrow = arrow.rtensor(u)
         key = (cp, cq)
@@ -73,7 +75,7 @@ class NTElement:
         return self
 
     def coeff(self, p, q):
-        cp, cq, u = self._canonical(p, q)
+        cp, cq, u = canonical_key(self.backend.sg, p, q)
         return self.terms.get((cp, cq))
 
     def keys(self):
@@ -167,7 +169,7 @@ class NTElement:
                     raise ValueError(f"coefficient at ({pk!r},{tk!r}) escapes the ideal")
                 canon = canonical.get((pk, tk))
                 if canon is None:
-                    cp, cq, u = self._canonical(pk, tk)
+                    cp, cq, u = canonical_key(self.backend.sg, pk, tk)
                     canon = canonical[pk, tk] = ((cp, cq), None if u == backend.sg.one else u)
                 key, u = canon
                 if u is not None:

@@ -1,0 +1,93 @@
+"""Test oracles on the truncated Fock module: per-fiber dense assembly.
+
+The engine keeps one column factor per color and never materializes the
+t-th fiber ⊕_s K(s,t); these routes build it densely, for comparing norms,
+the block-diagonal compression and the t-th restricted representation
+against the factored operators.
+"""
+
+import numpy as np
+
+from ntforge.fock import FockOperator, Truncation, _csr, lift
+from ntforge.linalg import spectral_norm
+from ntforge.wick import NTElement
+
+
+def fiber_layout(tr: Truncation, t):
+    """Offsets of the vectorized K(s,t) blocks inside the t-th fiber."""
+    layout = {}
+    off = 0
+    present = [s for s in tr.S if tr.backend.space_dim(s, t)]
+    for c in range(tr.backend.slot_count):
+        for s in present:
+            rows, cols = tr.backend.shape(s, t)[c]
+            if rows * cols == 0:
+                continue
+            layout[(s, c)] = (off, rows, cols)
+            off += rows * cols
+    return layout, off
+
+
+def fiber(op: FockOperator, t):
+    """Dense matrix of the operator on the t-th fiber ⊕_s K(s,t): per
+    color, the slot on the sources present there, kron 1_{dim_c(t)}."""
+    tr = op.tr
+    layout, total = fiber_layout(tr, t)
+    out = np.zeros((total, total), dtype=complex)
+    for c, m in enumerate(op.slots):
+        present = [s for s in tr.S if (s, c) in layout]
+        if not present:
+            continue
+        off, _, width = layout[(present[0], c)]
+        idx = np.flatnonzero(np.isin(tr.col_source(c), [tr.index[s] for s in present]))
+        amp = np.kron(m.toarray()[np.ix_(idx, idx)], np.eye(width, dtype=complex))
+        out[off : off + amp.shape[0], off : off + amp.shape[0]] = amp
+    return out
+
+
+def norm_by_fibers(op: FockOperator, ts=None):
+    """Honest per-fiber assembly; equals op.norm()."""
+    ts = list(ts) if ts is not None else op.tr.S
+    return max((spectral_norm(fiber(op, t)) for t in ts), default=0.0)
+
+
+def diagonal_part(op: FockOperator):
+    """Keep the blocks whose target object equals their source object."""
+    out = []
+    for c, m in enumerate(op.slots):
+        owner = op.tr.col_source(c)
+        coo = m.tocoo()
+        keep = owner[coo.row] == owner[coo.col]
+        out.append(_csr(m.shape[0], coo.row[keep], coo.col[keep], coo.data[keep]))
+    return FockOperator(op.tr, out)
+
+
+class FiberRestriction:
+    """lift(x) restricted to the t-th fiber, materialized densely."""
+
+    def __init__(self, t, matrix):
+        self.t = t
+        self.matrix = matrix
+
+    def norm(self):
+        return spectral_norm(self.matrix)
+
+    def __repr__(self):
+        return f"<fiber t={self.t!r} dim={self.matrix.shape[0]}>"
+
+
+def fock_source_restricted(x: NTElement, t, tr: Truncation) -> FiberRestriction:
+    return FiberRestriction(t, fiber(lift(x, tr), t))
+
+
+def check_divisor_closure(tr: Truncation, slack: int = 3) -> bool:
+    """S closed under left divisors; probed against a larger enumeration.
+
+    Holds for length-graded instances; necessarily fails for the absorption
+    monoid, whose divisor sets are infinite.
+    """
+    sg = tr.backend.sg
+    probe = [u for u in sg.elements(tr.depth + slack) if u not in tr.index]
+    return not any(
+        sg.left_divide(u, s) is not None for s in tr.S for u in probe
+    )

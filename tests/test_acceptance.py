@@ -12,7 +12,6 @@ import pytest
 from ntforge.analysis import (
     ConcreteRep,
     ProjectionFamily,
-    action_on_projection_defect,
     aperiodicity_search,
     check_condition_C,
     check_graded,
@@ -34,7 +33,6 @@ from ntforge.bundles import (
 from ntforge.fock import (
     Truncation,
     fock_norm,
-    fock_source_restricted,
     lift,
     transcendental_expectation,
 )
@@ -54,6 +52,8 @@ from ntforge.semigroups import (
     symmetric_group_3,
 )
 from ntforge.wick import NTElement, core_norm, nt_mul
+from fock_oracles import fock_source_restricted
+from rep_oracles import action_on_projection_defect
 
 
 def _verdict(num, ok, text):

@@ -11,16 +11,13 @@ from ntforge.analysis import (
     _aperiodicity_objective,
     _numerical_range_witness,
     _powell_search,
-    action_on_projection_defect,
     aperiodicity_search,
     check_condition_C,
     check_condition_Cprime,
     check_extension_kernel,
     check_graded,
     check_injective,
-    check_projection_commutation,
     check_projection_equalities,
-    check_projection_orthogonality,
     check_projection_semilattice,
     check_toeplitz_covariance,
     degenerate_example_rep,
@@ -33,6 +30,12 @@ from ntforge.fock import projection_QT
 from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColorIdeal, ColoredProductSystem, check_essential
 from ntforge.semigroups import DirectSumN, UnitExtension, cyclic_group, free_monoid
+from rep_oracles import (
+    action_on_projection_defect,
+    check_projection_commutation,
+    check_projection_orthogonality,
+    check_star,
+)
 
 
 def ps_scalar(sg, n_gens, colors=1):
@@ -74,7 +77,7 @@ def test_fock_rep_star_compatible(frep_N):
     rep, tr = frep_N
     sg = rep.backend.sg
     keys = [(sg.el((1,)), sg.el((0,))), (sg.el((2,)), sg.el((1,)))]
-    assert rep.check_star(keys, tol=1e-10)
+    assert check_star(rep, keys, tol=1e-10)
 
 
 def test_projection_matches_algebraic_fock_projection(frep_N, frep_N2_deep):
@@ -139,6 +142,107 @@ def test_projection_family_rejects_non_projection_unit_image(frep_N):
     p = rep.backend.sg.el((1,))
     with pytest.raises(ValueError, match=re.escape(f"phi(1_{p!r})")):
         ProjectionFamily(doubled, tr.S).Q(p)
+
+
+def _edit_unit_image(rep, w, edit):
+    """rep with phi(1_w) edited in place by edit(m); on a scalar backend every
+    arrow at (w, w) is a multiple of 1_w, so all of them are edited."""
+
+    def phi(a):
+        m = rep.phi(a)
+        if a.range == w and a.source == w:
+            edit(m)
+        return m
+
+    return ConcreteRep(rep.backend, rep.dim, phi, label="edited")
+
+
+def test_diagonal_certificate_is_exact(frep_N):
+    rep, tr = frep_N
+    sg = rep.backend.sg
+    w, e = sg.el((1,)), sg.identity()
+    fam = ProjectionFamily(rep, tr.S)
+    assert fam.Q_set(w) is not None and fam.Q_angle_set(e) is not None
+
+    def set_entry(i, j, value):
+        def edit(m):
+            m[i, j] = value
+        return edit
+
+    # each edit leaves a self-adjoint idempotent up to round-off, but not a
+    # 0/1 diagonal, so it takes the dense path and still passes there
+    for edit in (set_entry(1, 1, 1.0 + 2.0**-52), set_entry(0, 1, 1e-300)):
+        fam = ProjectionFamily(_edit_unit_image(rep, w, edit), tr.S)
+        assert fam.Q_set(w) is None
+        assert fam.Q_angle_set(e) is None and fam.Q_angle_set(w) is None
+        assert fam.Q_angle_set(sg.el((2,))) is not None  # w is not in 2P
+        assert check_projection_semilattice(fam, depth=2, tol=1e-9).ok
+        assert check_projection_equalities(fam, sg.elements(2), tol=1e-9).ok
+    # an entry 0.5 is no projection: the dense path rejects it
+    fam = ProjectionFamily(_edit_unit_image(rep, w, set_entry(1, 1, 0.5)), tr.S)
+    with pytest.raises(ValueError, match=re.escape(f"phi(1_{w!r})")):
+        fam.Q_set(w)
+
+
+def _conjugated(rep, seed):
+    """phi' = U phi U* for a random unitary U: no unit image is diagonal."""
+    rng = np.random.default_rng(seed)
+    shape = (rep.dim, rep.dim)
+    u, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return ConcreteRep(
+        rep.backend, rep.dim, lambda a: u @ rep.phi(a) @ u.conj().T, rep.ideal, label="conjugated"
+    )
+
+
+def _verify_cases():
+    """(backend, Fock depth, pair depth, (p, qs)): the verify benchmark's three
+    reps, then N^2 with dims (2,)/(1,) at Fock depths 2-5."""
+    n2, ab = DirectSumN(2), free_monoid("ab")
+    n2_21 = ColoredProductSystem(n2, [(2,), (1,)], check_depth=2)
+    n2c2 = ColoredProductSystem(n2, [(1, 2), (2, 1)], check_depth=2)
+    abc2 = ColoredProductSystem(ab, [(2, 1), (1, 1)], check_depth=2)
+    n2_pq = ("(1,0)", ["(0,1)", "(2,0)"])
+    cases = {
+        "verify-n2-d4": (n2_21, 4, 3, n2_pq),
+        "verify-n2c2-d3": (n2c2, 3, 2, n2_pq),
+        "verify-abc2-d3": (abc2, 3, 2, ("a", ["b", "ab"])),
+    }
+    for depth in range(2, 6):
+        cases[f"n2-d{depth}"] = (n2_21, depth, 2, n2_pq)
+    return cases
+
+
+VERIFY_CASES = _verify_cases()
+
+
+@pytest.mark.parametrize("case", list(VERIFY_CASES))
+def test_certified_route_matches_dense_route(case):
+    backend, fock_depth, depth, (p, qs) = VERIFY_CASES[case]
+    sg = backend.sg
+    p, qs = sg.parse(p), [sg.parse(q) for q in qs]
+    rep, tr = fock_rep(backend, fock_depth)
+    other = _conjugated(rep, 7)
+    out = {}
+    for name, r in (("certified", rep), ("dense", other)):
+        fam = ProjectionFamily(r, tr.S)
+        out[name] = (
+            check_projection_semilattice(fam, depth, tol=1e-9),
+            check_projection_equalities(fam, sg.elements(depth), tol=1e-9),
+            check_toeplitz_covariance(r, p, qs),
+            check_condition_C(r, ProjectionFamily(r, tr.S), p, qs),
+        )
+        certified = [fam.Q_angle_set(s) is not None for s in sg.elements(depth)]
+        assert all(certified) if name == "certified" else not any(certified)
+        if name == "certified":
+            for s in sg.elements(depth):
+                assert np.array_equal(fam.Q_angle(s), projection_QT(s, tr).dense())
+    (semi, eq, toe, cond), (semi_d, eq_d, toe_d, cond_d) = out["certified"], out["dense"]
+    assert (semi.ok, eq.ok, toe.ok, cond.ok) == (semi_d.ok, eq_d.ok, toe_d.ok, cond_d.ok)
+    assert semi.ok and eq.ok and toe.ok and cond.ok
+    assert toe.details == toe_d.details
+    assert abs(cond.details["sigma_min"] - cond_d.details["sigma_min"]) <= 1e-12
+    assert cond.details["commutation_defect"] == 0.0
+    assert cond_d.details["commutation_defect"] <= 1e-9
 
 
 def test_projection_semilattice_N2(frep_N2, frep_N2_deep):

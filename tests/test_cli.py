@@ -37,6 +37,21 @@ def test_bundle_golden_report():
     assert _normalized(run_scenario(Z2)) == golden
 
 
+def test_golden_reports_are_byte_identical():
+    # the parsed comparisons above forgive formatting; regen_golden.py --check
+    # compares the bytes of each report apart from generated_at
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "regen_golden.py"), "--check"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "toeplitz_N.report.json: identical",
+        "z2_bundle.report.json: identical",
+    ]
+
+
 def test_run_is_deterministic_modulo_timestamp():
     a, b = run_scenario(TOEPLITZ), run_scenario(TOEPLITZ)
     a["generated_at"] = b["generated_at"] = "X"

@@ -6,24 +6,29 @@ import zlib
 import numpy as np
 import pytest
 
-from ntforge.bundles import precategory_from_bundle, semidirect_bundle, trivial_action
+from ntforge.analysis import fock_rep
+from ntforge.bundles import (
+    CrossedProductBackend,
+    precategory_from_bundle,
+    semidirect_bundle,
+    swap_action,
+    trivial_action,
+)
 from ntforge.fock import (
     SMALL_SLOT,
     FockOperator,
     LanczosNoConvergence,
     Truncation,
     _gram_lanczos,
-    check_divisor_closure,
     check_reducing_condition,
     fock_norm,
-    fock_source_restricted,
     lift,
     projection_QT,
     projection_Qw,
     transcendental_expectation,
 )
 from ntforge.linalg import spectral_norm
-from ntforge.precategory import ColoredProductSystem, ZeroTensorBackend, full_ideal
+from ntforge.precategory import ColoredProductSystem, ZeroTensorBackend, full_ideal, ideal_unit
 from ntforge.semigroups import (
     INSTANCE_KINDS,
     AbsorptionMonoid,
@@ -35,6 +40,14 @@ from ntforge.semigroups import (
     symmetric_group_3,
 )
 from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_monomial, nt_mul
+from fock_oracles import (
+    check_divisor_closure,
+    diagonal_part,
+    fiber,
+    fiber_layout,
+    fock_source_restricted,
+    norm_by_fibers,
+)
 
 N = DirectSumN(1)
 N2 = DirectSumN(2)
@@ -168,7 +181,7 @@ def test_factored_norm_matches_fiberwise_assembly():
     tr = Truncation(ps_FM, 3)
     for _ in range(6):
         op = lift(random_element(ps_FM, rng, pool=FM.elements(2)), tr)
-        assert abs(op.norm() - op.norm_by_fibers()) <= 1e-10
+        assert abs(op.norm() - norm_by_fibers(op)) <= 1e-10
     # both color slots above SMALL_SLOT: Lanczos against the dense SVD of the
     # t = e fiber, which holds both column factors
     tr = Truncation(ps_FM, 4)
@@ -179,19 +192,19 @@ def test_factored_norm_matches_fiberwise_assembly():
             p, q = rng.sample(FM.elements(2), 2)
             x.add_term(p, q, ps_FM.random_arrow(p, q, rng))
         op = lift(x, tr)
-        assert abs(op.norm() - op.norm_by_fibers(ts=[FM.identity()])) <= 1e-10
+        assert abs(op.norm() - norm_by_fibers(op, ts=[FM.identity()])) <= 1e-10
     assert (op - op).norm() == 0.0  # an all-zero slot above SMALL_SLOT
     # zero-tensor backend: K(s,t) = 0 off the diagonal, so each fiber holds
     # only its own diagonal block
     zb = ZeroTensorBackend([1, 2, 2])
     tr = Truncation(zb, 3)
     for t in tr.S:
-        assert list(tr.fiber_layout(t)[0]) == [(t, 0)]
+        assert list(fiber_layout(tr, t)[0]) == [(t, 0)]
     x = NTElement(zb)
     for p in zb.sg.elements(2):
         x.add_term(p, p, zb.random_arrow(p, p, rng))
     op = lift(x, tr)
-    assert abs(op.norm() - op.norm_by_fibers()) <= 1e-10
+    assert abs(op.norm() - norm_by_fibers(op)) <= 1e-10
 
 
 def _dense_block_reference(tr, blocks_at):
@@ -240,7 +253,7 @@ def _reference_lift(x, tr, expectation=False):
 def _reference_fiber(tr, slots, t):
     """Old FockOperator.fiber on dense slots: every (target, source) block,
     kron the identity of the target's K(s,t) columns, at the fiber layout."""
-    layout, total = tr.fiber_layout(t)
+    layout, total = fiber_layout(tr, t)
     m = np.zeros((total, total), dtype=complex)
     for (so, c), (oo, ro, co) in layout.items():
         for (si, ci_), (oi, ri, cc) in layout.items():
@@ -296,7 +309,7 @@ def test_sparse_slots_equal_dense_block_reference(ps, depth):
                 assert np.array_equal(op.slots[c].toarray(), want[c])
                 assert op.slots[c].nnz == np.count_nonzero(want[c])
             for t in tr.S[:3]:  # e and two generators: widths 1 and above
-                assert np.array_equal(op.fiber(t), _reference_fiber(tr, want, t))
+                assert np.array_equal(fiber(op, t), _reference_fiber(tr, want, t))
     for p in ps.sg.elements(2):
         got, want = projection_QT(p, tr), _reference_projection_QT(p, tr)
         for c in range(ps.slot_count):
@@ -389,6 +402,39 @@ def test_lift_amplifies_once_per_key_and_dim_class(monkeypatch):
         for b, d in zip(a.blocks, ps.dim(v))
     )
     assert sum(m.nnz for m in op.slots) == nnz
+
+
+# generator dims per instance kind: two colors, each dim 2 somewhere, dim 1
+# where the relations force it (absorbed generators, groups)
+PHI_GEN_DIMS = {
+    "direct_sum": [(2, 1), (1, 2)],
+    "free_monoid": [(2, 1), (1, 2), (1, 1)],
+    "free_product": [(2, 1), (1, 1), (1, 2)],
+    "absorption": [(2, 1), (1, 1)],
+    "unit_extension": [(2, 1), (1, 2)],
+    "finite_group": [],
+}
+PHI_BACKENDS = {
+    kind: (ColoredProductSystem(make_semigroup(spec), PHI_GEN_DIMS[kind], colors=2), depth)
+    for kind, (spec, depth) in INSTANCE_SPECS.items()
+}
+PHI_BACKENDS["zero-tensor"] = (zb_122, 3)
+PHI_BACKENDS["crossed-swap"] = (CrossedProductBackend(swap_action(cyclic_group(2), dim=2)), 1)
+
+
+@pytest.mark.parametrize("case", sorted(PHI_BACKENDS))
+def test_fock_rep_phi_equals_dense_lift(case):
+    # the scatter into the dense layout against lift of the one-term element,
+    # for every basis arrow of the keys up to length 1 and every unit image
+    ps, depth = PHI_BACKENDS[case]
+    rep, tr = fock_rep(ps, depth)
+    pool = ps.sg.elements(1)
+    arrows = [a for p in pool for q in pool for a in ps.basis(p, q)]
+    arrows += [ideal_unit(ps, full_ideal(ps), w) for w in tr.S]
+    assert arrows
+    for a in arrows:
+        want = lift(NTElement.from_terms(ps, [(a.range, a.source, a)]), tr).dense()
+        assert np.array_equal(rep.phi(a), want)
 
 
 # every backend, at a depth where some color slot is just above SMALL_SLOT
@@ -523,7 +569,7 @@ def test_expectation_is_diagonal_compression_of_lift():
         p = rng.choice(ps.sg.elements(2))
         x.add_term(p, p, ps.random_arrow(p, p, rng))
         ex = transcendental_expectation(x, tr)
-        compress = lift(x, tr).diagonal_part()
+        compress = diagonal_part(lift(x, tr))
         assert (ex - compress).frobenius() <= 1e-12
         # and via explicit Q_w sandwiches
         lf = lift(x, tr)
