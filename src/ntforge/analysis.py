@@ -21,6 +21,10 @@ with relative cutoff tol.  The Fock representation's phi scatters the lifted
 key's COO triples into a dense matrix; on a colored backend every phi(1_w)
 is a 0/1 diagonal.
 
+The covariance and faithfulness checks map a fiber's whole matrix-unit basis
+at once (ConcreteRep.basis_images: one lift and one scatter on the Fock
+representation) and rank the images as rows on the union of their supports.
+
 The aperiodicity search starts, on a colored backend, from a closed form: a
 unit x has dim(x) = 1, so for rank-one a = v v* in one color |alpha(a) b a|
 is |<v, M v>| with M = V* U* b V, and the rank-one infimum is the distance
@@ -46,9 +50,9 @@ import random
 import numpy as np
 
 from .fock import Truncation, _key_triples, _lift_placements
-from .linalg import rank_of_span, spectral_norm
+from .linalg import rank_of_span, span_singular_values, spectral_norm
 from .precategory import (
-    ColorIdeal,
+    Arrow,
     ColoredProductSystem,
     ZeroTensorBackend,
     full_ideal,
@@ -64,12 +68,13 @@ RANK_TOL = 1e-8
 class ConcreteRep:
     """Arrow -> operator on C^dim, linear per fiber and *-compatible."""
 
-    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep"):
+    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep", images_fn=None):
         self.backend = backend
         self.dim = dim
         self._phi = phi_fn
         self.ideal = ideal if ideal is not None else full_ideal(backend)
         self.label = label
+        self._images = images_fn
 
     def phi(self, arrow):
         return self._phi(arrow)
@@ -78,12 +83,14 @@ class ConcreteRep:
         """vec(phi(arrow)), or any isometric image of it, for ranks of images."""
         return np.ravel(self.phi(arrow))
 
-    def fiber_image(self, p, q):
-        """Columns flat(a_k) over the matrix-unit basis of K(p,q)."""
+    def basis_images(self, p, q):
+        """The rows flat(a) over the matrix-unit basis of K(p,q), in
+        backend.basis order: shape (n, L), L the length of flat.  images_fn
+        computes them at once where given; by default one flat per arrow."""
+        if self._images is not None:
+            return self._images(p, q)
         basis = self.backend.basis(p, q, ideal=self.ideal)
-        if not basis:
-            return np.zeros((self.dim * self.dim, 0))
-        return np.column_stack([self.flat(a) for a in basis])
+        return np.array([self.flat(a) for a in basis]) if basis else np.zeros((0, self.dim**2), dtype=complex)
 
     def __repr__(self):
         return f"<rep {self.label} dim={self.dim}>"
@@ -97,6 +104,11 @@ def fock_rep(backend, depth: int, ideal=None):
     lift(x, tr).dense() for the one-term element x = a at its unit-canonical
     key, the key's triples scattered straight into the dense layout (and,
     unlike NTElement, a coefficient below PRUNE_TOL is not dropped).
+
+    basis_images(p, q) lifts one arrow whose entry at matrix unit k is k + 1:
+    where the backend's ampliation only copies entries (backend.copies_entries),
+    each triple names its basis element, and one scatter writes every
+    image.  Elsewhere each basis arrow takes phi.
     """
     tr = Truncation(backend, depth)
     sizes = [tr.col_total(c) for c in range(backend.slot_count)]
@@ -106,22 +118,34 @@ def fock_rep(backend, depth: int, ideal=None):
     sg = backend.sg
     keys = {}  # (range, source) -> (transporting unit, lift placements)
 
-    def phi(arrow):
+    def triples(arrow):
         key = (arrow.range, arrow.source)
-        if not ideal_membership(arrow, ideal):
-            raise ValueError(f"coefficient at ({key[0]!r},{key[1]!r}) escapes the ideal")
         if key not in keys:
             p, q, u = canonical_key(sg, *key)
             keys[key] = (u, _lift_placements(tr, p, q))
         u, placed = keys[key]
+        return zip(offsets, _key_triples(tr, arrow if u == sg.one else arrow.rtensor(u), *placed))
+
+    def phi(arrow):
+        if not ideal_membership(arrow, ideal):
+            raise ValueError(f"coefficient at ({arrow.range!r},{arrow.source!r}) escapes the ideal")
         out = np.zeros((dim, dim), dtype=complex)
-        triples = _key_triples(tr, arrow if u == sg.one else arrow.rtensor(u), *placed)
-        for off, t in zip(offsets, triples):
+        for off, t in triples(arrow):
             if t:
                 out[off + t[0], off + t[1]] = t[2]
         return out
 
-    return ConcreteRep(backend, dim, phi, ideal, label="fock"), tr
+    def images(p, q):
+        n = backend.space_dim(p, q, ideal)
+        out = np.zeros((n, dim * dim), dtype=complex)
+        stack = backend.basis_stack(p, q, ideal)
+        labels = Arrow(backend, p, q, [np.tensordot(np.arange(1.0, n + 1), s, 1) for s in stack])
+        for off, t in triples(labels):
+            if t:
+                out[t[2].real.astype(np.intp) - 1, (off + t[0]) * dim + off + t[1]] = 1.0
+        return out
+
+    return ConcreteRep(backend, dim, phi, ideal, "fock", images if backend.copies_entries else None), tr
 
 
 def degenerate_example_rep(dims):
@@ -298,16 +322,24 @@ def _precondition(sg, p, qs):
             raise ValueError(f"precondition violated: {q!r} divides {p!r}")
 
 
+def _sigma_min(rows):
+    """Smallest singular value of the map with these basis images (rows);
+    0.0 when they have fewer nonzero columns than rows."""
+    s = span_singular_values(rows)
+    return float(s[-1]) if len(s) == len(rows) else 0.0
+
+
 def check_toeplitz_covariance(rep: ConcreteRep, p, qs, tol=RANK_TOL):
-    """Trivial intersection of phi(K(p,p)) with the span of the phi(K(q,q))."""
+    """Trivial intersection of phi(K(p,p)) with the span of the phi(K(q,q)):
+    ranks of the basis images, as rows on the union of their supports."""
     sg = rep.backend.sg
     _precondition(sg, p, qs)
-    A = rep.fiber_image(p, p)
-    Bs = [rep.fiber_image(q, q) for q in qs]
-    B = np.hstack(Bs) if Bs else A[:, :0]
-    ra = rank_of_span(A.T, tol)
-    rb = rank_of_span(B.T, tol)
-    rab = rank_of_span(np.hstack([A, B]).T, tol)
+    A = rep.basis_images(p, p)
+    Bs = [rep.basis_images(q, q) for q in qs]
+    keep = np.logical_or.reduce([m.any(axis=0) for m in [A] + Bs])
+    A, B = A[:, keep], np.concatenate([A[:0, keep]] + [m[:, keep] for m in Bs])
+    ra, rb = rank_of_span(A, tol), rank_of_span(B, tol)
+    rab = rank_of_span(np.concatenate([A, B]), tol)
     ok = rab == ra + rb
     return CheckReport(
         "toeplitz-covariance",
@@ -319,40 +351,31 @@ def check_toeplitz_covariance(rep: ConcreteRep, p, qs, tol=RANK_TOL):
 def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RANK_TOL):
     """Faithfulness of a -> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber.
 
-    When every Q_<q_i> has an index set, the product keeps the columns
-    outside all of them, and its commutator with phi(a) holds phi(a) where
-    the row and column masks differ: a spectral norm is taken only when such
-    an entry is nonzero.  Otherwise the product is formed densely.
+    The basis images phi(a) of K(p,p) come as one stack (rep.basis_images,
+    rows vec(phi(a))), and the compression is broadcast over it.  When every
+    Q_<q_i> has an index set, the product keeps the columns outside all of
+    them, and its commutator with phi(a) holds phi(a) where the row and
+    column masks differ.  Otherwise the product is formed densely.  A
+    spectral norm is taken only of a nonzero commutator.
     """
     sg = rep.backend.sg
     _precondition(sg, p, qs)
+    ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
+    if not len(ims):
+        return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
     sets = [family.Q_angle_set(q) for q in qs]
     if all(s is not None for s in sets):
         keep = ~np.any([np.zeros(rep.dim, dtype=bool)] + sets, axis=0)
-        sign = keep[None, :].astype(float) - keep[:, None]  # m comp - comp m = m * sign
-
-        def compress(m):
-            gap = m * sign
-            return m * keep, (spectral_norm(gap) if gap.any() else 0.0)
+        mc, gap = ims * keep, ims * (keep[None, :].astype(float) - keep[:, None])
     else:
         comp = np.eye(rep.dim, dtype=complex)
         for q in qs:
             comp = comp @ (np.eye(rep.dim) - family.Q_angle(q))
-
-        def compress(m):
-            mc = m @ comp
-            return mc, spectral_norm(mc - comp @ m)
-    basis = rep.backend.basis(p, p, ideal=rep.ideal)
-    cols = []
-    commutation = 0.0
-    for a in basis:
-        mc, defect = compress(rep.phi(a))
-        cols.append(np.ravel(mc))
-        commutation = max(commutation, defect)
-    M = np.column_stack(cols) if cols else np.zeros((rep.dim * rep.dim, 0))
-    if M.shape[1] == 0:
-        return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
-    smin = float(np.linalg.svd(M, compute_uv=False)[-1])
+        mc = ims @ comp
+        gap = mc - comp @ ims
+    gap = gap[gap.reshape(len(gap), -1).any(axis=1)]
+    commutation = float(np.linalg.norm(gap, 2, axis=(1, 2)).max(initial=0.0))
+    smin = _sigma_min(mc.reshape(len(mc), -1))
     return CheckReport(
         "condition-C",
         smin > tol,
@@ -361,14 +384,21 @@ def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RAN
 
 
 def check_condition_Cprime(rep: ConcreteRep, family: ProjectionFamily, p, qs, arrow, tol=1e-6):
-    """Corner-norm equality through 1 - (Q_{q_1} v ... v Q_{q_n})."""
+    """Corner-norm equality through 1 - (Q_{q_1} v ... v Q_{q_n}): where every
+    Q_{q_i} has an index set, the join is their union and the corner keeps
+    the rows and columns outside it; else the join is an eigh range."""
     sg = rep.backend.sg
     _precondition(sg, p, qs)
-    join = _range(sum((family.Q(q) for q in qs), np.zeros((rep.dim, rep.dim))), family.tol)
-    corner = np.eye(rep.dim, dtype=complex) - join
+    sets = [family.Q_set(q) for q in qs]
     m = rep.phi(arrow)
     full = spectral_norm(m)
-    compressed = spectral_norm(corner @ m @ corner)
+    if all(s is not None for s in sets):
+        keep = ~np.any([np.zeros(rep.dim, dtype=bool)] + sets, axis=0)
+        compressed = spectral_norm(m[np.ix_(keep, keep)])
+    else:
+        join = _range(sum((family.Q(q) for q in qs), np.zeros((rep.dim, rep.dim))), family.tol)
+        corner = np.eye(rep.dim, dtype=complex) - join
+        compressed = spectral_norm(corner @ m @ corner)
     return CheckReport(
         "condition-Cprime",
         abs(full - compressed) <= tol,
@@ -380,40 +410,10 @@ def check_injective(rep: ConcreteRep, keys, tol=RANK_TOL):
     """Smallest singular value of the fiber-linearized map over the given keys."""
     smin = float("inf")
     for p, q in keys:
-        M = rep.fiber_image(p, q)
-        if M.shape[1] == 0:
-            continue
-        smin = min(smin, float(np.linalg.svd(M, compute_uv=False)[-1]))
+        rows = rep.basis_images(p, q)
+        if len(rows):
+            smin = min(smin, _sigma_min(rows))
     return CheckReport("injectivity", smin > tol, {"sigma_min": smin})
-
-
-# -- representation extension --------------------------------------------------
-
-
-def extend_representation(rep: ConcreteRep, K: ColorIdeal) -> ConcreteRep:
-    """Extension from the ideal: a -> phi(a * 1_K), zero beyond phi(K)H."""
-
-    def phi(arrow):
-        return rep.phi(arrow.compose(ideal_unit(rep.backend, K, arrow.source)))
-
-    return ConcreteRep(
-        rep.backend, rep.dim, phi, ideal=full_ideal(rep.backend), label=f"{rep.label}-extended"
-    )
-
-
-def check_extension_kernel(rep: ConcreteRep, K: ColorIdeal, arrows, tol=1e-10):
-    """phi_ext(a) = 0 iff a K(q,q) <= ker phi, testing both directions."""
-    ext = extend_representation(rep, K)
-    failures = []
-    for a in arrows:
-        lhs = spectral_norm(ext.phi(a)) <= tol
-        rhs = all(
-            spectral_norm(rep.phi(a.compose(k))) <= tol
-            for k in rep.backend.basis(a.source, a.source, ideal=K)
-        )
-        if lhs != rhs:
-            failures.append((a.range, a.source))
-    return CheckReport("extension-kernel", not failures, {"failures": failures})
 
 
 # -- aperiodicity ---------------------------------------------------------------

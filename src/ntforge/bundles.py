@@ -25,6 +25,11 @@ ranks from the coordinates √d_c · vec(M_c), an isometric image of vec(phi(b))
 so no |H| x |H| matrix is built.  The images of distinct grades have disjoint
 supports: ``image_algebra_rank`` ranks them with one SVD per grade and one
 cutoff relative to the largest singular value of all.
+
+The graded product takes blocks with leading stack axes through the base
+backend's own ampliation and product, so ``BundleBackend`` composes stacks
+as every backend does, and ``RegularRep.basis_images`` maps a grade's whole
+matrix-unit basis with one broadcast per (k, colour).
 """
 
 from __future__ import annotations
@@ -149,15 +154,15 @@ class CrossedProductBackend(_BackendBase):
         self.action = action
         self.sg = action.group
         self.slot_count = len(action.dims)
+        # conjugation by a non-identity unitary mixes the entries of a block
+        self.copies_entries = all(all(plain) for plain in action._plain.values())
 
     def shape(self, p, q):
         return [(d, d) for d in self.action.dims]
 
-    def _rtensor(self, a, r):
+    def _tensor_blocks(self, xs, p, q, r):
         self.sg.check_same(r)
-        return Arrow._derived(
-            self, a.range * r, a.source * r, self.action.apply(r, a.blocks)
-        )
+        return self.action.apply(r, xs)
 
 
 class BundleFiberFamily:
@@ -176,10 +181,13 @@ class BundleFiberFamily:
 
     def mul(self, g, a_blocks, h, b_blocks):
         """(b_g (x) 1_h) b_h in B_{gh}."""
-        e = self.group.identity()
-        x = self.backend.arrow(g, e, a_blocks).rtensor(h)
-        y = self.backend.arrow(h, e, b_blocks)
-        return x.compose(y).blocks
+        e, arrow = self.group.identity(), self.backend.arrow
+        return self._mul(g, arrow(g, e, a_blocks).blocks, h, arrow(h, e, b_blocks).blocks)
+
+    def _mul(self, g, xs, h, ys):
+        """mul on checked blocks, which may carry leading stack axes."""
+        e, be = self.group.identity(), self.backend
+        return be._compose_blocks(be._tensor_blocks(xs, g, e, h), ys, g * h, h, e)
 
     def star(self, g, a_blocks):
         """b_g^* (x) 1_{g^-1} in B_{g^-1}."""
@@ -210,6 +218,7 @@ class BundleBackend(_BackendBase):
     right-tensoring (grades are invariant under right translation)."""
 
     kind = "bundle"
+    copies_entries = True
 
     def __init__(self, bundle: BundleFiberFamily):
         self.bundle = bundle
@@ -222,18 +231,16 @@ class BundleBackend(_BackendBase):
     def shape(self, p, q):
         return self.bundle.shape(self._grade(p, q))
 
-    def _compose_blocks(self, a, b):
-        s = self._grade(a.range, a.source)
-        t = self._grade(b.range, b.source)
-        return self.bundle.mul(s, a.blocks, t, b.blocks)
+    def _compose_blocks(self, xs, ys, p, q, t):
+        return self.bundle._mul(self._grade(p, q), xs, self._grade(q, t), ys)
 
     def _adjoint(self, a):
         s = self._grade(a.range, a.source)
         return Arrow(self, a.source, a.range, self.bundle.star(s, a.blocks))
 
-    def _rtensor(self, a, r):
+    def _tensor_blocks(self, xs, p, q, r):
         self.sg.check_same(r)
-        return Arrow._derived(self, a.range * r, a.source * r, [b.copy() for b in a.blocks])
+        return list(xs)
 
 
 def precategory_from_bundle(bundle: BundleFiberFamily) -> BundleBackend:
@@ -306,9 +313,7 @@ class RegularRep(ConcreteRep):
         fiber = sum(d * d for d in self.dims)
         super().__init__(precategory_from_bundle(bundle), len(G) * fiber, None, label="regular")
         self._G, self._index = G, {g: i for i, g in enumerate(G)}
-        self._base, self._e = bundle.backend, bundle.group.identity()
-        eyes = [np.eye(d, dtype=complex) for d in self.dims]
-        self._units = {k: self._base.arrow(k, self._e, eyes) for k in G}  # 1_k in B_k
+        self._e, self._eyes = bundle.group.identity(), [np.eye(d, dtype=complex) for d in self.dims]
         corners = np.cumsum([0] + [d * d for d in self.dims])
         self._pos = [
             (fiber * np.arange(len(G))[:, None, None] + corner
@@ -316,28 +321,39 @@ class RegularRep(ConcreteRep):
             for d, corner in zip(self.dims, corners)
         ]
 
-    def colour_blocks(self, arrow):
-        """[M_c(arrow)], one |G|·d_c matrix per colour.  The product with 1_k
-        applies the action of k, which a (x) 1_k alone may not."""
-        s = self.backend._grade(arrow.range, arrow.source)
-        a = self._base.arrow(s, self._e, arrow.blocks)
-        ms = [np.zeros((len(self._G) * d,) * 2, dtype=complex) for d in self.dims]
+    def colour_blocks(self, s, blocks):
+        """[M_c], one |G|·d_c matrix per colour (a stack of them for stacked
+        blocks) for blocks of grade s.  Block (sk, k) is the graded product
+        (b (x) 1_k) 1_k, one broadcast per (k, colour); the product with 1_k
+        applies the action of k, which b (x) 1_k alone may not."""
+        ms = [np.zeros((*blocks[0].shape[:-2], len(self._G) * d, len(self._G) * d), dtype=complex)
+              for d in self.dims]
         for i, k in enumerate(self._G):
             j = self._index[s * k]
-            for m, d, x in zip(ms, self.dims, a.rtensor(k).compose(self._units[k]).blocks):
-                m[j * d : (j + 1) * d, i * d : (i + 1) * d] = x
+            for m, d, x in zip(ms, self.dims, self.backend.bundle._mul(s, blocks, k, self._eyes)):
+                m[..., j * d : (j + 1) * d, i * d : (i + 1) * d] = x
         return ms
 
     def phi(self, arrow):
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        for pos, mc in zip(self._pos, self.colour_blocks(arrow)):
+        ms = self.colour_blocks(self.backend._grade(arrow.range, arrow.source), arrow.blocks)
+        for pos, mc in zip(self._pos, ms):
             m[pos[:, None, :], pos[None, :, :]] = mc[:, :, None]
         return m
 
-    def flat(self, arrow):
+    def _flat(self, s, blocks):
+        """√d_c · vec(M_c) concatenated over the colours, on the last axis."""
+        ms = self.colour_blocks(s, blocks)
         return np.concatenate(
-            [np.sqrt(d) * np.ravel(m) for d, m in zip(self.dims, self.colour_blocks(arrow))]
+            [np.sqrt(d) * m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
+             for d, m in zip(self.dims, ms)], axis=-1
         )
+
+    def flat(self, arrow):
+        return self._flat(self.backend._grade(arrow.range, arrow.source), arrow.blocks)
+
+    def basis_images(self, p, q):
+        return self._flat(self.backend._grade(p, q), self.backend.basis_stack(p, q, self.ideal))
 
 
 def regular_representation(bundle: BundleFiberFamily) -> RegularRep:
@@ -368,7 +384,7 @@ def _section_colour_blocks(bundle: BundleFiberFamily, fam, rep):
         raise TypeError("rep must be the bundle's regular_representation")
     totals = [np.zeros((len(bundle.elements) * d,) * 2, dtype=complex) for d in rep.dims]
     for g, blocks in fam.items():
-        for t, m in zip(totals, rep.colour_blocks(rep.backend.arrow(g, rep._e, blocks))):
+        for t, m in zip(totals, rep.colour_blocks(g, rep.backend.arrow(g, rep._e, blocks).blocks)):
             t += m
     return rep, totals
 
@@ -394,16 +410,16 @@ def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1
     distinct grades have disjoint supports and the singular values of all the
     images together are the union of the per-grade ones.  One SVD per grade,
     then the cutoff tol times the largest value over all grades: the same
-    count as one SVD of every image stacked.  The images are read through
-    rep.flat, which on a RegularRep never builds phi; any rep whose grades
-    have overlapping supports raises.
+    count as one SVD of every image stacked.  Each grade's basis is mapped at
+    once by rep.basis_images, which on a RegularRep never builds phi; any rep
+    whose grades have overlapping supports raises.
     """
     rep = rep if rep is not None else regular_representation(bundle)
     e = bundle.group.identity()
     seen, values = False, []
     for g in bundle.elements:
-        images = [rep.flat(rep.backend.arrow(g, e, blocks)) for blocks in bundle.basis(g)]
-        support = np.any([im != 0 for im in images], axis=0)
+        images = rep.basis_images(g, e)
+        support = images.any(axis=0)
         if (seen & support).any():
             raise ValueError(f"images of grade {g!r} overlap those of another grade")
         seen = seen | support

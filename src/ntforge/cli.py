@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import sys
 
@@ -245,8 +246,14 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """One parser per process: building it costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ScenarioError, ValueError, FileNotFoundError) as exc:

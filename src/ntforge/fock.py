@@ -40,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import rank_of_span, spectral_norm
-from .precategory import StructureReport
+from .linalg import spectral_norm
 from .wick import NTElement
 
 # Column count up to which a color slot's norm is a dense SVD.  A larger slot
@@ -444,32 +443,3 @@ def projection_QT(p, tr: Truncation) -> FockOperator:
     """Q_<p>: projection onto blocks with source index in pP, i.e. p·v for v in S."""
     at_p = tr.right_orbit(p)
     return _source_projection(tr, at_p[at_p >= 0])
-
-
-def check_reducing_condition(backend, K, t, depth: int, tol=1e-8) -> StructureReport:
-    """For each p, some unit x makes span K(px,t)K(t,px) essential in L_K(px,px).
-
-    This is the hypothesis under which the t-th restricted Fock representation
-    carries the full norm.  For block backends essentiality amounts to the
-    product ideal having full rank on every ideal color.
-    """
-    sg = backend.sg
-    failures = []
-    checked = 0
-    for p in sg.elements(depth):
-        checked += 1
-        ok = False
-        for xunit in sg.units():
-            px = p * xunit
-            target = backend.space_dim(px, px, ideal=K)
-            prods = [
-                a.compose(b).flat()
-                for a in backend.basis(px, t, ideal=K)
-                for b in backend.basis(t, px, ideal=K)
-            ]
-            if rank_of_span(prods, tol) == target:
-                ok = True
-                break
-        if not ok:
-            failures.append((p, f"K(px,{t!r})K({t!r},px) never spans the diagonal"))
-    return StructureReport("reducing-condition", not failures, checked, failures)

@@ -23,13 +23,16 @@ def norm_at_most(mat, tol) -> bool:
 
 def span_singular_values(vectors) -> np.ndarray:
     """Singular values, largest first, of the matrix whose rows are the
-    flattened arrays (empty when there are none)."""
-    rows = [np.ravel(v) for v in vectors if np.size(v)]
-    if not rows:
-        return np.zeros(0)
-    m = np.array(rows)
+    flattened arrays, or of a 2-d array itself (empty when there are none)."""
+    if getattr(vectors, "ndim", 0) == 2:
+        m = vectors
+    else:
+        rows = [np.ravel(v) for v in vectors if np.size(v)]
+        if not rows:
+            return np.zeros(0)
+        m = np.array(rows)
     # columns that vanish in every vector leave the singular values unchanged
-    m = m[:, np.any(m != 0, axis=0)]
+    m = m[:, m.any(axis=0)]
     return np.linalg.svd(m, compute_uv=False)
 
 

@@ -16,6 +16,13 @@ a subset of colors.  The structural checks run at a chosen depth: well-alignment
 is sampled, essentiality reads the block shapes, and nondegeneracy and Cohen
 factorization settle each pair by a unit certificate first, with a rank test
 as the fallback where the certificate does not apply.
+
+Stack axis: the blockwise hooks behind right tensoring (``_tensor_blocks``)
+and composition (``_compose_blocks``) broadcast blocks with leading stack
+axes, one arrow per index.  ``basis_stack`` gives the matrix-unit basis as
+one such stack per colour (``basis`` slices it into arrows), so the
+factorization certificate is one stacked product 1_p b per pair, through
+the backend's own product (on a bundle, the graded one).
 """
 
 from __future__ import annotations
@@ -159,6 +166,7 @@ class _BackendBase:
 
     sg = None
     slot_count = 0
+    copies_entries = False  # True where a x 1_r only copies or drops entries of a
 
     def shape(self, p, q):
         raise NotImplementedError
@@ -176,19 +184,19 @@ class _BackendBase:
     def arrow(self, p, q, blocks) -> Arrow:
         return Arrow(self, p, q, blocks)
 
+    def basis_stack(self, p, q, ideal=None):
+        """The matrix units of L(p,q) (of K(p,q) when ideal given), colour by
+        colour and row-major, as one stack per colour: unit k has the blocks
+        stack[c][k]."""
+        shapes = self.shape(p, q)
+        sizes = [r * c if ideal is None or k in ideal.colors else 0 for k, (r, c) in enumerate(shapes)]
+        units = np.split(np.eye(sum(sizes), dtype=complex), np.cumsum(sizes)[:-1], axis=1)
+        return [u.reshape(len(u), *sh) if size else np.zeros((len(u), *sh), dtype=complex)
+                for u, size, sh in zip(units, sizes, shapes)]
+
     def basis(self, p, q, ideal=None):
         """Matrix-unit arrows spanning L(p,q) (or K(p,q) when ideal given)."""
-        colors = range(self.slot_count) if ideal is None else sorted(ideal.colors)
-        shapes = self.shape(p, q)
-        out = []
-        for c in colors:
-            rows, cols = shapes[c]
-            for i in range(rows):
-                for j in range(cols):
-                    blocks = [np.zeros(sh, dtype=complex) for sh in shapes]
-                    blocks[c][i, j] = 1.0
-                    out.append(Arrow(self, p, q, blocks))
-        return out
+        return [Arrow(self, p, q, blocks) for blocks in zip(*self.basis_stack(p, q, ideal))]
 
     def random_arrow(self, p, q, rng, ideal=None) -> Arrow:
         colors = set(range(self.slot_count)) if ideal is None else ideal.colors
@@ -212,11 +220,26 @@ class _BackendBase:
         return sum(shapes[c][0] * shapes[c][1] for c in colors)
 
     def _compose(self, a, b):
-        return Arrow._derived(self, a.range, b.source, self._compose_blocks(a, b))
+        return Arrow._derived(
+            self, a.range, b.source, self._compose_blocks(a.blocks, b.blocks, a.range, a.source, b.source)
+        )
 
-    def _compose_blocks(self, a, b):
-        """The blocks of a b for composable arrows: slotwise matrix products."""
-        return [x @ y for x, y in zip(a.blocks, b.blocks)]
+    def _compose_blocks(self, xs, ys, p, q, t):
+        """The blocks of a b, for a in L(p,q) and b in L(q,t) with blocks xs
+        and ys, either with leading stack axes: slotwise matrix products."""
+        return [x @ y for x, y in zip(xs, ys)]
+
+    def _rtensor(self, a, r):
+        if r == self.sg.one:
+            return a
+        return Arrow._derived(
+            self, a.range * r, a.source * r, self._tensor_blocks(a.blocks, a.range, a.source, r)
+        )
+
+    def _tensor_blocks(self, xs, p, q, r):
+        """The blocks of a x 1_r for the blocks xs of a in L(p,q), which may
+        carry leading stack axes."""
+        raise NotImplementedError
 
     def _adjoint(self, a):
         return Arrow(self, a.source, a.range, [b.conj().T for b in a.blocks])
@@ -242,12 +265,13 @@ class _BackendBase:
 
 
 def _amplify(b, d):
-    """kron(b, 1_d): b written into the diagonal slices of an (m, d, n, d) array."""
-    m, n = b.shape
-    out = np.zeros((m, d, n, d), dtype=complex)
+    """kron(b, 1_d) on the last two axes: b written into the diagonal slices
+    of an (..., m, d, n, d) array."""
+    lead, (m, n) = b.shape[:-2], b.shape[-2:]
+    out = np.zeros(lead + (m, d, n, d), dtype=complex)
     k = np.arange(d)
-    out[:, k, :, k] = b
-    return out.reshape(m * d, n * d)
+    out[..., k, :, k] = b
+    return out.reshape(lead + (m * d, n * d))
 
 
 class ColoredProductSystem(_BackendBase):
@@ -261,6 +285,7 @@ class ColoredProductSystem(_BackendBase):
     """
 
     kind = "colored"
+    copies_entries = True
 
     def __init__(self, sg, gen_dims=(), colors=None, check_depth=3):
         self.sg = sg
@@ -293,8 +318,7 @@ class ColoredProductSystem(_BackendBase):
         return cached
 
     def shape(self, p, q):
-        dp, dq = self.dim(p), self.dim(q)
-        return [(dp[c], dq[c]) for c in range(self.slot_count)]
+        return list(zip(self.dim(p), self.dim(q)))
 
     def _validate(self, depth):
         e = self.sg.identity()
@@ -310,14 +334,9 @@ class ColoredProductSystem(_BackendBase):
                     f"dim({p!r})*dim({q!r}) = {want}"
                 )
 
-    def _rtensor(self, a, r):
-        if r == self.sg.one:
-            return a
+    def _tensor_blocks(self, xs, p, q, r):
         # blocks are read-only, so a color with dim 1 shares the block itself
-        return Arrow._derived(
-            self, a.range * r, a.source * r,
-            [b if d == 1 else _amplify(b, d) for b, d in zip(a.blocks, self.dim(r))],
-        )
+        return [b if d == 1 else _amplify(b, d) for b, d in zip(xs, self.dim(r))]
 
     def _ampliation_class(self, r):
         # a x 1_r is the kron with 1_{dim(r)[c]} in every color
@@ -346,6 +365,7 @@ class ZeroTensorBackend(_BackendBase):
 
     kind = "zero"
     slot_count = 1
+    copies_entries = True
 
     def __init__(self, dims, sg=None):
         from .semigroups import DirectSumN
@@ -364,10 +384,10 @@ class ZeroTensorBackend(_BackendBase):
     def shape(self, p, q):
         return [(self._d(p), self._d(q))]
 
-    def basis(self, p, q, ideal=None):
+    def basis_stack(self, p, q, ideal=None):
         if p != q:
-            return []
-        return super().basis(p, q, ideal)
+            return [np.zeros((0, *sh), dtype=complex) for sh in self.shape(p, q)]
+        return super().basis_stack(p, q, ideal)
 
     def random_arrow(self, p, q, rng, ideal=None):
         if p != q:
@@ -377,10 +397,11 @@ class ZeroTensorBackend(_BackendBase):
     def space_dim(self, p, q, ideal=None):
         return 0 if p != q else super().space_dim(p, q, ideal)
 
-    def _rtensor(self, a, r):
+    def _tensor_blocks(self, xs, p, q, r):
         if r == self.sg.one:
-            return a
-        return self.zero(a.range * r, a.source * r)
+            return list(xs)
+        lead = xs[0].shape[:-2]
+        return [np.zeros((*lead, *sh), dtype=complex) for sh in self.shape(p * r, q * r)]
 
 
 def ideal_membership(a: Arrow, K: ColorIdeal, tol=1e-12) -> bool:
@@ -466,7 +487,7 @@ def check_nondegenerate(backend, K: ColorIdeal, depth: int, tol=1e-8):
             if target == 0:
                 continue
             checked += 1
-            if _same_blocks(unit_p.rtensor(r), ideal_unit(backend, K, pr)):
+            if all(map(np.array_equal, unit_p.rtensor(r).blocks, ideal_unit(backend, K, pr).blocks)):
                 certified += 1
                 continue
             left = [u.rtensor(r) for u in backend.basis(p, p, ideal=K)]
@@ -500,29 +521,28 @@ def check_factorization(backend, depth: int, tol=1e-8):
     Unit certificate first: when 1_p b = b entry for entry for every basis
     arrow b of L(p,q), the products already contain that basis.  Rank test as
     fallback, for compositions that do not reproduce b exactly: the numerical
-    rank of all products of basis arrows must reach dim L(p,q).
+    rank of all products of basis arrows must reach dim L(p,q).  Both take
+    one stacked product per pair through the backend's own product.
     """
     sg = backend.sg
     els = sg.elements(depth)
     failures = []
     checked = certified = 0
     for p in els:
-        one = backend.identity_arrow(p)
+        one = backend.identity_arrow(p).blocks
         for q in els:
             target = backend.space_dim(p, q)
             if target == 0:
                 continue
             checked += 1
-            right = backend.basis(p, q)
-            if all(_same_blocks(one.compose(b), b) for b in right):
+            right = backend.basis_stack(p, q)
+            if all(map(np.array_equal, backend._compose_blocks(one, right, p, p, q), right)):
                 certified += 1
                 continue
-            prods = [a.compose(b).flat() for a in backend.basis(p, p) for b in right]
-            if rank_of_span(prods, tol) < target:
+            left = backend.basis_stack(p, p)
+            prods = backend._compose_blocks([x[:, None] for x in left], [y[None] for y in right], p, p, q)
+            n = len(left[0]) * target
+            if rank_of_span(np.concatenate([b.reshape(n, -1) for b in prods], axis=1), tol) < target:
                 failures.append(((p, q), "factorization span deficient"))
     return StructureReport("factorization", not failures, checked, failures, certified)
 
-
-def _same_blocks(a: Arrow, b: Arrow) -> bool:
-    """a and b are the same arrow, entry for entry."""
-    return all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))

@@ -507,18 +507,21 @@ CHECKS = {
     "toeplitz": Check(run_toeplitz, ("p", "qs"), ("depth",),
         "Rank test for covariance: the (p,p) fiber image must intersect the span\n"
         "of the (q,q) fiber images trivially, i.e. rank[A|B] = rank A + rank B\n"
-        "for the vectorized images, at the scenario's tol.  Precondition: no q\n"
-        "may divide p.  Certificate: the three ranks."),
+        "for the vectorized images, at the scenario's tol.  Each fiber's matrix-\n"
+        "unit basis is mapped at once, and the images are ranked as rows on the\n"
+        "union of their supports.  Precondition: no q may divide p.\n"
+        "Certificate: the three ranks."),
     "condition-c": Check(run_condition_c, ("p", "qs"), ("depth",),
         "Faithfulness of a |-> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber:\n"
         "the smallest singular value of the linearized map must exceed the\n"
         "scenario's tol, and the compression must commute with the fiber action.\n"
-        "When every Q_<q_i> is an index set (see projections), the product is a\n"
-        "column mask: phi(a) times it zeroes columns, and the commutator is\n"
+        "The images of the fiber's matrix-unit basis come as one stack, and the\n"
+        "compression is broadcast over it.  When every Q_<q_i> is an index set\n"
+        "(see projections), the product is a column mask, and the commutator is\n"
         "nonzero only where phi(a) has an entry whose row and column the mask\n"
-        "treats differently, so a spectral norm is taken only then.  Otherwise\n"
-        "the product is formed densely.  Precondition: no q may divide p.\n"
-        "Certificate: sigma_min and the commutation defect."),
+        "treats differently.  Otherwise the product is formed densely.  A\n"
+        "spectral norm is taken only of a nonzero commutator.  Precondition: no\n"
+        "q may divide p.  Certificate: sigma_min and the commutation defect."),
     "condition-cprime": Check(run_condition_cprime, ("p", "qs", "element"), ("depth", "tol"),
         "Norm preservation in the corner: compressing the represented element by\n"
         "1 - (Q_{q_1} v ... v Q_{q_n}) must not change its norm by more than tol\n"
@@ -575,8 +578,11 @@ CHECKS = {
         "is bit-for-bit identical (the two routes execute the same float ops)."),
     "bundle-regular": Check(run_bundle_regular, (), (),
         "Left-convolution representation on the direct sum of the fibers with\n"
-        "the Hilbert-Schmidt inner product.  Verdict: pass iff the image algebra\n"
-        "has full rank, i.e. the representation separates the fibers."),
+        "the Hilbert-Schmidt inner product, kept as one matrix per colour.  Each\n"
+        "grade's matrix-unit basis is mapped at once through the graded product\n"
+        "and ranked by one SVD per grade, with one cutoff relative to the largest\n"
+        "value of all.  Verdict: pass iff the image algebra has full rank, i.e.\n"
+        "the representation separates the fibers."),
     "bundle-spectrum": Check(run_bundle_spectrum, ("section",), (),
         "Eigenvalues of the regular-representation matrix of a named section.\n"
         "For the order-two group acting trivially on C, a + b u has spectrum\n"

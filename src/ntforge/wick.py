@@ -164,7 +164,7 @@ class NTElement:
                     hit = left_amps[qr] = (p * qr, a.rtensor(qr))
                 pk, aa = hit
                 aa._composable(bb)
-                blocks = backend._compose_blocks(aa, bb)
+                blocks = backend._compose_blocks(aa.blocks, bb.blocks, aa.range, aa.source, bb.source)
                 if not blocks_in_ideal(blocks, ideal):
                     raise ValueError(f"coefficient at ({pk!r},{tk!r}) escapes the ideal")
                 canon = canonical.get((pk, tk))

@@ -3,13 +3,15 @@
 The engine keeps one column factor per color and never materializes the
 t-th fiber ⊕_s K(s,t); these routes build it densely, for comparing norms,
 the block-diagonal compression and the t-th restricted representation
-against the factored operators.
+against the factored operators.  check_reducing_condition states the
+hypothesis under which that restricted representation carries the norm.
 """
 
 import numpy as np
 
 from ntforge.fock import FockOperator, Truncation, _csr, lift
-from ntforge.linalg import spectral_norm
+from ntforge.linalg import rank_of_span, spectral_norm
+from ntforge.precategory import StructureReport
 from ntforge.wick import NTElement
 
 
@@ -91,3 +93,32 @@ def check_divisor_closure(tr: Truncation, slack: int = 3) -> bool:
     return not any(
         sg.left_divide(u, s) is not None for s in tr.S for u in probe
     )
+
+
+def check_reducing_condition(backend, K, t, depth: int, tol=1e-8) -> StructureReport:
+    """For each p, some unit x makes span K(px,t)K(t,px) essential in L_K(px,px).
+
+    This is the hypothesis under which the t-th restricted Fock representation
+    carries the full norm.  For block backends essentiality amounts to the
+    product ideal having full rank on every ideal color.
+    """
+    sg = backend.sg
+    failures = []
+    checked = 0
+    for p in sg.elements(depth):
+        checked += 1
+        ok = False
+        for xunit in sg.units():
+            px = p * xunit
+            target = backend.space_dim(px, px, ideal=K)
+            prods = [
+                a.compose(b).flat()
+                for a in backend.basis(px, t, ideal=K)
+                for b in backend.basis(t, px, ideal=K)
+            ]
+            if rank_of_span(prods, tol) == target:
+                ok = True
+                break
+        if not ok:
+            failures.append((p, f"K(px,{t!r})K({t!r},px) never spans the diagonal"))
+    return StructureReport("reducing-condition", not failures, checked, failures)

@@ -2,15 +2,17 @@
 
 Dense spectral-norm checks that no scenario check, CLI command or benchmark
 job runs: the orthogonality and commutation laws of the projections, the
-action of an arrow on a projection, and *-compatibility of phi.  They read
-the dense Q and Q_angle of a ProjectionFamily, so they follow either of its
-routes (index sets or the dense fallback).
+action of an arrow on a projection, *-compatibility of phi, and the
+extension of a representation from an ideal.  They read the dense Q and
+Q_angle of a ProjectionFamily, so they follow either of its routes (index
+sets or the dense fallback).
 """
 
 import itertools
 
 from ntforge.analysis import CheckReport, ConcreteRep, ProjectionFamily
 from ntforge.linalg import spectral_norm
+from ntforge.precategory import ColorIdeal, full_ideal, ideal_unit
 
 
 def check_star(rep: ConcreteRep, keys, tol=1e-10):
@@ -66,3 +68,29 @@ def action_on_projection_defect(rep: ConcreteRep, family: ProjectionFamily, arro
         return spectral_norm(lhs)
     shifted = arrow.rtensor(sg.left_divide(q, r))
     return spectral_norm(lhs - rep.phi(shifted))
+
+
+def extend_representation(rep: ConcreteRep, K: ColorIdeal) -> ConcreteRep:
+    """Extension from the ideal: a -> phi(a * 1_K), zero beyond phi(K)H."""
+
+    def phi(arrow):
+        return rep.phi(arrow.compose(ideal_unit(rep.backend, K, arrow.source)))
+
+    return ConcreteRep(
+        rep.backend, rep.dim, phi, ideal=full_ideal(rep.backend), label=f"{rep.label}-extended"
+    )
+
+
+def check_extension_kernel(rep: ConcreteRep, K: ColorIdeal, arrows, tol=1e-10):
+    """phi_ext(a) = 0 iff a K(q,q) <= ker phi, testing both directions."""
+    ext = extend_representation(rep, K)
+    failures = []
+    for a in arrows:
+        lhs = spectral_norm(ext.phi(a)) <= tol
+        rhs = all(
+            spectral_norm(rep.phi(a.compose(k))) <= tol
+            for k in rep.backend.basis(a.source, a.source, ideal=K)
+        )
+        if lhs != rhs:
+            failures.append((a.range, a.source))
+    return CheckReport("extension-kernel", not failures, {"failures": failures})

@@ -14,27 +14,40 @@ from ntforge.analysis import (
     aperiodicity_search,
     check_condition_C,
     check_condition_Cprime,
-    check_extension_kernel,
     check_graded,
     check_injective,
     check_projection_equalities,
     check_projection_semilattice,
     check_toeplitz_covariance,
     degenerate_example_rep,
-    extend_representation,
     fock_rep,
     ideal_unit,
 )
-from ntforge.bundles import CrossedProductBackend, swap_action
+from ntforge.bundles import (
+    CrossedProductBackend,
+    image_algebra_rank,
+    precategory_from_bundle,
+    semidirect_bundle,
+    swap_action,
+    trivial_action,
+)
 from ntforge.fock import projection_QT
 from ntforge.linalg import spectral_norm
-from ntforge.precategory import ColorIdeal, ColoredProductSystem, check_essential
-from ntforge.semigroups import DirectSumN, UnitExtension, cyclic_group, free_monoid
+from ntforge.precategory import (
+    ColorIdeal,
+    ColoredProductSystem,
+    _BackendBase,
+    check_essential,
+    check_factorization,
+)
+from ntforge.semigroups import DirectSumN, UnitExtension, cyclic_group, free_monoid, symmetric_group_3
 from rep_oracles import (
     action_on_projection_defect,
+    check_extension_kernel,
     check_projection_commutation,
     check_projection_orthogonality,
     check_star,
+    extend_representation,
 )
 
 
@@ -243,6 +256,65 @@ def test_certified_route_matches_dense_route(case):
     assert abs(cond.details["sigma_min"] - cond_d.details["sigma_min"]) <= 1e-12
     assert cond.details["commutation_defect"] == 0.0
     assert cond_d.details["commutation_defect"] <= 1e-9
+
+
+@pytest.mark.parametrize("case", list(VERIFY_CASES))
+def test_condition_Cprime_index_set_route_matches_dense_route(case):
+    # the join as a union of index sets and the corner as a row and column
+    # mask, against the eigh join and dense corner of a conjugated copy
+    backend, fock_depth, _, (p, qs) = VERIFY_CASES[case]
+    sg = backend.sg
+    p, qs = sg.parse(p), [sg.parse(q) for q in qs]
+    rep, tr = fock_rep(backend, fock_depth)
+    other = _conjugated(rep, 7)
+    fams = [ProjectionFamily(r, tr.S) for r in (rep, other)]
+    assert all(fams[0].Q_set(q) is not None for q in qs)
+    assert all(fams[1].Q_set(q) is None for q in qs)
+    rng = random.Random(5)
+    verdicts = []
+    for key in (p, qs[0]):  # on qs[0] the corner annihilates the arrow
+        a = backend.random_arrow(key, key, rng)
+        got, want = (check_condition_Cprime(r, fam, p, qs, a) for r, fam in zip((rep, other), fams))
+        assert got.ok == want.ok
+        for name in ("norm", "corner_norm"):
+            assert abs(got.details[name] - want.details[name]) <= 1e-12 * max(1.0, want.details[name])
+        verdicts.append(got.ok)
+    assert verdicts == [True, False]
+
+
+def test_degenerate_basis_images_match_per_arrow_flat():
+    rep, zb = degenerate_example_rep([1, 2, 3])
+    els = zb.sg.elements(3)
+    for p in els:
+        for q in els:
+            got = rep.basis_images(p, q)
+            arrows = zb.basis(p, q)
+            assert got.shape == (len(arrows), rep.dim**2)
+            if arrows:
+                assert np.array_equal(got, np.array([rep.flat(a) for a in arrows]))
+
+
+def test_verifiers_map_stacked_bases_without_basis_arrows(monkeypatch):
+    # on the verify benchmark's three Fock reps and its S3 bundle
+    reps = []
+    for case in ("verify-n2-d4", "verify-n2c2-d3", "verify-abc2-d3"):
+        backend, fock_depth, _, (p, qs) = VERIFY_CASES[case]
+        sg = backend.sg
+        reps.append((*fock_rep(backend, fock_depth), sg.parse(p), [sg.parse(q) for q in qs]))
+    bundle = semidirect_bundle(trivial_action(symmetric_group_3(), [3, 3, 2]))
+
+    def no_basis(self, p, q, ideal=None):
+        raise AssertionError("built the basis arrow by arrow")
+
+    monkeypatch.setattr(_BackendBase, "basis", no_basis)
+    for rep, tr, p, qs in reps:
+        assert check_toeplitz_covariance(rep, p, qs).ok
+        assert check_condition_C(rep, ProjectionFamily(rep, tr.S), p, qs).ok
+        fac = check_factorization(rep.backend, 2)
+        assert fac.ok and fac.certified == fac.checked > 0
+    fac = check_factorization(precategory_from_bundle(bundle), 1)
+    assert fac.ok and fac.certified == fac.checked == 36
+    assert image_algebra_rank(bundle) == 6 * 22
 
 
 def test_projection_semilattice_N2(frep_N2, frep_N2_deep):

@@ -304,6 +304,24 @@ def test_regular_flat_is_an_isometry_of_the_raveled_image(bundle):
         assert np.allclose(flat.conj() @ flat.T, dense.conj() @ dense.T, rtol=0, atol=1e-12)
 
 
+ROUNDTRIP = bundle_from_precategory(precategory_from_bundle(semidirect_bundle(swap_action(Z2, dim=2))))
+
+
+@pytest.mark.parametrize("bundle", BUNDLES + [ROUNDTRIP], ids=BUNDLE_IDS + ["Z2-swap2-roundtrip"])
+def test_regular_basis_images_match_per_arrow_flat(bundle):
+    # one broadcast per (k, colour) over each grade's stacked basis, against
+    # flat of each basis arrow; an empty ideal gives no rows of flat's length
+    rep = regular_representation(bundle)
+    e = bundle.group.identity()
+    for g in bundle.elements:
+        got = rep.basis_images(g, e)
+        want = np.array([rep.flat(a) for a in rep.backend.basis(g, e)])
+        assert got.shape == want.shape == (bundle.fiber_dim(g), len(rep.flat(rep.backend.zero(g, e))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    rep.ideal = ColorIdeal(frozenset())
+    assert rep.basis_images(e, e).shape == (0, sum((len(bundle.elements) * d) ** 2 for d in rep.dims))
+
+
 def test_rank_spectrum_and_norm_never_build_the_dense_image(monkeypatch):
     bundle = semidirect_bundle(trivial_action(symmetric_group_3(), [2, 1]))
     rep = regular_representation(bundle)

@@ -343,6 +343,35 @@ def test_aperiodicity_takes_b_in_the_written_frame(tmp_path, capsys):
     assert "b: element 'b'" in err and "L((2,1),(2,0))" in err
 
 
+def test_main_parses_with_one_parser_per_process(capsys, monkeypatch):
+    # the parser is built once; repeated runs, an exit 2 from the runner and
+    # one from the parser among them, leave the next run's output unchanged
+    import re
+
+    import ntforge.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+
+    def run(argv):
+        code = main(argv)
+        return code, re.sub(r'"generated_at": "[^"]*"', "", capsys.readouterr().out)
+
+    first = run(["run", TOEPLITZ])
+    assert first[0] == 0 and first[1]
+    assert run(["run", TOEPLITZ]) == first
+    assert run(["run", str(SCENARIOS / "no-such-scenario.json")])[0] == 2
+    assert run(["run", TOEPLITZ]) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["run", TOEPLITZ, "--depth", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["run", TOEPLITZ]) == first
+    assert built == [1]
+    cli._parser.cache_clear()
+
+
 # -- explain / list-instances ----------------------------------------------------
 
 

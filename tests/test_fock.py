@@ -9,6 +9,7 @@ import pytest
 from ntforge.analysis import fock_rep
 from ntforge.bundles import (
     CrossedProductBackend,
+    conjugation_action,
     precategory_from_bundle,
     semidirect_bundle,
     swap_action,
@@ -20,7 +21,6 @@ from ntforge.fock import (
     LanczosNoConvergence,
     Truncation,
     _gram_lanczos,
-    check_reducing_condition,
     fock_norm,
     lift,
     projection_QT,
@@ -28,7 +28,7 @@ from ntforge.fock import (
     transcendental_expectation,
 )
 from ntforge.linalg import spectral_norm
-from ntforge.precategory import ColoredProductSystem, ZeroTensorBackend, full_ideal, ideal_unit
+from ntforge.precategory import ColorIdeal, ColoredProductSystem, ZeroTensorBackend, full_ideal, ideal_unit
 from ntforge.semigroups import (
     INSTANCE_KINDS,
     AbsorptionMonoid,
@@ -42,6 +42,7 @@ from ntforge.semigroups import (
 from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_monomial, nt_mul
 from fock_oracles import (
     check_divisor_closure,
+    check_reducing_condition,
     diagonal_part,
     fiber,
     fiber_layout,
@@ -435,6 +436,31 @@ def test_fock_rep_phi_equals_dense_lift(case):
     for a in arrows:
         want = lift(NTElement.from_terms(ps, [(a.range, a.source, a)]), tr).dense()
         assert np.array_equal(rep.phi(a), want)
+
+
+def _hadamard_crossed():
+    z2 = cyclic_group(2)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    return CrossedProductBackend(conjugation_action(z2, {z2.identity(): [np.eye(2)], z2.parse("1"): [h]}))
+
+
+@pytest.mark.parametrize("case", sorted(PHI_BACKENDS) + ["crossed-hadamard"])
+def test_fock_basis_images_match_per_arrow_flat(case):
+    # one lift of the index-labelled arrow and one scatter against flat of
+    # each basis arrow, with the full ideal and with a one-colour ideal; the
+    # Hadamard conjugation mixes entries, so there each arrow takes phi
+    ps, depth = PHI_BACKENDS[case] if case in PHI_BACKENDS else (_hadamard_crossed(), 1)
+    assert ps.copies_entries == (case != "crossed-hadamard")
+    pool = ps.sg.elements(1)
+    for ideal in (full_ideal(ps), ColorIdeal({ps.slot_count - 1})):
+        rep, tr = fock_rep(ps, depth, ideal=ideal)
+        for p in pool:
+            for q in pool:
+                got = rep.basis_images(p, q)
+                arrows = ps.basis(p, q, ideal=ideal)
+                assert got.shape == (len(arrows), rep.dim**2)
+                if arrows:
+                    assert np.array_equal(got, np.array([rep.flat(a) for a in arrows]))
 
 
 # every backend, at a depth where some color slot is just above SMALL_SLOT

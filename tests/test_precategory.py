@@ -457,3 +457,55 @@ def test_verify_backends_are_certified_without_svd(monkeypatch):
         fac = check_factorization(backend, 2)
         assert nd.ok and nd.certified == nd.checked == (n - 1) * n
         assert fac.ok and fac.certified == fac.checked == n * n
+
+
+# -- the stack axis of the blockwise hooks --------------------------------------
+
+
+def _stack_cases():
+    z2 = cyclic_group(2)
+    u = z2.parse("1")
+    had = conjugation_action(z2, {z2.identity(): [np.eye(2)], u: [H2]})
+    return {
+        "n2": (_n2(), 1),
+        "ab-sub": (_ab2(), 1, ColorIdeal({1})),
+        "zero": (ZeroTensorBackend([2, 3]), 1),
+        "crossed-hadamard": (CrossedProductBackend(had), 1),
+        "crossed-swap": (CrossedProductBackend(swap_action(z2, dim=2)), 1),
+        "z2-hadamard-bundle": (precategory_from_bundle(semidirect_bundle(had)), 1),
+    }
+
+
+STACK_CASES = _stack_cases()
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_blockwise_hooks_broadcast_over_a_stacked_basis(case):
+    # basis_stack lists the matrix units colour by colour and row-major, and
+    # _tensor_blocks and _compose_blocks on stacks agree with the arrow route
+    backend, depth, *ideal = STACK_CASES[case]
+    ideal = ideal[0] if ideal else None
+    els = backend.sg.elements(depth)
+    for p, q in itertools.product(els, repeat=2):
+        stack = backend.basis_stack(p, q, ideal)
+        arrows = backend.basis(p, q, ideal)
+        colors = range(backend.slot_count) if ideal is None else sorted(ideal.colors)
+        shapes = backend.shape(p, q)
+        units = [(c, i, j) for c in colors for i in range(shapes[c][0]) for j in range(shapes[c][1])]
+        if not backend.space_dim(p, q):  # zero-tensor off the diagonal
+            units = []
+        assert [s.shape[1:] for s in stack] == [tuple(sh) for sh in shapes]
+        assert all(len(s) == len(units) == len(arrows) for s in stack)
+        for k, (c, i, j) in enumerate(units):
+            assert [np.count_nonzero(s[k]) for s in stack] == [int(c == d) for d in range(len(stack))]
+            assert stack[c][k][i, j] == 1.0 and np.array_equal(arrows[k].blocks[c], stack[c][k])
+        for r in els:
+            amp = backend._tensor_blocks(stack, p, q, r)
+            for k, a in enumerate(arrows):
+                assert all(np.array_equal(x[k], y) for x, y in zip(amp, a.rtensor(r).blocks))
+        for t in els:
+            right = backend.basis_stack(q, t)
+            prods = backend._compose_blocks([x[:, None] for x in stack], [y[None] for y in right], p, q, t)
+            for (k, a), (m, b) in itertools.product(enumerate(arrows), enumerate(backend.basis(q, t))):
+                want = a.compose(b).blocks
+                assert all(np.allclose(x[k, m], y, rtol=0, atol=1e-15) for x, y in zip(prods, want))
