@@ -54,7 +54,6 @@ from .linalg import rank_of_span, span_singular_values, spectral_norm
 from .precategory import (
     Arrow,
     ColoredProductSystem,
-    ZeroTensorBackend,
     full_ideal,
     ideal_membership,
     ideal_unit,
@@ -96,10 +95,11 @@ class ConcreteRep:
         return f"<rep {self.label} dim={self.dim}>"
 
 
-def fock_rep(backend, depth: int, ideal=None):
+def fock_rep(backend, depth: int, ideal=None, tr=None):
     """The truncated Fock representation on the source-e fiber.
 
-    Returns (rep, truncation); the Hilbert space is the direct sum over
+    Returns (rep, truncation), reusing tr when given (a Truncation of the
+    backend at this depth); the Hilbert space is the direct sum over
     colors and source objects of the column spaces.  phi(a) is
     lift(x, tr).dense() for the one-term element x = a at its unit-canonical
     key, the key's triples scattered straight into the dense layout (and,
@@ -110,7 +110,7 @@ def fock_rep(backend, depth: int, ideal=None):
     each triple names its basis element, and one scatter writes every
     image.  Elsewhere each basis arrow takes phi.
     """
-    tr = Truncation(backend, depth)
+    tr = tr if tr is not None else Truncation(backend, depth)
     sizes = [tr.col_total(c) for c in range(backend.slot_count)]
     dim = sum(sizes)
     offsets = np.cumsum([0] + sizes)
@@ -146,28 +146,6 @@ def fock_rep(backend, depth: int, ideal=None):
         return out
 
     return ConcreteRep(backend, dim, phi, ideal, "fock", images if backend.copies_entries else None), tr
-
-
-def degenerate_example_rep(dims):
-    """Faithful diagonal representation of the zero-tensor backend over N.
-
-    H = ⊕_n C^{d_n}; each K(n,n) acts on its own block, cross arrows act as 0.
-    """
-    zb = ZeroTensorBackend(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    H = int(offsets[-1])
-
-    def phi(arrow):
-        m = np.zeros((H, H), dtype=complex)
-        if arrow.range == arrow.source:
-            n = arrow.range.data[0]
-            if n < len(dims):
-                o = offsets[n]
-                d = dims[n]
-                m[o : o + d, o : o + d] = arrow.blocks[0]
-        return m
-
-    return ConcreteRep(zb, H, phi, label="degenerate"), zb
 
 
 def _range_basis(m, tol):
@@ -404,16 +382,6 @@ def check_condition_Cprime(rep: ConcreteRep, family: ProjectionFamily, p, qs, ar
         abs(full - compressed) <= tol,
         {"norm": full, "corner_norm": compressed},
     )
-
-
-def check_injective(rep: ConcreteRep, keys, tol=RANK_TOL):
-    """Smallest singular value of the fiber-linearized map over the given keys."""
-    smin = float("inf")
-    for p, q in keys:
-        rows = rep.basis_images(p, q)
-        if len(rows):
-            smin = min(smin, _sigma_min(rows))
-    return CheckReport("injectivity", smin > tol, {"sigma_min": smin})
 
 
 # -- aperiodicity ---------------------------------------------------------------

@@ -20,7 +20,7 @@ faithful picture of the (reduced = full) cross-sectional algebra.  Left
 convolution by b in B_s maps B_k into B_{sk} by y -> X y colour by colour,
 with X = (b (x) 1_k) 1_k, so up to a fixed permutation of H the image is
 ⊕_c kron(M_c(b), 1_{d_c}) with one |G|·d_c matrix M_c per colour
-(``RegularRep``).  Spectra and norms of sections are read from the M_c, and
+(``RegularRep``).  Spectra of sections are read from the M_c, and
 ranks from the coordinates √d_c · vec(M_c), an isometric image of vec(phi(b)),
 so no |H| x |H| matrix is built.  The images of distinct grades have disjoint
 supports: ``image_algebra_rank`` ranks them with one SVD per grade and one
@@ -38,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from .analysis import CheckReport, ConcreteRep
+from .analysis import ConcreteRep
 from .linalg import norm_at_most, rank_of_values, span_singular_values, spectral_norm
 from .precategory import Arrow, _BackendBase
 from .semigroups import FiniteGroup
@@ -110,26 +110,6 @@ def trivial_action(group, dims) -> BlockAction:
     perm = tuple(range(len(dims)))
     eyes = [np.eye(d, dtype=complex) for d in dims]
     return BlockAction(group, dims, {g: perm for g in els}, {g: eyes for g in els})
-
-
-def swap_action(group, dim=1) -> BlockAction:
-    """The nontrivial element of an order-2 group swaps two slots of size dim."""
-    els = group.elements(1)
-    if len(els) != 2:
-        raise ValueError("swap action needs a group of order 2")
-    e = group.identity()
-    (u,) = [g for g in els if g != e]
-    dims = (dim, dim)
-    eyes = [np.eye(dim, dtype=complex)] * 2
-    return BlockAction(group, dims, {e: (0, 1), u: (1, 0)}, {e: eyes, u: eyes})
-
-
-def conjugation_action(group, unitaries_for) -> BlockAction:
-    """Inner-type action: each g conjugates slotwise by given unitaries."""
-    els = group.elements(1)
-    dims = [u.shape[0] for u in unitaries_for[group.identity()]]
-    perm = tuple(range(len(dims)))
-    return BlockAction(group, dims, {g: perm for g in els}, unitaries_for)
 
 
 class CrossedProductBackend(_BackendBase):
@@ -234,6 +214,10 @@ class BundleBackend(_BackendBase):
     def _compose_blocks(self, xs, ys, p, q, t):
         return self.bundle._mul(self._grade(p, q), xs, self._grade(q, t), ys)
 
+    def _compose_class(self, p, q, t):
+        # the graded product reads the two grades
+        return self._grade(p, q), self._grade(q, t)
+
     def _adjoint(self, a):
         s = self._grade(a.range, a.source)
         return Arrow(self, a.source, a.range, self.bundle.star(s, a.blocks))
@@ -250,47 +234,6 @@ def precategory_from_bundle(bundle: BundleFiberFamily) -> BundleBackend:
 def semidirect_bundle(action: BlockAction) -> BundleFiberFamily:
     """The crossed-product bundle of the action (fibers all equal to A)."""
     return bundle_from_precategory(CrossedProductBackend(action))
-
-
-def group_algebra_bundle(group: FiniteGroup) -> BundleFiberFamily:
-    return semidirect_bundle(trivial_action(group, [1]))
-
-
-def check_bundle_laws(bundle: BundleFiberFamily, samples=4, seed=0, tol=1e-10):
-    """Associativity, involution laws, and the C*-identity on B_e."""
-    import random
-
-    rng = random.Random(seed)
-    G = bundle.elements
-    e = bundle.group.identity()
-    inv = bundle.group.inverse
-    failures = []
-    for _ in range(samples):
-        g, h, k = (rng.choice(G) for _ in range(3))
-        a, b, c = (
-            bundle.random_fiber(g, rng),
-            bundle.random_fiber(h, rng),
-            bundle.random_fiber(k, rng),
-        )
-        lhs = bundle.mul(g * h, bundle.mul(g, a, h, b), k, c)
-        rhs = bundle.mul(g, a, h * k, bundle.mul(h, b, k, c))
-        if bundle.fiber_norm([x - y for x, y in zip(lhs, rhs)]) > tol:
-            failures.append(("associativity", g, h, k))
-        dstar = bundle.star(inv(g), bundle.star(g, a))
-        if bundle.fiber_norm([x - y for x, y in zip(dstar, a)]) > tol:
-            failures.append(("star-involutive", g))
-        lhs = bundle.star(g * h, bundle.mul(g, a, h, b))
-        rhs = bundle.mul(inv(h), bundle.star(h, b), inv(g), bundle.star(g, a))
-        if bundle.fiber_norm([x - y for x, y in zip(lhs, rhs)]) > tol:
-            failures.append(("star-antimultiplicative", g, h))
-        # B_e is an honest C*-algebra: tensoring by e is the identity, so the
-        # fiber norm is the C*-norm for the e-graded product
-        ae = bundle.random_fiber(e, rng)
-        aa = bundle.mul(e, bundle.star(e, ae), e, ae)
-        want = bundle.fiber_norm(ae) ** 2
-        if abs(bundle.fiber_norm(aa) - want) > tol * max(1.0, want):
-            failures.append(("cstar-identity", e))
-    return CheckReport("bundle-laws", not failures, {"failures": failures})
 
 
 # -- regular representation -----------------------------------------------------
@@ -361,22 +304,6 @@ def regular_representation(bundle: BundleFiberFamily) -> RegularRep:
     return RegularRep(bundle)
 
 
-def section_star(bundle: BundleFiberFamily, fam):
-    return {bundle.group.inverse(g): bundle.star(g, blocks) for g, blocks in fam.items()}
-
-
-def section_conv(bundle: BundleFiberFamily, fam1, fam2):
-    out = {}
-    for (g, a), (h, b) in itertools.product(fam1.items(), fam2.items()):
-        gh = g * h
-        blocks = bundle.mul(g, a, h, b)
-        if gh in out:
-            out[gh] = [x + y for x, y in zip(out[gh], blocks)]
-        else:
-            out[gh] = blocks
-    return out
-
-
 def _section_colour_blocks(bundle: BundleFiberFamily, fam, rep):
     """The rep and Σ_g M_c(fam[g]) per colour, summed from zeros in section order."""
     rep = rep if rep is not None else regular_representation(bundle)
@@ -387,12 +314,6 @@ def _section_colour_blocks(bundle: BundleFiberFamily, fam, rep):
         for t, m in zip(totals, rep.colour_blocks(g, rep.backend.arrow(g, rep._e, blocks).blocks)):
             t += m
     return rep, totals
-
-
-def section_norm(bundle: BundleFiberFamily, fam, rep: RegularRep = None) -> float:
-    """Reduced (= full, by finiteness) norm of a finitely supported section."""
-    _, totals = _section_colour_blocks(bundle, fam, rep)
-    return max((spectral_norm(t) for t in totals), default=0.0)
 
 
 def regular_spectrum(bundle: BundleFiberFamily, fam, rep: RegularRep = None):

@@ -21,6 +21,16 @@ def norm_at_most(mat, tol) -> bool:
     return bool(np.linalg.norm(mat) <= tol) or spectral_norm(mat) <= tol
 
 
+def norms_at_most(stack, tol) -> np.ndarray:
+    """norm_at_most of each matrix of a stack (n, rows, cols), n >= 1: the two
+    bounds over the whole stack, norm_at_most itself on the undecided ones."""
+    flat = stack.reshape(len(stack), -1)
+    ok = np.abs(flat).max(axis=1, initial=0.0) <= tol
+    undecided = ok & (np.linalg.norm(flat, axis=1) > tol)
+    ok[undecided] = [norm_at_most(m, tol) for m in stack[undecided]]
+    return ok
+
+
 def span_singular_values(vectors) -> np.ndarray:
     """Singular values, largest first, of the matrix whose rows are the
     flattened arrays, or of a 2-d array itself (empty when there are none)."""

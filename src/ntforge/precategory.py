@@ -121,18 +121,6 @@ class Arrow:
         return f"<arrow {self.range!r}<-{self.source!r} norm={self.norm():.3g}>"
 
 
-def compose(a: Arrow, b: Arrow) -> Arrow:
-    return a.compose(b)
-
-
-def rtensor(a: Arrow, r) -> Arrow:
-    return a.rtensor(r)
-
-
-def adjoint(a: Arrow) -> Arrow:
-    return a.adjoint()
-
-
 class ColorIdeal:
     """The ideal of arrows supported on a fixed subset of slots."""
 
@@ -257,6 +245,11 @@ class _BackendBase:
         """a x 1_r as per-slot COO triples of its nonzeros; coo = _coo(a),
         taken once per arrow by callers that amplify it many times."""
         return self._coo(self._rtensor(a, r))
+
+    #: None: the product L(p,q) x L(q,t) reads only the blocks.  A backend whose
+    #: product reads the objects defines _compose_class(p, q, t), a hashable
+    #: key on which the product depends beside the block shapes.
+    _compose_class = None
 
     def _ampliation_class(self, r):
         """A hashable key on which a x 1_r depends alone, for every arrow a:

@@ -88,6 +88,14 @@ def from_blocks(blocks):
 # -- builders ---------------------------------------------------------------------
 
 
+def _typed(spec, field, kind, what, default=None):
+    """spec[field], or default; a ScenarioError naming it unless a kind."""
+    value = spec.get(field, default)
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{field!r} must be {what}, got {value!r}")
+    return value
+
+
 def build_backend(sg, spec: dict):
     spec = dict(spec or {})
     kind = spec.get("kind", "colored")
@@ -132,6 +140,8 @@ def element_to_json(x: NTElement):
 
 
 def build_bundle(spec: dict):
+    if "group" not in spec:
+        raise ScenarioError("bundle needs a 'group'")
     group = make_group(spec["group"])
     dims = [int(d) for d in spec.get("dims", [1])]
     action_spec = spec.get("action")
@@ -169,10 +179,11 @@ class Scenario:
         self.backend = None
         self.ideal = None
         self.elements = {}
+        self._truncations, self._families = {}, {}  # by depth
         if "semigroup" in data:
-            self.sg = make_semigroup(data["semigroup"])
+            self.sg = make_semigroup(_typed(data, "semigroup", dict, "an object"))
             self.backend, self.ideal = build_backend(self.sg, data.get("backend"))
-            for name, terms in data.get("elements", {}).items():
+            for name, terms in _typed(data, "elements", dict, "an object of named terms", {}).items():
                 try:
                     self.elements[name] = build_element(self.sg, self.backend, self.ideal, terms)
                 except ScenarioError as exc:
@@ -223,11 +234,20 @@ class Scenario:
         return self.sg.parse(text)
 
     def truncation(self, depth=None) -> Truncation:
-        return Truncation(self.backend, self.settings["depth"] if depth is None else depth)
+        """The Truncation at depth (default settings.depth), built once per depth."""
+        depth = self.settings["depth"] if depth is None else depth
+        if depth not in self._truncations:
+            self._truncations[depth] = Truncation(self.backend, depth)
+        return self._truncations[depth]
 
     def fock_family(self, depth=None):
-        rep, tr = fock_rep(self.backend, self.settings["depth"] if depth is None else depth, self.ideal)
-        return rep, tr, ProjectionFamily(rep, tr.S)
+        """(rep, truncation, projection family) of the Fock representation at
+        depth, built once per depth on the shared truncation."""
+        depth = self.settings["depth"] if depth is None else depth
+        if depth not in self._families:
+            rep, tr = fock_rep(self.backend, depth, self.ideal, tr=self.truncation(depth))
+            self._families[depth] = rep, tr, ProjectionFamily(rep, tr.S)
+        return self._families[depth]
 
 
 # -- check registry ----------------------------------------------------------------

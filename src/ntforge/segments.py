@@ -25,31 +25,6 @@ def leq(p, q) -> bool:
     return p.sg.left_divide(p, q) is not None
 
 
-def unit_equivalent(p, q):
-    """The unit x with p = q*x, or None."""
-    sg = p.sg
-    sg.check_same(q)
-    for x in sg.units():
-        if q * x == p:
-            return x
-    return None
-
-
-def sigma_in(sg, C):
-    """Canonical iterated right LCM of a finite set; e for the empty set.
-
-    None when some intermediate ideal intersection is empty.  The result is
-    independent of fold order up to units; folding in sort order makes it
-    deterministic.
-    """
-    acc = sg.identity()
-    for t in sorted(C, key=sg.sort_key):
-        acc = sg.right_lcm(acc, t)
-        if acc is None:
-            return None
-    return acc
-
-
 class Segment:
     """An initial segment C of F together with its canonical sigma(C)."""
 
@@ -62,13 +37,6 @@ class Segment:
     def __repr__(self):
         body = ",".join(sorted(repr(t) for t in self.C))
         return f"<segment {{{body}}} sigma={self.sig!r}>"
-
-
-def is_initial_segment(sg, F, C) -> bool:
-    sig = sigma_in(sg, C)
-    if sig is None:
-        return False
-    return set(C) == {t for t in F if leq(t, sig)}
 
 
 def initial_segments(sg, F):
@@ -93,14 +61,6 @@ def initial_segments(sg, F):
     segs = [Segment((t for t in F if leq(t, w)), w) for w in closure]
     segs.sort(key=lambda seg: (len(seg.C), sorted(pos[t] for t in seg.C)))
     return segs
-
-
-def partition_member(s, F, C) -> bool:
-    """Whether s lies in the cell P_{F,C} of the partition induced by F."""
-    sg = s.sg
-    if not is_initial_segment(sg, F, C):
-        raise ValueError(f"{sorted(map(repr, C))} is not an initial segment of F")
-    return _in_cell(s, F, Segment(C, sigma_in(sg, C)))
 
 
 def _in_cell(s, F, seg: Segment) -> bool:

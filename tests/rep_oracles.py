@@ -2,17 +2,20 @@
 
 Dense spectral-norm checks that no scenario check, CLI command or benchmark
 job runs: the orthogonality and commutation laws of the projections, the
-action of an arrow on a projection, *-compatibility of phi, and the
-extension of a representation from an ideal.  They read the dense Q and
+action of an arrow on a projection, *-compatibility of phi, the extension of
+a representation from an ideal, and injectivity on fiber bases; plus the
+faithful diagonal representation of the zero-tensor backend.  They read the dense Q and
 Q_angle of a ProjectionFamily, so they follow either of its routes (index
 sets or the dense fallback).
 """
 
 import itertools
 
-from ntforge.analysis import CheckReport, ConcreteRep, ProjectionFamily
+import numpy as np
+
+from ntforge.analysis import RANK_TOL, CheckReport, ConcreteRep, ProjectionFamily, _sigma_min
 from ntforge.linalg import spectral_norm
-from ntforge.precategory import ColorIdeal, full_ideal, ideal_unit
+from ntforge.precategory import ColorIdeal, ZeroTensorBackend, full_ideal, ideal_unit
 
 
 def check_star(rep: ConcreteRep, keys, tol=1e-10):
@@ -94,3 +97,36 @@ def check_extension_kernel(rep: ConcreteRep, K: ColorIdeal, arrows, tol=1e-10):
         if lhs != rhs:
             failures.append((a.range, a.source))
     return CheckReport("extension-kernel", not failures, {"failures": failures})
+
+
+def check_injective(rep: ConcreteRep, keys, tol=RANK_TOL):
+    """Smallest singular value of the fiber-linearized map over the given keys."""
+    smin = float("inf")
+    for p, q in keys:
+        rows = rep.basis_images(p, q)
+        if len(rows):
+            smin = min(smin, _sigma_min(rows))
+    return CheckReport("injectivity", smin > tol, {"sigma_min": smin})
+
+
+
+def degenerate_example_rep(dims):
+    """Faithful diagonal representation of the zero-tensor backend over N.
+
+    H = ⊕_n C^{d_n}; each K(n,n) acts on its own block, cross arrows act as 0.
+    """
+    zb = ZeroTensorBackend(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    H = int(offsets[-1])
+
+    def phi(arrow):
+        m = np.zeros((H, H), dtype=complex)
+        if arrow.range == arrow.source:
+            n = arrow.range.data[0]
+            if n < len(dims):
+                o = offsets[n]
+                d = dims[n]
+                m[o : o + d, o : o + d] = arrow.blocks[0]
+        return m
+
+    return ConcreteRep(zb, H, phi, label="degenerate"), zb

@@ -17,17 +17,14 @@ from ntforge.analysis import (
     check_graded,
     check_projection_equalities,
     check_projection_semilattice,
-    degenerate_example_rep,
     fock_rep,
 )
 from ntforge.bundles import (
     bundle_from_precategory,
-    group_algebra_bundle,
     precategory_from_bundle,
     regular_representation,
     regular_spectrum,
     semidirect_bundle,
-    swap_action,
     trivial_action,
 )
 from ntforge.fock import (
@@ -54,6 +51,8 @@ from ntforge.semigroups import (
 from ntforge.wick import NTElement, core_norm, nt_mul
 from fock_oracles import fock_source_restricted
 from rep_oracles import action_on_projection_defect
+from bundle_oracles import group_algebra_bundle, swap_action
+from rep_oracles import degenerate_example_rep
 
 
 def _verdict(num, ok, text):

@@ -15,11 +15,9 @@ from ntforge.analysis import (
     check_condition_C,
     check_condition_Cprime,
     check_graded,
-    check_injective,
     check_projection_equalities,
     check_projection_semilattice,
     check_toeplitz_covariance,
-    degenerate_example_rep,
     fock_rep,
     ideal_unit,
 )
@@ -28,7 +26,6 @@ from ntforge.bundles import (
     image_algebra_rank,
     precategory_from_bundle,
     semidirect_bundle,
-    swap_action,
     trivial_action,
 )
 from ntforge.fock import projection_QT
@@ -49,6 +46,8 @@ from rep_oracles import (
     check_star,
     extend_representation,
 )
+from bundle_oracles import swap_action
+from rep_oracles import check_injective, degenerate_example_rep
 
 
 def ps_scalar(sg, n_gens, colors=1):

@@ -10,18 +10,11 @@ from ntforge.bundles import (
     CrossedProductBackend,
     RegularRep,
     bundle_from_precategory,
-    check_bundle_laws,
-    conjugation_action,
-    group_algebra_bundle,
     image_algebra_rank,
     precategory_from_bundle,
     regular_representation,
     regular_spectrum,
-    section_conv,
-    section_norm,
-    section_star,
     semidirect_bundle,
-    swap_action,
     trivial_action,
 )
 from ntforge.fock import Truncation, fock_norm, lift
@@ -29,6 +22,7 @@ from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColorIdeal, ColoredProductSystem, check_well_aligned
 from ntforge.semigroups import cyclic_group, symmetric_group_3
 from ntforge.wick import NTElement
+from bundle_oracles import check_bundle_laws, conjugation_action, group_algebra_bundle, section_conv, section_norm, section_star, swap_action
 
 
 Z2 = cyclic_group(2)

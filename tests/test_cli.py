@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ntforge.cli import build_parser, main
+from ntforge.fock import Truncation
 from ntforge.scenario import CHECKS, Scenario, run_scenario, report_ok
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -155,11 +156,16 @@ def _with_checks(*checks):
         (["run", {"semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum"},
                                 "units": {"elements": ["a", "a"], "table": ["aa", "aa"]}}}],
          "elements"),
+        (["run", {"semigroup": "N"}], "semigroup"),
+        (["run", {"semigroup": {"kind": ["x"], "rank": 1}}], "kind"),
+        (["run", {"semigroup": {"kind": "direct_sum", "rank": 1}, "elements": []}], "elements"),
+        (["run", {"bundle": {"dims": [1]}}], "group"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
          "repeated-letters", "missing-name", "negative-depth", "non-associative-table",
-         "numeric-group-elements", "repeated-unit-elements"],
+         "numeric-group-elements", "repeated-unit-elements", "string-semigroup", "list-kind",
+         "list-elements", "bundle-without-group"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"
@@ -191,6 +197,22 @@ def test_structure_checks_report_certified_pairs(tmp_path, capsys):
     assert items[1]["data"] == {"checked": 30, "certified": 30, "failures": []}
     # only nondegenerate has a unit certificate
     assert "certified" not in items[0]["data"] and "certified" not in items[2]["data"]
+
+
+def test_scenario_run_builds_one_truncation_per_depth(monkeypatch):
+    # toeplitz_N reads depths 3 (fock-norm, norm-agreement), 6 (fock-norm,
+    # expect, toeplitz, condition-c) and 5 (projections)
+    depths = []
+    init = Truncation.__init__
+
+    def counted(self, backend, depth, *args, **kwargs):
+        depths.append(depth)
+        init(self, backend, depth, *args, **kwargs)
+
+    monkeypatch.setattr(Truncation, "__init__", counted)
+    report = run_scenario(TOEPLITZ)
+    assert report_ok(report)
+    assert sorted(depths) == [3, 5, 6]
 
 
 def test_run_writes_out_file(tmp_path):
@@ -608,7 +630,7 @@ def test_import_leaves_scipy_optimize_and_sparse_unloaded():
         "res = nt.aperiodicity_search(ps, p, x, ps.arrow(p * x, p, [np.eye(2)]))\n"
         "print(res.search_best, 'scipy.optimize' in sys.modules)\n"
         "tr = nt.Truncation(ps, 5)\n"
-        "y = nt.nt_monomial(ps, p, ext.identity(), [np.ones((2, 1))])\n"
+        "y = nt.NTElement.from_terms(ps, [(p, ext.identity(), ps.arrow(p, ext.identity(), [np.ones((2, 1))]))])\n"
         "print(tr.col_total(0), round(nt.fock_norm(y, tr), 12), 'scipy.sparse.linalg' in sys.modules)\n"
     )
     proc = subprocess.run(

@@ -9,10 +9,8 @@ import pytest
 from ntforge.analysis import fock_rep
 from ntforge.bundles import (
     CrossedProductBackend,
-    conjugation_action,
     precategory_from_bundle,
     semidirect_bundle,
-    swap_action,
     trivial_action,
 )
 from ntforge.fock import (
@@ -39,7 +37,7 @@ from ntforge.semigroups import (
     make_semigroup,
     symmetric_group_3,
 )
-from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_monomial, nt_mul
+from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_mul
 from fock_oracles import (
     check_divisor_closure,
     check_reducing_condition,
@@ -49,6 +47,8 @@ from fock_oracles import (
     fock_source_restricted,
     norm_by_fibers,
 )
+from algebra_oracles import nt_monomial
+from bundle_oracles import conjugation_action, swap_action
 
 N = DirectSumN(1)
 N2 = DirectSumN(2)

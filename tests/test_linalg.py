@@ -1,6 +1,6 @@
 import numpy as np
 
-from ntforge.linalg import norm_at_most, rank_of_span, spectral_norm
+from ntforge.linalg import norm_at_most, norms_at_most, rank_of_span, spectral_norm
 
 
 def _full_svd_rank(vectors, tol):
@@ -25,12 +25,15 @@ def test_rank_of_span_with_zero_columns_matches_full_svd():
 
 def test_norm_at_most_keeps_the_spectral_verdict():
     """Tolerances below the largest entry, above the Frobenius norm and in
-    between (where the SVD decides) give the verdict of spectral_norm."""
+    between (where the SVD decides) give the verdict of spectral_norm, one
+    matrix at a time and over a stack (norms_at_most)."""
     rng = np.random.default_rng(8)
     for shape in [(3, 3), (4, 2), (1, 5)]:
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         top, op, fro = np.abs(m).max(), spectral_norm(m), np.linalg.norm(m)
         for tol in [0.0, top / 2, (top + op) / 2, op, (op + fro) / 2, fro, 2 * fro]:
             assert norm_at_most(m, tol) == (op <= tol)
+            assert norms_at_most(np.stack([0 * m, m, 1e3 * m]), tol).tolist() == [True, op <= tol, False]
     assert norm_at_most(np.zeros((0, 3)), 0.0)
     assert norm_at_most(np.zeros((2, 2)), 0.0)
+    assert norms_at_most(np.zeros((2, 0, 3)), 0.0).tolist() == [True, True]

@@ -7,10 +7,8 @@ import pytest
 from ntforge.bundles import (
     CrossedProductBackend,
     bundle_from_precategory,
-    conjugation_action,
     precategory_from_bundle,
     semidirect_bundle,
-    swap_action,
     trivial_action,
 )
 from ntforge.linalg import rank_of_span
@@ -20,15 +18,12 @@ from ntforge.precategory import (
     ColoredProductSystem,
     ZeroTensorBackend,
     _BackendBase,
-    adjoint,
     check_essential,
     check_factorization,
     check_nondegenerate,
     check_well_aligned,
-    compose,
     full_ideal,
     ideal_membership,
-    rtensor,
 )
 from ntforge.semigroups import (
     AbsorptionMonoid,
@@ -38,6 +33,8 @@ from ntforge.semigroups import (
     free_monoid,
     symmetric_group_3,
 )
+from algebra_oracles import adjoint, compose, rtensor
+from bundle_oracles import conjugation_action, swap_action
 
 N = DirectSumN(1)
 FM = free_monoid("ab")

@@ -7,11 +7,7 @@ from ntforge.segments import (
     Segment,
     check_partition,
     initial_segments,
-    is_initial_segment,
     leq,
-    partition_member,
-    sigma_in,
-    unit_equivalent,
 )
 from ntforge.semigroups import (
     AbsorptionMonoid,
@@ -21,6 +17,7 @@ from ntforge.semigroups import (
     free_monoid,
     symmetric_group_3,
 )
+from algebra_oracles import is_initial_segment, partition_member, sigma_in, unit_equivalent
 
 N = DirectSumN(1)
 N2 = DirectSumN(2)

@@ -231,14 +231,22 @@ def test_abelianization_examples():
     assert theta(r) == N2.right_lcm(theta(FM.parse("a")), theta(FM.parse("ab")))
 
 
+def test_hom_call_checks_the_instance():
+    theta = controlled_abelianization(FM)
+    with pytest.raises(MismatchError):
+        theta(N2.parse("(1,0)"))
+    # an element of a second instance with the same tag is accepted
+    assert theta(copy.deepcopy(FM).parse("ab")) == N2.parse("(1,1)")
+
+
 def test_controlled_map_check_passes():
     assert check_controlled_map(controlled_abelianization(FM), 3).ok
-    ident = SemigroupHom(N2, N2, lambda p: p, name="id")
+    ident = SemigroupHom(N2, N2, lambda a: a, name="id")
     assert check_controlled_map(ident, 4).ok
 
 
 def test_constant_map_fails_injectivity():
-    const = SemigroupHom(N2, N2, lambda p: N2.identity(), name="const")
+    const = SemigroupHom(N2, N2, lambda a: (0, 0), name="const")
     report = check_controlled_map(const, 2)
     assert not report.ok
     assert any("equal images" in msg for _, msg in report.failures)
@@ -277,17 +285,17 @@ def _reference_controlled_map(theta, depth):
 EXT2 = UnitExtension(N2, cyclic_group(2))
 CONTROLLED_MAPS = [
     (controlled_abelianization(FM), 3),
-    (SemigroupHom(N2, N2, lambda p: p, name="id"), 3),
-    (SemigroupHom(N2, N2, lambda p: N2.identity(), name="const"), 2),
+    (SemigroupHom(N2, N2, lambda a: a, name="id"), 3),
+    (SemigroupHom(N2, N2, lambda a: (0, 0), name="const"), 2),
     # a homomorphism onto N that does not transport LCMs
-    (SemigroupHom(N2, N, lambda p: N.el((sum(p.data),)), name="sum"), 3),
+    (SemigroupHom(N2, N, lambda a: (sum(a),), name="sum"), 3),
     # not a homomorphism: the second coordinate gains one once the first is positive
-    (SemigroupHom(N2, N2, lambda p: N2.el((p.data[0], p.data[1] + (p.data[0] > 0))), name="bump"), 2),
+    (SemigroupHom(N2, N2, lambda a: (a[0], a[1] + (a[0] > 0)), name="bump"), 2),
     # forgets the unit: equal images on unit-equivalent pairs, P* not onto
-    (SemigroupHom(EXT2, EXT2, lambda p: EXT2.el((p.data[0], "0")), name="forget"), 2),
+    (SemigroupHom(EXT2, EXT2, lambda a: (a[0], "0"), name="forget"), 2),
     # (i, j) -> a^i b^j: a and b have no common multiple in the free monoid
-    (SemigroupHom(N2, FM, lambda p: FM.parse("a" * p.data[0] + "b" * p.data[1]), name="words"), 2),
-    (SemigroupHom(N, N, lambda p: N.el((p.data[0] + 1,)), name="shift"), 2),
+    (SemigroupHom(N2, FM, lambda a: FM.parse("a" * a[0] + "b" * a[1]).data, name="words"), 2),
+    (SemigroupHom(N, N, lambda a: (a[0] + 1,), name="shift"), 2),
 ]
 
 

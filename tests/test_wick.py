@@ -4,15 +4,14 @@ import zlib
 import numpy as np
 import pytest
 
+import ntforge.wick as wick
 from ntforge.bundles import (
     CrossedProductBackend,
-    conjugation_action,
     precategory_from_bundle,
     semidirect_bundle,
     trivial_action,
 )
 from ntforge.precategory import (
-    Arrow,
     ColoredProductSystem,
     ColorIdeal,
     ZeroTensorBackend,
@@ -33,13 +32,11 @@ from ntforge.wick import (
     abelianization_grading,
     core_norm,
     diagonal_expectation,
-    grade_project,
-    grades_of,
     nt_adjoint,
-    nt_identity,
-    nt_monomial,
     nt_mul,
 )
+from algebra_oracles import grade_project, grades_of, nt_identity, nt_monomial
+from bundle_oracles import conjugation_action
 
 N = DirectSumN(1)
 N2 = DirectSumN(2)
@@ -284,45 +281,77 @@ def _assert_same_product(z, ref, exact):
         assert (z.terms[k] - a).norm() <= 1e-12 * scale, k
 
 
+def _contractions(monkeypatch):
+    """Make every product stacked, then every product pair by pair: one
+    iteration each."""
+    for limit in (-1, 10**9):
+        monkeypatch.setattr(wick, "PAIRWISE_MAX", limit)
+        yield limit
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
-def test_wick_product_matches_pairwise_reference(name):
+def test_wick_product_matches_pairwise_reference(name, monkeypatch):
     backend, pool, exact = PRODUCT_CASES[name]
     rng = random.Random(zlib.crc32(name.encode()))
     x, y = _random_element(backend, pool, rng), _random_element(backend, pool, rng)
     xx = nt_mul(x, nt_adjoint(x))
-    # the square of x x* sums several products under most of its keys
-    for left, right in [(x, y), (y, x), (x, nt_adjoint(x)), (xx, xx)]:
-        z = nt_mul(left, right)
-        assert not z.is_zero()
-        _assert_same_product(z, _pairwise_mul(left, right), exact)
+    products = []
+    for _ in _contractions(monkeypatch):
+        # the square of x x* sums several products under most of its keys
+        for left, right in [(x, y), (y, x), (x, nt_adjoint(x)), (xx, xx)]:
+            z = nt_mul(left, right)
+            assert not z.is_zero()
+            _assert_same_product(z, _pairwise_mul(left, right), exact)
+            products.append(z)
+    # stacked and pair by pair agree bit for bit on every backend
+    for stacked, pairwise in zip(products[:4], products[4:]):
+        _assert_same_product(stacked, pairwise, exact=True)
 
 
-def test_wick_product_drops_a_key_that_cancels_exactly():
+def test_wick_product_inside_an_ideal_matches_pairwise_reference(monkeypatch):
+    # coefficients on colour 0 of the two-colour ab case: the products stay
+    # in the ideal, so the stacked ideal check passes every pair
+    backend, pool, _ = PRODUCT_CASES["ab"]
+    ideal, rng = ColorIdeal({0}), random.Random(11)
+    x, y = NTElement(backend, ideal), NTElement(backend, ideal)
+    for z in (x, y):
+        for _ in range(12):
+            p, q = rng.choice(pool), rng.choice(pool)
+            z.add_term(p, q, backend.random_arrow(p, q, rng, ideal=ideal))
+    for _ in _contractions(monkeypatch):
+        z = nt_mul(x, y)
+        assert not z.is_zero() and all(not b.any() for a in z.terms.values() for b in a.blocks[1:])
+        _assert_same_product(z, _pairwise_mul(x, y), exact=True)
+
+
+def test_wick_product_drops_a_key_that_cancels_exactly(monkeypatch):
     # (1 at (0,0) - 1 at (1,1)) (1 at (1,1)): both pairs land on (1,1)
     x = scalar(ps_N, "0", "0", 1.0) + scalar(ps_N, "1", "1", -1.0)
     y = scalar(ps_N, "1", "1", 1.0) + scalar(ps_N, "0", "2", 1.0)
-    z = nt_mul(x, y)
-    assert (N.parse("1"), N.parse("1")) not in z.terms
-    assert list(z.terms) == list(_pairwise_mul(x, y).terms) == [
-        (N.parse("0"), N.parse("2")), (N.parse("1"), N.parse("3"))
-    ]
+    for _ in _contractions(monkeypatch):
+        z = nt_mul(x, y)
+        assert (N.parse("1"), N.parse("1")) not in z.terms
+        assert list(z.terms) == list(_pairwise_mul(x, y).terms) == [
+            (N.parse("0"), N.parse("2")), (N.parse("1"), N.parse("3"))
+        ]
 
 
-def test_wick_product_keeps_the_mismatch_errors():
+def test_wick_product_keeps_the_mismatch_errors(monkeypatch):
     backend = PRODUCT_CASES["ab"][0]
     e, a, b = FM.parse("e"), FM.parse("a"), FM.parse("b")
     y = NTElement(backend).add_term(a, e, backend.random_arrow(a, e, random.Random(1)))
     # a coefficient filed under (e, a) that is an arrow e <- b
     x = NTElement(backend).add_term(e, a, backend.random_arrow(e, b, random.Random(2)))
-    with pytest.raises(ValueError, match="object mismatch: cannot compose source b with range a"):
-        nt_mul(x, y)
     other = free_monoid("xy")
     z = NTElement(backend).add_term(e, other.parse("x"), backend.random_arrow(e, a, random.Random(3)))
-    with pytest.raises(MismatchError) as want:
-        _pairwise_mul(z, y)
-    with pytest.raises(MismatchError) as got:
-        nt_mul(z, y)
-    assert str(got.value) == str(want.value)
+    for _ in _contractions(monkeypatch):
+        with pytest.raises(ValueError, match="object mismatch: cannot compose source b with range a"):
+            nt_mul(x, y)
+        with pytest.raises(MismatchError) as want:
+            _pairwise_mul(z, y)
+        with pytest.raises(MismatchError) as got:
+            nt_mul(z, y)
+        assert str(got.value) == str(want.value)
 
 
 class _SwapN2(_BackendBase):
@@ -338,26 +367,27 @@ class _SwapN2(_BackendBase):
     def shape(self, p, q):
         return [(1, 1), (1, 1)]
 
-    def _rtensor(self, a, r):
-        blocks = a.blocks if sum(r.data) % 2 == 0 else a.blocks[::-1]
-        return Arrow._derived(self, a.range * r, a.source * r, blocks)
+    def _tensor_blocks(self, xs, p, q, r):
+        return list(xs) if sum(r.data) % 2 == 0 else list(xs)[::-1]
 
 
-def test_wick_product_raises_when_a_product_escapes_the_ideal():
+def test_wick_product_raises_when_a_product_escapes_the_ideal(monkeypatch):
     backend, ideal = _SwapN2(), ColorIdeal({0})
     one, zero = np.ones((1, 1)), np.zeros((1, 1))
     e, s1, s2 = N2.parse("(0,0)"), N2.parse("(1,0)"), N2.parse("(0,1)")
     x = NTElement(backend, ideal).add_term(e, s1, backend.arrow(e, s1, [one, zero]))
     y = NTElement(backend, ideal).add_term(s2, e, backend.arrow(s2, e, [one, zero]))
     # both quotients are odd, so the product lives on color 1 only
-    with pytest.raises(ValueError) as want:
-        _pairwise_mul(x, y)
-    with pytest.raises(ValueError) as got:
-        nt_mul(x, y)
-    assert str(got.value) == str(want.value) == "coefficient at ((0,1),(1,0)) escapes the ideal"
+    for _ in _contractions(monkeypatch):
+        with pytest.raises(ValueError) as want:
+            _pairwise_mul(x, y)
+        with pytest.raises(ValueError) as got:
+            nt_mul(x, y)
+        assert str(got.value) == str(want.value) == "coefficient at ((0,1),(1,0)) escapes the ideal"
 
 
-def test_wick_product_contracts_once_per_key_pair(monkeypatch):
+def _chain_square_operand():
+    """x = y y* for a four-term y on the ab case: many pairs share a key pair."""
     backend = PRODUCT_CASES["ab"][0]
     sg = backend.sg
     rng = random.Random(3)
@@ -365,7 +395,24 @@ def test_wick_product_contracts_once_per_key_pair(monkeypatch):
     for p, q in [("e", "e"), ("a", "e"), ("e", "b"), ("ab", "e")]:
         p, q = sg.parse(p), sg.parse(q)
         y.add_term(p, q, backend.random_arrow(p, q, rng))
-    x = nt_mul(y, nt_adjoint(y))
+    return backend, nt_mul(y, nt_adjoint(y))
+
+
+def _counting(monkeypatch, obj, name, calls):
+    """Count the calls of obj.name in calls[name]."""
+    calls[name] = 0
+    hook = getattr(obj, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return hook(*args)
+
+    monkeypatch.setattr(obj, name, counted)
+
+
+def test_wick_product_contracts_once_per_key_pair(monkeypatch):
+    backend, x = _chain_square_operand()
+    sg = backend.sg
     key_pairs, left, right, pairs = set(), set(), set(), 0
     for (p, q) in x.terms:
         for (s, t) in x.terms:
@@ -379,20 +426,53 @@ def test_wick_product_contracts_once_per_key_pair(monkeypatch):
     want = _pairwise_mul(x, x)
     assert len(key_pairs) < pairs and len(left) + len(right) < 2 * pairs
 
-    calls = {"right_lcm": 0, "rtensor": 0}
-    right_lcm, rtensor = sg.right_lcm, Arrow.rtensor
+    # a x 1_e is a itself, so a quotient e takes no ampliation
+    amplified = sum(k[2] != sg.one for k in left) + sum(k[2] != sg.one for k in right)
+    for _ in _contractions(monkeypatch):
+        calls = {}
+        with pytest.MonkeyPatch.context() as counters:
+            _counting(counters, sg, "_lcm", calls)
+            _counting(counters, backend, "_tensor_blocks", calls)
+            z = nt_mul(x, x)
+        assert calls == {"_lcm": len(key_pairs), "_tensor_blocks": amplified}
+        _assert_same_product(z, want, exact=True)
 
-    def counting_lcm(p, q):
-        calls["right_lcm"] += 1
-        return right_lcm(p, q)
 
-    def counting_rtensor(a, r):
-        calls["rtensor"] += 1
-        return rtensor(a, r)
+def test_wick_product_composes_once_per_group(monkeypatch):
+    backend, x = _chain_square_operand()
+    assert len(x.terms) ** 2 > wick.PAIRWISE_MAX  # a stacked product
+    sg = backend.sg
+    groups, pairs = set(), 0
+    for (p, q), a in x.terms.items():
+        for (s, t), b in x.terms.items():
+            r = sg.right_lcm(q, s)
+            if r is None:
+                continue
+            pairs += 1
+            aa, bb = a.rtensor(sg.left_divide(q, r)), b.rtensor(sg.left_divide(s, r))
+            groups.add(tuple(u.shape for u in aa.blocks + bb.blocks))
+    assert len(groups) < pairs / 10
 
-    monkeypatch.setattr(sg, "right_lcm", counting_lcm)
-    monkeypatch.setattr(Arrow, "rtensor", counting_rtensor)
+    calls = {}
+    _counting(monkeypatch, backend, "_compose_blocks", calls)
     z = nt_mul(x, x)
     monkeypatch.undo()
-    assert calls == {"right_lcm": len(key_pairs), "rtensor": len(left) + len(right)}
-    _assert_same_product(z, want, exact=True)
+    assert calls == {"_compose_blocks": len(groups)}
+    _assert_same_product(z, _pairwise_mul(x, x), exact=True)
+
+
+def test_wick_product_groups_bundle_pairs_by_grade(monkeypatch):
+    # every fiber of a crossed-product bundle has one shape, so only the
+    # grades of _compose_class keep pairs of different grades apart
+    backend, pool, _ = PRODUCT_CASES["s3-bundle"]
+    rng = random.Random(5)
+    x = _random_element(backend, pool, rng, terms=8)
+    monkeypatch.setattr(wick, "PAIRWISE_MAX", -1)
+    # in a group every pair has an LCM, and tensoring keeps the grades
+    grades = {(backend._grade(p, q), backend._grade(s, t)) for p, q in x.terms for s, t in x.terms}
+    calls = {}
+    _counting(monkeypatch, backend, "_compose_blocks", calls)
+    z = nt_mul(x, x)
+    monkeypatch.undo()
+    assert calls == {"_compose_blocks": len(grades)} and len(grades) > 1
+    _assert_same_product(z, _pairwise_mul(x, x), exact=False)
