@@ -39,7 +39,7 @@ import itertools
 import numpy as np
 
 from .analysis import ConcreteRep
-from .linalg import norm_at_most, rank_of_values, span_singular_values, spectral_norm
+from .linalg import norm_at_most, rank_of_values, span_singular_values
 from .precategory import Arrow, _BackendBase
 from .semigroups import FiniteGroup
 
@@ -182,9 +182,6 @@ class BundleFiberFamily:
     def random_fiber(self, g, rng):
         e = self.group.identity()
         return self.backend.random_arrow(g, e, rng).blocks
-
-    def fiber_norm(self, blocks):
-        return max((spectral_norm(b) for b in blocks), default=0.0)
 
 
 def bundle_from_precategory(backend) -> BundleFiberFamily:

@@ -136,18 +136,8 @@ class Truncation:
             orbit[nodes] = self._child[orbit[parents], edges]
         return orbit
 
-    def interior(self, margin: int):
-        sg = self.backend.sg
-        return frozenset(s for s in self.S if sg.length(s) + margin <= self.depth)
-
-    def col_dim(self, c, s) -> int:
-        return int(self._col_dims[c][self.index[s]])
-
     def col_total(self, c) -> int:
         return int(self._col_offsets[c][-1])
-
-    def col_offset(self, c, s) -> int:
-        return int(self._col_offsets[c][self.index[s]])
 
     def col_source(self, c):
         """Index into S of the source object of each column of color c."""
@@ -297,10 +287,6 @@ class FockOperator:
     def __matmul__(self, other):
         return self.compose(other)
 
-    def restrict_sources(self, sources):
-        """Keep only columns whose source index lies in the given set."""
-        return self @ _source_projection(self.tr, _indices(self.tr, sources))
-
     def dense(self):
         """The t = e fiber: block-diagonal over colors of the column factors."""
         n = sum(m.shape[0] for m in self.slots)
@@ -430,13 +416,9 @@ def _source_projection(tr: Truncation, keep) -> FockOperator:
     return FockOperator(tr, slots)
 
 
-def _indices(tr: Truncation, elements):
-    return [tr.index[s] for s in elements if s in tr.index]
-
-
 def projection_Qw(w, tr: Truncation) -> FockOperator:
     """Projection onto the blocks with source index w."""
-    return _source_projection(tr, _indices(tr, [w]))
+    return _source_projection(tr, [tr.index[w]] if w in tr.index else [])
 
 
 def projection_QT(p, tr: Truncation) -> FockOperator:

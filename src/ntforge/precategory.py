@@ -399,12 +399,7 @@ class ZeroTensorBackend(_BackendBase):
 
 def ideal_membership(a: Arrow, K: ColorIdeal, tol=1e-12) -> bool:
     """a lies in K(range, source): blocks off the ideal's colors vanish."""
-    return blocks_in_ideal(a.blocks, K, tol)
-
-
-def blocks_in_ideal(blocks, K: ColorIdeal, tol=1e-12) -> bool:
-    """ideal_membership on an arrow's blocks alone."""
-    return all(c in K.colors or norm_at_most(b, tol) for c, b in enumerate(blocks))
+    return all(c in K.colors or norm_at_most(b, tol) for c, b in enumerate(a.blocks))
 
 
 class StructureReport:

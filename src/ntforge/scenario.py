@@ -122,6 +122,9 @@ def build_element(sg, backend, ideal, terms) -> NTElement:
         missing = [k for k in fields if not isinstance(term, dict) or k not in term]
         if missing:
             raise ScenarioError(f"term {i} needs a {missing[0]!r}")
+        for k in ("range", "source"):
+            if not isinstance(term[k], str):
+                raise ScenarioError(f"term {i} {k!r} must be a string")
         p = sg.parse(term["range"])
         q = sg.parse(term["source"])
         blocks = to_blocks(term["blocks"])

@@ -11,7 +11,7 @@ Keys are canonicalized over the unit orbit {(px, qx) : x unit}, with the
 coefficient transported by x 1_x (an exact operation: units have
 one-dimensional fibers).
 
-The product is a stacked contraction on normal-form data: one LCM per
+Every product is one stacked contraction on normal-form data: one LCM per
 distinct (q, s), one ampliation a x 1_{q^-1 r} per (term, quotient) through
 the backend's _tensor_blocks, one canonicalization per raw output key.  The
 pairs are grouped by the block shapes of their two ampliations and the
@@ -19,9 +19,10 @@ backend's _compose_class (None unless its product reads the objects: the
 two grades on a bundle), and each group takes one stacked _compose_blocks
 call, with the ideal check and the unit transport over its stack.  The
 products are added under their keys in pair order from one flat buffer and
-pruned at PRUNE_TOL with norm_at_most semantics.  A product of at most
-PAIRWISE_MAX term pairs, or with a coefficient away from its own key, is
-contracted pair by pair instead; both give the same terms, order and values.
+pruned at PRUNE_TOL with norm_at_most semantics.  The contraction reads a
+coefficient's objects from its key: add_term rejects a coefficient that is
+not an arrow of the element's backend in L(p, q), so every stored term is
+filed at its own key.
 
 The closed-form core norm evaluates the initial-segment formula: exact for
 diagonal elements, a truncated lower bound for mixed core keys.
@@ -29,21 +30,16 @@ diagonal elements, a truncated lower bound for mixed core keys.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import norm_at_most, norms_at_most
-from .precategory import Arrow, blocks_in_ideal, full_ideal, ideal_membership
+from .precategory import Arrow, full_ideal, ideal_membership
 from .segments import _in_cell, initial_segments
 from .semigroups import FiniteGroup
 
 PRUNE_TOL = 1e-12
-#: products of at most this many term pairs are contracted pair by pair: on
-#: them a stacked call costs about what a pair does, and the stacks' index
-#: bookkeeping more than the pairs save
-PAIRWISE_MAX = 64
 
 
 def canonical_key(sg, p, q):
@@ -72,6 +68,16 @@ class NTElement:
         return x
 
     def add_term(self, p, q, arrow):
+        """Add arrow at key (p, q), moved to the key's canonical form.  The
+        arrow must be one of this element's backend in L(p, q), with p and q
+        passing its semigroup's check_same, and lie in the ideal; else
+        MismatchError (a foreign instance) or ValueError."""
+        self.backend.sg.check_same(p, q)
+        if arrow.backend is not self.backend:
+            raise ValueError(f"coefficient at ({p!r},{q!r}) is an arrow of another backend")
+        if (arrow.range.data, arrow.source.data) != (p.data, q.data):
+            raise ValueError(f"object mismatch: coefficient at ({p!r},{q!r}) "
+                             f"is an arrow in L({arrow.range!r},{arrow.source!r})")
         if not ideal_membership(arrow, self.ideal):
             raise ValueError(f"coefficient at ({p!r},{q!r}) escapes the ideal")
         cp, cq, u = canonical_key(self.backend.sg, p, q)
@@ -85,10 +91,6 @@ class NTElement:
         else:
             self.terms[key] = arrow
         return self
-
-    def coeff(self, p, q):
-        cp, cq, u = canonical_key(self.backend.sg, p, q)
-        return self.terms.get((cp, cq))
 
     def keys(self):
         return sorted(
@@ -148,80 +150,10 @@ class NTElement:
         return out
 
     def mul(self, other):
-        """The Wick product (module docstring): _stacked_mul, which builds
-        Elements and Arrows only for the output terms, above PAIRWISE_MAX
-        term pairs with every coefficient at its own key; else _mul_pairwise."""
+        """The Wick product (module docstring) by the stacked contraction,
+        which builds Elements and Arrows only for the output terms."""
         self._check(other)
-        if len(self.terms) * len(other.terms) <= PAIRWISE_MAX or not (self._filed() and other._filed()):
-            return self._mul_pairwise(other)
         return _stacked_mul(self, other)
-
-    def _filed(self):
-        """Every coefficient is an arrow of the backend at its own key, and
-        the key and arrow elements are of the backend's instance itself."""
-        return all(a.backend is self.backend and p.sg is q.sg is a.range.sg is a.source.sg is self.backend.sg
-                   and (a.range.data, a.source.data) == (p.data, q.data) for (p, q), a in self.terms.items())
-
-    def _mul_pairwise(self, other):
-        """The Wick product one pair at a time on Elements and Arrows, with
-        one LCM per distinct (q, s) and one ampliation per (term, quotient);
-        the first pair that does not compose or escapes the ideal raises."""
-        backend, ideal = self.backend, self.ideal
-        rights = list(other.terms.items())
-        right_amps = [{} for _ in rights]  # per right term: s^-1 r -> (t s^-1 r, b x 1)
-        rows = {}  # q -> contraction row, see _contraction_row
-        canonical = {}  # output key -> (canonical key, transporting unit or None)
-        sums = {}  # canonical key -> summed blocks
-        for (p, q), a in self.terms.items():
-            row = rows.get(q)
-            if row is None:
-                row = rows[q] = self._contraction_row(q, rights, right_amps)
-            left_amps = {}  # q^-1 r -> (p q^-1 r, a x 1)
-            for qr, tk, bb in row:
-                hit = left_amps.get(qr)
-                if hit is None:
-                    hit = left_amps[qr] = (p * qr, a.rtensor(qr))
-                pk, aa = hit
-                aa._composable(bb)
-                blocks = backend._compose_blocks(aa.blocks, bb.blocks, aa.range, aa.source, bb.source)
-                if not blocks_in_ideal(blocks, ideal):
-                    raise ValueError(f"coefficient at ({pk!r},{tk!r}) escapes the ideal")
-                canon = canonical.get((pk, tk))
-                if canon is None:
-                    cp, cq, u = canonical_key(self.backend.sg, pk, tk)
-                    canon = canonical[pk, tk] = ((cp, cq), None if u == backend.sg.one else u)
-                key, u = canon
-                if u is not None:
-                    blocks = Arrow._derived(backend, aa.range, bb.source, blocks).rtensor(u).blocks
-                acc = sums.get(key)
-                sums[key] = blocks if acc is None else [x + y for x, y in zip(acc, blocks)]
-        out = NTElement(backend, ideal)
-        for (cp, cq), blocks in sums.items():
-            arrow = Arrow._derived(backend, cp, cq, blocks)
-            if not arrow.is_zero(PRUNE_TOL):
-                out.terms[cp, cq] = arrow
-        return out
-
-    def _contraction_row(self, q, rights, right_amps):
-        """(q^-1 r, t s^-1 r, b x 1_{s^-1 r}) for each right term (s, t) in
-        order whose s has a right LCM r with q; one LCM per distinct s, and
-        the ampliations shared through right_amps."""
-        sg = self.backend.sg
-        quotients = {}
-        row = []
-        for amps, ((s, t), b) in zip(right_amps, rights):
-            if s not in quotients:
-                r = sg.right_lcm(q, s)
-                quotients[s] = None if r is None else (sg.left_divide(q, r), sg.left_divide(s, r))
-            qs = quotients[s]
-            if qs is None:
-                continue
-            qr, sr = qs
-            hit = amps.get(sr)
-            if hit is None:
-                hit = amps[sr] = (t * sr, b.rtensor(sr))
-            row.append((qr, *hit))
-        return row
 
     def __repr__(self):
         body = ", ".join(f"({p!r},{q!r})" for p, q in self.keys())
@@ -435,22 +367,6 @@ class GradingMap:
         if self.group is not None:
             return tp * self.group.inverse(tq)
         return tuple(a - b for a, b in zip(tp, tq))
-
-    def validate(self, depth=3):
-        e = self.sg.identity()
-        te = self.theta(e)
-        ok_e = te == (self.group.identity() if self.group is not None else (0,) * self.rank)
-        if not ok_e:
-            raise ValueError("grading does not send e to the identity")
-        els = self.sg.elements(depth)
-        for p, q in itertools.product(els, repeat=2):
-            tp, tq = self.theta(p), self.theta(q)
-            prod = tp * tq if self.group is not None else tuple(
-                a + b for a, b in zip(tp, tq)
-            )
-            if self.theta(p * q) != prod:
-                raise ValueError(f"grading is not a homomorphism at ({p!r},{q!r})")
-        return self
 
 
 def abelianization_grading(sg) -> GradingMap:

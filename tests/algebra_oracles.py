@@ -1,12 +1,14 @@
 """Element helpers that no scenario check, CLI command or benchmark job
 runs: unit equivalence, iterated LCMs, initial segments by their definition
 and partition-cell membership of semigroup elements, the arrow operations as
-functions, one-term and identity NT elements, and the grading of NT
-elements by keys."""
+functions, one-term and identity NT elements, the coefficient of an NT
+element at a key, and the validation and use of gradings."""
+
+import itertools
 
 from ntforge.precategory import Arrow
 from ntforge.segments import Segment, _in_cell, leq
-from ntforge.wick import GradingMap, NTElement
+from ntforge.wick import GradingMap, NTElement, canonical_key
 
 
 def unit_equivalent(p, q):
@@ -68,6 +70,31 @@ def nt_monomial(backend, p, q, blocks, ideal=None) -> NTElement:
 def nt_identity(backend, ideal=None) -> NTElement:
     e = backend.sg.identity()
     return NTElement.from_terms(backend, [(e, e, backend.identity_arrow(e))], ideal)
+
+
+def coeff(x: NTElement, p, q):
+    """The coefficient of x at the canonical key of (p, q), or None."""
+    cp, cq, _ = canonical_key(x.backend.sg, p, q)
+    return x.terms.get((cp, cq))
+
+
+def validate_grading(theta: GradingMap, depth=3) -> GradingMap:
+    """theta, once it sends e to the identity and is multiplicative on the
+    elements up to depth; else ValueError."""
+    sg, group = theta.sg, theta.group
+    te = theta.theta(sg.identity())
+    ok_e = te == (group.identity() if group is not None else (0,) * theta.rank)
+    if not ok_e:
+        raise ValueError("grading does not send e to the identity")
+    els = sg.elements(depth)
+    for p, q in itertools.product(els, repeat=2):
+        tp, tq = theta.theta(p), theta.theta(q)
+        prod = tp * tq if group is not None else tuple(
+            a + b for a, b in zip(tp, tq)
+        )
+        if theta.theta(p * q) != prod:
+            raise ValueError(f"grading is not a homomorphism at ({p!r},{q!r})")
+    return theta
 
 
 def grade_project(x: NTElement, theta: GradingMap, g) -> NTElement:

@@ -5,11 +5,14 @@ t-th fiber ⊕_s K(s,t); these routes build it densely, for comparing norms,
 the block-diagonal compression and the t-th restricted representation
 against the factored operators.  check_reducing_condition states the
 hypothesis under which that restricted representation carries the norm.
+The interior of a truncation, the restriction of an operator to sources in
+a set, and the column layout of one (colour, object) serve the tests that
+compare lifts and slots entry by entry.
 """
 
 import numpy as np
 
-from ntforge.fock import FockOperator, Truncation, _csr, lift
+from ntforge.fock import FockOperator, Truncation, _csr, _source_projection, lift
 from ntforge.linalg import rank_of_span, spectral_norm
 from ntforge.precategory import StructureReport
 from ntforge.wick import NTElement
@@ -122,3 +125,25 @@ def check_reducing_condition(backend, K, t, depth: int, tol=1e-8) -> StructureRe
         if not ok:
             failures.append((p, f"K(px,{t!r})K({t!r},px) never spans the diagonal"))
     return StructureReport("reducing-condition", not failures, checked, failures)
+
+
+def interior(tr: Truncation, margin: int):
+    """The elements of S at least margin below the truncation depth."""
+    sg = tr.backend.sg
+    return frozenset(s for s in tr.S if sg.length(s) + margin <= tr.depth)
+
+
+def restrict_sources(op: FockOperator, sources) -> FockOperator:
+    """Keep only the columns whose source object lies in sources."""
+    tr = op.tr
+    return op @ _source_projection(tr, [tr.index[s] for s in sources if s in tr.index])
+
+
+def col_dim(tr: Truncation, c, s) -> int:
+    """The number of columns of colour c with source object s."""
+    return int(tr._col_dims[c][tr.index[s]])
+
+
+def col_offset(tr: Truncation, c, s) -> int:
+    """The first column of colour c with source object s."""
+    return int(tr._col_offsets[c][tr.index[s]])

@@ -49,7 +49,7 @@ from ntforge.semigroups import (
     symmetric_group_3,
 )
 from ntforge.wick import NTElement, core_norm, nt_mul
-from fock_oracles import fock_source_restricted
+from fock_oracles import fock_source_restricted, interior, restrict_sources
 from rep_oracles import action_on_projection_defect
 from bundle_oracles import group_algebra_bundle, swap_action
 from rep_oracles import degenerate_example_rep
@@ -171,8 +171,8 @@ def test_criterion_04_wick_fock_homomorphism():
         for _ in range(60):
             x = _random_element(ps, rng)
             y = _random_element(ps, rng)
-            inner = tr.interior(x.max_key_length() + y.max_key_length())
-            diff = (lift(x, tr) @ lift(y, tr) - lift(nt_mul(x, y), tr)).restrict_sources(inner)
+            inner = interior(tr, x.max_key_length() + y.max_key_length())
+            diff = restrict_sources(lift(x, tr) @ lift(y, tr) - lift(nt_mul(x, y), tr), inner)
             worst = max(worst, diff.frobenius())
             pairs += 1
     assert pairs >= 100 and worst <= 1e-9, (pairs, worst)

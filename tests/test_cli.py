@@ -129,6 +129,13 @@ def _with_checks(*checks):
     return data
 
 
+def _with_term_field(field, value):
+    """The toeplitz scenario with field of x's first term set to value."""
+    data = json.loads(pathlib.Path(TOEPLITZ).read_text())
+    data["elements"]["x"][0][field] = value
+    return data
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -160,12 +167,14 @@ def _with_checks(*checks):
         (["run", {"semigroup": {"kind": ["x"], "rank": 1}}], "kind"),
         (["run", {"semigroup": {"kind": "direct_sum", "rank": 1}, "elements": []}], "elements"),
         (["run", {"bundle": {"dims": [1]}}], "group"),
+        (["run", _with_term_field("range", ["0"])], "range"),
+        (["run", _with_term_field("source", 0)], "source"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
          "repeated-letters", "missing-name", "negative-depth", "non-associative-table",
          "numeric-group-elements", "repeated-unit-elements", "string-semigroup", "list-kind",
-         "list-elements", "bundle-without-group"],
+         "list-elements", "bundle-without-group", "list-range", "numeric-source"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"

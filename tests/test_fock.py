@@ -41,11 +41,15 @@ from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_mul
 from fock_oracles import (
     check_divisor_closure,
     check_reducing_condition,
+    col_dim,
+    col_offset,
     diagonal_part,
     fiber,
     fiber_layout,
     fock_source_restricted,
+    interior,
     norm_by_fibers,
+    restrict_sources,
 )
 from algebra_oracles import nt_monomial
 from bundle_oracles import conjugation_action, swap_action
@@ -112,9 +116,9 @@ def test_lift_is_multiplicative_on_interior(ps, depth):
         x = random_element(ps, rng)
         y = random_element(ps, rng)
         margin = x.max_key_length() + y.max_key_length()
-        inner = tr.interior(margin)
-        lhs = (lift(x, tr) @ lift(y, tr)).restrict_sources(inner)
-        rhs = lift(nt_mul(x, y), tr).restrict_sources(inner)
+        inner = interior(tr, margin)
+        lhs = restrict_sources(lift(x, tr) @ lift(y, tr), inner)
+        rhs = restrict_sources(lift(nt_mul(x, y), tr), inner)
         assert (lhs - rhs).frobenius() <= 1e-9
 
 
@@ -131,9 +135,9 @@ def test_right_tensor_representation_law():
         y = NTElement(ps_FM).add_term(s, t, b)
         v = FM.left_divide(q, s)
         z = NTElement(ps_FM).add_term(p * v, t, a.rtensor(v).compose(b))
-        inner = tr.interior(x.max_key_length() + y.max_key_length())
-        lhs = (lift(x, tr) @ lift(y, tr)).restrict_sources(inner)
-        rhs = lift(z, tr).restrict_sources(inner)
+        inner = interior(tr, x.max_key_length() + y.max_key_length())
+        lhs = restrict_sources(lift(x, tr) @ lift(y, tr), inner)
+        rhs = restrict_sources(lift(z, tr), inner)
         assert (lhs - rhs).frobenius() <= 1e-9
 
 
@@ -223,7 +227,7 @@ def _dense_block_reference(tr, blocks_at):
         n = tr.col_total(c)
         m = np.zeros((n, n), dtype=complex)
         for (so, si), b in d.items():
-            ro, ci = tr.col_offset(c, so), tr.col_offset(c, si)
+            ro, ci = col_offset(tr, c, so), col_offset(tr, c, si)
             m[ro : ro + b.shape[0], ci : ci + b.shape[1]] = b
         out.append(m)
     return out
@@ -260,8 +264,8 @@ def _reference_fiber(tr, slots, t):
         for (si, ci_), (oi, ri, cc) in layout.items():
             if ci_ != c:
                 continue
-            r0, c0 = tr.col_offset(c, so), tr.col_offset(c, si)
-            b = slots[c][r0 : r0 + tr.col_dim(c, so), c0 : c0 + tr.col_dim(c, si)]
+            r0, c0 = col_offset(tr, c, so), col_offset(tr, c, si)
+            b = slots[c][r0 : r0 + col_dim(tr, c, so), c0 : c0 + col_dim(tr, c, si)]
             if not b.any():
                 continue
             m[oo : oo + ro * co, oi : oi + ri * cc] = np.kron(b, np.eye(co, dtype=complex))

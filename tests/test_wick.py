@@ -4,14 +4,15 @@ import zlib
 import numpy as np
 import pytest
 
-import ntforge.wick as wick
 from ntforge.bundles import (
     CrossedProductBackend,
     precategory_from_bundle,
     semidirect_bundle,
     trivial_action,
 )
+from ntforge.linalg import norm_at_most
 from ntforge.precategory import (
+    Arrow,
     ColoredProductSystem,
     ColorIdeal,
     ZeroTensorBackend,
@@ -27,15 +28,17 @@ from ntforge.semigroups import (
     symmetric_group_3,
 )
 from ntforge.wick import (
+    PRUNE_TOL,
     GradingMap,
     NTElement,
     abelianization_grading,
+    canonical_key,
     core_norm,
     diagonal_expectation,
     nt_adjoint,
     nt_mul,
 )
-from algebra_oracles import grade_project, grades_of, nt_identity, nt_monomial
+from algebra_oracles import coeff, grade_project, grades_of, nt_identity, nt_monomial, validate_grading
 from bundle_oracles import conjugation_action
 
 N = DirectSumN(1)
@@ -58,7 +61,7 @@ def test_isometry_relations_over_N():
     u = scalar(ps_N, "1", "0")
     uu = nt_mul(nt_adjoint(u), u)
     assert uu.keys() == [(N.parse("0"), N.parse("0"))]
-    assert np.allclose(uu.coeff(N.parse("0"), N.parse("0")).blocks[0], 1.0)
+    assert np.allclose(coeff(uu, N.parse("0"), N.parse("0")).blocks[0], 1.0)
     proj = nt_mul(u, nt_adjoint(u))
     assert proj.keys() == [(N.parse("1"), N.parse("1"))]
 
@@ -130,7 +133,7 @@ def test_diagonal_expectation():
 
 
 def test_grading_examples():
-    theta = abelianization_grading(N2).validate(3)
+    theta = validate_grading(abelianization_grading(N2), 3)
     key_grade = theta.grade_of_key(N2.parse("(1,0)"), N2.parse("(0,1)"))
     assert key_grade == (1, -1)
     x = scalar(ps_N2, "(1,0)", "(0,1)") + scalar(ps_N2, "(1,1)", "(1,1)")
@@ -138,7 +141,7 @@ def test_grading_examples():
     efib = grade_project(x, theta, (0, 0))
     assert set(efib.terms) == {(N2.parse("(1,1)"), N2.parse("(1,1)"))}
 
-    th_fm = abelianization_grading(FM).validate(2)
+    th_fm = validate_grading(abelianization_grading(FM), 2)
     y = scalar(ps_FM, "ab", "e") + scalar(ps_FM, "ba", "e")
     assert grades_of(y, th_fm) == [(1, 1)]
     assert len(grade_project(y, th_fm, (1, 1)).terms) == 2
@@ -146,15 +149,15 @@ def test_grading_examples():
 
 def test_grading_on_group_and_absorption():
     g = cyclic_group(3)
-    th = abelianization_grading(g).validate(1)
+    th = validate_grading(abelianization_grading(g), 1)
     assert th.grade_of_key(g.parse("1"), g.parse("2")) == g.parse("2")
-    ab = abelianization_grading(AbsorptionMonoid()).validate(3)
+    ab = validate_grading(abelianization_grading(AbsorptionMonoid()), 3)
     assert ab.grade_of_key(AbsorptionMonoid().parse("(2,5)"), AbsorptionMonoid().parse("(1,0)")) == (1,)
 
 
 def test_bad_grading_rejected():
     with pytest.raises(ValueError, match="homomorphism"):
-        GradingMap(N2, lambda p: (p.data[0] ** 2,), rank=1).validate(3)
+        validate_grading(GradingMap(N2, lambda p: (p.data[0] ** 2,), rank=1), 3)
 
 
 def test_grade_multiplicativity():
@@ -216,7 +219,7 @@ def test_mul_bilinear():
     assert _close(lhs, rhs, tol=1e-12)
 
 
-# -- the key-pair contraction against the pairwise loop -----------------------
+# -- the stacked contraction against the pairwise loops ----------------------
 
 
 def _pairwise_mul(x, y):
@@ -232,6 +235,70 @@ def _pairwise_mul(x, y):
             qr, sr = sg.left_divide(q, r), sg.left_divide(s, r)
             out.add_term(p * qr, t * sr, a.rtensor(qr).compose(b.rtensor(sr)))
     return out
+
+
+def _mul_pairwise(x, y):
+    """The Wick product one pair at a time on Elements and Arrows, with one
+    LCM per distinct (q, s) and one ampliation per (term, quotient), summed
+    under the canonical keys in pair order: the stacked contraction gives
+    the same terms, order and values bit for bit.  The first pair that does
+    not compose or escapes the ideal raises."""
+    backend, ideal = x.backend, x.ideal
+    rights = list(y.terms.items())
+    right_amps = [{} for _ in rights]  # per right term: s^-1 r -> (t s^-1 r, b x 1)
+    rows = {}  # q -> contraction row, see _contraction_row
+    canonical = {}  # output key -> (canonical key, transporting unit or None)
+    sums = {}  # canonical key -> summed blocks
+    for (p, q), a in x.terms.items():
+        row = rows.get(q)
+        if row is None:
+            row = rows[q] = _contraction_row(backend.sg, q, rights, right_amps)
+        left_amps = {}  # q^-1 r -> (p q^-1 r, a x 1)
+        for qr, tk, bb in row:
+            hit = left_amps.get(qr)
+            if hit is None:
+                hit = left_amps[qr] = (p * qr, a.rtensor(qr))
+            pk, aa = hit
+            aa._composable(bb)
+            blocks = backend._compose_blocks(aa.blocks, bb.blocks, aa.range, aa.source, bb.source)
+            if not all(c in ideal.colors or norm_at_most(z, 1e-12) for c, z in enumerate(blocks)):
+                raise ValueError(f"coefficient at ({pk!r},{tk!r}) escapes the ideal")
+            canon = canonical.get((pk, tk))
+            if canon is None:
+                cp, cq, u = canonical_key(backend.sg, pk, tk)
+                canon = canonical[pk, tk] = ((cp, cq), None if u == backend.sg.one else u)
+            key, u = canon
+            if u is not None:
+                blocks = Arrow._derived(backend, aa.range, bb.source, blocks).rtensor(u).blocks
+            acc = sums.get(key)
+            sums[key] = blocks if acc is None else [v + w for v, w in zip(acc, blocks)]
+    out = NTElement(backend, ideal)
+    for (cp, cq), blocks in sums.items():
+        arrow = Arrow._derived(backend, cp, cq, blocks)
+        if not arrow.is_zero(PRUNE_TOL):
+            out.terms[cp, cq] = arrow
+    return out
+
+
+def _contraction_row(sg, q, rights, right_amps):
+    """(q^-1 r, t s^-1 r, b x 1_{s^-1 r}) for each right term (s, t) in
+    order whose s has a right LCM r with q; one LCM per distinct s, and the
+    ampliations shared through right_amps."""
+    quotients = {}
+    row = []
+    for amps, ((s, t), b) in zip(right_amps, rights):
+        if s not in quotients:
+            r = sg.right_lcm(q, s)
+            quotients[s] = None if r is None else (sg.left_divide(q, r), sg.left_divide(s, r))
+        qs = quotients[s]
+        if qs is None:
+            continue
+        qr, sr = qs
+        hit = amps.get(sr)
+        if hit is None:
+            hit = amps[sr] = (t * sr, b.rtensor(sr))
+        row.append((qr, *hit))
+    return row
 
 
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -281,34 +348,58 @@ def _assert_same_product(z, ref, exact):
         assert (z.terms[k] - a).norm() <= 1e-12 * scale, k
 
 
-def _contractions(monkeypatch):
-    """Make every product stacked, then every product pair by pair: one
-    iteration each."""
-    for limit in (-1, 10**9):
-        monkeypatch.setattr(wick, "PAIRWISE_MAX", limit)
-        yield limit
+def _small_products(name, backend, x, y):
+    """Operand pairs of few terms on the case name, x and y its random
+    operands: an empty operand on either side or both, and a single pair;
+    on ab a product with no contracting pair, on unit-ext a 1 x 2-term
+    product whose output keys need a unit transport, on s3-bundle a
+    2 x 2-term product."""
+    empty = NTElement(backend)
+    (p, q), a = next(iter(x.terms.items()))
+    one = NTElement(backend).add_term(p, q, a)
+    pairs = [(empty, y), (x, empty), (empty, empty), (one, nt_adjoint(one))]
+    sg, rng = backend.sg, random.Random(7)
+
+    def element(keys):
+        z = NTElement(backend)
+        for p, q in keys:
+            p, q = sg.parse(p), sg.parse(q)
+            z.add_term(p, q, backend.random_arrow(p, q, rng))
+        return z
+
+    if name == "ab":
+        # a and b have no common right multiple
+        pairs.append((element([("e", "a"), ("b", "a")]), element([("b", "e"), ("bb", "a")])))
+    if name == "unit-ext":
+        # lcm(((0,0),1), e) = e, so the left quotient is the unit and every
+        # raw output key has the unit on its range
+        pairs.append((element([("((0,0),0)", "((0,0),1)")]),
+                      element([("((0,0),0)", "((0,0),0)"), ("((0,1),0)", "((1,0),0)")])))
+    if name == "s3-bundle":
+        two = NTElement(backend)
+        for (p, q), a in list(x.terms.items())[:2]:
+            two.add_term(p, q, a)
+        pairs.append((two, nt_adjoint(two)))
+    return pairs
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
-def test_wick_product_matches_pairwise_reference(name, monkeypatch):
+def test_wick_product_matches_pairwise_reference(name):
     backend, pool, exact = PRODUCT_CASES[name]
     rng = random.Random(zlib.crc32(name.encode()))
     x, y = _random_element(backend, pool, rng), _random_element(backend, pool, rng)
     xx = nt_mul(x, nt_adjoint(x))
-    products = []
-    for _ in _contractions(monkeypatch):
-        # the square of x x* sums several products under most of its keys
-        for left, right in [(x, y), (y, x), (x, nt_adjoint(x)), (xx, xx)]:
-            z = nt_mul(left, right)
-            assert not z.is_zero()
-            _assert_same_product(z, _pairwise_mul(left, right), exact)
-            products.append(z)
-    # stacked and pair by pair agree bit for bit on every backend
-    for stacked, pairwise in zip(products[:4], products[4:]):
-        _assert_same_product(stacked, pairwise, exact=True)
+    # the square of x x* sums several products under most of its keys
+    large = [(x, y), (y, x), (x, nt_adjoint(x)), (xx, xx)]
+    for i, (left, right) in enumerate(large + _small_products(name, backend, x, y)):
+        z = nt_mul(left, right)
+        assert i >= len(large) or not z.is_zero()
+        _assert_same_product(z, _pairwise_mul(left, right), exact)
+        # the stacked contraction and the pairwise one agree bit for bit on every backend
+        _assert_same_product(z, _mul_pairwise(left, right), exact=True)
 
 
-def test_wick_product_inside_an_ideal_matches_pairwise_reference(monkeypatch):
+def test_wick_product_inside_an_ideal_matches_pairwise_reference():
     # coefficients on colour 0 of the two-colour ab case: the products stay
     # in the ideal, so the stacked ideal check passes every pair
     backend, pool, _ = PRODUCT_CASES["ab"]
@@ -318,40 +409,39 @@ def test_wick_product_inside_an_ideal_matches_pairwise_reference(monkeypatch):
         for _ in range(12):
             p, q = rng.choice(pool), rng.choice(pool)
             z.add_term(p, q, backend.random_arrow(p, q, rng, ideal=ideal))
-    for _ in _contractions(monkeypatch):
-        z = nt_mul(x, y)
-        assert not z.is_zero() and all(not b.any() for a in z.terms.values() for b in a.blocks[1:])
-        _assert_same_product(z, _pairwise_mul(x, y), exact=True)
+    z = nt_mul(x, y)
+    assert not z.is_zero() and all(not b.any() for a in z.terms.values() for b in a.blocks[1:])
+    _assert_same_product(z, _pairwise_mul(x, y), exact=True)
+    _assert_same_product(z, _mul_pairwise(x, y), exact=True)
 
 
-def test_wick_product_drops_a_key_that_cancels_exactly(monkeypatch):
+def test_wick_product_drops_a_key_that_cancels_exactly():
     # (1 at (0,0) - 1 at (1,1)) (1 at (1,1)): both pairs land on (1,1)
     x = scalar(ps_N, "0", "0", 1.0) + scalar(ps_N, "1", "1", -1.0)
     y = scalar(ps_N, "1", "1", 1.0) + scalar(ps_N, "0", "2", 1.0)
-    for _ in _contractions(monkeypatch):
-        z = nt_mul(x, y)
-        assert (N.parse("1"), N.parse("1")) not in z.terms
-        assert list(z.terms) == list(_pairwise_mul(x, y).terms) == [
-            (N.parse("0"), N.parse("2")), (N.parse("1"), N.parse("3"))
-        ]
+    z = nt_mul(x, y)
+    assert (N.parse("1"), N.parse("1")) not in z.terms
+    assert list(z.terms) == list(_pairwise_mul(x, y).terms) == list(_mul_pairwise(x, y).terms) == [
+        (N.parse("0"), N.parse("2")), (N.parse("1"), N.parse("3"))
+    ]
 
 
-def test_wick_product_keeps_the_mismatch_errors(monkeypatch):
+def test_wick_product_keeps_the_mismatch_errors():
+    # add_term rejects a coefficient the contraction could not read from its key
     backend = PRODUCT_CASES["ab"][0]
     e, a, b = FM.parse("e"), FM.parse("a"), FM.parse("b")
-    y = NTElement(backend).add_term(a, e, backend.random_arrow(a, e, random.Random(1)))
     # a coefficient filed under (e, a) that is an arrow e <- b
-    x = NTElement(backend).add_term(e, a, backend.random_arrow(e, b, random.Random(2)))
-    other = free_monoid("xy")
-    z = NTElement(backend).add_term(e, other.parse("x"), backend.random_arrow(e, a, random.Random(3)))
-    for _ in _contractions(monkeypatch):
-        with pytest.raises(ValueError, match="object mismatch: cannot compose source b with range a"):
-            nt_mul(x, y)
-        with pytest.raises(MismatchError) as want:
-            _pairwise_mul(z, y)
-        with pytest.raises(MismatchError) as got:
-            nt_mul(z, y)
-        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match=r"^object mismatch: coefficient at \(e,a\) is an arrow in L\(e,b\)$"):
+        NTElement(backend).add_term(e, a, backend.random_arrow(e, b, random.Random(2)))
+    x = free_monoid("xy").parse("x")
+    with pytest.raises(MismatchError) as want:
+        FM.check_same(x)
+    with pytest.raises(MismatchError) as got:
+        NTElement(backend).add_term(e, x, backend.random_arrow(e, a, random.Random(3)))
+    assert str(got.value) == str(want.value)
+    twin = ColoredProductSystem(FM, gen_dims=[(2, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"^coefficient at \(e,a\) is an arrow of another backend$"):
+        NTElement(backend).add_term(e, a, twin.random_arrow(e, a, random.Random(4)))
 
 
 class _SwapN2(_BackendBase):
@@ -371,19 +461,18 @@ class _SwapN2(_BackendBase):
         return list(xs) if sum(r.data) % 2 == 0 else list(xs)[::-1]
 
 
-def test_wick_product_raises_when_a_product_escapes_the_ideal(monkeypatch):
+def test_wick_product_raises_when_a_product_escapes_the_ideal():
     backend, ideal = _SwapN2(), ColorIdeal({0})
     one, zero = np.ones((1, 1)), np.zeros((1, 1))
     e, s1, s2 = N2.parse("(0,0)"), N2.parse("(1,0)"), N2.parse("(0,1)")
     x = NTElement(backend, ideal).add_term(e, s1, backend.arrow(e, s1, [one, zero]))
     y = NTElement(backend, ideal).add_term(s2, e, backend.arrow(s2, e, [one, zero]))
     # both quotients are odd, so the product lives on color 1 only
-    for _ in _contractions(monkeypatch):
-        with pytest.raises(ValueError) as want:
-            _pairwise_mul(x, y)
-        with pytest.raises(ValueError) as got:
-            nt_mul(x, y)
-        assert str(got.value) == str(want.value) == "coefficient at ((0,1),(1,0)) escapes the ideal"
+    with pytest.raises(ValueError) as want:
+        _pairwise_mul(x, y)
+    with pytest.raises(ValueError) as got:
+        nt_mul(x, y)
+    assert str(got.value) == str(want.value) == "coefficient at ((0,1),(1,0)) escapes the ideal"
 
 
 def _chain_square_operand():
@@ -428,19 +517,17 @@ def test_wick_product_contracts_once_per_key_pair(monkeypatch):
 
     # a x 1_e is a itself, so a quotient e takes no ampliation
     amplified = sum(k[2] != sg.one for k in left) + sum(k[2] != sg.one for k in right)
-    for _ in _contractions(monkeypatch):
-        calls = {}
-        with pytest.MonkeyPatch.context() as counters:
-            _counting(counters, sg, "_lcm", calls)
-            _counting(counters, backend, "_tensor_blocks", calls)
-            z = nt_mul(x, x)
-        assert calls == {"_lcm": len(key_pairs), "_tensor_blocks": amplified}
-        _assert_same_product(z, want, exact=True)
+    calls = {}
+    _counting(monkeypatch, sg, "_lcm", calls)
+    _counting(monkeypatch, backend, "_tensor_blocks", calls)
+    z = nt_mul(x, x)
+    monkeypatch.undo()
+    assert calls == {"_lcm": len(key_pairs), "_tensor_blocks": amplified}
+    _assert_same_product(z, want, exact=True)
 
 
 def test_wick_product_composes_once_per_group(monkeypatch):
     backend, x = _chain_square_operand()
-    assert len(x.terms) ** 2 > wick.PAIRWISE_MAX  # a stacked product
     sg = backend.sg
     groups, pairs = set(), 0
     for (p, q), a in x.terms.items():
@@ -467,7 +554,6 @@ def test_wick_product_groups_bundle_pairs_by_grade(monkeypatch):
     backend, pool, _ = PRODUCT_CASES["s3-bundle"]
     rng = random.Random(5)
     x = _random_element(backend, pool, rng, terms=8)
-    monkeypatch.setattr(wick, "PAIRWISE_MAX", -1)
     # in a group every pair has an LCM, and tensoring keeps the grades
     grades = {(backend._grade(p, q), backend._grade(s, t)) for p, q in x.terms for s, t in x.terms}
     calls = {}
