@@ -1,6 +1,8 @@
 """ntforge: exact right-LCM semigroup combinatorics, Wick calculus, and
 truncated Fock engines for Nica-Toeplitz algebras."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .semigroups import (
@@ -81,69 +83,6 @@ from .bundles import (
 )
 from .scenario import Scenario, run_scenario
 
-__all__ = [
-    "AbsorptionMonoid",
-    "Arrow",
-    "BlockAction",
-    "BundleFiberFamily",
-    "ColorIdeal",
-    "ColoredProductSystem",
-    "ConcreteRep",
-    "CrossedProductBackend",
-    "DirectSumN",
-    "Element",
-    "FiniteGroup",
-    "FreeProduct",
-    "GradingMap",
-    "LanczosNoConvergence",
-    "NTElement",
-    "ProjectionFamily",
-    "RightLcmSemigroup",
-    "Scenario",
-    "Segment",
-    "SemigroupHom",
-    "Truncation",
-    "UnitExtension",
-    "ZeroTensorBackend",
-    "abelianization_grading",
-    "aperiodicity_search",
-    "bundle_from_precategory",
-    "check_condition_C",
-    "check_condition_Cprime",
-    "check_controlled_map",
-    "check_essential",
-    "check_factorization",
-    "check_graded",
-    "check_nondegenerate",
-    "check_partition",
-    "check_projection_equalities",
-    "check_projection_semilattice",
-    "check_toeplitz_covariance",
-    "check_well_aligned",
-    "controlled_abelianization",
-    "core_norm",
-    "cyclic_group",
-    "diagonal_expectation",
-    "fock_norm",
-    "fock_rep",
-    "free_monoid",
-    "full_ideal",
-    "initial_segments",
-    "klein_group",
-    "lift",
-    "make_group",
-    "make_semigroup",
-    "nt_adjoint",
-    "nt_mul",
-    "precategory_from_bundle",
-    "projection_QT",
-    "projection_Qw",
-    "regular_representation",
-    "regular_spectrum",
-    "run_scenario",
-    "segment_of",
-    "semidirect_bundle",
-    "symmetric_group_3",
-    "transcendental_expectation",
-    "trivial_action",
-]
+# every public name imported above; the submodules these imports bind are left out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -9,17 +9,12 @@ the aperiodicity search, and the topological-grading test for group-indexed
 fibers.
 
 For a non-unit p, Q_p = phi(1_p), the image of the unit of K(p,p) (restricted
-to the ideal's colors); for a unit p, Q_p = Q_<p>.  A diagonal certificate
-comes first: a phi(1_w) with no nonzero entry off its diagonal and every
-diagonal entry exactly 0 or 1 (no tolerance) projects onto an index set.
-Where every w in pP has such an image, Q_<p> is the union of their sets, the
-semilattice and equality laws are set identities, and in condition (C) the
-product of the 1 - Q_<q> is a column mask.  Otherwise (the dense fallback)
-phi(1_w) is checked to be a self-adjoint idempotent and Q_<p> is the range
-projection of the sum of the phi(1_w) over the window's w in pP, from eigh
-with relative cutoff tol.  The Fock representation's phi scatters the lifted
-key's COO triples into a dense matrix; on a colored backend every phi(1_w)
-is a 0/1 diagonal.
+to the ideal's colors); for a unit p, Q_p = Q_<p>.  There is one route, by
+index sets: each phi(1_w) must have its nonzero entries (on the Fock
+representation, the lifted key's COO triples) on the diagonal and exactly 1,
+or it raises ValueError.  Q_<p> is the union of the sets of the window's w in
+pP, the projection laws are set identities, and conditions (C) and (C')
+compress by row and column masks.
 
 The covariance and faithfulness checks map a fiber's whole matrix-unit basis
 at once (ConcreteRep.basis_images: one lift and one scatter on the Fock
@@ -67,16 +62,25 @@ RANK_TOL = 1e-8
 class ConcreteRep:
     """Arrow -> operator on C^dim, linear per fiber and *-compatible."""
 
-    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep", images_fn=None):
+    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep", images_fn=None, entries_fn=None):
         self.backend = backend
         self.dim = dim
         self._phi = phi_fn
         self.ideal = ideal if ideal is not None else full_ideal(backend)
         self.label = label
         self._images = images_fn
+        self._entries = entries_fn
 
     def phi(self, arrow):
         return self._phi(arrow)
+
+    def entries(self, arrow):
+        """(rows, cols, vals) of the nonzero entries of phi(arrow), from
+        entries_fn where given (no dense image), else read off phi(arrow)."""
+        if self._entries is not None:
+            return self._entries(arrow)
+        m = self.phi(arrow)
+        return (*m.nonzero(), m[m != 0])
 
     def flat(self, arrow):
         """vec(phi(arrow)), or any isometric image of it, for ranks of images."""
@@ -102,8 +106,8 @@ def fock_rep(backend, depth: int, ideal=None, tr=None):
     backend at this depth); the Hilbert space is the direct sum over
     colors and source objects of the column spaces.  phi(a) is
     lift(x, tr).dense() for the one-term element x = a at its unit-canonical
-    key, the key's triples scattered straight into the dense layout (and,
-    unlike NTElement, a coefficient below PRUNE_TOL is not dropped).
+    key, the key's COO triples (entries(a)) scattered into the dense layout
+    (unlike NTElement, a coefficient below PRUNE_TOL is not dropped).
 
     basis_images(p, q) lifts one arrow whose entry at matrix unit k is k + 1:
     where the backend's ampliation only copies entries (backend.copies_entries),
@@ -126,13 +130,16 @@ def fock_rep(backend, depth: int, ideal=None, tr=None):
         u, placed = keys[key]
         return zip(offsets, _key_triples(tr, arrow if u == sg.one else arrow.rtensor(u), *placed))
 
-    def phi(arrow):
+    def entries(arrow):
         if not ideal_membership(arrow, ideal):
             raise ValueError(f"coefficient at ({arrow.range!r},{arrow.source!r}) escapes the ideal")
+        parts = [(off + t[0], off + t[1], t[2]) for off, t in triples(arrow) if t]
+        return tuple(map(np.concatenate, zip(*parts))) if parts else (np.zeros(0, np.intp),) * 3
+
+    def phi(arrow):
+        rows, cols, vals = entries(arrow)
         out = np.zeros((dim, dim), dtype=complex)
-        for off, t in triples(arrow):
-            if t:
-                out[off + t[0], off + t[1]] = t[2]
+        out[rows, cols] = vals
         return out
 
     def images(p, q):
@@ -145,7 +152,8 @@ def fock_rep(backend, depth: int, ideal=None, tr=None):
                 out[t[2].real.astype(np.intp) - 1, (off + t[0]) * dim + off + t[1]] = 1.0
         return out
 
-    return ConcreteRep(backend, dim, phi, ideal, "fock", images if backend.copies_entries else None), tr
+    images_fn = images if backend.copies_entries else None
+    return ConcreteRep(backend, dim, phi, ideal, "fock", images_fn, entries), tr
 
 
 def _range_basis(m, tol):
@@ -157,83 +165,51 @@ def _range_basis(m, tol):
     return u[:, w > tol * w[-1]]
 
 
-def _range(m, tol):
-    """Range projection of a positive semidefinite matrix."""
-    u = _range_basis(m, tol)
-    return u @ u.conj().T
-
-
-def _as_set(q):
-    """The index set of a stored projection, None for a dense one."""
-    return q if q.ndim == 1 else None
-
-
-def _as_dense(q):
-    return np.diag(q.astype(complex)) if q.ndim == 1 else q
+def _union(dim, sets):
+    """The union of index sets (boolean masks of length dim)."""
+    return np.any([np.zeros(dim, dtype=bool), *sets], axis=0)
 
 
 class ProjectionFamily:
-    """Q_p and Q_<p> for a representation, computed on a finite window.
+    """Q_p and Q_<p> for a representation as index sets, on a finite window.
 
-    A phi(1_w) that passes the diagonal certificate (no nonzero entry off the
-    diagonal, every diagonal entry exactly 0 or 1) is stored as its index set
-    alone; any other must be a self-adjoint idempotent to tol and is stored
-    dense.  Q_<p> is the union of the sets of the window's w in pP when all
-    are certified, else the range projection of the sum of their images
-    (eigh, relative cutoff tol).  Q_set and Q_angle_set give the sets (None
-    off the certificate); Q and Q_angle give dense matrices.
+    Each phi(1_w) must pass the diagonal certificate, with no tolerance: its
+    nonzero entries (rep.entries) are on the diagonal and exactly 1, so it
+    projects onto an index set; else ValueError names phi(1_w).  Q_<p> is the
+    union of the sets of the window's w in pP.  Q_set and Q_angle_set give the
+    sets, Q_angle the dense diagonal projection.
     """
 
-    def __init__(self, rep: ConcreteRep, window, tol=RANK_TOL):
+    def __init__(self, rep: ConcreteRep, window):
         self.rep = rep
         self.window = list(window)
-        self.tol = tol
-        self._unit_image = {}  # w -> the index set of phi(1_w), or phi(1_w) dense
-        self._q_angle = {}  # p -> the index set of Q_<p>, or Q_<p> dense
+        self._unit_image = {}  # w -> the index set of phi(1_w)
+        self._q_angle = {}  # p -> the index set of Q_<p>
 
     def _fiber(self, w):
-        """phi(1_w), the projection onto phi(K(w,w))H, as stored."""
+        """The index set of phi(1_w), the projection onto phi(K(w,w))H."""
         if w not in self._unit_image:
             rep = self.rep
-            m = rep.phi(ideal_unit(rep.backend, rep.ideal, w))
-            d = np.diagonal(m)
-            if np.count_nonzero(m) == np.count_nonzero(d) and ((d == 0) | (d == 1)).all():
-                m = d == 1
-            else:
-                defect = max(spectral_norm(m - m.conj().T), spectral_norm(m @ m - m))
-                if defect > self.tol:
-                    raise ValueError(
-                        f"phi(1_{w!r}) is not a self-adjoint idempotent: defect {defect:.3e}"
-                    )
-            self._unit_image[w] = m
+            rows, cols, vals = rep.entries(ideal_unit(rep.backend, rep.ideal, w))
+            if not ((rows == cols).all() and (vals == 1).all()):
+                raise ValueError(f"phi(1_{w!r}) fails the diagonal certificate: an entry is "
+                                 "off the diagonal or not exactly 1")
+            self._unit_image[w] = np.zeros(rep.dim, dtype=bool)
+            self._unit_image[w][rows] = True
         return self._unit_image[w]
 
-    def _angle(self, p):
-        if p not in self._q_angle:
-            sg, n = self.rep.backend.sg, self.rep.dim
-            images = [self._fiber(w) for w in self.window if sg.left_divide(p, w) is not None]
-            if all(q.ndim == 1 for q in images):
-                out = np.any([np.zeros(n, dtype=bool)] + images, axis=0)
-            else:
-                total = sum(map(_as_dense, images), np.zeros((n, n), dtype=complex))
-                out = _range(total, self.tol)
-            self._q_angle[p] = out
-        return self._q_angle[p]
-
-    def _q(self, p):
-        return self._angle(p) if self.rep.backend.sg.is_unit(p) else self._fiber(p)
-
     def Q_set(self, p):
-        return _as_set(self._q(p))
+        return self.Q_angle_set(p) if self.rep.backend.sg.is_unit(p) else self._fiber(p)
 
     def Q_angle_set(self, p):
-        return _as_set(self._angle(p))
-
-    def Q(self, p):
-        return _as_dense(self._q(p))
+        if p not in self._q_angle:
+            sg = self.rep.backend.sg
+            above = [self._fiber(w) for w in self.window if sg.left_divide(p, w) is not None]
+            self._q_angle[p] = _union(self.rep.dim, above)
+        return self._q_angle[p]
 
     def Q_angle(self, p):
-        return _as_dense(self._angle(p))
+        return np.diag(self.Q_angle_set(p).astype(complex))
 
 
 class CheckReport:
@@ -249,9 +225,9 @@ class CheckReport:
 def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9):
     """Q_<p> Q_<q> = Q_<lcm> (or 0) on all pairs up to the given length.
 
-    Where all three index sets exist the defect is exact: the spectral norm
-    of a difference of two diagonal projections, 1.0 if their sets differ and
-    0.0 if not.  Otherwise it is the spectral norm of the dense difference.
+    Q_<p> Q_<q> projects onto the intersection of the two index sets, so the
+    defect is exact: the spectral norm of a difference of two diagonal
+    projections, 1.0 if their sets differ and 0.0 if not.
     """
     sg = family.rep.backend.sg
     els = sg.elements(depth)
@@ -260,14 +236,8 @@ def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9)
     failures = []
     for p, q in itertools.product(els, repeat=2):
         r = sg.right_lcm(p, q)
-        a, b = family.Q_angle_set(p), family.Q_angle_set(q)
-        c = empty if r is None else family.Q_angle_set(r)
-        if a is not None and b is not None and c is not None:
-            defect = float(((a & b) != c).any())
-        else:
-            prod = family.Q_angle(p) @ family.Q_angle(q)
-            want = family.Q_angle(r) if r is not None else np.zeros_like(prod)
-            defect = spectral_norm(prod - want)
+        want = empty if r is None else family.Q_angle_set(r)
+        defect = float(((family.Q_angle_set(p) & family.Q_angle_set(q)) != want).any())
         worst = max(worst, defect)
         if defect > tol:
             failures.append(((p, q), defect))
@@ -276,15 +246,11 @@ def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9)
 
 def check_projection_equalities(family: ProjectionFamily, elements, tol=1e-9):
     """Q_p = Q_<p> per element (holds under tensor-nondegeneracy); exact, as
-    in the semilattice check, where both index sets exist."""
+    in the semilattice check."""
     failures = []
     worst = 0.0
     for p in elements:
-        a, b = family.Q_set(p), family.Q_angle_set(p)
-        if a is not None and b is not None:
-            defect = float((a != b).any())
-        else:
-            defect = spectral_norm(family.Q(p) - family.Q_angle(p))
+        defect = float((family.Q_set(p) != family.Q_angle_set(p)).any())
         worst = max(worst, defect)
         if defect > tol:
             failures.append((p, defect))
@@ -330,27 +296,19 @@ def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RAN
     """Faithfulness of a -> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber.
 
     The basis images phi(a) of K(p,p) come as one stack (rep.basis_images,
-    rows vec(phi(a))), and the compression is broadcast over it.  When every
-    Q_<q_i> has an index set, the product keeps the columns outside all of
-    them, and its commutator with phi(a) holds phi(a) where the row and
-    column masks differ.  Otherwise the product is formed densely.  A
-    spectral norm is taken only of a nonzero commutator.
+    rows vec(phi(a))), and the compression is broadcast over it.  The
+    product keeps the columns outside the index sets of all Q_<q_i> (a unit
+    image off the certificate raises, see ProjectionFamily), and its
+    commutator with phi(a) holds phi(a) where the row and column masks
+    differ.  A spectral norm is taken only of a nonzero commutator.
     """
     sg = rep.backend.sg
     _precondition(sg, p, qs)
     ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
     if not len(ims):
         return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
-    sets = [family.Q_angle_set(q) for q in qs]
-    if all(s is not None for s in sets):
-        keep = ~np.any([np.zeros(rep.dim, dtype=bool)] + sets, axis=0)
-        mc, gap = ims * keep, ims * (keep[None, :].astype(float) - keep[:, None])
-    else:
-        comp = np.eye(rep.dim, dtype=complex)
-        for q in qs:
-            comp = comp @ (np.eye(rep.dim) - family.Q_angle(q))
-        mc = ims @ comp
-        gap = mc - comp @ ims
+    keep = ~_union(rep.dim, [family.Q_angle_set(q) for q in qs])
+    mc, gap = ims * keep, ims * (keep[None, :].astype(float) - keep[:, None])
     gap = gap[gap.reshape(len(gap), -1).any(axis=1)]
     commutation = float(np.linalg.norm(gap, 2, axis=(1, 2)).max(initial=0.0))
     smin = _sigma_min(mc.reshape(len(mc), -1))
@@ -362,21 +320,16 @@ def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RAN
 
 
 def check_condition_Cprime(rep: ConcreteRep, family: ProjectionFamily, p, qs, arrow, tol=1e-6):
-    """Corner-norm equality through 1 - (Q_{q_1} v ... v Q_{q_n}): where every
-    Q_{q_i} has an index set, the join is their union and the corner keeps
-    the rows and columns outside it; else the join is an eigh range."""
+    """Corner-norm equality through 1 - (Q_{q_1} v ... v Q_{q_n}): the join is
+    the union of the index sets of the Q_{q_i} (a unit image off the
+    certificate raises, see ProjectionFamily), and the corner keeps the rows
+    and columns outside it."""
     sg = rep.backend.sg
     _precondition(sg, p, qs)
-    sets = [family.Q_set(q) for q in qs]
+    keep = ~_union(rep.dim, [family.Q_set(q) for q in qs])
     m = rep.phi(arrow)
     full = spectral_norm(m)
-    if all(s is not None for s in sets):
-        keep = ~np.any([np.zeros(rep.dim, dtype=bool)] + sets, axis=0)
-        compressed = spectral_norm(m[np.ix_(keep, keep)])
-    else:
-        join = _range(sum((family.Q(q) for q in qs), np.zeros((rep.dim, rep.dim))), family.tol)
-        corner = np.eye(rep.dim, dtype=complex) - join
-        compressed = spectral_norm(corner @ m @ corner)
+    compressed = spectral_norm(m[np.ix_(keep, keep)])
     return CheckReport(
         "condition-Cprime",
         abs(full - compressed) <= tol,

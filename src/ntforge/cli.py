@@ -218,7 +218,9 @@ def build_parser():
     p.add_argument("op", choices=["build", "norm", "expect", "project"])
     p.add_argument("scenario")
     p.add_argument("x", nargs="?")
-    p.add_argument("--word", default=None, help="source word for a Q_w projection")
+    p.add_argument("--word", default=None,
+                   help="source word w: the projection onto the single source-w block of the full "
+                        "module, ignoring the ideal (not the projections check's Q_w)")
     p.add_argument("--above", default=None, help="p for the Q_<p> projection (sources in pP)")
     _add_settings(p)
     p.set_defaults(fn=cmd_fock)

@@ -417,7 +417,10 @@ def _source_projection(tr: Truncation, keep) -> FockOperator:
 
 
 def projection_Qw(w, tr: Truncation) -> FockOperator:
-    """Projection onto the blocks with source index w."""
+    """Projection onto the single block of source w of the full module,
+    whatever the ideal.  This is not the Q_w = phi(1_w) of the projections
+    check, which keeps the ideal's colors of every source w·v with
+    1_w x 1_v nonzero."""
     return _source_projection(tr, [tr.index[w]] if w in tr.index else [])
 
 

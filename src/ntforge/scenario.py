@@ -204,6 +204,8 @@ class Scenario:
                 raise ScenarioError(
                     f"'checks' entry {i} is {check!r}, not an object with a 'name'"
                 )
+            if not isinstance(check.get("name", ""), str):
+                raise ScenarioError(f"'checks' entry {i} 'name' must be a string, got {check['name']!r}")
             if check.get("name") in CHECKS:  # an unknown name is reported in place by run_scenario
                 check_params(check["name"], _params(check))
 
@@ -539,11 +541,11 @@ CHECKS = {
         "the smallest singular value of the linearized map must exceed the\n"
         "scenario's tol, and the compression must commute with the fiber action.\n"
         "The images of the fiber's matrix-unit basis come as one stack, and the\n"
-        "compression is broadcast over it.  When every Q_<q_i> is an index set\n"
-        "(see projections), the product is a column mask, and the commutator is\n"
-        "nonzero only where phi(a) has an entry whose row and column the mask\n"
-        "treats differently.  Otherwise the product is formed densely.  A\n"
-        "spectral norm is taken only of a nonzero commutator.  Precondition: no\n"
+        "compression is broadcast over it.  Each Q_<q_i> is an index set (see\n"
+        "projections; a unit image off its certificate is an error item), so the\n"
+        "product is a column mask, and the commutator is nonzero only where\n"
+        "phi(a) has an entry whose row and column the mask treats differently.\n"
+        "A spectral norm is taken only of a nonzero commutator.  Precondition: no\n"
         "q may divide p.  Certificate: sigma_min and the commutation defect."),
     "condition-cprime": Check(run_condition_cprime, ("p", "qs", "element"), ("depth", "tol"),
         "Norm preservation in the corner: compressing the represented element by\n"
@@ -553,19 +555,17 @@ CHECKS = {
     "projections": Check(run_projections, (), ("depth", "fock_depth", "tol"),
         "Semilattice law for the range projections: Q_<p> Q_<q> equals Q_<lcm>\n"
         "when p and q have a common multiple and 0 otherwise, plus the per-\n"
-        "element equality Q_p = Q_<p>.  Q_p = phi(1_p), the image of the unit\n"
-        "of K(p,p).  Diagonal certificate first: a phi(1_w) with no nonzero\n"
-        "entry off its diagonal and every diagonal entry exactly 0 or 1 (no\n"
-        "tolerance) is the projection onto an index set.  When every w in pP of\n"
-        "the window is certified, Q_<p> is the union of their sets and both laws\n"
-        "are set identities, each defect exactly 0.0 or 1.0.  On the Fock\n"
-        "representation of a colored backend every phi(1_w) is certified.\n"
-        "Otherwise (dense fallback) phi(1_w) must be a self-adjoint idempotent,\n"
-        "Q_<p> is the range projection of the sum of the phi(1_w) over the\n"
-        "window's w in pP by eigh with relative cutoff 1e-8, and a defect is a\n"
-        "spectral norm.  depth is the word length of the pairs and tol bounds\n"
-        "each defect; tol defaults to 1e-9 and does not follow the scenario's\n"
-        "settings.tol.\n"
+        "element equality Q_p = Q_<p>, on the Fock representation at fock_depth.\n"
+        "Q_p = phi(1_p), the image of the unit of K(p,p).  There is one route,\n"
+        "by index sets: the nonzero entries of each phi(1_w), read from the\n"
+        "lifted key's triples, must lie on the diagonal and equal exactly 1 (no\n"
+        "tolerance), so phi(1_w) projects onto an index set; a unit image that\n"
+        "fails this certificate is an error item naming phi(1_w).  On the colored\n"
+        "and zero-tensor backends every phi(1_w) passes.  Q_<p> is the union of\n"
+        "the sets of the window's w in pP, and both laws are set identities,\n"
+        "each defect exactly 0.0 or 1.0.  depth is the word length of the pairs\n"
+        "and tol bounds each defect; tol defaults to 1e-9 and does not follow\n"
+        "the scenario's settings.tol.\n"
         "Certificate: worst defect per law."),
     "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b"), ("h", "twist", "trials", "seed"),
         "Bracket the infimum of |alpha(a) b a| over positive norm-one a supported\n"

@@ -52,7 +52,7 @@ from ntforge.wick import NTElement, core_norm, nt_mul
 from fock_oracles import fock_source_restricted, interior, restrict_sources
 from rep_oracles import action_on_projection_defect
 from bundle_oracles import group_algebra_bundle, swap_action
-from rep_oracles import degenerate_example_rep
+from rep_oracles import Q, degenerate_example_rep
 
 
 def _verdict(num, ok, text):
@@ -263,7 +263,7 @@ def test_criterion_08_degenerate_example():
     sg = zb.sg
     fam = ProjectionFamily(rep, sg.elements(2))
     one, two = sg.el((1,)), sg.el((2,))
-    gap = spectral_norm(fam.Q(one) - fam.Q_angle(one))
+    gap = spectral_norm(Q(fam, one) - fam.Q_angle(one))
     assert gap >= 0.99
     a = zb.arrow(two, two, [np.eye(2, dtype=complex)])
     broken = action_on_projection_defect(rep, fam, a, one, angled=False)

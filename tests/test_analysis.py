@@ -39,14 +39,20 @@ from ntforge.precategory import (
 )
 from ntforge.semigroups import DirectSumN, UnitExtension, cyclic_group, free_monoid, symmetric_group_3
 from rep_oracles import (
+    DenseProjectionFamily,
+    Q,
     action_on_projection_defect,
     check_extension_kernel,
     check_projection_commutation,
     check_projection_orthogonality,
     check_star,
+    dense_condition_C,
+    dense_condition_Cprime,
+    dense_projection_equalities,
+    dense_projection_semilattice,
     extend_representation,
 )
-from bundle_oracles import swap_action
+from bundle_oracles import conjugation_action, swap_action
 from rep_oracles import check_injective, degenerate_example_rep
 
 
@@ -101,7 +107,7 @@ def test_projection_matches_algebraic_fock_projection(frep_N, frep_N2_deep):
         for pstr in pstrs:
             p = rep.backend.sg.parse(pstr)
             want = projection_QT(p, tr).dense()
-            assert spectral_norm(fam.Q(p) - want) <= 1e-9
+            assert spectral_norm(Q(fam, p) - want) <= 1e-9
             assert spectral_norm(fam.Q_angle(p) - want) <= 1e-9
 
 
@@ -145,15 +151,16 @@ def test_projections_match_stacked_svd_reference(build):
         above = [w for w in window if unit or sg.left_divide(p, w) is not None]
         assert spectral_norm(fam.Q_angle(p) - stacked_svd_projection(rep, cols, above)) <= 1e-9
         want = stacked_svd_projection(rep, cols, above if unit else [p])
-        assert spectral_norm(fam.Q(p) - want) <= 1e-9
+        assert spectral_norm(Q(fam, p) - want) <= 1e-9
 
 
 def test_projection_family_rejects_non_projection_unit_image(frep_N):
     rep, tr = frep_N
     doubled = ConcreteRep(rep.backend, rep.dim, lambda a: 2 * rep.phi(a), label="doubled")
     p = rep.backend.sg.el((1,))
-    with pytest.raises(ValueError, match=re.escape(f"phi(1_{p!r})")):
-        ProjectionFamily(doubled, tr.S).Q(p)
+    for q in (ProjectionFamily(doubled, tr.S).Q_set, DenseProjectionFamily(doubled, tr.S).Q):
+        with pytest.raises(ValueError, match=re.escape(f"phi(1_{p!r})")):
+            q(p)
 
 
 def _edit_unit_image(rep, w, edit):
@@ -174,7 +181,10 @@ def test_diagonal_certificate_is_exact(frep_N):
     sg = rep.backend.sg
     w, e = sg.el((1,)), sg.identity()
     fam = ProjectionFamily(rep, tr.S)
-    assert fam.Q_set(w) is not None and fam.Q_angle_set(e) is not None
+    assert fam.Q_set(w).any() and fam.Q_angle_set(e).all()
+
+    def raises():
+        return pytest.raises(ValueError, match=re.escape(f"phi(1_{w!r})"))
 
     def set_entry(i, j, value):
         def edit(m):
@@ -182,18 +192,22 @@ def test_diagonal_certificate_is_exact(frep_N):
         return edit
 
     # each edit leaves a self-adjoint idempotent up to round-off, but not a
-    # 0/1 diagonal, so it takes the dense path and still passes there
+    # 0/1 diagonal: the index-set route raises, the dense route passes
     for edit in (set_entry(1, 1, 1.0 + 2.0**-52), set_entry(0, 1, 1e-300)):
-        fam = ProjectionFamily(_edit_unit_image(rep, w, edit), tr.S)
-        assert fam.Q_set(w) is None
-        assert fam.Q_angle_set(e) is None and fam.Q_angle_set(w) is None
-        assert fam.Q_angle_set(sg.el((2,))) is not None  # w is not in 2P
-        assert check_projection_semilattice(fam, depth=2, tol=1e-9).ok
-        assert check_projection_equalities(fam, sg.elements(2), tol=1e-9).ok
-    # an entry 0.5 is no projection: the dense path rejects it
-    fam = ProjectionFamily(_edit_unit_image(rep, w, set_entry(1, 1, 0.5)), tr.S)
-    with pytest.raises(ValueError, match=re.escape(f"phi(1_{w!r})")):
-        fam.Q_set(w)
+        edited = _edit_unit_image(rep, w, edit)
+        fam = ProjectionFamily(edited, tr.S)
+        for q_set, s in ((fam.Q_set, w), (fam.Q_angle_set, e), (fam.Q_angle_set, w)):
+            with raises():
+                q_set(s)
+        assert fam.Q_angle_set(sg.el((2,))).any()  # w is not in 2P
+        dense = DenseProjectionFamily(edited, tr.S)
+        assert dense_projection_semilattice(dense, depth=2, tol=1e-9).ok
+        assert dense_projection_equalities(dense, sg.elements(2), tol=1e-9).ok
+    # an entry 0.5 is no projection: the dense route rejects it too
+    edited = _edit_unit_image(rep, w, set_entry(1, 1, 0.5))
+    for q in (ProjectionFamily(edited, tr.S).Q_set, DenseProjectionFamily(edited, tr.S).Q):
+        with raises():
+            q(w)
 
 
 def _conjugated(rep, seed):
@@ -234,21 +248,24 @@ def test_certified_route_matches_dense_route(case):
     p, qs = sg.parse(p), [sg.parse(q) for q in qs]
     rep, tr = fock_rep(backend, fock_depth)
     other = _conjugated(rep, 7)
-    out = {}
-    for name, r in (("certified", rep), ("dense", other)):
-        fam = ProjectionFamily(r, tr.S)
-        out[name] = (
-            check_projection_semilattice(fam, depth, tol=1e-9),
-            check_projection_equalities(fam, sg.elements(depth), tol=1e-9),
-            check_toeplitz_covariance(r, p, qs),
-            check_condition_C(r, ProjectionFamily(r, tr.S), p, qs),
-        )
-        certified = [fam.Q_angle_set(s) is not None for s in sg.elements(depth)]
-        assert all(certified) if name == "certified" else not any(certified)
-        if name == "certified":
-            for s in sg.elements(depth):
-                assert np.array_equal(fam.Q_angle(s), projection_QT(s, tr).dense())
-    (semi, eq, toe, cond), (semi_d, eq_d, toe_d, cond_d) = out["certified"], out["dense"]
+    fam, dense = ProjectionFamily(rep, tr.S), DenseProjectionFamily(other, tr.S)
+    semi, eq, toe, cond = (
+        check_projection_semilattice(fam, depth, tol=1e-9),
+        check_projection_equalities(fam, sg.elements(depth), tol=1e-9),
+        check_toeplitz_covariance(rep, p, qs),
+        check_condition_C(rep, ProjectionFamily(rep, tr.S), p, qs),
+    )
+    semi_d, eq_d, toe_d, cond_d = (
+        dense_projection_semilattice(dense, depth, tol=1e-9),
+        dense_projection_equalities(dense, sg.elements(depth), tol=1e-9),
+        check_toeplitz_covariance(other, p, qs),
+        dense_condition_C(other, DenseProjectionFamily(other, tr.S), p, qs),
+    )
+    conjugated = ProjectionFamily(other, tr.S)  # no unit image of it certifies
+    for s in sg.elements(depth):
+        assert np.array_equal(fam.Q_angle(s), projection_QT(s, tr).dense())
+        with pytest.raises(ValueError, match="diagonal certificate"):
+            conjugated.Q_angle_set(s)
     assert (semi.ok, eq.ok, toe.ok, cond.ok) == (semi_d.ok, eq_d.ok, toe_d.ok, cond_d.ok)
     assert semi.ok and eq.ok and toe.ok and cond.ok
     assert toe.details == toe_d.details
@@ -266,14 +283,17 @@ def test_condition_Cprime_index_set_route_matches_dense_route(case):
     p, qs = sg.parse(p), [sg.parse(q) for q in qs]
     rep, tr = fock_rep(backend, fock_depth)
     other = _conjugated(rep, 7)
-    fams = [ProjectionFamily(r, tr.S) for r in (rep, other)]
-    assert all(fams[0].Q_set(q) is not None for q in qs)
-    assert all(fams[1].Q_set(q) is None for q in qs)
+    fam, dense = ProjectionFamily(rep, tr.S), DenseProjectionFamily(other, tr.S)
+    assert all(fam.Q_set(q).any() for q in qs)
+    for q in qs:
+        with pytest.raises(ValueError, match="diagonal certificate"):
+            ProjectionFamily(other, tr.S).Q_set(q)
     rng = random.Random(5)
     verdicts = []
     for key in (p, qs[0]):  # on qs[0] the corner annihilates the arrow
         a = backend.random_arrow(key, key, rng)
-        got, want = (check_condition_Cprime(r, fam, p, qs, a) for r, fam in zip((rep, other), fams))
+        got = check_condition_Cprime(rep, fam, p, qs, a)
+        want = dense_condition_Cprime(other, dense, p, qs, a)
         assert got.ok == want.ok
         for name in ("norm", "corner_norm"):
             assert abs(got.details[name] - want.details[name]) <= 1e-12 * max(1.0, want.details[name])
@@ -316,6 +336,52 @@ def test_verifiers_map_stacked_bases_without_basis_arrows(monkeypatch):
     assert image_algebra_rank(bundle) == 6 * 22
 
 
+@pytest.mark.parametrize("case", list(VERIFY_CASES))
+def test_fock_projections_read_unit_images_without_phi(monkeypatch, case):
+    # the family reads each unit image from the lifted key's triples, so the
+    # four projection and condition checks build no dense phi(1_w)
+    backend, fock_depth, depth, (p, qs) = VERIFY_CASES[case]
+    sg = backend.sg
+    p, qs = sg.parse(p), [sg.parse(q) for q in qs]
+    rep, tr = fock_rep(backend, fock_depth)
+    a = backend.random_arrow(p, p, random.Random(5))
+    phi = ConcreteRep.phi
+
+    def no_unit_phi(self, arrow):
+        unit = ideal_unit(self.backend, self.ideal, arrow.source)
+        if arrow.range == arrow.source and all(map(np.array_equal, arrow.blocks, unit.blocks)):
+            raise AssertionError(f"built phi(1_{arrow.source!r}) densely")
+        return phi(self, arrow)
+
+    monkeypatch.setattr(ConcreteRep, "phi", no_unit_phi)
+    fam = ProjectionFamily(rep, tr.S)
+    assert check_projection_semilattice(fam, depth).ok
+    assert check_projection_equalities(fam, sg.elements(depth)).ok
+    assert check_condition_C(rep, fam, p, qs).ok
+    assert check_condition_Cprime(rep, fam, p, qs, a).ok
+    with pytest.raises(AssertionError, match="densely"):
+        rep.phi(ideal_unit(backend, rep.ideal, p))
+
+
+def test_projection_family_raises_on_hadamard_crossed_product():
+    # Hadamard conjugation breaks 1_e x 1_u = 1_(eu) by round-off, so no unit
+    # image is an exact 0/1 diagonal; the dense route still sees projections
+    z2 = cyclic_group(2)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    ps = CrossedProductBackend(conjugation_action(z2, {z2.identity(): [np.eye(2)], z2.parse("1"): [h]}))
+    rep, tr = fock_rep(ps, 2)
+    e = z2.identity()
+    fam = ProjectionFamily(rep, tr.S)
+    for w in tr.S:
+        with pytest.raises(ValueError, match=re.escape(f"phi(1_{w!r})")):
+            fam._fiber(w)
+    with pytest.raises(ValueError, match=re.escape(f"phi(1_{e!r})")):
+        check_projection_semilattice(fam, 1)
+    dense = DenseProjectionFamily(rep, tr.S)
+    assert dense_projection_semilattice(dense, 1).details["worst"] == 0.0
+    assert dense_projection_equalities(dense, z2.elements(1)).details["worst"] == 0.0
+
+
 def test_projection_semilattice_N2(frep_N2, frep_N2_deep):
     for rep, tr in (frep_N2, frep_N2_deep):
         fam = ProjectionFamily(rep, tr.S)
@@ -329,7 +395,7 @@ def test_projection_orthogonality_free_monoid(frep_FM):
     sg = rep.backend.sg
     fam = ProjectionFamily(rep, tr.S)
     a, b = sg.parse("a"), sg.parse("b")
-    assert spectral_norm(fam.Q(a) @ fam.Q(b)) <= 1e-10
+    assert spectral_norm(Q(fam, a) @ Q(fam, b)) <= 1e-10
     report = check_projection_orthogonality(fam, sg.elements(2), tol=1e-10)
     assert report.ok, report.details
 
@@ -365,7 +431,7 @@ def test_degenerate_rep_separates_the_two_projections():
     sg = zb.sg
     fam = ProjectionFamily(rep, sg.elements(2))
     one = sg.el((1,))
-    gap = spectral_norm(fam.Q(one) - fam.Q_angle(one))
+    gap = spectral_norm(Q(fam, one) - fam.Q_angle(one))
     assert gap >= 0.99
 
     # covariance through Q_s fails concretely (s=1 strictly divides the fiber

@@ -169,12 +169,13 @@ def _with_term_field(field, value):
         (["run", {"bundle": {"dims": [1]}}], "group"),
         (["run", _with_term_field("range", ["0"])], "range"),
         (["run", _with_term_field("source", 0)], "source"),
+        (["run", _with_checks({"name": ["segments"]})], "name"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
          "repeated-letters", "missing-name", "negative-depth", "non-associative-table",
          "numeric-group-elements", "repeated-unit-elements", "string-semigroup", "list-kind",
-         "list-elements", "bundle-without-group", "list-range", "numeric-source"],
+         "list-elements", "bundle-without-group", "list-range", "numeric-source", "list-name"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"
@@ -186,6 +187,22 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert repr(field) in captured.err
+
+
+def test_zero_tensor_projections_fail_the_equality_law(tmp_path, capsys):
+    # on the zero-tensor backend 1_w x 1_v = 0, so phi(1_w) keeps only the
+    # source-w columns while Q_<w> keeps all of wP: the equality law fails
+    # with defect 1.0 and the semilattice law holds
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({
+        "semigroup": {"kind": "direct_sum", "rank": 1},
+        "backend": {"kind": "zero", "dims": [1, 2, 2]},
+        "checks": [{"name": "projections", "depth": 2, "fock_depth": 3}],
+    }))
+    assert main(["run", str(p)]) == 1
+    [item] = json.loads(capsys.readouterr().out)["items"]
+    assert item["status"] == "fail"
+    assert item["data"] == {"semilattice_worst": 0.0, "equality_worst": 1.0}
 
 
 def test_structure_checks_report_certified_pairs(tmp_path, capsys):

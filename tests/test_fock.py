@@ -430,7 +430,8 @@ PHI_BACKENDS["crossed-swap"] = (CrossedProductBackend(swap_action(cyclic_group(2
 @pytest.mark.parametrize("case", sorted(PHI_BACKENDS))
 def test_fock_rep_phi_equals_dense_lift(case):
     # the scatter into the dense layout against lift of the one-term element,
-    # for every basis arrow of the keys up to length 1 and every unit image
+    # for every basis arrow of the keys up to length 1 and every unit image;
+    # the scattered entries are exactly its nonzeros, each once
     ps, depth = PHI_BACKENDS[case]
     rep, tr = fock_rep(ps, depth)
     pool = ps.sg.elements(1)
@@ -440,6 +441,8 @@ def test_fock_rep_phi_equals_dense_lift(case):
     for a in arrows:
         want = lift(NTElement.from_terms(ps, [(a.range, a.source, a)]), tr).dense()
         assert np.array_equal(rep.phi(a), want)
+        rows, cols, vals = rep.entries(a)
+        assert (vals != 0).all() and len(vals) == np.count_nonzero(want)
 
 
 def _hadamard_crossed():
