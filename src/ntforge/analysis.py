@@ -17,8 +17,8 @@ pP, the projection laws are set identities, and conditions (C) and (C')
 compress by row and column masks.
 
 The covariance and faithfulness checks map a fiber's whole matrix-unit basis
-at once (ConcreteRep.basis_images: one lift and one scatter on the Fock
-representation) and rank the images as rows on the union of their supports.
+at once (ConcreteRep.basis_images: one lift and one scatter on FockRep, the
+Fock representation) and rank the images as rows on the union of their supports.
 
 The aperiodicity search starts, on a colored backend, from a closed form: a
 unit x has dim(x) = 1, so for rank-one a = v v* in one color |alpha(a) b a|
@@ -33,8 +33,8 @@ restarts on a tabulated ndarray objective search only while the bracket
 attained value and attained_by names its source.
 
 Numerical conventions: spans are compared by singular-value rank arithmetic
-with cutoff 1e-8; faithfulness means smallest singular value > 1e-8; these are
-numerical judgments, not proofs.
+with the cutoff linalg.RANK_TOL (1e-8); faithfulness means smallest singular
+value > tol (default RANK_TOL); these are numerical judgments, not proofs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import random
 import numpy as np
 
 from .fock import Truncation, _key_triples, _lift_placements
-from .linalg import rank_of_span, span_singular_values, spectral_norm
+from .linalg import RANK_TOL, rank_of_span, span_singular_values, spectral_norm
 from .precategory import (
     Arrow,
     ColoredProductSystem,
@@ -56,29 +56,23 @@ from .precategory import (
 from .segments import leq
 from .wick import canonical_key
 
-RANK_TOL = 1e-8
-
 
 class ConcreteRep:
-    """Arrow -> operator on C^dim, linear per fiber and *-compatible."""
+    """Arrow -> operator on C^dim, linear per fiber and *-compatible, phi_fn
+    the image; FockRep and bundles.RegularRep override phi and its readers."""
 
-    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep", images_fn=None, entries_fn=None):
+    def __init__(self, backend, dim, phi_fn, ideal=None, label="rep"):
         self.backend = backend
         self.dim = dim
         self._phi = phi_fn
         self.ideal = ideal if ideal is not None else full_ideal(backend)
         self.label = label
-        self._images = images_fn
-        self._entries = entries_fn
 
     def phi(self, arrow):
         return self._phi(arrow)
 
     def entries(self, arrow):
-        """(rows, cols, vals) of the nonzero entries of phi(arrow), from
-        entries_fn where given (no dense image), else read off phi(arrow)."""
-        if self._entries is not None:
-            return self._entries(arrow)
+        """(rows, cols, vals) of the nonzero entries of phi(arrow)."""
         m = self.phi(arrow)
         return (*m.nonzero(), m[m != 0])
 
@@ -88,10 +82,7 @@ class ConcreteRep:
 
     def basis_images(self, p, q):
         """The rows flat(a) over the matrix-unit basis of K(p,q), in
-        backend.basis order: shape (n, L), L the length of flat.  images_fn
-        computes them at once where given; by default one flat per arrow."""
-        if self._images is not None:
-            return self._images(p, q)
+        backend.basis order: shape (n, L), L the length of flat."""
         basis = self.backend.basis(p, q, ideal=self.ideal)
         return np.array([self.flat(a) for a in basis]) if basis else np.zeros((0, self.dim**2), dtype=complex)
 
@@ -99,61 +90,67 @@ class ConcreteRep:
         return f"<rep {self.label} dim={self.dim}>"
 
 
-def fock_rep(backend, depth: int, ideal=None, tr=None):
-    """The truncated Fock representation on the source-e fiber.
+class FockRep(ConcreteRep):
+    """The truncated Fock representation on the source-e fiber of tr.
 
-    Returns (rep, truncation), reusing tr when given (a Truncation of the
-    backend at this depth); the Hilbert space is the direct sum over
-    colors and source objects of the column spaces.  phi(a) is
-    lift(x, tr).dense() for the one-term element x = a at its unit-canonical
-    key, the key's COO triples (entries(a)) scattered into the dense layout
-    (unlike NTElement, a coefficient below PRUNE_TOL is not dropped).
+    The Hilbert space is the direct sum over colors and source objects of the
+    column spaces.  phi(a) is lift(x, tr).dense() for the one-term element
+    x = a at its unit-canonical key: the key's COO triples (entries(a))
+    scattered into the dense layout (unlike NTElement, a coefficient below
+    PRUNE_TOL is not dropped).
 
     basis_images(p, q) lifts one arrow whose entry at matrix unit k is k + 1:
     where the backend's ampliation only copies entries (backend.copies_entries),
     each triple names its basis element, and one scatter writes every
     image.  Elsewhere each basis arrow takes phi.
     """
-    tr = tr if tr is not None else Truncation(backend, depth)
-    sizes = [tr.col_total(c) for c in range(backend.slot_count)]
-    dim = sum(sizes)
-    offsets = np.cumsum([0] + sizes)
-    ideal = ideal if ideal is not None else full_ideal(backend)
-    sg = backend.sg
-    keys = {}  # (range, source) -> (transporting unit, lift placements)
 
-    def triples(arrow):
-        key = (arrow.range, arrow.source)
-        if key not in keys:
+    def __init__(self, backend, tr, ideal):
+        sizes = [tr.col_total(c) for c in range(backend.slot_count)]
+        super().__init__(backend, sum(sizes), None, ideal, "fock")
+        self.tr = tr
+        self._offsets = np.cumsum([0] + sizes)
+        self._keys = {}  # (range, source) -> (transporting unit, lift placements)
+
+    def _triples(self, arrow):
+        """(color offset, the color's COO triples or None) of arrow's lift."""
+        key, sg = (arrow.range, arrow.source), self.backend.sg
+        if key not in self._keys:
             p, q, u = canonical_key(sg, *key)
-            keys[key] = (u, _lift_placements(tr, p, q))
-        u, placed = keys[key]
-        return zip(offsets, _key_triples(tr, arrow if u == sg.one else arrow.rtensor(u), *placed))
+            self._keys[key] = (u, _lift_placements(self.tr, p, q))
+        u, placed = self._keys[key]
+        return zip(self._offsets, _key_triples(self.tr, arrow if u == sg.one else arrow.rtensor(u), *placed))
 
-    def entries(arrow):
-        if not ideal_membership(arrow, ideal):
+    def entries(self, arrow):
+        if not ideal_membership(arrow, self.ideal):
             raise ValueError(f"coefficient at ({arrow.range!r},{arrow.source!r}) escapes the ideal")
-        parts = [(off + t[0], off + t[1], t[2]) for off, t in triples(arrow) if t]
+        parts = [(off + t[0], off + t[1], t[2]) for off, t in self._triples(arrow) if t]
         return tuple(map(np.concatenate, zip(*parts))) if parts else (np.zeros(0, np.intp),) * 3
 
-    def phi(arrow):
-        rows, cols, vals = entries(arrow)
-        out = np.zeros((dim, dim), dtype=complex)
+    def phi(self, arrow):
+        rows, cols, vals = self.entries(arrow)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
         out[rows, cols] = vals
         return out
 
-    def images(p, q):
-        n = backend.space_dim(p, q, ideal)
+    def basis_images(self, p, q):
+        if not self.backend.copies_entries:
+            return super().basis_images(p, q)
+        n, dim = self.backend.space_dim(p, q, self.ideal), self.dim
         out = np.zeros((n, dim * dim), dtype=complex)
-        stack = backend.basis_stack(p, q, ideal)
-        labels = Arrow(backend, p, q, [np.tensordot(np.arange(1.0, n + 1), s, 1) for s in stack])
-        for off, t in triples(labels):
+        stack = self.backend.basis_stack(p, q, self.ideal)
+        labels = Arrow(self.backend, p, q, [np.tensordot(np.arange(1.0, n + 1), s, 1) for s in stack])
+        for off, t in self._triples(labels):
             if t:
                 out[t[2].real.astype(np.intp) - 1, (off + t[0]) * dim + off + t[1]] = 1.0
         return out
 
-    images_fn = images if backend.copies_entries else None
-    return ConcreteRep(backend, dim, phi, ideal, "fock", images_fn, entries), tr
+
+def fock_rep(backend, depth: int, ideal=None, tr=None):
+    """(FockRep, truncation) of the backend at depth, reusing tr when given
+    (a Truncation of the backend at this depth)."""
+    tr = tr if tr is not None else Truncation(backend, depth)
+    return FockRep(backend, tr, ideal), tr
 
 
 def _range_basis(m, tol):
@@ -260,7 +257,7 @@ def check_projection_equalities(family: ProjectionFamily, elements, tol=1e-9):
 # -- covariance and faithfulness conditions -----------------------------------
 
 
-def _precondition(sg, p, qs):
+def _precondition(p, qs):
     for q in qs:
         if leq(q, p):
             raise ValueError(f"precondition violated: {q!r} divides {p!r}")
@@ -276,8 +273,7 @@ def _sigma_min(rows):
 def check_toeplitz_covariance(rep: ConcreteRep, p, qs, tol=RANK_TOL):
     """Trivial intersection of phi(K(p,p)) with the span of the phi(K(q,q)):
     ranks of the basis images, as rows on the union of their supports."""
-    sg = rep.backend.sg
-    _precondition(sg, p, qs)
+    _precondition(p, qs)
     A = rep.basis_images(p, p)
     Bs = [rep.basis_images(q, q) for q in qs]
     keep = np.logical_or.reduce([m.any(axis=0) for m in [A] + Bs])
@@ -302,8 +298,7 @@ def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RAN
     commutator with phi(a) holds phi(a) where the row and column masks
     differ.  A spectral norm is taken only of a nonzero commutator.
     """
-    sg = rep.backend.sg
-    _precondition(sg, p, qs)
+    _precondition(p, qs)
     ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
     if not len(ims):
         return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
@@ -324,8 +319,7 @@ def check_condition_Cprime(rep: ConcreteRep, family: ProjectionFamily, p, qs, ar
     the union of the index sets of the Q_{q_i} (a unit image off the
     certificate raises, see ProjectionFamily), and the corner keeps the rows
     and columns outside it."""
-    sg = rep.backend.sg
-    _precondition(sg, p, qs)
+    _precondition(p, qs)
     keep = ~_union(rep.dim, [family.Q_set(q) for q in qs])
     m = rep.phi(arrow)
     full = spectral_norm(m)
@@ -483,7 +477,7 @@ def _powell_search(build, value, total, trials, seed, maxiter):
     return best, found
 
 
-def _rank_one_witness(backend, p, x, b, h=None, twist=None):
+def _rank_one_witness(backend, p, b, h=None, twist=None):
     """(blocks, lower_bound) on the colored backend, None off it, where
     tensoring by a unit need not act on each block as a -> U a U*.
 
@@ -581,7 +575,7 @@ def aperiodicity_search(
     build, value = _aperiodicity_objective(backend, p, x, b, h, twist)
     best, witness, attained_by = float("inf"), None, None
     lower_bound = rank_one_bound = None
-    certificate = _rank_one_witness(backend, p, x, b, h, twist)
+    certificate = _rank_one_witness(backend, p, b, h, twist)
     if certificate is not None:
         blocks, lower_bound = certificate
         rank_one_bound = value(blocks)

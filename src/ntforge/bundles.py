@@ -89,14 +89,14 @@ class BlockAction:
                     blocks[c][i, j] = 1.0
                     yield blocks
 
-    def _check_homomorphism(self, tol=1e-12):
+    def _check_homomorphism(self):
         g_all = self.group.elements(1)
         e = self.group.identity()
         for blocks in self._basis_blocks():
-            if not _agree(self.apply(e, blocks), blocks, tol):
+            if not _agree(self.apply(e, blocks), blocks, 1e-12):
                 raise ValueError("action is not a homomorphism: alpha_e != id")
             for g, h in itertools.product(g_all, repeat=2):
-                if not _agree(self.apply(g, self.apply(h, blocks)), self.apply(g * h, blocks), tol):
+                if not _agree(self.apply(g, self.apply(h, blocks)), self.apply(g * h, blocks), 1e-12):
                     raise ValueError(f"action is not a homomorphism at ({g!r}, {h!r})")
 
 
@@ -321,13 +321,13 @@ def regular_spectrum(bundle: BundleFiberFamily, fam, rep: RegularRep = None):
     )
 
 
-def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1e-8):
+def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None):
     """Linear dimension of the image of ⊕_g B_g under the regular representation.
 
     Left convolution by b in B_s maps B_k into B_{sk}, so the images of
     distinct grades have disjoint supports and the singular values of all the
     images together are the union of the per-grade ones.  One SVD per grade,
-    then the cutoff tol times the largest value over all grades: the same
+    then the cutoff linalg.RANK_TOL times the largest value over all grades: the same
     count as one SVD of every image stacked.  Each grade's basis is mapped at
     once by rep.basis_images, which on a RegularRep never builds phi; any rep
     whose grades have overlapping supports raises.
@@ -342,4 +342,4 @@ def image_algebra_rank(bundle: BundleFiberFamily, rep: ConcreteRep = None, tol=1
             raise ValueError(f"images of grade {g!r} overlap those of another grade")
         seen = seen | support
         values.append(span_singular_values(images))
-    return rank_of_values(np.concatenate(values), tol)
+    return rank_of_values(np.concatenate(values))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+RANK_TOL = 1e-8  # relative singular-value cutoff of every numerical rank
+
 
 def spectral_norm(mat) -> float:
     """Largest singular value of a dense block."""
@@ -46,12 +48,12 @@ def span_singular_values(vectors) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank_of_values(s, tol=1e-8) -> int:
+def rank_of_values(s, tol=RANK_TOL) -> int:
     """Number of singular values above tol times the largest of them."""
     top = float(np.max(s, initial=0.0))
     return 0 if top == 0.0 else int(np.sum(np.asarray(s) > tol * top))
 
 
-def rank_of_span(vectors, tol=1e-8) -> int:
+def rank_of_span(vectors, tol=RANK_TOL) -> int:
     """Numerical rank of the span of flattened arrays."""
     return rank_of_values(span_singular_values(vectors), tol)

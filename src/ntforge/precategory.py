@@ -34,6 +34,9 @@ import numpy as np
 
 from .linalg import norm_at_most, rank_of_span, spectral_norm
 
+IDEAL_TOL = 1e-12  # a block off the ideal's colors of at most this norm counts as zero
+WELL_ALIGNED_SAMPLES = 2  # random (p, t) per pair (q, s) in check_well_aligned
+
 
 class Arrow:
     """A morphism p <- q: one complex matrix block per slot (color)."""
@@ -397,9 +400,9 @@ class ZeroTensorBackend(_BackendBase):
         return [np.zeros((*lead, *sh), dtype=complex) for sh in self.shape(p * r, q * r)]
 
 
-def ideal_membership(a: Arrow, K: ColorIdeal, tol=1e-12) -> bool:
-    """a lies in K(range, source): blocks off the ideal's colors vanish."""
-    return all(c in K.colors or norm_at_most(b, tol) for c, b in enumerate(a.blocks))
+def ideal_membership(a: Arrow, K: ColorIdeal) -> bool:
+    """a lies in K(range, source): blocks off K's colors are at most IDEAL_TOL."""
+    return all(c in K.colors or norm_at_most(b, IDEAL_TOL) for c, b in enumerate(a.blocks))
 
 
 class StructureReport:
@@ -419,11 +422,12 @@ class StructureReport:
         return f"<{self.name} {verdict}: {self.checked} checks, {len(self.failures)} failures>"
 
 
-def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0, samples=2, tol=1e-12):
+def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0):
     """Aligned products of ideal arrows stay in the ideal, and K tensor 1 <= K.
 
     For q,s admitting right LCM r and arrows a in K(p,q), b in K(s,t), the
-    product (a x 1_{q^-1 r})(b x 1_{s^-1 r}) must lie in K(p q^-1 r, t s^-1 r).
+    product (a x 1_{q^-1 r})(b x 1_{s^-1 r}) must lie in K(p q^-1 r, t s^-1 r):
+    sampled at (q, s) and WELL_ALIGNED_SAMPLES random (p, t), drawn from seed.
     """
     sg = backend.sg
     rng = random.Random(seed)
@@ -435,7 +439,7 @@ def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0, samples=2, to
         if r is None:
             continue
         qr, sr = sg.left_divide(q, r), sg.left_divide(s, r)
-        pts = [(q, s)] + [(rng.choice(els), rng.choice(els)) for _ in range(samples)]
+        pts = [(q, s)] + [(rng.choice(els), rng.choice(els)) for _ in range(WELL_ALIGNED_SAMPLES)]
         for p, t in pts:
             a = backend.random_arrow(p, q, rng, ideal=K)
             b = backend.random_arrow(s, t, rng, ideal=K)
@@ -443,23 +447,23 @@ def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0, samples=2, to
             checked += 1
             if (prod.range, prod.source) != (p * qr, t * sr):
                 failures.append(((p, q, s, t), "aligned product has wrong objects"))
-            elif not ideal_membership(prod, K, tol):
+            elif not ideal_membership(prod, K):
                 failures.append(((p, q, s, t), "aligned product escapes the ideal"))
             checked += 1
             rr = rng.choice(els)
-            if not ideal_membership(a.rtensor(rr), K, tol):
+            if not ideal_membership(a.rtensor(rr), K):
                 failures.append(((p, q, rr), "K tensor 1 escapes the ideal"))
     return StructureReport("well-aligned", not failures, checked, failures)
 
 
-def check_nondegenerate(backend, K: ColorIdeal, depth: int, tol=1e-8):
+def check_nondegenerate(backend, K: ColorIdeal, depth: int):
     """(K(p,p) x 1_r) K(pr,pr) spans K(pr,pr), for non-unit p.
 
     Unit certificate first: when 1_K(p) x 1_r equals 1_K(pr) entry for
     entry, (1_K(p) x 1_r) v = v for every v in K(pr,pr), so the products span
     K(pr,pr) exactly.  Rank test as fallback, for the pairs whose tensoring
-    kills or moves the unit (ZeroTensorBackend): the numerical rank of the
-    products of basis arrows must reach dim K(pr,pr).
+    kills or moves the unit (ZeroTensorBackend): the numerical rank (cutoff
+    RANK_TOL) of the products of basis arrows must reach dim K(pr,pr).
     """
     sg = backend.sg
     els = sg.elements(depth)
@@ -481,7 +485,7 @@ def check_nondegenerate(backend, K: ColorIdeal, depth: int, tol=1e-8):
             left = [u.rtensor(r) for u in backend.basis(p, p, ideal=K)]
             right = backend.basis(pr, pr, ideal=K)
             prods = [l.compose(v).flat() for l in left for v in right]
-            if rank_of_span(prods, tol) < target:
+            if rank_of_span(prods) < target:
                 failures.append(((p, r), f"span deficient (target {target})"))
     return StructureReport("tensor-nondegenerate", not failures, checked, failures, certified)
 
@@ -503,14 +507,15 @@ def check_essential(backend, K: ColorIdeal, depth: int):
     return StructureReport("essential", not failures, checked, failures)
 
 
-def check_factorization(backend, depth: int, tol=1e-8):
+def check_factorization(backend, depth: int):
     """L(p,p) L(p,q) spans L(p,q) (finite-dimensional Cohen factorization).
 
     Unit certificate first: when 1_p b = b entry for entry for every basis
     arrow b of L(p,q), the products already contain that basis.  Rank test as
     fallback, for compositions that do not reproduce b exactly: the numerical
-    rank of all products of basis arrows must reach dim L(p,q).  Both take
-    one stacked product per pair through the backend's own product.
+    rank (cutoff RANK_TOL) of all products of basis arrows must reach
+    dim L(p,q).  Both take one stacked product per pair through the backend's
+    own product.
     """
     sg = backend.sg
     els = sg.elements(depth)
@@ -530,7 +535,7 @@ def check_factorization(backend, depth: int, tol=1e-8):
             left = backend.basis_stack(p, p)
             prods = backend._compose_blocks([x[:, None] for x in left], [y[None] for y in right], p, p, q)
             n = len(left[0]) * target
-            if rank_of_span(np.concatenate([b.reshape(n, -1) for b in prods], axis=1), tol) < target:
+            if rank_of_span(np.concatenate([b.reshape(n, -1) for b in prods], axis=1)) < target:
                 failures.append(((p, q), "factorization span deficient"))
     return StructureReport("factorization", not failures, checked, failures, certified)
 

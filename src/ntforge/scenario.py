@@ -46,7 +46,7 @@ from .precategory import (
     full_ideal,
 )
 from .segments import check_partition
-from .semigroups import make_group, make_semigroup
+from .semigroups import _cast, make_group, make_semigroup
 from .wick import NTElement, abelianization_grading, core_norm
 
 
@@ -96,6 +96,11 @@ def _typed(spec, field, kind, what, default=None):
     return value
 
 
+def _ints(field, values):
+    """[int(v) for v in values]; a ValueError naming the field otherwise."""
+    return _cast(field, lambda vs: [int(v) for v in vs], values)
+
+
 def build_backend(sg, spec: dict):
     spec = dict(spec or {})
     kind = spec.get("kind", "colored")
@@ -103,15 +108,15 @@ def build_backend(sg, spec: dict):
         gen_dims = spec.get("gen_dims")
         if gen_dims is None:
             gen_dims = [[1]] * len(sg.generators())
-        backend = ColoredProductSystem(
-            sg, gen_dims, colors=spec.get("colors"), check_depth=int(spec.get("check_depth", 3))
-        )
+        gen_dims = _cast("gen_dims", lambda rows: [[int(d) for d in row] for row in rows], gen_dims)
+        check_depth = _cast("check_depth", int, spec.get("check_depth", 3))
+        backend = ColoredProductSystem(sg, gen_dims, colors=spec.get("colors"), check_depth=check_depth)
     elif kind == "zero":
-        backend = ZeroTensorBackend([int(d) for d in spec["dims"]], sg=sg)
+        backend = ZeroTensorBackend(_ints("dims", spec["dims"]), sg=sg)
     else:
         raise ScenarioError(f"unknown backend kind {kind!r}")
     ideal = spec.get("ideal")
-    ideal = full_ideal(backend) if ideal is None else ColorIdeal(frozenset(int(c) for c in ideal))
+    ideal = full_ideal(backend) if ideal is None else ColorIdeal(frozenset(_ints("ideal", ideal)))
     return backend, ideal
 
 
@@ -143,10 +148,8 @@ def element_to_json(x: NTElement):
 
 
 def build_bundle(spec: dict):
-    if "group" not in spec:
-        raise ScenarioError("bundle needs a 'group'")
-    group = make_group(spec["group"])
-    dims = [int(d) for d in spec.get("dims", [1])]
+    group = make_group(_typed(spec, "group", (str, dict), "a group name or an object"))
+    dims = _ints("dims", spec.get("dims", [1]))
     action_spec = spec.get("action")
     if action_spec is None:
         perms = {g: tuple(range(len(dims))) for g in group.elements(1)}
@@ -169,14 +172,14 @@ class Scenario:
 
     def __init__(self, data: dict):
         self.data = data
-        given = data.get("settings", {})
+        given = _typed(data, "settings", dict, "an object", {})
         unknown = sorted(set(given) - {"depth", "tol", "seed"})
         if unknown:
             raise ScenarioError(f"unknown setting {unknown[0]!r}; settings are depth, tol, seed")
         self.settings = {
-            "depth": int(given.get("depth", 4)),
-            "tol": float(given.get("tol", 1e-8)),
-            "seed": int(given.get("seed", 0)),
+            "depth": _cast("depth", int, given.get("depth", 4)),
+            "tol": _cast("tol", float, given.get("tol", 1e-8)),
+            "seed": _cast("seed", int, given.get("seed", 0)),
         }
         self.sg = None
         self.backend = None
@@ -191,22 +194,22 @@ class Scenario:
                     self.elements[name] = build_element(self.sg, self.backend, self.ideal, terms)
                 except ScenarioError as exc:
                     raise ScenarioError(f"element {name!r}: {exc}") from None
-        self.bundle = build_bundle(data["bundle"]) if "bundle" in data else None
+        self.bundle = build_bundle(_typed(data, "bundle", dict, "an object")) if "bundle" in data else None
         self.sections = {}
         if self.bundle is not None:
-            for name, fam in data.get("sections", {}).items():
-                self.sections[name] = {
-                    self.bundle.group.parse(g): to_blocks(blocks) for g, blocks in fam.items()
-                }
+            sections = _typed(data, "sections", dict, "an object of named sections", {})
+            for name in sections:
+                fam = _typed(sections, name, dict, "an object from group elements to blocks")
+                self.sections[name] = {self.bundle.group.parse(g): to_blocks(blocks) for g, blocks in fam.items()}
         self.checks = data.get("checks", [])
         for i, check in enumerate(self.checks):
             if not isinstance(check, dict):
                 raise ScenarioError(
                     f"'checks' entry {i} is {check!r}, not an object with a 'name'"
                 )
-            if not isinstance(check.get("name", ""), str):
-                raise ScenarioError(f"'checks' entry {i} 'name' must be a string, got {check['name']!r}")
-            if check.get("name") in CHECKS:  # an unknown name is reported in place by run_scenario
+            if not isinstance(check.get("name"), str):
+                raise ScenarioError(f"'checks' entry {i} 'name' must be a string, got {check.get('name')!r}")
+            if check["name"] in CHECKS:  # an unknown name is reported in place by run_scenario
                 check_params(check["name"], _params(check))
 
     @classmethod

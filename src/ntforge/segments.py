@@ -68,7 +68,7 @@ def _in_cell(s, F, seg: Segment) -> bool:
     return leq(seg.sig, s) and not any(leq(f, s) for f in F if f not in seg.C)
 
 
-def segment_of(sg, F, s):
+def segment_of(F, s):
     """The unique initial segment whose cell contains s: C = {t in F : t <= s}."""
     return frozenset(t for t in F if leq(t, s))
 
@@ -103,6 +103,6 @@ def check_partition(sg, F, depth: int) -> PartitionReport:
         if len(hits) != 1:
             failures.append((s, f"lies in {len(hits)} cells"))
             continue
-        if hits[0].C != segment_of(sg, F, s):
+        if hits[0].C != segment_of(F, s):
             failures.append((s, "cell disagrees with {t in F : t <= s}"))
     return PartitionReport(not failures, segs, checked, failures)

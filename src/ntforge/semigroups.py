@@ -801,6 +801,14 @@ def make_group(spec) -> FiniteGroup:
     return FiniteGroup(spec.get("name", "G"), names, table)
 
 
+def _cast(field, cast, value):
+    """cast(value); a ValueError naming the field when cast rejects the value."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field!r} must be numeric, got {value!r}") from None
+
+
 def _field(spec, name):
     """spec[name]; a ValueError naming the field and the kind when it is missing."""
     if name not in spec:
@@ -810,7 +818,7 @@ def _field(spec, name):
 
 #: kind -> (builder from the scenario spec, description for list-instances)
 INSTANCE_KINDS = {
-    "direct_sum": (lambda spec: DirectSumN(int(spec.get("rank", 1))),
+    "direct_sum": (lambda spec: DirectSumN(_cast("rank", int, spec.get("rank", 1))),
                    "N^k vectors under addition (rank parameter)"),
     "free_monoid": (lambda spec: free_monoid(_field(spec, "letters")),
                     "free monoid on letters (free product of copies of N)"),

@@ -35,11 +35,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import norm_at_most, norms_at_most
-from .precategory import Arrow, full_ideal, ideal_membership
+from .precategory import IDEAL_TOL, Arrow, full_ideal, ideal_membership
 from .segments import _in_cell, initial_segments
 from .semigroups import FiniteGroup
 
 PRUNE_TOL = 1e-12
+WITNESS_DEPTH = 4  # word length of core_norm's search for a core witness
 
 
 def canonical_key(sg, p, q):
@@ -61,8 +62,9 @@ class NTElement:
         self.terms = {}
 
     @classmethod
-    def from_terms(cls, backend, items, ideal=None):
-        x = cls(backend, ideal)
+    def from_terms(cls, backend, items):
+        """The sum of (p, q, arrow) items over the full ideal."""
+        x = cls(backend)
         for p, q, arrow in items:
             x.add_term(p, q, arrow)
         return x
@@ -267,7 +269,7 @@ def _compose_groups(backend, left, right, la, ra, raw, transport, ideal):
         ys = [st[rpos[idx]] for st in right.stacks[right.shape[b]]]
         zs = backend._compose_blocks(xs, ys, *left.objects(a), right.objects(b)[1])
         for c in off:
-            bad = idx[~norms_at_most(zs[c], 1e-12)]  # in pair order, as idx is
+            bad = idx[~norms_at_most(zs[c], IDEAL_TOL)]  # in pair order, as idx is
             if len(bad):
                 escaped = min(escaped, int(bad[0]))
         for r in transport.keys() & set(raw[idx].tolist()) if transport else ():
@@ -391,19 +393,19 @@ class CoreNorm(NamedTuple):
     exact: bool
 
 
-def _core_witness(sg, p, q, depth):
-    """Some v with (p^-1 r) v = (q^-1 r) v, r the LCM; None when no witness."""
+def _core_witness(sg, p, q):
+    """Some v, |v| <= WITNESS_DEPTH, with (p^-1 r) v = (q^-1 r) v, r the LCM; else None."""
     r = sg.right_lcm(p, q)
     if r is None:
         return None
     pr, qr = sg.left_divide(p, r), sg.left_divide(q, r)
-    for v in sg.elements(depth):
+    for v in sg.elements(WITNESS_DEPTH):
         if pr * v == qr * v:
             return r * v
     return None
 
 
-def core_norm(x: NTElement, wdepth: int = 4, witness_depth: int = 4) -> CoreNorm:
+def core_norm(x: NTElement, wdepth: int = 4) -> CoreNorm:
     """Norm of a core element via the initial-segment formula.
 
     Diagonal elements evaluate exactly: the supremum over the partition cell
@@ -413,7 +415,8 @@ def core_norm(x: NTElement, wdepth: int = 4, witness_depth: int = 4) -> CoreNorm
 
     Mixed keys must satisfy the core condition (some w in pP & qP with
     p^-1 w = q^-1 w, impossible for p != q over a right-cancellative
-    semigroup); their norm is the same formula with the supremum truncated to
+    semigroup), searched to word length WITNESS_DEPTH past the LCM, else
+    ValueError; their norm is the same formula with the supremum truncated to
     word length wdepth, returned as a lower bound (exact=False).
     """
     if x.is_zero():
@@ -435,10 +438,10 @@ def core_norm(x: NTElement, wdepth: int = 4, witness_depth: int = 4) -> CoreNorm
         return CoreNorm(best, True)
 
     for p, q in x.terms:
-        if p != q and _core_witness(sg, p, q, witness_depth) is None:
+        if p != q and _core_witness(sg, p, q) is None:
             raise ValueError(
                 f"key ({p!r},{q!r}) lies outside the core: no common multiple "
-                f"w with equal quotients (search depth {witness_depth})"
+                f"w with equal quotients (search depth {WITNESS_DEPTH})"
             )
     best = 0.0
     for seg in initial_segments(sg, F):

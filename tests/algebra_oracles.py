@@ -64,12 +64,12 @@ def adjoint(a: Arrow) -> Arrow:
 
 
 def nt_monomial(backend, p, q, blocks, ideal=None) -> NTElement:
-    return NTElement.from_terms(backend, [(p, q, backend.arrow(p, q, blocks))], ideal)
+    return NTElement(backend, ideal).add_term(p, q, backend.arrow(p, q, blocks))
 
 
 def nt_identity(backend, ideal=None) -> NTElement:
     e = backend.sg.identity()
-    return NTElement.from_terms(backend, [(e, e, backend.identity_arrow(e))], ideal)
+    return NTElement(backend, ideal).add_term(e, e, backend.identity_arrow(e))
 
 
 def coeff(x: NTElement, p, q):

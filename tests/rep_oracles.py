@@ -229,7 +229,7 @@ def dense_projection_equalities(family: DenseProjectionFamily, elements, tol=1e-
 
 def dense_condition_C(rep: ConcreteRep, family: DenseProjectionFamily, p, qs, tol=RANK_TOL):
     """check_condition_C with the product of the 1 - Q_<q_i> formed densely."""
-    _precondition(rep.backend.sg, p, qs)
+    _precondition(p, qs)
     ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
     if not len(ims):
         return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
@@ -251,7 +251,7 @@ def dense_condition_C(rep: ConcreteRep, family: DenseProjectionFamily, p, qs, to
 def dense_condition_Cprime(rep: ConcreteRep, family: DenseProjectionFamily, p, qs, arrow, tol=1e-6):
     """check_condition_Cprime with the join of the Q_{q_i} an eigh range and
     the corner compression a dense product."""
-    _precondition(rep.backend.sg, p, qs)
+    _precondition(p, qs)
     m = rep.phi(arrow)
     full = spectral_norm(m)
     join = _range(sum((family.Q(q) for q in qs), np.zeros((rep.dim, rep.dim))), family.tol)

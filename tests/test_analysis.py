@@ -345,7 +345,7 @@ def test_fock_projections_read_unit_images_without_phi(monkeypatch, case):
     p, qs = sg.parse(p), [sg.parse(q) for q in qs]
     rep, tr = fock_rep(backend, fock_depth)
     a = backend.random_arrow(p, p, random.Random(5))
-    phi = ConcreteRep.phi
+    phi = type(rep).phi
 
     def no_unit_phi(self, arrow):
         unit = ideal_unit(self.backend, self.ideal, arrow.source)
@@ -353,7 +353,7 @@ def test_fock_projections_read_unit_images_without_phi(monkeypatch, case):
             raise AssertionError(f"built phi(1_{arrow.source!r}) densely")
         return phi(self, arrow)
 
-    monkeypatch.setattr(ConcreteRep, "phi", no_unit_phi)
+    monkeypatch.setattr(type(rep), "phi", no_unit_phi)
     fam = ProjectionFamily(rep, tr.S)
     assert check_projection_semilattice(fam, depth).ok
     assert check_projection_equalities(fam, sg.elements(depth)).ok

@@ -399,7 +399,7 @@ def test_ideal_correspondence_well_aligned():
     B = semidirect_bundle(trivial_action(Z2, [1, 1]))
     backend = precategory_from_bundle(B)
     for colors in [{0}, {1}, {0, 1}]:
-        report = check_well_aligned(backend, ColorIdeal(frozenset(colors)), depth=1, samples=2)
+        report = check_well_aligned(backend, ColorIdeal(frozenset(colors)), depth=1)
         assert report.ok, (colors, report.failures)
 
 

@@ -1,5 +1,7 @@
 import argparse
+import functools
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -170,12 +172,14 @@ def _with_term_field(field, value):
         (["run", _with_term_field("range", ["0"])], "range"),
         (["run", _with_term_field("source", 0)], "source"),
         (["run", _with_checks({"name": ["segments"]})], "name"),
+        (["run", {"semigroup": {"kind": "direct_sum", "rank": 1}, "checks": [{"depth": 2}]}], "name"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
          "repeated-letters", "missing-name", "negative-depth", "non-associative-table",
          "numeric-group-elements", "repeated-unit-elements", "string-semigroup", "list-kind",
-         "list-elements", "bundle-without-group", "list-range", "numeric-source", "list-name"],
+         "list-elements", "bundle-without-group", "list-range", "numeric-source", "list-name",
+         "check-without-name"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"
@@ -187,6 +191,68 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert repr(field) in captured.err
+
+
+def _mutation_paths(node, at=()):
+    """The path of every key and list entry of a JSON tree, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield at + (k,)
+        yield from _mutation_paths(v, at + (k,))
+
+
+def _mutated(data, path, how):
+    """A copy of data with the entry at path dropped (how "drop") or set to how."""
+    data = json.loads(json.dumps(data))
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, data)
+    if how == "drop":
+        del node[last]
+    else:
+        node[last] = how
+    return data
+
+
+#: the mutations that once raised instead of exiting 2, with the field each
+#: error must name
+ONCE_RAISED = {
+    ("toeplitz_N", ("semigroup", "rank"), "[]"): "rank",
+    ("toeplitz_N", ("backend", "gen_dims", 0, 0), "[]"): "gen_dims",
+    ("toeplitz_N", ("settings",), "[]"): "settings",
+    ("toeplitz_N", ("settings", "depth"), "[]"): "depth",
+    ("toeplitz_N", ("settings", "tol"), "[]"): "tol",
+    ("toeplitz_N", ("settings", "seed"), "[]"): "seed",
+    ("z2_bundle", ("settings",), "[]"): "settings",
+    ("z2_bundle", ("settings", "seed"), "[]"): "seed",
+    ("z2_bundle", ("bundle", "group"), "[]"): "group",
+    ("z2_bundle", ("bundle", "dims", 0), "[]"): "dims",
+    ("z2_bundle", ("sections",), "'x'"): "sections",
+    ("z2_bundle", ("sections",), "[]"): "sections",
+    ("z2_bundle", ("sections", "s"), "'x'"): "s",
+    ("z2_bundle", ("sections", "s"), "[]"): "s",
+    ("z2_bundle", ("sections", "u_defect"), "'x'"): "u_defect",
+    ("z2_bundle", ("sections", "u_defect"), "[]"): "u_defect",
+}
+
+
+def test_every_scenario_mutation_exits_0_1_or_2(tmp_path, capsys):
+    # every key and list entry of both bundled scenarios dropped, set to "x"
+    # or set to []: 396 runs, none of which may raise
+    path, runs, codes = tmp_path / "mutated.json", 0, set()
+    for name in ("toeplitz_N", "z2_bundle"):
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        for at in list(_mutation_paths(data)):
+            for how in ("drop", "x", []):
+                path.write_text(json.dumps(_mutated(data, at, how)))
+                code = main(["run", str(path)])
+                err = capsys.readouterr().err
+                runs += 1
+                codes.add(code)
+                field = ONCE_RAISED.get((name, at, repr(how)))
+                if field is not None:
+                    assert code == 2 and repr(field) in err, (name, at, how, err)
+    assert runs == 396
+    assert codes <= {0, 1, 2}, codes
 
 
 def test_zero_tensor_projections_fail_the_equality_law(tmp_path, capsys):
@@ -503,6 +569,25 @@ def test_nt_adjoint_swaps_keys(capsys):
     assert [(t["range"], t["source"]) for t in terms] == [("2", "1")]
 
 
+def test_nt_adjoint_reads_re_im_pairs(tmp_path, capsys):
+    # a scalar may be an [re, im] pair; the adjoint conjugates it
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "semigroup": {"kind": "direct_sum", "rank": 1},
+        "elements": {"z": [{"range": "1", "source": "0", "blocks": [[[[1, 2]]]]}]},
+    }))
+    assert main(["nt", "adjoint", str(path), "z"]) == 0
+    [term] = json.loads(capsys.readouterr().out)["data"]["terms"]
+    assert (term["range"], term["source"]) == ("0", "1")
+    assert term["blocks"] == [[[[1.0, -2.0]]]]
+
+
+def test_nt_expect_keeps_the_diagonal_keys(capsys):
+    assert main(["nt", "expect", TOEPLITZ, "x"]) == 0
+    terms = json.loads(capsys.readouterr().out)["data"]["terms"]
+    assert [(t["range"], t["source"]) for t in terms] == [("0", "0"), ("1", "1")]
+
+
 def test_nt_mul_emits_element_json(capsys):
     assert main(["nt", "mul", TOEPLITZ, "y", "y"]) == 0
     terms = json.loads(capsys.readouterr().out)["data"]["terms"]
@@ -536,6 +621,13 @@ def test_fock_norm_flags(capsys):
 def test_fock_norm_inexact_when_shallow(capsys):
     assert main(["fock", "norm", TOEPLITZ, "x", "--depth", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["data"]["exact"] is False
+
+
+def test_fock_expect_is_never_exact(capsys):
+    # the off-diagonal key (1, 2) dies under the block-diagonal compression
+    assert main(["fock", "expect", TOEPLITZ, "offdiag"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["norm"] == 0.0 and data["exact"] is False
 
 
 def test_fock_project_rank_counts_sources(capsys):
@@ -605,6 +697,21 @@ def test_bundle_spectrum_cli(capsys):
     spec = json.loads(capsys.readouterr().out)["data"]["spectrum"]
     values = sorted(re for re, im in spec)
     assert values == pytest.approx([2.0, 4.0], abs=1e-12)
+
+
+def test_bundle_with_an_action_object(tmp_path, capsys):
+    # Z2 swapping two one-dimensional slots, given as perms and unitaries
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({
+        "bundle": {"group": "Z2", "dims": [1, 1], "action": {
+            "perms": {"0": [0, 1], "1": [1, 0]},
+            "unitaries": {"0": [[[1]], [[1]]], "1": [[[1]], [[1]]]},
+        }},
+        "checks": [{"name": "bundle-regular"}, {"name": "bundle-roundtrip"}, {"name": "graded", "trials": 2}],
+    }))
+    assert main(["run", str(path)]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert [i["status"] for i in items] == ["pass"] * 3
 
 
 def test_bundle_on_scenario_without_bundle(capsys):
