@@ -13,7 +13,8 @@ Two backends share one arrow model:
 
 Ideals are determined by their diagonal parts; in the block model that means
 a subset of colors.  The structural checks run at a chosen depth: well-alignment
-is sampled, essentiality reads the block shapes, and nondegeneracy and Cohen
+is certified when the ideal covers every colour and sampled otherwise,
+essentiality reads the block shapes, and nondegeneracy and Cohen
 factorization settle each pair by a unit certificate first, with a rank test
 as the fallback where the certificate does not apply.
 
@@ -28,7 +29,6 @@ the backend's own product (on a bundle, the graded one).
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
@@ -190,20 +190,14 @@ class _BackendBase:
         return [Arrow(self, p, q, blocks) for blocks in zip(*self.basis_stack(p, q, ideal))]
 
     def random_arrow(self, p, q, rng, ideal=None) -> Arrow:
-        colors = set(range(self.slot_count)) if ideal is None else ideal.colors
+        """An arrow of L(p,q) (of K(p,q) when ideal given) with standard complex
+        Gaussian entries on the colours it may use and zeros elsewhere, drawn
+        with one call of the numpy Generator rng."""
         shapes = self.shape(p, q)
-        blocks = []
-        for c, sh in enumerate(shapes):
-            if c in colors:
-                blocks.append(
-                    np.array(
-                        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(sh[1])]
-                         for _ in range(sh[0])]
-                    ).reshape(sh)
-                )
-            else:
-                blocks.append(np.zeros(sh, dtype=complex))
-        return Arrow(self, p, q, blocks)
+        sizes = [r * c if ideal is None or k in ideal.colors else 0 for k, (r, c) in enumerate(shapes)]
+        z = rng.standard_normal((sum(sizes), 2)).view(complex)[:, 0]
+        return Arrow(self, p, q, [z[end - n:end].reshape(sh) if n else np.zeros(sh, dtype=complex)
+                                  for n, end, sh in zip(sizes, itertools.accumulate(sizes), shapes)])
 
     def space_dim(self, p, q, ideal=None) -> int:
         colors = range(self.slot_count) if ideal is None else sorted(ideal.colors)
@@ -406,8 +400,8 @@ def ideal_membership(a: Arrow, K: ColorIdeal) -> bool:
 
 
 class StructureReport:
-    """A structure verdict: how many pairs were checked, how many of them the
-    unit certificate settled exactly (the rest took the rank test), and the
+    """A structure verdict: how many cases were checked, how many of them a
+    certificate settled exactly (the rest took the numerical test), and the
     failures."""
 
     def __init__(self, name, ok, checked, failures, certified=0):
@@ -427,33 +421,41 @@ def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0):
 
     For q,s admitting right LCM r and arrows a in K(p,q), b in K(s,t), the
     product (a x 1_{q^-1 r})(b x 1_{s^-1 r}) must lie in K(p q^-1 r, t s^-1 r):
-    sampled at (q, s) and WELL_ALIGNED_SAMPLES random (p, t), drawn from seed.
+    sampled at (q, s) and WELL_ALIGNED_SAMPLES random (p, t), and a x 1_{r'}
+    at a random r'.  Certificate first: when K covers every colour, every
+    arrow lies in K and each sample is settled without a draw.  Otherwise a,
+    b and (p, t, r') are drawn from np.random.default_rng(seed), and
+    ideal_membership reads only the colours outside K.
     """
     sg = backend.sg
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     els = sg.elements(depth)
+    covers = all(c in K.colors for c in range(backend.slot_count))
     failures = []
-    checked = 0
+    checked = certified = 0
     for q, s in itertools.product(els, repeat=2):
         r = sg.right_lcm(q, s)
         if r is None:
             continue
         qr, sr = sg.left_divide(q, r), sg.left_divide(s, r)
-        pts = [(q, s)] + [(rng.choice(els), rng.choice(els)) for _ in range(WELL_ALIGNED_SAMPLES)]
-        for p, t in pts:
+        checked += 2 * (1 + WELL_ALIGNED_SAMPLES)  # an aligned product and a x 1_r' per sample
+        if covers and q * qr == s * sr:
+            certified += 2 * (1 + WELL_ALIGNED_SAMPLES)
+            continue
+        picks = rng.integers(len(els), size=(1 + WELL_ALIGNED_SAMPLES, 3))
+        samples = [[els[i] for i in row] for row in picks]
+        samples[0][:2] = q, s  # the first sample aligns at (q, s) itself
+        for p, t, rr in samples:
             a = backend.random_arrow(p, q, rng, ideal=K)
             b = backend.random_arrow(s, t, rng, ideal=K)
             prod = a.rtensor(qr).compose(b.rtensor(sr))
-            checked += 1
             if (prod.range, prod.source) != (p * qr, t * sr):
                 failures.append(((p, q, s, t), "aligned product has wrong objects"))
             elif not ideal_membership(prod, K):
                 failures.append(((p, q, s, t), "aligned product escapes the ideal"))
-            checked += 1
-            rr = rng.choice(els)
             if not ideal_membership(a.rtensor(rr), K):
                 failures.append(((p, q, rr), "K tensor 1 escapes the ideal"))
-    return StructureReport("well-aligned", not failures, checked, failures)
+    return StructureReport("well-aligned", not failures, checked, failures, certified)
 
 
 def check_nondegenerate(backend, K: ColorIdeal, depth: int):

@@ -792,9 +792,9 @@ def make_group(spec) -> FiniteGroup:
         return BUILTIN_GROUPS[name]()
     if spec.get("name") in BUILTIN_GROUPS and "table" not in spec:
         return BUILTIN_GROUPS[spec["name"]]()
-    names = spec["elements"]
+    names, rows = _field(spec, "elements"), _field(spec, "table")
     table = {
-        (a, b): spec["table"][i][j]
+        (a, b): rows[i][j]
         for i, a in enumerate(names)
         for j, b in enumerate(names)
     }
@@ -809,10 +809,14 @@ def _cast(field, cast, value):
         raise ValueError(f"{field!r} must be numeric, got {value!r}") from None
 
 
-def _field(spec, name):
-    """spec[name]; a ValueError naming the field and the kind when it is missing."""
+def _field(spec, name, kind=object, what=None):
+    """spec[name]; a ValueError naming the field when it is missing (and the
+    spec's kind, where a group spec has none) or not an instance of kind
+    (described by what)."""
     if name not in spec:
-        raise ValueError(f"semigroup spec of kind {spec.get('kind')!r} needs a {name!r}")
+        raise ValueError(f"{spec.get('kind') or 'group'} spec needs a {name!r}")
+    if not isinstance(spec[name], kind):
+        raise ValueError(f"{name!r} must be {what}, got {spec[name]!r}")
     return spec[name]
 
 
@@ -822,13 +826,15 @@ INSTANCE_KINDS = {
                    "N^k vectors under addition (rank parameter)"),
     "free_monoid": (lambda spec: free_monoid(_field(spec, "letters")),
                     "free monoid on letters (free product of copies of N)"),
-    "free_product": (lambda spec: FreeProduct([make_semigroup(f) for f in _field(spec, "factors")],
-                                              names=spec.get("names")),
+    "free_product": (lambda spec: FreeProduct(
+                         [make_semigroup(f) for f in _field(spec, "factors", list, "a list")],
+                         names=spec.get("names")),
                      "free product of trivial-unit instances"),
     "absorption": (lambda spec: AbsorptionMonoid(),
                    "pairs (k,m), (k,m)(l,n)=(k+l,n) for l>0; not right cancellative"),
     "unit_extension": (lambda spec: UnitExtension(make_semigroup(_field(spec, "base")),
-                                                  make_group(_field(spec, "units"))),
+                                                  make_group(_field(spec, "units", (str, dict),
+                                                                    "a group name or an object"))),
                        "base instance times a finite abelian unit group"),
     "finite_group": (make_group,
                      "multiplication-table group; builtins " + ", ".join(sorted(BUILTIN_GROUPS))),
@@ -837,6 +843,8 @@ INSTANCE_KINDS = {
 
 def make_semigroup(spec: dict) -> RightLcmSemigroup:
     """Build an instance from a scenario description (see the cli module)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"semigroup spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind is not None and not isinstance(kind, str):
         raise ValueError(f"semigroup spec 'kind' must be a string, got {kind!r}")

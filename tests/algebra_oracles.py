@@ -1,12 +1,23 @@
 """Element helpers that no scenario check, CLI command or benchmark job
 runs: unit equivalence, iterated LCMs, initial segments by their definition
 and partition-cell membership of semigroup elements, the arrow operations as
-functions, one-term and identity NT elements, the coefficient of an NT
-element at a key, and the validation and use of gradings."""
+functions, a backend whose tensoring moves an ideal off its colour and the
+arrow route of the well-alignment check, one-term and identity NT elements,
+the coefficient of an NT element at a key, and the validation and use of
+gradings."""
 
 import itertools
 
-from ntforge.precategory import Arrow
+import numpy as np
+
+from ntforge.precategory import (
+    WELL_ALIGNED_SAMPLES,
+    Arrow,
+    StructureReport,
+    _BackendBase,
+    ideal_membership,
+)
+from ntforge.semigroups import DirectSumN
 from ntforge.segments import Segment, _in_cell, leq
 from ntforge.wick import GradingMap, NTElement, canonical_key
 
@@ -61,6 +72,68 @@ def rtensor(a: Arrow, r) -> Arrow:
 
 def adjoint(a: Arrow) -> Arrow:
     return a.adjoint()
+
+
+class _SwapN2(_BackendBase):
+    """N^2 with two 1x1 colors; a x 1_r swaps the colors |r| times, so an
+    ideal on one color is not closed under aligned products."""
+
+    kind = "swap"
+    slot_count = 2
+
+    def __init__(self):
+        self.sg = DirectSumN(2)
+
+    def shape(self, p, q):
+        return [(1, 1), (1, 1)]
+
+    def _tensor_blocks(self, xs, p, q, r):
+        return list(xs) if sum(r.data) % 2 == 0 else list(xs)[::-1]
+
+
+def well_aligned_by_arrows(backend, K, depth, seed=0):
+    """check_well_aligned by arrows, with no certificate: every sample draws a
+    and b with random_arrow and tests rtensor, compose and ideal_membership."""
+    sg = backend.sg
+    rng = np.random.default_rng(seed)
+    els = sg.elements(depth)
+    failures = []
+    checked = 0
+    for q, s in itertools.product(els, repeat=2):
+        r = sg.right_lcm(q, s)
+        if r is None:
+            continue
+        qr, sr = sg.left_divide(q, r), sg.left_divide(s, r)
+        pts = [(q, s)] + [(rng.choice(els), rng.choice(els)) for _ in range(WELL_ALIGNED_SAMPLES)]
+        for p, t in pts:
+            a = backend.random_arrow(p, q, rng, ideal=K)
+            b = backend.random_arrow(s, t, rng, ideal=K)
+            prod = a.rtensor(qr).compose(b.rtensor(sr))
+            checked += 1
+            if (prod.range, prod.source) != (p * qr, t * sr):
+                failures.append(((p, q, s, t), "aligned product has wrong objects"))
+            elif not ideal_membership(prod, K):
+                failures.append(((p, q, s, t), "aligned product escapes the ideal"))
+            checked += 1
+            rr = rng.choice(els)
+            if not ideal_membership(a.rtensor(rr), K):
+                failures.append(((p, q, rr), "K tensor 1 escapes the ideal"))
+    return StructureReport("well-aligned", not failures, checked, failures)
+
+
+def escapes_by_arrows(backend, K, failure, rng):
+    """Whether fresh arrows of K at a failure's tuple, as check_well_aligned
+    reports it, leave K along the arrow route."""
+    sg = backend.sg
+    key, text = failure
+    if text == "K tensor 1 escapes the ideal":
+        p, q, rr = key
+        return not ideal_membership(backend.random_arrow(p, q, rng, ideal=K).rtensor(rr), K)
+    p, q, s, t = key
+    r = sg.right_lcm(q, s)
+    a = backend.random_arrow(p, q, rng, ideal=K).rtensor(sg.left_divide(q, r))
+    b = backend.random_arrow(s, t, rng, ideal=K).rtensor(sg.left_divide(s, r))
+    return not ideal_membership(a.compose(b), K)
 
 
 def nt_monomial(backend, p, q, blocks, ideal=None) -> NTElement:

@@ -4,7 +4,6 @@ bundle, the bundle-law check with its fiber norm, and the star, convolution
 and norm of sections."""
 
 import itertools
-import random
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def fiber_norm(blocks) -> float:
 
 def check_bundle_laws(bundle: BundleFiberFamily, samples=4, seed=0, tol=1e-10):
     """Associativity, involution laws, and the C*-identity on B_e."""
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     G = bundle.elements
     e = bundle.group.identity()
     inv = bundle.group.inverse

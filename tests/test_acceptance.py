@@ -5,6 +5,7 @@ lines inline; they also appear in failure output)."""
 import itertools
 import random
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_criterion_04_wick_fock_homomorphism():
     ]
     pairs, worst = 0, 0.0
     for ps in backends:
-        rng = random.Random(ps.sg.tag)
+        rng = np.random.default_rng(zlib.crc32(ps.sg.tag.encode()))
         tr = Truncation(ps, 6)
         for _ in range(60):
             x = _random_element(ps, rng)
@@ -197,9 +198,9 @@ def test_criterion_05_norm_formula():
     ]
     count, worst = 0, 0.0
     for ps in backends:
-        rng = random.Random(f"norms-{ps.sg.tag}")
+        rng = np.random.default_rng(zlib.crc32(f"norms-{ps.sg.tag}".encode()))
         for _ in range(25):
-            x = _random_element(ps, rng, nterms=rng.randint(1, 3), diagonal=True)
+            x = _random_element(ps, rng, nterms=rng.integers(1, 4), diagonal=True)
             cn = core_norm(x)
             assert cn.exact
             fn = fock_norm(x, Truncation(ps, x.max_key_length() + 2))
@@ -276,7 +277,7 @@ def test_criterion_08_degenerate_example():
     csg = crep.backend.sg
     assert check_projection_equalities(cfam, csg.elements(3), tol=1e-9).ok
     assert check_projection_semilattice(cfam, depth=2, tol=1e-9).ok
-    rng = random.Random(8)
+    rng = np.random.default_rng(8)
     for p0, q, s in [("1", "1", "2"), ("2", "1", "1"), ("0", "1", "2"), ("1", "2", "1")]:
         arrow = crep.backend.random_arrow(csg.parse(p0), csg.parse(q), rng)
         for angled in (False, True):
@@ -328,7 +329,7 @@ def test_criterion_10_group_dictionary():
     ]
     for bundle in bundles:
         back = bundle_from_precategory(precategory_from_bundle(bundle))
-        rng = random.Random(10)
+        rng = np.random.default_rng(10)
         for g in bundle.elements:
             for h in bundle.elements:
                 a, b = bundle.random_fiber(g, rng), bundle.random_fiber(h, rng)
@@ -406,19 +407,19 @@ def test_criterion_12_source_restricted_norm():
 
     z3 = cyclic_group(3)
     gps = _scalar(z3, 0)
-    rng = random.Random(12)
+    rng = np.random.default_rng(12)
     tr = Truncation(gps, 1)
     for _ in range(10):
-        x = _random_element(gps, rng, nterms=rng.randint(1, 3), keylen=1)
+        x = _random_element(gps, rng, nterms=rng.integers(1, 4), keylen=1)
         full = fock_norm(x, tr)
         restricted = fock_source_restricted(x, z3.identity(), tr).norm()
         worst = max(worst, abs(full - restricted))
         count += 1
 
     nps = ColoredProductSystem(DirectSumN(1), [(2,)], check_depth=2)
-    rng = random.Random(13)
+    rng = np.random.default_rng(13)
     for _ in range(12):
-        x = _random_element(nps, rng, nterms=rng.randint(1, 3), diagonal=True)
+        x = _random_element(nps, rng, nterms=rng.integers(1, 4), diagonal=True)
         tr = Truncation(nps, x.max_key_length() + 2)
         full = fock_norm(x, tr)
         restricted = fock_source_restricted(x, nps.sg.identity(), tr).norm()

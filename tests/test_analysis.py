@@ -1,4 +1,3 @@
-import random
 import re
 
 import numpy as np
@@ -288,7 +287,7 @@ def test_condition_Cprime_index_set_route_matches_dense_route(case):
     for q in qs:
         with pytest.raises(ValueError, match="diagonal certificate"):
             ProjectionFamily(other, tr.S).Q_set(q)
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
     verdicts = []
     for key in (p, qs[0]):  # on qs[0] the corner annihilates the arrow
         a = backend.random_arrow(key, key, rng)
@@ -344,7 +343,7 @@ def test_fock_projections_read_unit_images_without_phi(monkeypatch, case):
     sg = backend.sg
     p, qs = sg.parse(p), [sg.parse(q) for q in qs]
     rep, tr = fock_rep(backend, fock_depth)
-    a = backend.random_arrow(p, p, random.Random(5))
+    a = backend.random_arrow(p, p, np.random.default_rng(5))
     phi = type(rep).phi
 
     def no_unit_phi(self, arrow):
@@ -413,7 +412,7 @@ def test_action_on_projections_fock(frep_FM):
     rep, tr = frep_FM
     sg = rep.backend.sg
     fam = ProjectionFamily(rep, tr.S)
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
     for p0, q, s in [
         ("a", "a", "ab"),
         ("b", "ab", "a"),
@@ -527,11 +526,10 @@ def test_extension_kernel_formula():
     K = ColorIdeal(frozenset({0}))
     rep, tr = fock_rep(ps, 3, ideal=K)
     sg = ps.sg
-    rnd = random.Random(11)
     rng = np.random.default_rng(11)
     arrows = []
     for p0, q in [("a", "e"), ("a", "b"), ("ab", "a"), ("e", "e")]:
-        arrows.append(ps.random_arrow(sg.parse(p0), sg.parse(q), rnd))
+        arrows.append(ps.random_arrow(sg.parse(p0), sg.parse(q), rng))
         only1 = [np.zeros((1, 1)), rng.normal(size=(1, 1))]
         arrows.append(ps.arrow(sg.parse(p0), sg.parse(q), only1))
     report = check_extension_kernel(rep, K, arrows)
@@ -542,7 +540,7 @@ def test_extension_by_full_ideal_is_identity(frep_N):
     rep, tr = frep_N
     sg = rep.backend.sg
     ext = extend_representation(rep, rep.ideal)
-    rng = random.Random(3)
+    rng = np.random.default_rng(3)
     a = rep.backend.random_arrow(sg.el((2,)), sg.el((1,)), rng)
     assert spectral_norm(ext.phi(a) - rep.phi(a)) <= 1e-12
 
@@ -763,7 +761,7 @@ def _reference_objective(backend, p, x, b, h=None, twist=None):
 def _objective_cases():
     ps, p, x, px = aperiodicity_setup()
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
     b = ps.random_arrow(px, p, rng)
     h = ps.arrow(p, p, [np.array([[1.0, 0.3], [0.3, 0.2]], dtype=complex)])
     z2 = cyclic_group(2)

@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -22,6 +20,7 @@ from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColorIdeal, ColoredProductSystem, check_well_aligned
 from ntforge.semigroups import cyclic_group, symmetric_group_3
 from ntforge.wick import NTElement
+from algebra_oracles import well_aligned_by_arrows
 from bundle_oracles import check_bundle_laws, conjugation_action, group_algebra_bundle, section_conv, section_norm, section_star, swap_action
 
 
@@ -51,7 +50,7 @@ def test_action_validation():
 def test_crossed_backend_tensor_chain():
     ps = CrossedProductBackend(swap_action(Z2, dim=1))
     e, u = z2_pair()
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     a = ps.random_arrow(e, u, rng)
     chained = a.rtensor(u).rtensor(u)
     direct = a.rtensor(u * u)
@@ -100,7 +99,7 @@ def test_bundle_laws(bundle):
 def test_roundtrip_is_bitwise_identity():
     B = semidirect_bundle(swap_action(Z2, dim=2))
     B2 = bundle_from_precategory(precategory_from_bundle(B))
-    rng = random.Random(7)
+    rng = np.random.default_rng(7)
     for g in B.elements:
         for h in B.elements:
             a = B.random_fiber(g, rng)
@@ -117,7 +116,7 @@ def test_tensoring_implements_isomorphism_with_original():
     B = bundle_from_precategory(L)
     LB = precategory_from_bundle(B)
     e = Z2.identity()
-    rng = random.Random(9)
+    rng = np.random.default_rng(9)
 
     def iso(arrow):
         g, h = arrow.range, arrow.source
@@ -184,7 +183,7 @@ def test_regular_representation_matches_per_basis_reference(bundle):
     rep = regular_representation(bundle)
     ref = _reference_regular_phi(bundle)
     e = bundle.group.identity()
-    rng = random.Random(11)
+    rng = np.random.default_rng(11)
     arrows = [rep.backend.arrow(g, e, blocks) for g in bundle.elements for blocks in bundle.basis(g)]
     arrows += [rep.backend.arrow(g, e, bundle.random_fiber(g, rng)) for g in bundle.elements]
     for a in arrows:
@@ -194,7 +193,7 @@ def test_regular_representation_matches_per_basis_reference(bundle):
 def test_sections_satisfy_cstar_identity():
     B = group_algebra_bundle(Z3)
     rep = regular_representation(B)
-    rng = random.Random(23)
+    rng = np.random.default_rng(23)
     for _ in range(6):
         fam = {g: B.random_fiber(g, rng) for g in B.elements}
         xx = section_conv(B, section_star(B, fam), fam)
@@ -208,7 +207,7 @@ def test_regular_representation_is_topologically_graded():
     rep = regular_representation(B)
     backend = rep.backend
     e = Z2.identity()
-    rng = random.Random(31)
+    rng = np.random.default_rng(31)
     samples = []
     for _ in range(10):
         samples.append(
@@ -242,7 +241,7 @@ def test_e_fiber_compression_is_the_expectation():
     rep = regular_representation(B)
     backend = rep.backend
     e, u = z2_pair()
-    rng = random.Random(13)
+    rng = np.random.default_rng(13)
     fam = {g: B.random_fiber(g, rng) for g in B.elements}
     m = np.zeros((rep.dim, rep.dim), dtype=complex)
     for g, blocks in fam.items():
@@ -257,7 +256,7 @@ def test_e_fiber_compression_is_the_expectation():
 
 
 def _random_section(bundle, seed):
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     return {g: bundle.random_fiber(g, rng) for g in bundle.elements}
 
 
@@ -399,8 +398,11 @@ def test_ideal_correspondence_well_aligned():
     B = semidirect_bundle(trivial_action(Z2, [1, 1]))
     backend = precategory_from_bundle(B)
     for colors in [{0}, {1}, {0, 1}]:
-        report = check_well_aligned(backend, ColorIdeal(frozenset(colors)), depth=1)
+        K = ColorIdeal(frozenset(colors))
+        report = check_well_aligned(backend, K, depth=1)
         assert report.ok, (colors, report.failures)
+        oracle = well_aligned_by_arrows(backend, K, depth=1)
+        assert (report.ok, report.checked) == (oracle.ok, oracle.checked)
 
 
 def test_regular_norm_matches_fock_at_identity():
@@ -409,7 +411,7 @@ def test_regular_norm_matches_fock_at_identity():
     tr = Truncation(backend, 1)
     rep = regular_representation(B)
     e, u = z2_pair()
-    rng = random.Random(41)
+    rng = np.random.default_rng(41)
     for g in (e, u):
         x = NTElement(backend)
         blocks = B.random_fiber(g, rng)

@@ -173,13 +173,20 @@ def _with_term_field(field, value):
         (["run", _with_term_field("source", 0)], "source"),
         (["run", _with_checks({"name": ["segments"]})], "name"),
         (["run", {"semigroup": {"kind": "direct_sum", "rank": 1}, "checks": [{"depth": 2}]}], "name"),
+        (["run", {"semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum"}, "units": []}}],
+         "units"),
+        (["run", {"semigroup": {"kind": "free_product", "factors": "x"}}], "factors"),
+        (["run", {"bundle": {"group": "Z2", "action": []}}], "action"),
+        (["run", {"bundle": {"group": "Z2", "action": {"perms": []}}}], "perms"),
+        (["run", {"bundle": {"group": {"elements": ["e"]}}}], "table"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
          "repeated-letters", "missing-name", "negative-depth", "non-associative-table",
          "numeric-group-elements", "repeated-unit-elements", "string-semigroup", "list-kind",
          "list-elements", "bundle-without-group", "list-range", "numeric-source", "list-name",
-         "check-without-name"],
+         "check-without-name", "list-units", "string-factors", "list-action", "list-perms",
+         "group-without-table"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"
@@ -287,8 +294,10 @@ def test_structure_checks_report_certified_pairs(tmp_path, capsys):
     assert [i["status"] for i in items] == ["pass"] * 3
     # 5 non-units times 6 elements of N^2 at the default depth 2
     assert items[1]["data"] == {"checked": 30, "certified": 30, "failures": []}
-    # only nondegenerate has a unit certificate
-    assert "certified" not in items[0]["data"] and "certified" not in items[2]["data"]
+    # the full ideal covers every colour: each of the 3 samples times 2 checks
+    # per LCM pair of the 9 at depth 1 is certified without a draw
+    assert items[0]["data"] == {"checked": 54, "certified": 54, "failures": []}
+    assert "certified" not in items[2]["data"]
 
 
 def test_scenario_run_builds_one_truncation_per_depth(monkeypatch):
@@ -744,6 +753,7 @@ def test_console_script_end_to_end():
         [sys.executable, "-m", "ntforge.cli", "explain", "fock-norm"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0
     assert "Operator norm" in proc.stdout

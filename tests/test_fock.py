@@ -1,5 +1,4 @@
 import math
-import random
 import tracemalloc
 import zlib
 
@@ -100,7 +99,7 @@ def test_shift_matrix_over_N():
 
 
 def test_lift_adjoint_commutes():
-    rng = random.Random(21)
+    rng = np.random.default_rng(21)
     tr = Truncation(ps_FM, 3)
     x = random_element(ps_FM, rng)
     a, b = lift(nt_adjoint(x), tr), lift(x, tr).adjoint()
@@ -110,7 +109,7 @@ def test_lift_adjoint_commutes():
 
 @pytest.mark.parametrize("ps,depth", [(ps_N, 6), (ps_FM, 5), (ps_N2, 4)])
 def test_lift_is_multiplicative_on_interior(ps, depth):
-    rng = random.Random(zlib.crc32(f"{ps.sg.tag}-homo".encode()))
+    rng = np.random.default_rng(zlib.crc32(f"{ps.sg.tag}-homo".encode()))
     tr = Truncation(ps, depth)
     for _ in range(12):
         x = random_element(ps, rng)
@@ -124,7 +123,7 @@ def test_lift_is_multiplicative_on_interior(ps, depth):
 
 def test_right_tensor_representation_law():
     # single keys with nested sources: lift(a)lift(b) = lift((a x 1)(b))
-    rng = random.Random(8)
+    rng = np.random.default_rng(8)
     tr = Truncation(ps_FM, 5)
     q, s = FM.parse("a"), FM.parse("ab")  # s in qP
     for _ in range(5):
@@ -167,11 +166,11 @@ def test_truncated_toeplitz_norm_vs_closed_form():
 
 
 def test_diagonal_core_norm_matches_fock():
-    rng = random.Random(31)
+    rng = np.random.default_rng(31)
     for ps, parse in [(ps_N, N.parse), (ps_N2, N2.parse), (ps_FM, FM.parse)]:
         for _ in range(8):
             x = NTElement(ps)
-            for p in rng.sample(ps.sg.elements(2), k=2):
+            for p in rng.choice(ps.sg.elements(2), size=2, replace=False):
                 x.add_term(p, p, ps.random_arrow(p, p, rng))
             if x.is_zero():
                 continue
@@ -182,7 +181,7 @@ def test_diagonal_core_norm_matches_fock():
 
 
 def test_factored_norm_matches_fiberwise_assembly():
-    rng = random.Random(41)
+    rng = np.random.default_rng(41)
     tr = Truncation(ps_FM, 3)
     for _ in range(6):
         op = lift(random_element(ps_FM, rng, pool=FM.elements(2)), tr)
@@ -194,7 +193,7 @@ def test_factored_norm_matches_fiberwise_assembly():
     for _ in range(4):
         x = NTElement(ps_FM)
         for _ in range(2):
-            p, q = rng.sample(FM.elements(2), 2)
+            p, q = rng.choice(FM.elements(2), size=2, replace=False)
             x.add_term(p, q, ps_FM.random_arrow(p, q, rng))
         op = lift(x, tr)
         assert abs(op.norm() - norm_by_fibers(op, ts=[FM.identity()])) <= 1e-10
@@ -296,7 +295,7 @@ BACKEND_IDS = ["N", "N2-dims21", "FM-two-colors", "absorb", "absorb-dims21", "ze
 
 @pytest.mark.parametrize("ps,depth", BACKENDS, ids=BACKEND_IDS)
 def test_sparse_slots_equal_dense_block_reference(ps, depth):
-    rng = random.Random(f"{ps.sg.tag}-{ps.kind}-{depth}")
+    rng = np.random.default_rng(zlib.crc32(f"{ps.sg.tag}-{ps.kind}-{depth}".encode()))
     tr = Truncation(ps, depth)
     pool = ps.sg.elements(2)
     for _ in range(4):
@@ -377,7 +376,7 @@ def test_lift_amplifies_once_per_key_and_dim_class(monkeypatch):
     # ampliation per (key, dim class), not one per placement
     ps = ColoredProductSystem(FM, gen_dims=[(2, 1), (1, 2)])
     tr = Truncation(ps, 8)
-    rng = random.Random(7)
+    rng = np.random.default_rng(7)
     x = NTElement(ps)
     for p, q in [("a", "e"), ("e", "b"), ("ab", "ab")]:
         p, q = FM.parse(p), FM.parse(q)
@@ -479,7 +478,7 @@ LANCZOS_BACKENDS = [(ps_N, 66), (ps_N2_21, 5), (ps_FM, 4), (ps_AB, 10), (ps_AB_2
 
 @pytest.mark.parametrize("ps,depth", LANCZOS_BACKENDS, ids=BACKEND_IDS)
 def test_lanczos_norm_matches_dense_svd_on_every_backend(ps, depth):
-    rng = random.Random(f"lanczos-{ps.sg.tag}-{ps.kind}")
+    rng = np.random.default_rng(zlib.crc32(f"lanczos-{ps.sg.tag}-{ps.kind}".encode()))
     tr = Truncation(ps, depth)
     assert max(tr.col_total(c) for c in range(ps.slot_count)) in range(SMALL_SLOT + 1, 2 * SMALL_SLOT)
     pool = ps.sg.elements(1)
@@ -571,7 +570,7 @@ def test_lift_stores_no_dense_kron_blocks():
 
 def test_expectation_kills_offdiagonal_cancellative():
     tr = Truncation(ps_FM, 4)
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     p, q = FM.parse("ab"), FM.parse("a")
     x = NTElement(ps_FM).add_term(p, q, ps_FM.random_arrow(p, q, rng))
     assert transcendental_expectation(x, tr).is_zero()
@@ -581,7 +580,7 @@ def test_expectation_kills_offdiagonal_cancellative():
 
 
 def test_expectation_fixes_diagonal_keys():
-    rng = random.Random(51)
+    rng = np.random.default_rng(51)
     tr = Truncation(ps_FM, 3)
     p = FM.parse("ab")
     a = ps_FM.random_arrow(p, p, rng)
@@ -593,7 +592,7 @@ def test_expectation_fixes_diagonal_keys():
 
 
 def test_expectation_is_diagonal_compression_of_lift():
-    rng = random.Random(61)
+    rng = np.random.default_rng(61)
     for ps in (ps_FM, ps_AB):
         tr = Truncation(ps, 3)
         x = random_element(ps, rng)
@@ -629,7 +628,7 @@ def test_transcendental_phenomenon_on_absorption():
 
 
 def test_expectation_faithful_on_samples():
-    rng = random.Random(71)
+    rng = np.random.default_rng(71)
     tr = Truncation(ps_FM, 4)
     for _ in range(6):
         x = random_element(ps_FM, rng, pool=FM.elements(1))
@@ -652,7 +651,7 @@ def test_projection_semilattice():
 
 
 def test_projection_relation_with_lift():
-    rng = random.Random(81)
+    rng = np.random.default_rng(81)
     tr = Truncation(ps_FM, 4)
     for p_str, q_str in [("a", "a"), ("a", "ab"), ("b", "a"), ("e", "ab")]:
         p, q = FM.parse(p_str), FM.parse(q_str)
@@ -670,7 +669,7 @@ def test_projection_relation_with_lift():
 
 
 def test_source_restriction_at_identity():
-    rng = random.Random(91)
+    rng = np.random.default_rng(91)
     tr = Truncation(ps_N, 5)
     x = scalar(ps_N, "1", "1", 2.0) + scalar(ps_N, "2", "2", -1.0)
     fib = fock_source_restricted(x, N.parse("0"), tr)
@@ -706,7 +705,7 @@ def test_unit_shifted_keys_lift_identically():
     ext = UnitExtension(DirectSumN(1), cyclic_group(2))
     ps = ColoredProductSystem(ext, gen_dims=[(2,)])
     tr = Truncation(ps, 3)
-    rng = random.Random(101)
+    rng = np.random.default_rng(101)
     p, q, x = ext.parse("(2,0)"), ext.parse("(1,1)"), ext.parse("(0,1)")
     a = ps.random_arrow(p, q, rng)
     one = NTElement(ps).add_term(p, q, a)

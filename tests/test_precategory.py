@@ -1,5 +1,5 @@
 import itertools
-import random
+import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from ntforge.semigroups import (
     free_monoid,
     symmetric_group_3,
 )
-from algebra_oracles import adjoint, compose, rtensor
+from algebra_oracles import _SwapN2, adjoint, compose, escapes_by_arrows, rtensor, well_aligned_by_arrows
 from bundle_oracles import conjugation_action, swap_action
 
 N = DirectSumN(1)
@@ -75,7 +75,7 @@ def test_compose_scalar_example():
 
 def test_adjoint_involution_and_positivity():
     ps = colored_FM()
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     a = ps.random_arrow(FM.parse("ab"), FM.parse("a"), rng)
     assert all(
         np.array_equal(x, y)
@@ -89,7 +89,7 @@ def test_adjoint_involution_and_positivity():
 
 def test_cstar_identity():
     ps = colored_FM()
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
     for _ in range(10):
         a = ps.random_arrow(FM.parse("a^2"), FM.parse("b"), rng)
         assert abs(compose(adjoint(a), a).norm() - a.norm() ** 2) <= 1e-10 * max(
@@ -100,7 +100,7 @@ def test_cstar_identity():
 def test_rtensor_kron_shape_and_laws():
     ps = colored_N(dims=(2,))
     one, two, three = N.parse("1"), N.parse("2"), N.parse("3")
-    rng = random.Random(3)
+    rng = np.random.default_rng(3)
     a = ps.random_arrow(one, two, rng)  # 2x4 block
     t = rtensor(a, one)
     assert t.blocks[0].shape == (4, 8)
@@ -126,7 +126,7 @@ def test_unit_tensoring_is_reversible():
     ext = UnitExtension(DirectSumN(1), cyclic_group(2))
     ps = ColoredProductSystem(ext, gen_dims=[(2,)])
     x = ext.parse("(0,1)")
-    rng = random.Random(4)
+    rng = np.random.default_rng(4)
     a = ps.random_arrow(ext.parse("(2,0)"), ext.parse("(1,1)"), rng)
     back = rtensor(rtensor(a, x), x)  # x has order 2
     assert back.range == a.range and back.source == a.source
@@ -136,7 +136,7 @@ def test_unit_tensoring_is_reversible():
 def test_ideal_membership_and_diagonal_characterization():
     ps = colored_FM()
     K = ColorIdeal({0})
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
     p, q = FM.parse("a"), FM.parse("ab")
     a = ps.random_arrow(p, q, rng, ideal=K)
     assert ideal_membership(a, K)
@@ -147,17 +147,60 @@ def test_ideal_membership_and_diagonal_characterization():
     assert not ideal_membership(only_second, K)
 
 
+def _with_arrow_route(backend, K, depth):
+    """check_well_aligned and the arrow route, which must agree on the
+    verdict and the count."""
+    report = check_well_aligned(backend, K, depth, seed=0)
+    oracle = well_aligned_by_arrows(backend, K, depth, seed=0)
+    assert (report.ok, report.checked) == (oracle.ok, oracle.checked)
+    return report, oracle
+
+
 @pytest.mark.parametrize("colors", [{0}, {1}, {0, 1}])
 def test_well_aligned_colored(colors):
     ps = colored_FM(d_a=(2, 1), d_b=(1, 2))
-    report = check_well_aligned(ps, ColorIdeal(colors), depth=2, seed=0)
+    report, _ = _with_arrow_route(ps, ColorIdeal(colors), depth=2)
     assert report.ok, report.failures[:3]
+    # only the ideal of every colour is certified without a draw
+    assert report.certified == (report.checked if colors == {0, 1} else 0)
 
 
 def test_well_aligned_zero_backend():
     zb = ZeroTensorBackend([1, 2, 2, 3])
-    report = check_well_aligned(zb, full_ideal(zb), depth=3, seed=0)
+    report, _ = _with_arrow_route(zb, full_ideal(zb), depth=3)
     assert report.ok, report.failures[:3]
+    assert report.certified == report.checked > 0
+
+
+ALIGNED_ESCAPES = "aligned product escapes the ideal"
+TENSOR_ESCAPES = "K tensor 1 escapes the ideal"
+
+
+@pytest.mark.parametrize(
+    "make, colors, depth, texts",
+    [(_SwapN2, {0}, 2, {ALIGNED_ESCAPES, TENSOR_ESCAPES}),
+     (_SwapN2, {1}, 2, {ALIGNED_ESCAPES, TENSOR_ESCAPES}),
+     (lambda: CrossedProductBackend(swap_action(cyclic_group(2), dim=2)), {0}, 1,
+      {ALIGNED_ESCAPES, TENSOR_ESCAPES}),
+     # on N one of q^-1 r, s^-1 r is e, so the blockwise product of a swapped
+     # and an unswapped arrow of K is 0 and only K tensor 1 escapes; the
+     # backend defines _rtensor alone, so the check must take the arrow route
+     (lambda: TwistedN(_swap_colors), {0}, 2, {TENSOR_ESCAPES})],
+    ids=["swap-n2-0", "swap-n2-1", "crossed-swap-0", "twisted-swap-0"],
+)
+def test_well_aligned_fails_where_tensoring_moves_the_colours(make, colors, depth, texts):
+    backend, K = make(), ColorIdeal(colors)
+    report, oracle = _with_arrow_route(backend, K, depth)
+    assert not report.ok and report.certified == 0
+    assert {text for _, text in report.failures} == texts
+    rng = np.random.default_rng(1)
+    assert all(escapes_by_arrows(backend, K, f, rng) for f in report.failures)
+    # whether (q, s)'s aligned product escapes does not depend on the draws
+    pairs = [{key[1:3] for key, text in rep.failures if text == ALIGNED_ESCAPES}
+             for rep in (report, oracle)]
+    assert pairs[0] == pairs[1]
+    full = check_well_aligned(backend, full_ideal(backend), depth)
+    assert full.ok and full.certified == full.checked > 0
 
 
 def test_nondegenerate_colored_passes():
@@ -209,7 +252,7 @@ def test_group_backend_has_scalar_fibers():
 
 def test_rtensor_shares_dim_one_blocks_and_krons_the_rest():
     ps = colored_FM(d_a=(2, 1), d_b=(1, 3))
-    rng = random.Random(17)
+    rng = np.random.default_rng(17)
     p, q, r = FM.parse("ab"), FM.parse("b"), FM.parse("a")  # dim(a) = (2, 1)
     a = ps.random_arrow(p, q, rng)
     t = a.rtensor(r)
@@ -243,7 +286,7 @@ def test_derived_arrows_keep_the_block_contract(ps):
     # +, compose and rtensor build their arrows without the public copy;
     # every block must still have the backend's shape and be a read-only,
     # complex, C-contiguous array
-    rng = random.Random(f"contract-{ps.kind}")
+    rng = np.random.default_rng(zlib.crc32(f"contract-{ps.kind}".encode()))
     pool = ps.sg.elements(2)
     for _ in range(12):
         p, q, t, r = (rng.choice(pool) for _ in range(4))

@@ -217,6 +217,14 @@ def test_finite_group_names_its_elements_by_distinct_strings(names):
         semigroups.make_group({"elements": names, "table": [names, names]})
 
 
+def test_group_spec_without_a_table_is_named_a_group_spec():
+    # a bundle's group object has no 'kind'; the message must not call it a semigroup spec
+    with pytest.raises(ValueError, match="^group spec needs a 'table'$"):
+        semigroups.make_group({"elements": ["e"]})
+    with pytest.raises(ValueError, match="^finite_group spec needs a 'table'$"):
+        semigroups.make_semigroup({"kind": "finite_group", "elements": ["e"]})
+
+
 def test_group_lcm_is_identity():
     g = symmetric_group_3()
     for p, q in itertools.product(g.units(), repeat=2):
