@@ -19,8 +19,6 @@ from .semigroups import (
     cyclic_group,
     free_monoid,
     klein_group,
-    make_group,
-    make_semigroup,
     symmetric_group_3,
 )
 from .segments import (
@@ -81,7 +79,7 @@ from .bundles import (
     semidirect_bundle,
     trivial_action,
 )
-from .scenario import Scenario, run_scenario
+from .scenario import Scenario, make_group, make_semigroup, run_scenario
 
 # every public name imported above; the submodules these imports bind are left out
 __all__ = sorted(name for name, value in globals().items()

@@ -12,7 +12,8 @@
 
 Everything reads element/section names from the scenario file; results are JSON
 on stdout.  Exit code 0 when all checks pass or are informational, 1 on a
-failed check, 2 on bad input.
+failed check or an error inside one, 2 on bad input (the message names its
+JSON path).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import sys
 from .fock import Truncation, lift, projection_Qw, projection_QT
 from .scenario import (
     CHECKS,
+    ELEMENT,
+    INSTANCE_KINDS,
     Scenario,
     ScenarioError,
     element_to_json,
@@ -34,7 +37,6 @@ from .scenario import (
     run_check,
     run_scenario,
 )
-from .semigroups import INSTANCE_KINDS
 from .wick import diagonal_expectation, nt_adjoint, nt_mul
 
 
@@ -50,10 +52,7 @@ def _finish(status, data):
 
 def _scenario(args) -> Scenario:
     sc = Scenario.from_path(args.scenario)
-    for key in ("depth", "tol", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            sc.settings[key] = v
+    sc.settings.update(_given({key: getattr(args, key, None) for key in ("depth", "tol", "seed")}))
     return sc
 
 
@@ -91,7 +90,7 @@ def cmd_explain(args):
 
 
 def cmd_list_instances(args):
-    _print({kind: about for kind, (_, about) in INSTANCE_KINDS.items()})
+    _print({name: kind.what for name, kind in INSTANCE_KINDS.items()})
     return 0
 
 
@@ -104,9 +103,9 @@ def cmd_segments(args):
 
 def cmd_nt(args):
     sc = _scenario(args)
-    x = sc.element(args.x)
+    x = ELEMENT.read(args.x, sc)
     if args.op == "mul":
-        z = nt_mul(x, sc.element(args.y))
+        z = nt_mul(x, ELEMENT.read(args.y, sc))
         return _finish("info", {"terms": element_to_json(z)})
     if args.op == "adjoint":
         return _finish("info", {"terms": element_to_json(nt_adjoint(x))})
@@ -118,19 +117,20 @@ def cmd_nt(args):
 
 def cmd_fock(args):
     sc = _scenario(args)
+    sc.need("sg")
     depth = sc.settings["depth"]
     tr = Truncation(sc.backend, depth)
     if args.op == "project":
         if (args.word is None) == (args.above is None):
             raise ScenarioError("fock project needs exactly one of --word/--above")
         if args.word is not None:
-            op = projection_Qw(sc.parse_el(args.word), tr)
+            op = projection_Qw(sc.sg.parse(args.word), tr)
         else:
-            op = projection_QT(sc.parse_el(args.above), tr)
+            op = projection_QT(sc.sg.parse(args.above), tr)
         rank = sum(int(round(m.diagonal().sum().real)) for m in op.slots)
         norm = op.norm(tol=sc.settings["tol"])
         return _finish("info", {"norm": norm, "exact": True, "depth": depth, "rank": rank})
-    x = sc.element(args.x)
+    x = ELEMENT.read(args.x, sc)
     exact = bool(x.is_diagonal() and x.max_key_length() + 2 <= depth)
     if args.op == "build":
         op = lift(x, tr)
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

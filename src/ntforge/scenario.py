@@ -1,14 +1,20 @@
 """Scenario files: declarative JSON descriptions of a semigroup, a backend,
-named elements, and a list of checks to run.
+named elements, a bundle with named sections, settings, and checks to run.
 
-Complex scalars are encoded as [re, im] pairs (bare numbers are accepted as
-reals).  A block family is a list with one matrix per color.  Reports carry
-the settings they were produced with so a run can be reproduced exactly; the
-only non-deterministic field is "generated_at".
+`Scenario(data)` reads one in a pass, each value by a `Kind` of the tables
+below: INSTANCE_KINDS beside the semigroup builders, BACKEND_KINDS, TERM,
+BUNDLE, SECTIONS, SETTINGS, and PARAMS, one kind per check parameter name.  A
+bad value is a ScenarioError naming its JSON path, e.g.
+scenario['elements']['x'][0]['range'], which the error collects on its way
+out of the readers.  A good value is resolved (words parsed, blocks shaped
+into arrows, names looked up), so runners read values only; a report's params
+stay as written.  Scalars are numbers or [re, im] pairs; a block family has
+one matrix per colour; only "generated_at" varies by run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import namedtuple
 
@@ -34,107 +40,47 @@ from .bundles import (
     regular_spectrum,
     semidirect_bundle,
     image_algebra_rank,
+    trivial_action,
 )
 from .fock import SMALL_SLOT, Truncation, fock_norm, transcendental_expectation
 from .precategory import (
     ColorIdeal,
     ColoredProductSystem,
     ZeroTensorBackend,
+    full_ideal,
     check_essential,
     check_nondegenerate,
     check_well_aligned,
-    full_ideal,
 )
 from .segments import check_partition
-from .semigroups import _cast, make_group, make_semigroup
+from .semigroups import (AbsorptionMonoid, DirectSumN, FiniteGroup, FreeProduct, RightLcmSemigroup,
+                         UnitExtension, cyclic_group, free_monoid, klein_group, symmetric_group_3)
 from .wick import NTElement, abelianization_grading, core_norm
 
 
 class ScenarioError(ValueError):
-    pass
+    """Bad input at the JSON path root[key]...: each container that read the
+    value adds its key on the way out (_under), the entry point the root (_at)."""
+    root = ""
+
+    def __init__(self, problem, keys=()):
+        super().__init__(problem)
+        self.keys = keys
+
+    def __str__(self):
+        where = self.root + "".join(f"[{k!r}]" for k in self.keys)
+        return f"{where}: {self.args[0]}" if where else str(self.args[0])
 
 
-# -- JSON codecs ----------------------------------------------------------------
-
-
-def to_complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ScenarioError(f"expected number or [re, im] pair, got {v!r}")
+# -- JSON output ----------------------------------------------------------------
 
 
 def from_complex(z: complex):
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def to_matrix(rows):
-    return np.array([[to_complex(v) for v in row] for row in rows], dtype=complex)
-
-
-def from_matrix(m):
-    return [[from_complex(z) for z in row] for row in np.atleast_2d(m)]
-
-
-def to_blocks(data):
-    return [to_matrix(rows) for rows in data]
-
-
 def from_blocks(blocks):
-    return [from_matrix(b) for b in blocks]
-
-
-# -- builders ---------------------------------------------------------------------
-
-
-def _typed(spec, field, kind, what, default=None):
-    """spec[field], or default; a ScenarioError naming it unless a kind."""
-    value = spec.get(field, default)
-    if not isinstance(value, kind):
-        raise ScenarioError(f"{field!r} must be {what}, got {value!r}")
-    return value
-
-
-def _ints(field, values):
-    """[int(v) for v in values]; a ValueError naming the field otherwise."""
-    return _cast(field, lambda vs: [int(v) for v in vs], values)
-
-
-def build_backend(sg, spec: dict):
-    spec = dict(spec or {})
-    kind = spec.get("kind", "colored")
-    if kind == "colored":
-        gen_dims = spec.get("gen_dims")
-        if gen_dims is None:
-            gen_dims = [[1]] * len(sg.generators())
-        gen_dims = _cast("gen_dims", lambda rows: [[int(d) for d in row] for row in rows], gen_dims)
-        check_depth = _cast("check_depth", int, spec.get("check_depth", 3))
-        backend = ColoredProductSystem(sg, gen_dims, colors=spec.get("colors"), check_depth=check_depth)
-    elif kind == "zero":
-        backend = ZeroTensorBackend(_ints("dims", spec["dims"]), sg=sg)
-    else:
-        raise ScenarioError(f"unknown backend kind {kind!r}")
-    ideal = spec.get("ideal")
-    ideal = full_ideal(backend) if ideal is None else ColorIdeal(frozenset(_ints("ideal", ideal)))
-    return backend, ideal
-
-
-def build_element(sg, backend, ideal, terms) -> NTElement:
-    x = NTElement(backend, ideal)
-    for i, term in enumerate(terms):
-        fields = ("range", "source", "blocks")
-        missing = [k for k in fields if not isinstance(term, dict) or k not in term]
-        if missing:
-            raise ScenarioError(f"term {i} needs a {missing[0]!r}")
-        for k in ("range", "source"):
-            if not isinstance(term[k], str):
-                raise ScenarioError(f"term {i} {k!r} must be a string")
-        p = sg.parse(term["range"])
-        q = sg.parse(term["source"])
-        blocks = to_blocks(term["blocks"])
-        x.add_term(p, q, backend.arrow(p, q, blocks))
-    return x
+    return [[[from_complex(z) for z in row] for row in np.atleast_2d(b)] for b in blocks]
 
 
 def element_to_json(x: NTElement):
@@ -147,100 +93,281 @@ def element_to_json(x: NTElement):
     ]
 
 
-def build_bundle(spec: dict):
-    group = make_group(_typed(spec, "group", (str, dict), "a group name or an object"))
-    dims = _ints("dims", spec.get("dims", [1]))
-    action_spec = spec.get("action")
-    if action_spec is None:
-        perms = {g: tuple(range(len(dims))) for g in group.elements(1)}
-        units = {g: [np.eye(d, dtype=complex) for d in dims] for g in group.elements(1)}
-    else:
-        action_spec = _typed(spec, "action", dict, "an object")
-        perms = {
-            group.parse(name): tuple(int(c) for c in perm)
-            for name, perm in _typed(action_spec, "perms", dict, "an object").items()
-        }
-        units = {
-            group.parse(name): [to_matrix(u) for u in us]
-            for name, us in _typed(action_spec, "unitaries", dict, "an object").items()
-        }
-    action = BlockAction(group, dims, perms, units)
-    return semidirect_bundle(action)
+# -- the schema -------------------------------------------------------------------
+
+#: what a value must be (for messages and `explain`), and read(value, sc)
+#: giving its resolved value, sc the Scenario as read so far
+Kind = namedtuple("Kind", "what read")
+
+
+def _under(key, read, *args):
+    """read(*args); a ScenarioError from it is placed under key."""
+    try:
+        return read(*args)
+    except ScenarioError as exc:
+        exc.keys = (key,) + exc.keys
+        raise
+
+
+def _at(root, read, *args):
+    """read(*args); a ScenarioError from it names its path from root."""
+    try:
+        return read(*args)
+    except ScenarioError as exc:
+        exc.root = root
+        raise
+
+
+def _then(kind, build):
+    """kind, then build(value, sc); a ValueError from build becomes a ScenarioError at the value."""
+    def read(v, sc):
+        value = kind.read(v, sc)
+        try:
+            return build(value, sc)
+        except ValueError as exc:
+            raise ScenarioError(exc) from None
+    return Kind(kind.what, read)
+
+
+def _plain(what, types, test=lambda v: True):
+    """A value of the given JSON types passing test, as written (a bool is never a number)."""
+    def read(v, sc):
+        if isinstance(v, bool) or not isinstance(v, types) or not test(v):
+            raise ScenarioError(f"expected {what}, got {v!r}")
+        return v
+    return Kind(what, read)
+
+
+def _each(kind, what, of=list, nonempty=False):
+    """A list (of=list) or an object of any keys (of=dict), each member read as kind."""
+    def read(v, sc):
+        if not isinstance(v, of) or (nonempty and not v):
+            raise ScenarioError(f"expected {what}, got {v!r}")
+        if of is list:
+            return [_under(k, kind.read, x, sc) for k, x in enumerate(v)]
+        return {k: _under(k, kind.read, x, sc) for k, x in v.items()}
+    return Kind(what, read)
+
+
+def _object(what, need=(), **fields):
+    """An object with keys among fields (key=kind), every key of need given,
+    read to {key: value} for the keys given."""
+    def read(v, sc):
+        if not isinstance(v, dict):
+            raise ScenarioError(f"expected {what}, got {v!r}")
+        out = {}
+        for key, x in v.items():
+            if key not in fields:
+                raise ScenarioError(f"unknown key of {what}; keys: {', '.join(fields) or 'none'}", (key,))
+            out[key] = _under(key, fields[key].read, x, sc)
+        for key in need:
+            if key not in v:
+                raise ScenarioError("missing", (key,))
+        return out
+    return Kind(what, read)
+
+
+def _by_kind(table, v, sc, default=None):
+    """v read by the entry of table that its 'kind' (default when absent) names."""
+    if not isinstance(v, dict):
+        raise ScenarioError(f"expected object with a 'kind', got {v!r}")
+    kind = v.get("kind", default)
+    if not isinstance(kind, str) or kind not in table:
+        problem = "missing" if kind is None else f"unknown kind {kind!r}"
+        raise ScenarioError(f"{problem}; kinds: {', '.join(table)}", ("kind",))
+    return table[kind].read({k: x for k, x in v.items() if k != "kind"}, sc)
+
+
+def _scalar(v, sc):
+    re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0)
+    return complex(_NUMBER.read(re, sc), _NUMBER.read(im, sc))
+
+
+_NUMBER = _plain("finite number or [re, im] pair", (int, float), lambda v: abs(v) <= 1e308)
+STRING = _plain("string", str)
+NATURAL = _plain("integer >= 0", int, lambda v: v >= 0)
+POSITIVE = _plain("integer >= 1", int, lambda v: v >= 1)
+TOL = _plain("number >= 0", (int, float), lambda v: v >= 0)
+MATRIX = _then(_each(_each(Kind("number", _scalar), "list of numbers"), "matrix (list of rows)"),
+               lambda rows, sc: np.array(rows, dtype=complex))
+BLOCKS = _each(MATRIX, "list of matrices, one per colour")
+WORD = _then(_plain("word", str), lambda text, sc: sc.sg.parse(text))
+DIMS = _each(POSITIVE, "non-empty list of integers >= 1", nonempty=True)
+
+
+def _table_group(f, sc):
+    names, rows = f["elements"], f["table"]
+    if len(rows) != len(names) or any(len(row) != len(names) for row in rows):
+        raise ValueError(f"group 'table' needs {len(names)} rows of {len(names)} entries")
+    table = {(a, b): rows[i][j] for i, a in enumerate(names) for j, b in enumerate(names)}
+    return FiniteGroup(f.get("name", "G"), names, table)
+
+
+#: the groups a scenario may name
+BUILTIN_GROUPS = {**{f"Z{n}": functools.partial(cyclic_group, n) for n in range(1, 7)},
+                  "Z2xZ2": klein_group, "S3": symmetric_group_3}
+_STRINGS = _each(STRING, "list of strings")
+_ROW = Kind("string or list of strings", lambda v, sc: v if isinstance(v, str) else _STRINGS.read(v, sc))
+TABLE_GROUP = _then(_object("group name or object", ("elements", "table"), name=STRING, elements=_STRINGS,
+                            table=_each(_ROW, "list of rows")), _table_group)
+
+
+def make_group(spec) -> FiniteGroup:
+    """A finite group from its spec: a builtin's name, an object holding only
+    that, or elements and a table; a ScenarioError names a bad path in it."""
+    if isinstance(spec, dict) and set(spec) == {"name"}:
+        spec = spec["name"]
+    if not isinstance(spec, str):
+        return TABLE_GROUP.read(spec, None)
+    if spec not in BUILTIN_GROUPS:
+        raise ScenarioError(f"unknown group {spec!r}; builtins: {', '.join(BUILTIN_GROUPS)}")
+    return BUILTIN_GROUPS[spec]()
+
+
+def make_semigroup(spec) -> RightLcmSemigroup:
+    """An instance from its spec, read by the entry of INSTANCE_KINDS its
+    'kind' names; a ScenarioError names a bad path in it."""
+    return _by_kind(INSTANCE_KINDS, spec, None)
+
+
+GROUP = Kind(TABLE_GROUP.what, lambda v, sc: make_group(v))
+SEMIGROUP = Kind("semigroup spec", lambda v, sc: make_semigroup(v))
+
+#: kind -> the schema of its spec, built into the instance; `what` is the
+#: description `ntforge list-instances` prints
+INSTANCE_KINDS = {
+    "direct_sum": _then(_object("N^k vectors under addition (rank parameter)", rank=POSITIVE),
+                        lambda f, sc: DirectSumN(f.get("rank", 1))),
+    "free_monoid": _then(_object("free monoid on letters (free product of copies of N)", ("letters",),
+                                 letters=_plain("string of letters", str, lambda v: v.isascii() and v.isalpha())),
+                         lambda f, sc: free_monoid(f["letters"])),
+    "free_product": _then(_object("free product of trivial-unit instances", ("factors",),
+                                  factors=_each(SEMIGROUP, "list of semigroup specs"), names=_STRINGS),
+                          lambda f, sc: FreeProduct(f["factors"], names=f.get("names"))),
+    "absorption": _then(_object("pairs (k,m), (k,m)(l,n)=(k+l,n) for l>0; not right cancellative"),
+                        lambda f, sc: AbsorptionMonoid()),
+    "unit_extension": _then(_object("base instance times a finite abelian unit group", ("base", "units"),
+                                    base=SEMIGROUP, units=GROUP),
+                            lambda f, sc: UnitExtension(f["base"], f["units"])),
+    "finite_group": GROUP._replace(what="multiplication-table group; builtins "
+                                   + ", ".join(sorted(BUILTIN_GROUPS))),
+}
+
+
+def _with_ideal(backend, f):
+    """(backend, the ideal of the colours f lists, or of all of them)."""
+    if any(c >= backend.slot_count for c in f.get("ideal", ())):
+        raise ValueError(f"'ideal' names a colour outside 0..{backend.slot_count - 1}")
+    return backend, ColorIdeal(f["ideal"]) if "ideal" in f else full_ideal(backend)
+
+
+_IDEAL = _each(NATURAL, "list of colours")
+BACKEND_KINDS = {
+    "colored": _then(_object("colored backend", gen_dims=_each(DIMS, "list of dims per generator"),
+                             colors=POSITIVE, check_depth=NATURAL, ideal=_IDEAL),
+                     lambda f, sc: _with_ideal(ColoredProductSystem(
+                         sc.sg, f.get("gen_dims", [[1]] * len(sc.sg.generators())),
+                         colors=f.get("colors"), check_depth=f.get("check_depth", 3)), f)),
+    "zero": _then(_object("zero backend", ("dims",), dims=DIMS, ideal=_IDEAL),
+                  lambda f, sc: _with_ideal(ZeroTensorBackend(f["dims"], sg=sc.sg), f)),
+}
+BACKEND = Kind("backend spec", lambda v, sc: _by_kind(BACKEND_KINDS, v, sc, "colored"))
+TERM = _then(_object("term object", ("range", "source", "blocks"), range=WORD, source=WORD, blocks=BLOCKS),
+             lambda t, sc: (t["range"], t["source"], sc.backend.arrow(t["range"], t["source"], t["blocks"])))
+
+
+def _element(terms, sc):
+    """The sum of the (range, source, arrow) terms, in the scenario's ideal."""
+    x = NTElement(sc.backend, sc.ideal)
+    for p, q, arrow in terms:
+        x.add_term(p, q, arrow)
+    return x
+
+
+def _bundle(f, sc):
+    group, dims = f["group"], f.get("dims", [1])
+    if "action" not in f:
+        return semidirect_bundle(trivial_action(group, dims))
+    perms = {group.parse(g): tuple(perm) for g, perm in f["action"]["perms"].items()}
+    units = {group.parse(g): us for g, us in f["action"]["unitaries"].items()}
+    n = len(dims)
+    if any(sorted(p) != list(range(n)) for p in perms.values()) or any(len(u) != n for u in units.values()):
+        raise ValueError(f"each action entry needs a permutation of the {n} slots and {n} unitaries")
+    return semidirect_bundle(BlockAction(group, dims, perms, units))
+
+
+def _section(fam, sc):
+    grades = {sc.bundle.group.parse(name): blocks for name, blocks in fam.items()}
+    if len(grades) < len(fam):
+        raise ValueError("two names of one group element")
+    return {g: sc.bundle.backend.arrow(g, sc.bundle.group.identity(), blocks) for g, blocks in grades.items()}
+
+
+ACTION = _object("action object", ("perms", "unitaries"),
+                 perms=_each(_each(NATURAL, "list of slots"), "object from group elements to slots", dict),
+                 unitaries=_each(BLOCKS, "object from group elements to unitaries", dict))
+BUNDLE = _then(_object("bundle object", ("group",), group=GROUP, dims=DIMS, action=ACTION), _bundle)
+ELEMENTS = _each(_then(_each(TERM, "list of terms"), _element), "object of named term lists", dict)
+SECTIONS = _each(_then(_each(BLOCKS, "object from group elements to blocks", dict), _section),
+                 "object of named sections", dict)
+SETTINGS = _object("settings object", depth=NATURAL, tol=TOL, seed=NATURAL)
+
+
+def _defined(table, what):
+    """A name of sc's table (elements or sections), resolved to what it names."""
+    def read(v, sc):
+        known = getattr(sc, table)
+        if not isinstance(v, str) or v not in known:
+            raise ScenarioError(f"unknown {what} {v!r}, not in scenario[{table!r}]: {sorted(known)}")
+        return known[v]
+    return Kind(f"{what} name", read)
+
+
+ELEMENT, SECTION = _defined("elements", "element"), _defined("sections", "section")
 
 
 class Scenario:
-    """A parsed scenario: instance + backend + named elements + checks."""
+    """A scenario read against the schema: instance, backend, elements, bundle,
+    sections, settings, and per check (name, params as written, resolved params)."""
+
+    #: every top-level key, with the key it needs beside it
+    NEEDS = {"settings": None, "semigroup": None, "backend": "semigroup", "elements": "semigroup",
+             "bundle": None, "sections": "bundle", "checks": None}
 
     def __init__(self, data: dict):
-        self.data = data
-        given = _typed(data, "settings", dict, "an object", {})
-        unknown = sorted(set(given) - {"depth", "tol", "seed"})
-        if unknown:
-            raise ScenarioError(f"unknown setting {unknown[0]!r}; settings are depth, tol, seed")
-        self.settings = {
-            "depth": _cast("depth", int, given.get("depth", 4)),
-            "tol": _cast("tol", float, given.get("tol", 1e-8)),
-            "seed": _cast("seed", int, given.get("seed", 0)),
-        }
-        self.sg = None
-        self.backend = None
-        self.ideal = None
-        self.elements = {}
         self._truncations, self._families = {}, {}  # by depth
-        if "semigroup" in data:
-            self.sg = make_semigroup(_typed(data, "semigroup", dict, "an object"))
-            self.backend, self.ideal = build_backend(self.sg, data.get("backend"))
-            for name, terms in _typed(data, "elements", dict, "an object of named terms", {}).items():
-                try:
-                    self.elements[name] = build_element(self.sg, self.backend, self.ideal, terms)
-                except ScenarioError as exc:
-                    raise ScenarioError(f"element {name!r}: {exc}") from None
-        self.bundle = build_bundle(_typed(data, "bundle", dict, "an object")) if "bundle" in data else None
-        self.sections = {}
-        if self.bundle is not None:
-            sections = _typed(data, "sections", dict, "an object of named sections", {})
-            for name in sections:
-                fam = _typed(sections, name, dict, "an object from group elements to blocks")
-                self.sections[name] = {self.bundle.group.parse(g): to_blocks(blocks) for g, blocks in fam.items()}
-        self.checks = data.get("checks", [])
-        for i, check in enumerate(self.checks):
-            if not isinstance(check, dict):
-                raise ScenarioError(
-                    f"'checks' entry {i} is {check!r}, not an object with a 'name'"
-                )
-            if not isinstance(check.get("name"), str):
-                raise ScenarioError(f"'checks' entry {i} 'name' must be a string, got {check.get('name')!r}")
-            if check["name"] in CHECKS:  # an unknown name is reported in place by run_scenario
-                check_params(check["name"], _params(check))
+        _at("scenario", self._read, data)
+
+    def _read(self, data):
+        _object("scenario object", **dict.fromkeys(self.NEEDS, Kind("value", lambda v, sc: v))).read(data, self)
+        for key, need in self.NEEDS.items():
+            if key in data and need is not None and need not in data:
+                raise ScenarioError(f"missing; scenario[{key!r}] needs it", (need,))
+
+        def read(kind, key, default):
+            return _under(key, kind.read, data.get(key, default), self)
+
+        self.settings = {"depth": 4, "tol": 1e-8, "seed": 0, **read(SETTINGS, "settings", {})}
+        self.sg = read(SEMIGROUP, "semigroup", None) if "semigroup" in data else None
+        self.backend, self.ideal = read(BACKEND, "backend", {}) if self.sg is not None else (None, None)
+        self.elements = read(ELEMENTS, "elements", {})
+        self.bundle = read(BUNDLE, "bundle", None) if "bundle" in data else None
+        self.sections = read(SECTIONS, "sections", {})
+        self.checks = read(CHECK_LIST, "checks", [])
 
     @classmethod
     def from_path(cls, path):
         with open(path) as fh:
             try:
-                data = json.load(fh)
+                return cls(json.load(fh))
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        return cls(data)
 
-    def element(self, name) -> NTElement:
-        if name not in self.elements:
-            raise ScenarioError(f"unknown element {name!r}; defined: {sorted(self.elements)}")
-        return self.elements[name]
-
-    def need_bundle(self):
-        """The bundle of the scenario; a ScenarioError when it has none."""
-        if self.bundle is None:
-            raise ScenarioError("scenario has no bundle section; this check needs one")
-        return self.bundle
-
-    def section(self, name):
-        self.need_bundle()
-        if name not in self.sections:
-            raise ScenarioError(f"unknown section {name!r}; defined: {sorted(self.sections)}")
-        return self.sections[name]
-
-    def parse_el(self, text):
-        return self.sg.parse(text)
+    def need(self, key):
+        """A ScenarioError unless the scenario has a semigroup (key "sg") or bundle."""
+        if getattr(self, key) is None:
+            what = "semigroup" if key == "sg" else "bundle section"
+            raise ScenarioError(f"scenario has no {what}; this check needs one")
 
     def truncation(self, depth=None) -> Truncation:
         """The Truncation at depth (default settings.depth), built once per depth."""
@@ -262,11 +389,10 @@ class Scenario:
 # -- check registry ----------------------------------------------------------------
 
 
-def run_segments(sc: Scenario, params):
-    F = [sc.parse_el(t) for t in params["F"]]
-    report = check_partition(sc.sg, F, depth=int(params.get("depth", sc.settings["depth"])))
+def run_segments(sc: Scenario, args):
+    report = check_partition(sc.sg, args["F"], depth=args.get("depth", sc.settings["depth"]))
     data = {
-        "F": [sc.sg.format(f) for f in F],
+        "F": [sc.sg.format(f) for f in args["F"]],
         "segments": [
             {"C": sorted(sc.sg.format(t) for t in seg.C), "sigma": sc.sg.format(seg.sig)}
             for seg in report.segments
@@ -276,23 +402,22 @@ def run_segments(sc: Scenario, params):
     return ("pass" if report.ok else "fail"), data
 
 
-def run_core_norm(sc: Scenario, params):
-    x = sc.element(params["element"])
-    value = core_norm(x, wdepth=int(params.get("wdepth", sc.settings["depth"])))
+def run_core_norm(sc: Scenario, args):
+    value = core_norm(args["element"], wdepth=args.get("wdepth", sc.settings["depth"]))
     return "info", {"value": value.value, "exact": value.exact}
 
 
-def run_fock_norm(sc: Scenario, params):
-    x = sc.element(params["element"])
-    depth = int(params.get("depth", sc.settings["depth"]))
+def run_fock_norm(sc: Scenario, args):
+    x = args["element"]
+    depth = args.get("depth", sc.settings["depth"])
     tr = sc.truncation(depth)
     value = fock_norm(x, tr, tol=sc.settings["tol"])
     exact = x.is_diagonal() and x.max_key_length() + 2 <= depth
     return "info", {"norm": value, "exact": bool(exact), "depth": depth}
 
 
-def run_norm_agreement(sc: Scenario, params):
-    x = sc.element(params["element"])
+def run_norm_agreement(sc: Scenario, args):
+    x = args["element"]
     depth = x.max_key_length() + 2
     cn = core_norm(x, wdepth=depth)
     tol = sc.settings["tol"]
@@ -301,17 +426,15 @@ def run_norm_agreement(sc: Scenario, params):
     return ("pass" if ok else "fail"), {"core": cn.value, "fock": fn, "depth": depth}
 
 
-def run_expect(sc: Scenario, params):
-    x = sc.element(params["element"])
-    tr = sc.truncation(int(params.get("depth", sc.settings["depth"])))
-    op = transcendental_expectation(x, tr)
+def run_expect(sc: Scenario, args):
+    tr = sc.truncation(args.get("depth"))
+    op = transcendental_expectation(args["element"], tr)
     return "info", {"norm": op.norm(tol=sc.settings["tol"]), "depth": tr.depth}
 
 
-def run_grade(sc: Scenario, params):
-    x = sc.element(params["element"])
+def run_grade(sc: Scenario, args):
     theta = abelianization_grading(sc.sg)
-    raw = {theta.grade_of_key(p, q) for p, q in x.keys()}
+    raw = {theta.grade_of_key(p, q) for p, q in args["element"].keys()}
     if theta.group is not None:
         grades = sorted(theta.group.format(g) for g in raw)
     else:
@@ -319,8 +442,8 @@ def run_grade(sc: Scenario, params):
     return "info", {"grades": grades}
 
 
-def run_structure(sc: Scenario, params, which):
-    depth = int(params.get("depth", min(2, sc.settings["depth"])))
+def run_structure(sc: Scenario, args, which):
+    depth = args.get("depth", min(2, sc.settings["depth"]))
     if which == "well-aligned":
         rep = check_well_aligned(sc.backend, sc.ideal, depth=depth, seed=sc.settings["seed"])
     elif which == "nondegenerate":
@@ -334,36 +457,30 @@ def run_structure(sc: Scenario, params, which):
     return ("pass" if rep.ok else "fail"), data
 
 
-def run_toeplitz(sc: Scenario, params):
-    rep, tr, fam = sc.fock_family(params.get("depth"))
-    p = sc.parse_el(params["p"])
-    qs = [sc.parse_el(q) for q in params["qs"]]
-    rp = check_toeplitz_covariance(rep, p, qs, tol=sc.settings["tol"])
+def run_toeplitz(sc: Scenario, args):
+    rep, tr, fam = sc.fock_family(args.get("depth"))
+    rp = check_toeplitz_covariance(rep, args["p"], args["qs"], tol=sc.settings["tol"])
     return ("pass" if rp.ok else "fail"), rp.details
 
 
-def run_condition_c(sc: Scenario, params):
-    rep, tr, fam = sc.fock_family(params.get("depth"))
-    p = sc.parse_el(params["p"])
-    qs = [sc.parse_el(q) for q in params["qs"]]
-    rp = check_condition_C(rep, fam, p, qs, tol=sc.settings["tol"])
+def run_condition_c(sc: Scenario, args):
+    rep, tr, fam = sc.fock_family(args.get("depth"))
+    rp = check_condition_C(rep, fam, args["p"], args["qs"], tol=sc.settings["tol"])
     return ("pass" if rp.ok else "fail"), rp.details
 
 
-def run_condition_cprime(sc: Scenario, params):
-    rep, tr, fam = sc.fock_family(params.get("depth"))
-    p = sc.parse_el(params["p"])
-    qs = [sc.parse_el(q) for q in params["qs"]]
-    _, arrow = _single_term(sc, "element", params["element"])
-    rp = check_condition_Cprime(rep, fam, p, qs, arrow, tol=float(params.get("tol", 1e-6)))
+def run_condition_cprime(sc: Scenario, args):
+    rep, tr, fam = sc.fock_family(args.get("depth"))
+    _, arrow = _single_term("element", args["element"])
+    rp = check_condition_Cprime(rep, fam, args["p"], args["qs"], arrow, tol=args.get("tol", 1e-6))
     return ("pass" if rp.ok else "fail"), rp.details
 
 
-def run_projections(sc: Scenario, params):
-    rep, tr, fam = sc.fock_family(params.get("fock_depth"))
-    depth = int(params.get("depth", 2))
-    semi = check_projection_semilattice(fam, depth=depth, tol=float(params.get("tol", 1e-9)))
-    eq = check_projection_equalities(fam, sc.sg.elements(depth), tol=float(params.get("tol", 1e-9)))
+def run_projections(sc: Scenario, args):
+    rep, tr, fam = sc.fock_family(args.get("fock_depth"))
+    depth, tol = args.get("depth", 2), args.get("tol", 1e-9)
+    semi = check_projection_semilattice(fam, depth=depth, tol=tol)
+    eq = check_projection_equalities(fam, sc.sg.elements(depth), tol=tol)
     ok = semi.ok and eq.ok
     return ("pass" if ok else "fail"), {
         "semilattice_worst": semi.details["worst"],
@@ -371,42 +488,37 @@ def run_projections(sc: Scenario, params):
     }
 
 
-def _single_term(sc: Scenario, field, name):
-    """The one (key, coefficient) of the named element; a ScenarioError
-    naming the element when it has another number of terms."""
-    x = sc.element(name)
+def _single_term(field, x):
+    """The one (key, coefficient) of an element; a ScenarioError naming field otherwise."""
     if len(x.terms) != 1:
-        raise ScenarioError(f"{field}: element {name!r} has {len(x.terms)} terms, not one")
+        raise ScenarioError(f"{field!r}: the element has {len(x.terms)} terms, not one")
     return next(iter(x.terms.items()))
 
 
-def _coefficient_in(sc: Scenario, field, name, range_, source):
-    """The one coefficient of the named element as an arrow in L(range_, source).
+def _coefficient_in(sc: Scenario, field, x, range_, source):
+    """The one coefficient of the element x as an arrow in L(range_, source).
 
     Keys are stored unit-canonical, so the stored coefficient at (r, s) is
     transported by the unit u with (r u, s u) = (range_, source).
     """
-    (r, s), arrow = _single_term(sc, field, name)
+    (r, s), arrow = _single_term(field, x)
     for u in sc.sg.units():
         if r * u == range_ and s * u == source:
             return arrow.rtensor(u)
     fmt = sc.sg.format
     raise ScenarioError(
-        f"{field}: element {name!r} sits at ({fmt(r)},{fmt(s)}), "
+        f"{field!r}: the element sits at ({fmt(r)},{fmt(s)}), "
         f"not in L({fmt(range_)},{fmt(source)}) up to a unit"
     )
 
 
-def run_aperiodicity(sc: Scenario, params):
-    p = sc.parse_el(params["p"])
-    u = sc.parse_el(params["unit"])
-    b = _coefficient_in(sc, "b", params["b"], p * u, p)
-    h = _coefficient_in(sc, "h", params["h"], p, p) if params.get("h") else None
-    twist = [to_matrix(m) for m in params["twist"]] if params.get("twist") else None
+def run_aperiodicity(sc: Scenario, args):
+    p, u = args["p"], args["unit"]
+    b = _coefficient_in(sc, "b", args["b"], p * u, p)
+    h = _coefficient_in(sc, "h", args["h"], p, p) if "h" in args else None
     res = aperiodicity_search(
-        sc.backend, p, u, b, h=h, twist=twist,
-        trials=int(params.get("trials", 12)),
-        seed=int(params.get("seed", sc.settings["seed"])),
+        sc.backend, p, u, b, h=h, twist=args.get("twist") or None,
+        trials=args.get("trials", 12), seed=args.get("seed", sc.settings["seed"]),
     )
     data = {
         "best": res.best,
@@ -420,28 +532,23 @@ def run_aperiodicity(sc: Scenario, params):
     return "info", data
 
 
-def run_graded(sc: Scenario, params):
-    bundle = sc.need_bundle()
+def run_graded(sc: Scenario, args):
+    bundle = sc.bundle
     rep = regular_representation(bundle)
     backend = rep.backend
     e = bundle.group.identity()
-    rng = np.random.default_rng(int(params.get("seed", sc.settings["seed"])))
-    samples = []
-    for _ in range(int(params.get("trials", 8))):
-        samples.append(
-            {g: backend.arrow(g, e, bundle.random_fiber(g, rng)) for g in bundle.elements}
-        )
-    for name in params.get("sections", []):
-        fam = sc.section(name)
-        samples.append({g: backend.arrow(g, e, blocks) for g, blocks in fam.items()})
-    rp = check_graded(rep, samples, tol=float(params.get("tol", 1e-9)))
+    rng = np.random.default_rng(args.get("seed", sc.settings["seed"]))
+    samples = [{g: backend.arrow(g, e, bundle.random_fiber(g, rng)) for g in bundle.elements}
+               for _ in range(args.get("trials", 8))]
+    samples += [{g: backend.arrow(g, e, a.blocks) for g, a in fam.items()} for fam in args.get("sections", [])]
+    rp = check_graded(rep, samples, tol=args.get("tol", 1e-9))
     return ("pass" if rp.ok else "fail"), rp.details
 
 
-def run_bundle_roundtrip(sc: Scenario, params):
-    B = sc.need_bundle()
+def run_bundle_roundtrip(sc: Scenario, args):
+    B = sc.bundle
     B2 = bundle_from_precategory(precategory_from_bundle(B))
-    rng = np.random.default_rng(int(params.get("seed", sc.settings["seed"])))
+    rng = np.random.default_rng(args.get("seed", sc.settings["seed"]))
     exact = True
     for g in B.elements:
         for h in B.elements:
@@ -453,22 +560,29 @@ def run_bundle_roundtrip(sc: Scenario, params):
     return ("pass" if exact else "fail"), {"bit_exact": exact}
 
 
-def run_bundle_regular(sc: Scenario, params):
-    bundle = sc.need_bundle()
-    rep = regular_representation(bundle)
-    rank = image_algebra_rank(bundle, rep)
-    total = sum(bundle.fiber_dim(g) for g in bundle.elements)
+def run_bundle_regular(sc: Scenario, args):
+    rep = regular_representation(sc.bundle)
+    rank = image_algebra_rank(sc.bundle, rep)
+    total = sum(sc.bundle.fiber_dim(g) for g in sc.bundle.elements)
     return ("pass" if rank == total else "fail"), {"dim": rep.dim, "image_rank": rank, "fiber_dim_sum": total}
 
 
-def run_bundle_spectrum(sc: Scenario, params):
-    spec = regular_spectrum(sc.need_bundle(), sc.section(params["section"]))
+def run_bundle_spectrum(sc: Scenario, args):
+    spec = regular_spectrum(sc.bundle, {g: a.blocks for g, a in args["section"].items()})
     return "info", {"spectrum": [from_complex(z) for z in spec]}
 
 
+#: one kind per check parameter name: a name means the same in every check
+PARAMS = {"p": WORD, "unit": WORD, "qs": _each(WORD, "list of words"), "F": _each(WORD, "list of words"),
+          "element": ELEMENT, "b": ELEMENT, "h": ELEMENT,
+          "section": SECTION, "sections": _each(SECTION, "list of section names"),
+          "depth": NATURAL, "wdepth": NATURAL, "fock_depth": NATURAL, "trials": NATURAL, "seed": NATURAL,
+          "tol": TOL, "twist": _each(MATRIX, "list of matrices")}
+
 #: one entry per check: the runner, the parameters it must be given, the
-#: parameters it may be given, and the text `ntforge explain` prints
-Check = namedtuple("Check", "run required optional doc")
+#: parameters it may be given, the text `ntforge explain` prints, and what the
+#: scenario must hold for it: its semigroup ("sg") or its bundle
+Check = namedtuple("Check", "run required optional doc needs", defaults=("sg",))
 
 CHECKS = {
     "segments": Check(run_segments, ("F",), ("depth",),
@@ -597,70 +711,79 @@ CHECKS = {
         "sending a unitary generator to 1) fail on elements like 1 - u.\n"
         "The samples are random fibers plus the named sections.  tol is the\n"
         "slack of the inequality; it defaults to 1e-9 and does not follow the\n"
-        "scenario's settings.tol."),
+        "scenario's settings.tol.", "bundle"),
     "bundle-roundtrip": Check(run_bundle_roundtrip, (), ("seed",),
         "Rebuild the fiber family from its own arrow category and replay random\n"
         "products and stars along both routes.  Verdict: pass iff every replay\n"
-        "is bit-for-bit identical (the two routes execute the same float ops)."),
+        "is bit-for-bit identical (the two routes execute the same float ops).", "bundle"),
     "bundle-regular": Check(run_bundle_regular, (), (),
         "Left-convolution representation on the direct sum of the fibers with\n"
         "the Hilbert-Schmidt inner product, kept as one matrix per colour.  Each\n"
         "grade's matrix-unit basis is mapped at once through the graded product\n"
         "and ranked by one SVD per grade, with one cutoff relative to the largest\n"
         "value of all.  Verdict: pass iff the image algebra has full rank, i.e.\n"
-        "the representation separates the fibers."),
+        "the representation separates the fibers.", "bundle"),
     "bundle-spectrum": Check(run_bundle_spectrum, ("section",), (),
         "Eigenvalues of the regular-representation matrix of a named section.\n"
         "For the order-two group acting trivially on C, a + b u has spectrum\n"
-        "{a + b, a - b}.  Informational."),
+        "{a + b, a - b}.  Informational.", "bundle"),
 }
 
 
+#: per check, the object kind of its parameters
+_ARGS = {name: _object(f"check {name!r}", c.required, **{k: PARAMS[k] for k in c.required + c.optional})
+         for name, c in CHECKS.items()}
+
+
 def params_text(name) -> str:
-    """The parameters of a check in one line, generated from its entry."""
+    """The parameters of a check and their kinds in one line, from its entry and PARAMS."""
     spec = CHECKS[name]
-    required, optional = (", ".join(names) or "none" for names in (spec.required, spec.optional))
+    required, optional = (", ".join(f"{k} ({PARAMS[k].what})" for k in names) or "none"
+                          for names in (spec.required, spec.optional))
     return f"required {required}; optional {optional}"
 
 
-def check_params(name, params):
-    """Reject a parameter the check does not read, or a missing required one."""
-    spec = CHECKS[name]
-    unknown = sorted(set(params) - set(spec.required) - set(spec.optional))
-    missing = [k for k in spec.required if k not in params]
-    if unknown or missing:
-        problem = (
-            f"unknown parameter {unknown[0]!r}" if unknown else f"missing parameter {missing[0]!r}"
-        )
-        raise ScenarioError(f"check {name!r}: {problem}; {params_text(name)}")
+def _check_args(name, params, sc):
+    """The check's params resolved by their kinds in PARAMS, once the scenario
+    holds what the check needs."""
+    sc.need(CHECKS[name].needs)
+    return _ARGS[name].read(params, sc)
+
+
+def _check(v, sc):
+    """(name, params as written, resolved params) of one check entry; the
+    resolved params are None for a name not in CHECKS, which run_scenario
+    reports in place."""
+    if not isinstance(v, dict):
+        raise ScenarioError(f"expected check object, got {v!r}")
+    name = _under("name", STRING.read, v.get("name"), sc)
+    params = {k: x for k, x in v.items() if k != "name"}
+    return name, params, (_check_args(name, params, sc) if name in CHECKS else None)
+
+
+CHECK_LIST = _each(Kind("check object", _check), "list of checks")
 
 
 def run_check(sc: Scenario, name, params):
-    """Validate the parameters, then run the check: (status, data)."""
-    check_params(name, params)
-    return CHECKS[name].run(sc, params)
-
-
-def _params(check: dict) -> dict:
-    return {k: v for k, v in check.items() if k != "name"}
+    """Resolve the parameters, then run the check: (status, data)."""
+    return CHECKS[name].run(sc, _at(f"check {name!r}", _check_args, name, params, sc))
 
 
 def run_scenario(source, overrides=None) -> dict:
-    """Execute every check in declaration order; failures do not abort the run."""
+    """Execute every check in declaration order; failures do not abort the run.
+    Bad input raises a ScenarioError before any check runs."""
     import datetime
 
     sc = Scenario.from_path(source) if not isinstance(source, dict) else Scenario(source)
     if overrides:
         sc.settings.update({k: v for k, v in overrides.items() if v is not None})
     items = []
-    for check in sc.checks:
-        name = check.get("name")
-        params = _params(check)
-        if name not in CHECKS:
+    for name, params, args in sc.checks:
+        if args is None:
             items.append({"name": name, "status": "error", "error": f"unknown check {name!r}"})
             continue
         try:
-            status, data = run_check(sc, name, params)
+            status, data = CHECKS[name].run(sc, args)
             items.append({"name": name, "params": params, "status": status, "data": data})
         except Exception as exc:  # keep going; report the failure in place
             items.append({"name": name, "params": params, "status": "error", "error": str(exc)})

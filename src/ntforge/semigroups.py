@@ -374,18 +374,6 @@ def symmetric_group_3() -> FiniteGroup:
     return FiniteGroup("S3", list(names.values()), table)
 
 
-BUILTIN_GROUPS = {
-    "Z1": lambda: cyclic_group(1),
-    "Z2": lambda: cyclic_group(2),
-    "Z3": lambda: cyclic_group(3),
-    "Z4": lambda: cyclic_group(4),
-    "Z5": lambda: cyclic_group(5),
-    "Z6": lambda: cyclic_group(6),
-    "Z2xZ2": klein_group,
-    "S3": symmetric_group_3,
-}
-
-
 class FreeProduct(RightLcmSemigroup):
     """Free product of right LCM semigroups with trivial unit groups.
 
@@ -779,77 +767,3 @@ def check_controlled_map(theta: SemigroupHom, depth: int) -> ControlledMapReport
                 failures.append((f"s={fmt(a)} t={fmt(b)}",
                                  f"LCM not transported: {cod._fmt(tr)} vs {cod._fmt(rr)}"))
     return ControlledMapReport(not failures, len(els) ** 2, failures)
-
-
-# -- instance registry (used by the CLI and scenario files) ------------------
-
-
-def make_group(spec) -> FiniteGroup:
-    if isinstance(spec, str):
-        name = spec
-        if name not in BUILTIN_GROUPS:
-            raise ValueError(f"unknown group {name!r}; builtins: {sorted(BUILTIN_GROUPS)}")
-        return BUILTIN_GROUPS[name]()
-    if spec.get("name") in BUILTIN_GROUPS and "table" not in spec:
-        return BUILTIN_GROUPS[spec["name"]]()
-    names, rows = _field(spec, "elements"), _field(spec, "table")
-    table = {
-        (a, b): rows[i][j]
-        for i, a in enumerate(names)
-        for j, b in enumerate(names)
-    }
-    return FiniteGroup(spec.get("name", "G"), names, table)
-
-
-def _cast(field, cast, value):
-    """cast(value); a ValueError naming the field when cast rejects the value."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field!r} must be numeric, got {value!r}") from None
-
-
-def _field(spec, name, kind=object, what=None):
-    """spec[name]; a ValueError naming the field when it is missing (and the
-    spec's kind, where a group spec has none) or not an instance of kind
-    (described by what)."""
-    if name not in spec:
-        raise ValueError(f"{spec.get('kind') or 'group'} spec needs a {name!r}")
-    if not isinstance(spec[name], kind):
-        raise ValueError(f"{name!r} must be {what}, got {spec[name]!r}")
-    return spec[name]
-
-
-#: kind -> (builder from the scenario spec, description for list-instances)
-INSTANCE_KINDS = {
-    "direct_sum": (lambda spec: DirectSumN(_cast("rank", int, spec.get("rank", 1))),
-                   "N^k vectors under addition (rank parameter)"),
-    "free_monoid": (lambda spec: free_monoid(_field(spec, "letters")),
-                    "free monoid on letters (free product of copies of N)"),
-    "free_product": (lambda spec: FreeProduct(
-                         [make_semigroup(f) for f in _field(spec, "factors", list, "a list")],
-                         names=spec.get("names")),
-                     "free product of trivial-unit instances"),
-    "absorption": (lambda spec: AbsorptionMonoid(),
-                   "pairs (k,m), (k,m)(l,n)=(k+l,n) for l>0; not right cancellative"),
-    "unit_extension": (lambda spec: UnitExtension(make_semigroup(_field(spec, "base")),
-                                                  make_group(_field(spec, "units", (str, dict),
-                                                                    "a group name or an object"))),
-                       "base instance times a finite abelian unit group"),
-    "finite_group": (make_group,
-                     "multiplication-table group; builtins " + ", ".join(sorted(BUILTIN_GROUPS))),
-}
-
-
-def make_semigroup(spec: dict) -> RightLcmSemigroup:
-    """Build an instance from a scenario description (see the cli module)."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"semigroup spec must be an object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind is not None and not isinstance(kind, str):
-        raise ValueError(f"semigroup spec 'kind' must be a string, got {kind!r}")
-    if kind not in INSTANCE_KINDS:
-        problem = "needs a 'kind'" if kind is None else f"has unknown kind {kind!r}"
-        raise ValueError(f"semigroup spec {problem}; kinds: {', '.join(INSTANCE_KINDS)}")
-    build, _ = INSTANCE_KINDS[kind]
-    return build(spec)

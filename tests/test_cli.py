@@ -12,7 +12,7 @@ import pytest
 
 from ntforge.cli import build_parser, main
 from ntforge.fock import Truncation
-from ntforge.scenario import CHECKS, Scenario, run_scenario, report_ok
+from ntforge.scenario import CHECKS, PARAMS, Scenario, run_scenario, report_ok
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -122,7 +122,7 @@ def test_misspelled_check_parameter_is_rejected(tmp_path, capsys, check, field):
     assert main(["run", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"check {check['name']!r}: unknown parameter {field!r}" in captured.err
+    assert f"scenario['checks'][1][{field!r}]: unknown key of check {check['name']!r}" in captured.err
 
 
 def _with_checks(*checks):
@@ -138,6 +138,16 @@ def _with_term_field(field, value):
     return data
 
 
+class _Whole:
+    """A scenario file holding value as a whole, which need not be an object."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+N1 = {"kind": "direct_sum", "rank": 1}
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -145,7 +155,7 @@ def _with_term_field(field, value):
         (["check", "toeplitz", TOEPLITZ, "--p", "1", "--qs", "2", "--trials", "3"], "trials"),
         (["check", "toeplitz", TOEPLITZ], "p"),
         # y = u + u* has two terms; condition-cprime takes a one-term element
-        (["check", "condition-cprime", TOEPLITZ, "--p", "1", "--qs", "2", "--element", "y"], "y"),
+        (["check", "condition-cprime", TOEPLITZ, "--p", "1", "--qs", "2", "--element", "y"], "element"),
         (["run", _with_checks({"name": "fock-norm"})], "element"),
         (["bundle", "spectrum", Z2, "--section", "nope"], "nope"),
         (["run", {"semigroup": {"rank": 1}}], "kind"),
@@ -179,6 +189,34 @@ def _with_term_field(field, value):
         (["run", {"bundle": {"group": "Z2", "action": []}}], "action"),
         (["run", {"bundle": {"group": "Z2", "action": {"perms": []}}}], "perms"),
         (["run", {"bundle": {"group": {"elements": ["e"]}}}], "table"),
+        # inputs that once raised or were silently misread; None: the whole file
+        (["run", _with_term_field("blocks", 3)], "blocks"),
+        (["run", {"bundle": {"group": "Z2"}, "sections": {"s": {"0": 3}}}], "0"),
+        (["run", _Whole([])], None),
+        (["run", _Whole("x")], None),
+        (["run", _Whole(None)], None),
+        (["run", {"semigroup": N1, "elements": {"x": 3}}], "x"),
+        (["run", _with_checks({"name": "toeplitz", "p": "1", "qs": "23"})], "qs"),
+        (["run", _with_checks({"name": "segments", "F": "12"})], "F"),
+        (["run", _with_checks({"name": "projections", "depth": 2.7})], "depth"),
+        (["run", _with_checks({"name": "projections", "depth": True})], "depth"),
+        (["run", {"settings": {"depth": "6"}}], "depth"),
+        (["run", {"settings": {"depth": 6.9}}], "depth"),
+        (["run", {"settings": {"tol": "1e-8"}}], "tol"),
+        (["run", {"semigroup": N1, "backend": []}], "backend"),
+        (["run", {"semigroup": N1, "backend": {"gen_dims": [["2"]]}}], "gen_dims"),
+        # a semigroup check on a scenario without one; an empty bundle
+        (["check", "projections", Z2], "projections"),
+        (["run", {"bundle": {"group": "Z2"}, "checks": [{"name": "segments", "F": ["1"]}]}], "checks"),
+        (["run", {"bundle": {"group": "Z2", "dims": []}}], "dims"),
+        # a number no float holds; two names ("0" and "e") of one grade
+        (["run", _with_term_field("blocks", [[[10 ** 400]]])], "blocks"),
+        (["run", {"bundle": {"group": "Z2"}, "sections": {"s": {"0": [[[3]]], "e": [[[5]]]}}}], "s"),
+        # a table short of a row; an ideal colour the backend lacks; a slot outside the bundle
+        (["run", {"semigroup": {"kind": "finite_group", "elements": ["a", "b"], "table": ["ab"]}}], "table"),
+        (["run", {"semigroup": N1, "backend": {"ideal": [1]}}], "ideal"),
+        (["run", {"bundle": {"group": "Z2", "action": {"perms": {"0": [0], "1": [1]},
+                                                      "unitaries": {"0": [[[1]]], "1": [[[1]]]}}}}], "bundle"),
     ],
     ids=["missing-unit", "unread-trials", "missing-p", "two-terms", "scenario-missing-element",
          "unknown-section", "missing-kind", "missing-letters", "string-check", "missing-blocks",
@@ -186,18 +224,48 @@ def _with_term_field(field, value):
          "numeric-group-elements", "repeated-unit-elements", "string-semigroup", "list-kind",
          "list-elements", "bundle-without-group", "list-range", "numeric-source", "list-name",
          "check-without-name", "list-units", "string-factors", "list-action", "list-perms",
-         "group-without-table"],
+         "group-without-table", "numeric-blocks", "numeric-section-grade", "list-file", "string-file",
+         "null-file", "numeric-element", "string-qs", "string-F", "fractional-depth", "boolean-depth",
+         "string-setting-depth", "fractional-setting-depth", "string-setting-tol", "list-backend",
+         "string-gen-dims", "check-without-semigroup", "run-without-semigroup", "empty-bundle-dims",
+         "overflowing-entry", "one-grade-twice", "short-table", "ideal-colour-out-of-range",
+         "perm-outside-slots"],
 )
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     path = tmp_path / "scenario.json"
     for i, arg in enumerate(argv):
-        if isinstance(arg, dict):
-            path.write_text(json.dumps(arg))
+        if isinstance(arg, (dict, _Whole)):
+            path.write_text(json.dumps(arg.value if isinstance(arg, _Whole) else arg))
             argv = argv[:i] + [str(path)] + argv[i + 1:]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert repr(field) in captured.err
+    if field is None:
+        assert captured.err.startswith("error: scenario: expected scenario object, got ")
+    else:
+        assert repr(field) in captured.err
+
+
+def test_check_on_scenario_without_semigroup(tmp_path, capsys):
+    # the check needs the semigroup the bundle scenario lacks: exit 2 before
+    # any check runs, from `check` and from `run`
+    assert main(["check", "projections", Z2]) == 2
+    assert capsys.readouterr().err == (
+        "error: check 'projections': scenario has no semigroup; this check needs one\n")
+    data = json.loads(pathlib.Path(Z2).read_text())
+    data["checks"].append({"name": "segments", "F": ["1"]})
+    path = tmp_path / "segments.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario['checks'][4]: scenario has no semigroup; this check needs one\n"
+
+
+def test_run_on_a_directory_exits_2_naming_it(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(tmp_path) in captured.err
 
 
 def _mutation_paths(node, at=()):
@@ -206,6 +274,19 @@ def _mutation_paths(node, at=()):
     for k, v in items:
         yield at + (k,)
         yield from _mutation_paths(v, at + (k,))
+
+
+def _path(at):
+    """The JSON path of the entry at, as a ScenarioError spells it."""
+    return "scenario" + "".join(f"[{k!r}]" for k in at)
+
+
+def _names_entry(err, at):
+    """err names the entry at, or the object that holds it; a list entry is
+    named through its list (a block through the term or section it shapes)."""
+    while isinstance(at[-1], int):
+        at = at[:-1]
+    return _path(at) in err or (len(at) > 1 and _path(at[:-1]) in err)
 
 
 def _mutated(data, path, how):
@@ -244,7 +325,9 @@ ONCE_RAISED = {
 
 def test_every_scenario_mutation_exits_0_1_or_2(tmp_path, capsys):
     # every key and list entry of both bundled scenarios dropped, set to "x"
-    # or set to []: 396 runs, none of which may raise
+    # or set to []: 396 runs, none of which may raise.  Exit 2 names the
+    # mutated entry; exit 1 only reports a check name that is not registered
+    # (set to "x"), since bad input never reaches a check
     path, runs, codes = tmp_path / "mutated.json", 0, set()
     for name in ("toeplitz_N", "z2_bundle"):
         data = json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -252,12 +335,17 @@ def test_every_scenario_mutation_exits_0_1_or_2(tmp_path, capsys):
             for how in ("drop", "x", []):
                 path.write_text(json.dumps(_mutated(data, at, how)))
                 code = main(["run", str(path)])
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 runs += 1
                 codes.add(code)
                 field = ONCE_RAISED.get((name, at, repr(how)))
                 if field is not None:
                     assert code == 2 and repr(field) in err, (name, at, how, err)
+                if code == 2:
+                    assert _names_entry(err, at), (name, at, how, err)
+                if code == 1:
+                    errors = [i["error"] for i in json.loads(out)["items"] if i["status"] == "error"]
+                    assert errors == ["unknown check 'x'"], (name, at, how, errors)
     assert runs == 396
     assert codes <= {0, 1, 2}, codes
 
@@ -463,7 +551,7 @@ def test_aperiodicity_takes_b_in_the_written_frame(tmp_path, capsys):
     argv = ["check", "aperiodicity", str(path), "--p", "(2,0)", "--unit", "(0,1)", "--b", "b"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "b: element 'b'" in err and "L((2,1),(2,0))" in err
+    assert "'b': the element sits at ((1,0),(1,1))" in err and "L((2,1),(2,0))" in err
 
 
 def test_main_parses_with_one_parser_per_process(capsys, monkeypatch):
@@ -507,7 +595,8 @@ def test_explain_known_checks(capsys):
 
 def test_check_lists_agree(capsys):
     # scenario.CHECKS is the one list: `ntforge check` offers exactly its
-    # names and `explain` prints each entry's parameters from the entry
+    # names and `explain` prints each entry's parameters from the entry, each
+    # with its kind from scenario.PARAMS
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (which,) = [a for a in sub.choices["check"]._actions if a.dest == "which"]
     assert which.choices == sorted(CHECKS)
@@ -515,8 +604,8 @@ def test_check_lists_agree(capsys):
         assert main(["explain", name]) == 0
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("Parameters:")]
         required, optional = line[len("Parameters: "):].rstrip(".").split("; ")
-        assert required == "required " + (", ".join(check.required) or "none")
-        assert optional == "optional " + (", ".join(check.optional) or "none")
+        assert required == "required " + (", ".join(f"{k} ({PARAMS[k].what})" for k in check.required) or "none")
+        assert optional == "optional " + (", ".join(f"{k} ({PARAMS[k].what})" for k in check.optional) or "none")
 
 
 def test_explain_unknown_suggests(capsys):

@@ -27,15 +27,14 @@ from ntforge.fock import (
 from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColorIdeal, ColoredProductSystem, ZeroTensorBackend, full_ideal, ideal_unit
 from ntforge.semigroups import (
-    INSTANCE_KINDS,
     AbsorptionMonoid,
     DirectSumN,
     UnitExtension,
     cyclic_group,
     free_monoid,
-    make_semigroup,
     symmetric_group_3,
 )
+from ntforge.scenario import INSTANCE_KINDS, make_semigroup
 from ntforge.wick import NTElement, core_norm, nt_adjoint, nt_mul
 from fock_oracles import (
     check_divisor_closure,
