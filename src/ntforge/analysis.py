@@ -219,12 +219,12 @@ class CheckReport:
         return f"<check {self.name}: {'pass' if self.ok else 'fail'} {self.details}>"
 
 
-def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9):
+def check_projection_semilattice(family: ProjectionFamily, depth: int):
     """Q_<p> Q_<q> = Q_<lcm> (or 0) on all pairs up to the given length.
 
     Q_<p> Q_<q> projects onto the intersection of the two index sets, so the
-    defect is exact: the spectral norm of a difference of two diagonal
-    projections, 1.0 if their sets differ and 0.0 if not.
+    defect, the spectral norm of a difference of two diagonal projections, is
+    exactly 1.0 (a failure) if their sets differ and 0.0 if not: no tolerance.
     """
     sg = family.rep.backend.sg
     els = sg.elements(depth)
@@ -236,12 +236,12 @@ def check_projection_semilattice(family: ProjectionFamily, depth: int, tol=1e-9)
         want = empty if r is None else family.Q_angle_set(r)
         defect = float(((family.Q_angle_set(p) & family.Q_angle_set(q)) != want).any())
         worst = max(worst, defect)
-        if defect > tol:
+        if defect:
             failures.append(((p, q), defect))
     return CheckReport("projection-semilattice", not failures, {"worst": worst, "failures": failures[:5]})
 
 
-def check_projection_equalities(family: ProjectionFamily, elements, tol=1e-9):
+def check_projection_equalities(family: ProjectionFamily, elements):
     """Q_p = Q_<p> per element (holds under tensor-nondegeneracy); exact, as
     in the semilattice check."""
     failures = []
@@ -249,7 +249,7 @@ def check_projection_equalities(family: ProjectionFamily, elements, tol=1e-9):
     for p in elements:
         defect = float((family.Q_set(p) != family.Q_angle_set(p)).any())
         worst = max(worst, defect)
-        if defect > tol:
+        if defect:
             failures.append((p, defect))
     return CheckReport("projection-equality", not failures, {"worst": worst, "failures": failures[:5]})
 

@@ -26,10 +26,10 @@ so no |H| x |H| matrix is built.  The images of distinct grades have disjoint
 supports: ``image_algebra_rank`` ranks them with one SVD per grade and one
 cutoff relative to the largest singular value of all.
 
-The graded product takes blocks with leading stack axes through the base
-backend's own ampliation and product, so ``BundleBackend`` composes stacks
-as every backend does, and ``RegularRep.basis_images`` maps a grade's whole
-matrix-unit basis with one broadcast per (k, colour).
+The graded product and star take blocks with leading stack axes through the
+base backend's own block hooks, so ``BundleBackend`` composes and adjoins
+stacks as every backend does, and ``RegularRep.basis_images`` maps a grade's
+whole matrix-unit basis with one broadcast per (k, colour).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .analysis import ConcreteRep
 from .linalg import norm_at_most, rank_of_values, span_singular_values
-from .precategory import Arrow, _BackendBase
+from .precategory import _BackendBase
 from .semigroups import FiniteGroup
 
 
@@ -171,13 +171,13 @@ class BundleFiberFamily:
 
     def star(self, g, a_blocks):
         """b_g^* (x) 1_{g^-1} in B_{g^-1}."""
-        e = self.group.identity()
-        a = self.backend.arrow(g, e, a_blocks)
-        return a.adjoint().rtensor(self.group.inverse(g)).blocks
+        return self._star(g, self.backend.arrow(g, self.group.identity(), a_blocks).blocks)
 
-    def basis(self, g):
-        e = self.group.identity()
-        return [a.blocks for a in self.backend.basis(g, e)]
+    def _star(self, g, xs):
+        """star on checked blocks, which may carry leading stack axes."""
+        e, be, inv = self.group.identity(), self.backend, self.group.inverse(g)
+        ys = be._adjoint_blocks(xs, g, e)
+        return ys if inv == e else be._tensor_blocks(ys, e, g, inv)
 
     def random_fiber(self, g, rng):
         e = self.group.identity()
@@ -215,9 +215,8 @@ class BundleBackend(_BackendBase):
         # the graded product reads the two grades
         return self._grade(p, q), self._grade(q, t)
 
-    def _adjoint(self, a):
-        s = self._grade(a.range, a.source)
-        return Arrow(self, a.source, a.range, self.bundle.star(s, a.blocks))
+    def _adjoint_blocks(self, xs, p, q):
+        return self.bundle._star(self._grade(p, q), xs)
 
     def _tensor_blocks(self, xs, p, q, r):
         self.sg.check_same(r)
@@ -288,9 +287,6 @@ class RegularRep(ConcreteRep):
             [np.sqrt(d) * m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
              for d, m in zip(self.dims, ms)], axis=-1
         )
-
-    def flat(self, arrow):
-        return self._flat(self.backend._grade(arrow.range, arrow.source), arrow.blocks)
 
     def basis_images(self, p, q):
         return self._flat(self.backend._grade(p, q), self.backend.basis_stack(p, q, self.ideal))

@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 
-from .fock import Truncation, lift, projection_Qw, projection_QT
+from .fock import lift, projection_Qw, projection_QT
 from .scenario import (
     CHECKS,
     ELEMENT,
@@ -119,7 +119,7 @@ def cmd_fock(args):
     sc = _scenario(args)
     sc.need("sg")
     depth = sc.settings["depth"]
-    tr = Truncation(sc.backend, depth)
+    tr = sc.truncation()
     if args.op == "project":
         if (args.word is None) == (args.above is None):
             raise ScenarioError("fock project needs exactly one of --word/--above")

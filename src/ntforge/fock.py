@@ -8,9 +8,9 @@ shift, so on a fixed source-object t and color c the operator is
 
 for a column operator that does not depend on t.  Operators are therefore
 stored factored: one scipy.sparse CSR matrix per color, the column factor,
-with rows and columns ordered by the truncation set S.  Sums, products,
-adjoints and norms are sparse operations on the column factors (the
-t-ampliation is isometric and multiplicative).
+with rows and columns ordered by the truncation set S.  Sums and norms are
+sparse operations on the column factors (the t-ampliation is isometric and
+additive).
 
 The truncation is indexed: a right-multiplication table over the generators
 and units, and a BFS spanning tree of S, give the index of x·v for every
@@ -261,31 +261,10 @@ class FockOperator:
             else [_csr(tr.col_total(c)) for c in range(tr.backend.slot_count)]
         )
 
-    def _check(self, other):
+    def __add__(self, other):
         if self.tr is not other.tr:
             raise ValueError("operators over different truncations")
-
-    def __add__(self, other):
-        self._check(other)
         return FockOperator(self.tr, [a + b for a, b in zip(self.slots, other.slots)])
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        return FockOperator(self.tr, [scalar * m for m in self.slots])
-
-    __rmul__ = __mul__
-
-    def adjoint(self):
-        return FockOperator(self.tr, [m.conj().T.tocsr() for m in self.slots])
-
-    def compose(self, other):
-        self._check(other)
-        return FockOperator(self.tr, [a @ b for a, b in zip(self.slots, other.slots)])
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def dense(self):
         """The t = e fiber: block-diagonal over colors of the column factors."""
@@ -316,12 +295,6 @@ class FockOperator:
         column.
         """
         return max((self._slot_norm(c, tol) for c in range(len(self.slots))), default=0.0)
-
-    def frobenius(self):
-        return float(np.sqrt(sum(np.sum(np.abs(m.data) ** 2) for m in self.slots)))
-
-    def is_zero(self, tol=1e-12):
-        return self.frobenius() <= tol
 
     def __repr__(self):
         nnz = sum(m.nnz for m in self.slots)

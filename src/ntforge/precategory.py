@@ -1,29 +1,38 @@
 """Finite-dimensional right-tensor C*-precategories over a right LCM semigroup.
 
-Two backends share one arrow model:
+Four backends share one arrow model, one complex matrix block per slot
+(colour):
 
 * :class:`ColoredProductSystem` -- morphism spaces L(p,q) are direct sums of
-  full rectangular matrix blocks, one per "color", with block shapes given by
+  full rectangular matrix blocks, one per colour, with block shapes given by
   a multiplicative dimension function on the semigroup.  Right tensoring by r
   is Kronecker ampliation with the identity on the right factor.
 * :class:`ZeroTensorBackend` -- objects are naturals, off-diagonal morphism
   spaces are zero, diagonal ones are full matrix algebras, and tensoring by
   any r != e is the zero map.  This backend exists to witness failures of
   tensor-nondegeneracy.
+* ``bundles.CrossedProductBackend`` -- L(g,h) = A over a finite group, with
+  a x 1_r := alpha_r(a); ``bundles.BundleBackend`` -- L(g,h) = B_{gh^-1}
+  for a bundle over a finite group, with its graded product and star.
+
+One contract, on blocks with leading stack axes (one arrow per index): a
+backend defines ``shape`` and ``_tensor_blocks`` (a x 1_r) and may override
+``_compose_blocks`` and ``_adjoint_blocks`` (slotwise products and conjugate
+transposes by default), the Fock assembly's cache keys ``_compose_class`` and
+``_ampliation_class``, ``_rtensor_coo``, and ``basis_stack``,
+``random_arrow`` and ``space_dim``.  ``Arrow.rtensor``, ``compose`` and
+``adjoint`` call the block hooks.
 
 Ideals are determined by their diagonal parts; in the block model that means
 a subset of colors.  The structural checks run at a chosen depth: well-alignment
 is certified when the ideal covers every colour and sampled otherwise,
 essentiality reads the block shapes, and nondegeneracy and Cohen
 factorization settle each pair by a unit certificate first, with a rank test
-as the fallback where the certificate does not apply.
-
-Stack axis: the blockwise hooks behind right tensoring (``_tensor_blocks``)
-and composition (``_compose_blocks``) broadcast blocks with leading stack
-axes, one arrow per index.  ``basis_stack`` gives the matrix-unit basis as
-one such stack per colour (``basis`` slices it into arrows), so the
-factorization certificate is one stacked product 1_p b per pair, through
-the backend's own product (on a bundle, the graded one).
+as the fallback where the certificate does not apply.  ``basis_stack`` gives
+the matrix-unit basis as one stack per colour (``basis`` slices it into
+arrows), so the factorization certificate and both rank fallbacks are one
+stacked product per pair through the backend's own product (on a bundle, the
+graded one).
 """
 
 from __future__ import annotations
@@ -93,14 +102,19 @@ class Arrow:
     __rmul__ = __mul__
 
     def adjoint(self):
-        return self.backend._adjoint(self)
+        be, p, q = self.backend, self.range, self.source
+        return Arrow._derived(be, q, p, be._adjoint_blocks(self.blocks, p, q))
 
     def rtensor(self, r):
-        return self.backend._rtensor(self, r)
+        be, p, q = self.backend, self.range, self.source
+        if r == be.sg.one:
+            return self
+        return Arrow._derived(be, p * r, q * r, be._tensor_blocks(self.blocks, p, q, r))
 
     def compose(self, other):
         self._composable(other)
-        return self.backend._compose(self, other)
+        be, p, q, t = self.backend, self.range, self.source, other.source
+        return Arrow._derived(be, p, t, be._compose_blocks(self.blocks, other.blocks, p, q, t))
 
     def _composable(self, other):
         """Raise unless self's source is other's range in the same backend."""
@@ -153,7 +167,7 @@ def ideal_unit(backend, K: ColorIdeal, p) -> Arrow:
 
 class _BackendBase:
     """Shared arrow constructors, blockwise product and adjoint; subclasses
-    define shapes and right tensoring."""
+    define shapes and right tensoring, and override only the hooks above."""
 
     sg = None
     slot_count = 0
@@ -164,13 +178,6 @@ class _BackendBase:
 
     def zero(self, p, q) -> Arrow:
         return Arrow(self, p, q, [np.zeros(sh, dtype=complex) for sh in self.shape(p, q)])
-
-    def identity_arrow(self, p) -> Arrow:
-        blocks = []
-        for rows, cols in self.shape(p, p):
-            assert rows == cols
-            blocks.append(np.eye(rows, dtype=complex))
-        return Arrow(self, p, p, blocks)
 
     def arrow(self, p, q, blocks) -> Arrow:
         return Arrow(self, p, q, blocks)
@@ -204,30 +211,20 @@ class _BackendBase:
         shapes = self.shape(p, q)
         return sum(shapes[c][0] * shapes[c][1] for c in colors)
 
-    def _compose(self, a, b):
-        return Arrow._derived(
-            self, a.range, b.source, self._compose_blocks(a.blocks, b.blocks, a.range, a.source, b.source)
-        )
-
     def _compose_blocks(self, xs, ys, p, q, t):
         """The blocks of a b, for a in L(p,q) and b in L(q,t) with blocks xs
         and ys, either with leading stack axes: slotwise matrix products."""
         return [x @ y for x, y in zip(xs, ys)]
-
-    def _rtensor(self, a, r):
-        if r == self.sg.one:
-            return a
-        return Arrow._derived(
-            self, a.range * r, a.source * r, self._tensor_blocks(a.blocks, a.range, a.source, r)
-        )
 
     def _tensor_blocks(self, xs, p, q, r):
         """The blocks of a x 1_r for the blocks xs of a in L(p,q), which may
         carry leading stack axes."""
         raise NotImplementedError
 
-    def _adjoint(self, a):
-        return Arrow(self, a.source, a.range, [b.conj().T for b in a.blocks])
+    def _adjoint_blocks(self, xs, p, q):
+        """The blocks of a* for the blocks xs of a in L(p,q), which may carry
+        leading stack axes: slotwise conjugate transposes, C-contiguous."""
+        return [np.ascontiguousarray(np.swapaxes(x, -1, -2).conj()) for x in xs]
 
     @staticmethod
     def _coo(a):
@@ -241,7 +238,7 @@ class _BackendBase:
     def _rtensor_coo(self, a, r, coo):
         """a x 1_r as per-slot COO triples of its nonzeros; coo = _coo(a),
         taken once per arrow by callers that amplify it many times."""
-        return self._coo(self._rtensor(a, r))
+        return self._coo(a.rtensor(r))
 
     #: None: the product L(p,q) x L(q,t) reads only the blocks.  A backend whose
     #: product reads the objects defines _compose_class(p, q, t), a hashable
@@ -458,6 +455,15 @@ def check_well_aligned(backend, K: ColorIdeal, depth: int, seed=0):
     return StructureReport("well-aligned", not failures, checked, failures, certified)
 
 
+def _product_rank(backend, left, right, p, q, t):
+    """The numerical rank (cutoff RANK_TOL) of the span of the products x y
+    over the stacks left, in L(p,q), and right, in L(q,t): one stacked
+    product through the backend's own product."""
+    prods = backend._compose_blocks([x[:, None] for x in left], [y[None] for y in right], p, q, t)
+    n = len(left[0]) * len(right[0])
+    return rank_of_span(np.concatenate([b.reshape(n, b.shape[-2] * b.shape[-1]) for b in prods], axis=1))
+
+
 def check_nondegenerate(backend, K: ColorIdeal, depth: int):
     """(K(p,p) x 1_r) K(pr,pr) spans K(pr,pr), for non-unit p.
 
@@ -484,10 +490,8 @@ def check_nondegenerate(backend, K: ColorIdeal, depth: int):
             if all(map(np.array_equal, unit_p.rtensor(r).blocks, ideal_unit(backend, K, pr).blocks)):
                 certified += 1
                 continue
-            left = [u.rtensor(r) for u in backend.basis(p, p, ideal=K)]
-            right = backend.basis(pr, pr, ideal=K)
-            prods = [l.compose(v).flat() for l in left for v in right]
-            if rank_of_span(prods) < target:
+            left = backend._tensor_blocks(backend.basis_stack(p, p, ideal=K), p, p, r)
+            if _product_rank(backend, left, backend.basis_stack(pr, pr, ideal=K), pr, pr, pr) < target:
                 failures.append(((p, r), f"span deficient (target {target})"))
     return StructureReport("tensor-nondegenerate", not failures, checked, failures, certified)
 
@@ -524,7 +528,7 @@ def check_factorization(backend, depth: int):
     failures = []
     checked = certified = 0
     for p in els:
-        one = backend.identity_arrow(p).blocks
+        one = ideal_unit(backend, full_ideal(backend), p).blocks
         for q in els:
             target = backend.space_dim(p, q)
             if target == 0:
@@ -534,10 +538,7 @@ def check_factorization(backend, depth: int):
             if all(map(np.array_equal, backend._compose_blocks(one, right, p, p, q), right)):
                 certified += 1
                 continue
-            left = backend.basis_stack(p, p)
-            prods = backend._compose_blocks([x[:, None] for x in left], [y[None] for y in right], p, p, q)
-            n = len(left[0]) * target
-            if rank_of_span(np.concatenate([b.reshape(n, -1) for b in prods], axis=1)) < target:
+            if _product_rank(backend, backend.basis_stack(p, p), right, p, p, q) < target:
                 failures.append(((p, q), "factorization span deficient"))
     return StructureReport("factorization", not failures, checked, failures, certified)
 

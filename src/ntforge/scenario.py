@@ -478,9 +478,9 @@ def run_condition_cprime(sc: Scenario, args):
 
 def run_projections(sc: Scenario, args):
     rep, tr, fam = sc.fock_family(args.get("fock_depth"))
-    depth, tol = args.get("depth", 2), args.get("tol", 1e-9)
-    semi = check_projection_semilattice(fam, depth=depth, tol=tol)
-    eq = check_projection_equalities(fam, sc.sg.elements(depth), tol=tol)
+    depth = args.get("depth", 2)
+    semi = check_projection_semilattice(fam, depth=depth)
+    eq = check_projection_equalities(fam, sc.sg.elements(depth))
     ok = semi.ok and eq.ok
     return ("pass" if ok else "fail"), {
         "semilattice_worst": semi.details["worst"],
@@ -669,7 +669,7 @@ CHECKS = {
         "1 - (Q_{q_1} v ... v Q_{q_n}) must not change its norm by more than tol\n"
         "(default 1e-6).  The element has one term.  Precondition: no q may\n"
         "divide p.  Certificate: full norm and corner norm."),
-    "projections": Check(run_projections, (), ("depth", "fock_depth", "tol"),
+    "projections": Check(run_projections, (), ("depth", "fock_depth"),
         "Semilattice law for the range projections: Q_<p> Q_<q> equals Q_<lcm>\n"
         "when p and q have a common multiple and 0 otherwise, plus the per-\n"
         "element equality Q_p = Q_<p>, on the Fock representation at fock_depth.\n"
@@ -680,9 +680,8 @@ CHECKS = {
         "fails this certificate is an error item naming phi(1_w).  On the colored\n"
         "and zero-tensor backends every phi(1_w) passes.  Q_<p> is the union of\n"
         "the sets of the window's w in pP, and both laws are set identities,\n"
-        "each defect exactly 0.0 or 1.0.  depth is the word length of the pairs\n"
-        "and tol bounds each defect; tol defaults to 1e-9 and does not follow\n"
-        "the scenario's settings.tol.\n"
+        "each defect exactly 0.0 or 1.0, so the verdict is exact and takes no\n"
+        "tolerance.  depth is the word length of the pairs.\n"
         "Certificate: worst defect per law."),
     "aperiodicity": Check(run_aperiodicity, ("p", "unit", "b"), ("h", "twist", "trials", "seed"),
         "Bracket the infimum of |alpha(a) b a| over positive norm-one a supported\n"

@@ -677,20 +677,13 @@ class AbsorptionMonoid(RightLcmSemigroup):
 class SemigroupHom:
     """A map between instances, checked against the controlled-map axioms.
 
-    fn maps normal-form data of domain to normal-form data of codomain.
-    theta(p) checks that p is of domain and wraps fn(p.data) in one Element;
-    check_controlled_map calls fn on data alone."""
+    fn maps normal-form data of domain to normal-form data of codomain;
+    check_controlled_map calls it on data alone."""
 
-    def __init__(self, domain, codomain, fn, name="theta"):
+    def __init__(self, domain, codomain, fn):
         self.domain = domain
         self.codomain = codomain
         self.fn = fn
-        self.name = name
-
-    def __call__(self, p):
-        if p.sg is not self.domain:
-            self.domain.check_same(p)
-        return Element(self.codomain, self.fn(p.data))
 
 
 def controlled_abelianization(src: FreeProduct):
@@ -709,7 +702,7 @@ def controlled_abelianization(src: FreeProduct):
             v[i] += x
         return tuple(v)
 
-    return SemigroupHom(src, DirectSumN(k), fn, name="abelianization")
+    return SemigroupHom(src, DirectSumN(k), fn)
 
 
 class ControlledMapReport:

@@ -130,9 +130,6 @@ class NTElement:
             out.add_term(p, q, a)
         return out
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __mul__(self, scalar):
         out = NTElement(self.backend, self.ideal)
         for (p, q), a in self.terms.items():

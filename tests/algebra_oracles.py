@@ -15,7 +15,9 @@ from ntforge.precategory import (
     Arrow,
     StructureReport,
     _BackendBase,
+    full_ideal,
     ideal_membership,
+    ideal_unit,
 )
 from ntforge.semigroups import DirectSumN
 from ntforge.segments import Segment, _in_cell, leq
@@ -142,7 +144,7 @@ def nt_monomial(backend, p, q, blocks, ideal=None) -> NTElement:
 
 def nt_identity(backend, ideal=None) -> NTElement:
     e = backend.sg.identity()
-    return NTElement(backend, ideal).add_term(e, e, backend.identity_arrow(e))
+    return NTElement(backend, ideal).add_term(e, e, ideal_unit(backend, full_ideal(backend), e))
 
 
 def coeff(x: NTElement, p, q):

@@ -5,7 +5,7 @@ t-th fiber ⊕_s K(s,t); these routes build it densely, for comparing norms,
 the block-diagonal compression and the t-th restricted representation
 against the factored operators.  check_reducing_condition states the
 hypothesis under which that restricted representation carries the norm.
-The interior of a truncation, the restriction of an operator to sources in
+The interior of a truncation, the defect of a product of lifts on sources in
 a set, and the column layout of one (colour, object) serve the tests that
 compare lifts and slots entry by entry.
 """
@@ -133,10 +133,12 @@ def interior(tr: Truncation, margin: int):
     return frozenset(s for s in tr.S if sg.length(s) + margin <= tr.depth)
 
 
-def restrict_sources(op: FockOperator, sources) -> FockOperator:
-    """Keep only the columns whose source object lies in sources."""
-    tr = op.tr
-    return op @ _source_projection(tr, [tr.index[s] for s in sources if s in tr.index])
+def product_defect(x: NTElement, y: NTElement, z: NTElement, tr: Truncation, sources) -> float:
+    """The Frobenius norm of lift(x) lift(y) - lift(z) on the columns whose
+    source object lies in sources, colour by colour on the column factors."""
+    keep = _source_projection(tr, [tr.index[s] for s in sources if s in tr.index]).slots
+    parts = zip(lift(x, tr).slots, lift(y, tr).slots, lift(z, tr).slots, keep)
+    return float(np.sqrt(sum(np.sum(np.abs(((a @ b - c) @ k).data) ** 2) for a, b, c, k in parts)))
 
 
 def col_dim(tr: Truncation, c, s) -> int:

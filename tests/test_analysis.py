@@ -249,8 +249,8 @@ def test_certified_route_matches_dense_route(case):
     other = _conjugated(rep, 7)
     fam, dense = ProjectionFamily(rep, tr.S), DenseProjectionFamily(other, tr.S)
     semi, eq, toe, cond = (
-        check_projection_semilattice(fam, depth, tol=1e-9),
-        check_projection_equalities(fam, sg.elements(depth), tol=1e-9),
+        check_projection_semilattice(fam, depth),
+        check_projection_equalities(fam, sg.elements(depth)),
         check_toeplitz_covariance(rep, p, qs),
         check_condition_C(rep, ProjectionFamily(rep, tr.S), p, qs),
     )
@@ -384,9 +384,9 @@ def test_projection_family_raises_on_hadamard_crossed_product():
 def test_projection_semilattice_N2(frep_N2, frep_N2_deep):
     for rep, tr in (frep_N2, frep_N2_deep):
         fam = ProjectionFamily(rep, tr.S)
-        rep_report = check_projection_semilattice(fam, depth=2, tol=1e-9)
+        rep_report = check_projection_semilattice(fam, depth=2)
         assert rep_report.ok, rep_report.details
-        assert check_projection_equalities(fam, rep.backend.sg.elements(2), tol=1e-9).ok
+        assert check_projection_equalities(fam, rep.backend.sg.elements(2)).ok
 
 
 def test_projection_orthogonality_free_monoid(frep_FM):
@@ -403,7 +403,7 @@ def test_projection_equalities_and_commutation(frep_FM):
     rep, tr = frep_FM
     sg = rep.backend.sg
     fam = ProjectionFamily(rep, tr.S)
-    assert check_projection_equalities(fam, sg.elements(2), tol=1e-9).ok
+    assert check_projection_equalities(fam, sg.elements(2)).ok
     pairs = [(sg.parse("a"), sg.parse("b")), (sg.parse("ab"), sg.parse("a"))]
     assert check_projection_commutation(fam, pairs, tol=1e-9).ok
 

@@ -151,7 +151,7 @@ def test_regular_representation_z2_matrix_and_spectrum():
 
 def _reference_regular_phi(bundle):
     """Left convolution column by column: one bundle product per basis vector."""
-    G = sorted(bundle.elements, key=bundle.group.sort_key)
+    G, e = sorted(bundle.elements, key=bundle.group.sort_key), bundle.group.identity()
     offsets, total = {}, 0
     for g in G:
         offsets[g] = total
@@ -163,8 +163,8 @@ def _reference_regular_phi(bundle):
         m = np.zeros((total, total), dtype=complex)
         for k in G:
             out = s * k
-            for j, basis_blocks in enumerate(bundle.basis(k)):
-                image = bundle.mul(s, arrow.blocks, k, basis_blocks)
+            for j, basis in enumerate(bundle.backend.basis(k, e)):
+                image = bundle.mul(s, arrow.blocks, k, basis.blocks)
                 m[offsets[out] : offsets[out] + bundle.fiber_dim(out), offsets[k] + j] = (
                     np.concatenate([np.ravel(b) for b in image])
                 )
@@ -184,7 +184,7 @@ def test_regular_representation_matches_per_basis_reference(bundle):
     ref = _reference_regular_phi(bundle)
     e = bundle.group.identity()
     rng = np.random.default_rng(11)
-    arrows = [rep.backend.arrow(g, e, blocks) for g in bundle.elements for blocks in bundle.basis(g)]
+    arrows = [rep.backend.arrow(g, e, a.blocks) for g in bundle.elements for a in bundle.backend.basis(g, e)]
     arrows += [rep.backend.arrow(g, e, bundle.random_fiber(g, rng)) for g in bundle.elements]
     for a in arrows:
         assert np.array_equal(rep.phi(a), ref(a))
@@ -290,8 +290,8 @@ def test_regular_flat_is_an_isometry_of_the_raveled_image(bundle):
     rep = regular_representation(bundle)
     e = bundle.group.identity()
     for g in bundle.elements:
-        arrows = [rep.backend.arrow(g, e, blocks) for blocks in bundle.basis(g)]
-        flat = np.array([rep.flat(a) for a in arrows])
+        arrows = [rep.backend.arrow(g, e, a.blocks) for a in bundle.backend.basis(g, e)]
+        flat = np.array([rep._flat(g, a.blocks) for a in arrows])
         dense = np.array([np.ravel(rep.phi(a)) for a in arrows])
         assert flat.shape[1] == sum((len(bundle.elements) * d) ** 2 for d in rep.dims)
         assert np.allclose(flat.conj() @ flat.T, dense.conj() @ dense.T, rtol=0, atol=1e-12)
@@ -308,8 +308,8 @@ def test_regular_basis_images_match_per_arrow_flat(bundle):
     e = bundle.group.identity()
     for g in bundle.elements:
         got = rep.basis_images(g, e)
-        want = np.array([rep.flat(a) for a in rep.backend.basis(g, e)])
-        assert got.shape == want.shape == (bundle.fiber_dim(g), len(rep.flat(rep.backend.zero(g, e))))
+        want = np.array([rep._flat(g, a.blocks) for a in rep.backend.basis(g, e)])
+        assert got.shape == want.shape == (bundle.fiber_dim(g), len(rep._flat(g, rep.backend.zero(g, e).blocks)))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     rep.ideal = ColorIdeal(frozenset())
     assert rep.basis_images(e, e).shape == (0, sum((len(bundle.elements) * d) ** 2 for d in rep.dims))
@@ -355,9 +355,9 @@ def _stacked_rank(bundle, rep, tol=1e-8):
     SVDs of image_algebra_rank replace."""
     e = bundle.group.identity()
     m = np.array([
-        np.ravel(rep.phi(rep.backend.arrow(g, e, blocks)))
+        np.ravel(rep.phi(rep.backend.arrow(g, e, a.blocks)))
         for g in bundle.elements
-        for blocks in bundle.basis(g)
+        for a in bundle.backend.basis(g, e)
     ])
     m = m[:, np.any(m != 0, axis=0)]
     s = np.linalg.svd(m, compute_uv=False)

@@ -112,6 +112,8 @@ def test_removed_dense_cap_flag_is_rejected(capsys):
         ({"name": "nondegenerate", "dpeth": 1}, "dpeth"),
         # well-aligned samples with the scenario's seed, not a seed of its own
         ({"name": "well-aligned", "seed": 3}, "seed"),
+        # each projections defect is 0.0 or 1.0, so the verdict takes no tol
+        ({"name": "projections", "tol": 1e-9}, "tol"),
     ],
 )
 def test_misspelled_check_parameter_is_rejected(tmp_path, capsys, check, field):
@@ -485,6 +487,31 @@ def test_norm_agreement_on_sixteen_diagonal_keys():
     assert item["data"]["depth"] == 8
 
 
+def test_condition_cprime_reports_full_and_corner_norms():
+    # Q_1 covers every source but 0, so the corner keeps the (0, 0) entry alone
+    data = json.loads(pathlib.Path(TOEPLITZ).read_text())
+    data["elements"]["unit"] = [{"range": "0", "source": "0", "blocks": [[[1]]]}]
+    data["checks"] = [{"name": "condition-cprime", "p": "0", "qs": ["1"], "element": name}
+                      for name in ("offdiag", "unit")]
+    offdiag, unit = run_scenario(data)["items"]
+    assert (offdiag["status"], offdiag["data"]) == ("fail", {"norm": 1.0, "corner_norm": 0.0})
+    assert (unit["status"], unit["data"]) == ("pass", {"norm": 1.0, "corner_norm": 1.0})
+
+
+def test_grade_on_a_finite_group_formats_group_elements():
+    # keys (1, e) and (2, 1) both have grade 1 - 0 = 2 - 1 = 1 in Z3
+    report = run_scenario({
+        "semigroup": {"kind": "finite_group", "name": "Z3"},
+        "backend": {"kind": "colored", "colors": 1},
+        "settings": {"depth": 1},
+        "elements": {"x": [{"range": "1", "source": "e", "blocks": [[[1]]]},
+                           {"range": "2", "source": "1", "blocks": [[[2]]]}]},
+        "checks": [{"name": "grade", "element": "x"}],
+    })
+    (item,) = report["items"]
+    assert (item["status"], item["data"]) == ("info", {"grades": ["1"]})
+
+
 def test_aperiodicity_report_carries_certificate(tmp_path):
     data = {
         "semigroup": {"kind": "unit_extension", "base": {"kind": "direct_sum", "rank": 1}, "units": "Z2"},
@@ -746,6 +773,17 @@ def test_fock_build_reports_sources(capsys):
     assert main(["fock", "build", TOEPLITZ, "y", "--depth", "4"]) == 0
     data = json.loads(capsys.readouterr().out)["data"]
     assert data["sources"] == 5 and data["depth"] == 4
+
+
+@pytest.mark.parametrize("argv", [["build", TOEPLITZ, "y"], ["norm", TOEPLITZ, "x"],
+                                  ["expect", TOEPLITZ, "offdiag"], ["project", TOEPLITZ, "--word", "3"]],
+                         ids=["build", "norm", "expect", "project"])
+def test_fock_builds_one_truncation(argv, monkeypatch, capsys):
+    built = []
+    init = Truncation.__init__
+    monkeypatch.setattr(Truncation, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    assert main(["fock", *argv]) == 0
+    assert len(built) == 1
 
 
 # -- check -----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from fock_oracles import (
     fock_source_restricted,
     interior,
     norm_by_fibers,
-    restrict_sources,
+    product_defect,
 )
 from algebra_oracles import nt_monomial
 from bundle_oracles import conjugation_action, swap_action
@@ -101,9 +101,9 @@ def test_lift_adjoint_commutes():
     rng = np.random.default_rng(21)
     tr = Truncation(ps_FM, 3)
     x = random_element(ps_FM, rng)
-    a, b = lift(nt_adjoint(x), tr), lift(x, tr).adjoint()
+    a, b = lift(nt_adjoint(x), tr), lift(x, tr)
     for c in range(2):
-        assert _same_entries(a.slots[c], b.slots[c])
+        assert _same_entries(a.slots[c], b.slots[c].conj().T.tocsr())
 
 
 @pytest.mark.parametrize("ps,depth", [(ps_N, 6), (ps_FM, 5), (ps_N2, 4)])
@@ -114,10 +114,7 @@ def test_lift_is_multiplicative_on_interior(ps, depth):
         x = random_element(ps, rng)
         y = random_element(ps, rng)
         margin = x.max_key_length() + y.max_key_length()
-        inner = interior(tr, margin)
-        lhs = restrict_sources(lift(x, tr) @ lift(y, tr), inner)
-        rhs = restrict_sources(lift(nt_mul(x, y), tr), inner)
-        assert (lhs - rhs).frobenius() <= 1e-9
+        assert product_defect(x, y, nt_mul(x, y), tr, interior(tr, margin)) <= 1e-9
 
 
 def test_right_tensor_representation_law():
@@ -133,10 +130,7 @@ def test_right_tensor_representation_law():
         y = NTElement(ps_FM).add_term(s, t, b)
         v = FM.left_divide(q, s)
         z = NTElement(ps_FM).add_term(p * v, t, a.rtensor(v).compose(b))
-        inner = interior(tr, x.max_key_length() + y.max_key_length())
-        lhs = restrict_sources(lift(x, tr) @ lift(y, tr), inner)
-        rhs = restrict_sources(lift(z, tr), inner)
-        assert (lhs - rhs).frobenius() <= 1e-9
+        assert product_defect(x, y, z, tr, interior(tr, x.max_key_length() + y.max_key_length())) <= 1e-9
 
 
 def test_fock_norm_examples():
@@ -196,7 +190,7 @@ def test_factored_norm_matches_fiberwise_assembly():
             x.add_term(p, q, ps_FM.random_arrow(p, q, rng))
         op = lift(x, tr)
         assert abs(op.norm() - norm_by_fibers(op, ts=[FM.identity()])) <= 1e-10
-    assert (op - op).norm() == 0.0  # an all-zero slot above SMALL_SLOT
+    assert FockOperator(tr, [m - m for m in op.slots]).norm() == 0.0  # an all-zero slot above SMALL_SLOT
     # zero-tensor backend: K(s,t) = 0 off the diagonal, so each fiber holds
     # only its own diagonal block
     zb = ZeroTensorBackend([1, 2, 2])
@@ -274,7 +268,7 @@ def _reference_projection_QT(p, tr):
     sg = tr.backend.sg
     return _dense_block_reference(
         tr,
-        [(s, s, tr.backend.identity_arrow(s)) for s in tr.S if sg.left_divide(p, s) is not None],
+        [(s, s, ideal_unit(tr.backend, full_ideal(tr.backend), s)) for s in tr.S if sg.left_divide(p, s) is not None],
     )
 
 
@@ -572,10 +566,10 @@ def test_expectation_kills_offdiagonal_cancellative():
     rng = np.random.default_rng(1)
     p, q = FM.parse("ab"), FM.parse("a")
     x = NTElement(ps_FM).add_term(p, q, ps_FM.random_arrow(p, q, rng))
-    assert transcendental_expectation(x, tr).is_zero()
+    assert np.linalg.norm(transcendental_expectation(x, tr).dense()) <= 1e-12
     tr2 = Truncation(ps_N2, 4)
     y = scalar(ps_N2, "(1,0)", "(0,1)")
-    assert transcendental_expectation(y, tr2).is_zero()
+    assert np.linalg.norm(transcendental_expectation(y, tr2).dense()) <= 1e-12
 
 
 def test_expectation_fixes_diagonal_keys():
@@ -601,14 +595,14 @@ def test_expectation_is_diagonal_compression_of_lift():
         x.add_term(p, p, ps.random_arrow(p, p, rng))
         ex = transcendental_expectation(x, tr)
         compress = diagonal_part(lift(x, tr))
-        assert (ex - compress).frobenius() <= 1e-12
+        assert np.linalg.norm(ex.dense() - compress.dense()) <= 1e-12
         # and via explicit Q_w sandwiches
-        lf = lift(x, tr)
-        acc = FockOperator(tr)
+        lf = lift(x, tr).dense()
+        acc = np.zeros_like(lf)
         for w in tr.S:
-            qw = projection_Qw(w, tr)
-            acc = acc + qw @ lf @ qw
-        assert (ex - acc).frobenius() <= 1e-12
+            qw = projection_Qw(w, tr).dense()
+            acc += qw @ lf @ qw
+        assert np.linalg.norm(ex.dense() - acc) <= 1e-12
 
 
 def test_transcendental_phenomenon_on_absorption():
@@ -641,12 +635,12 @@ def test_projection_semilattice():
     tr = Truncation(ps_FM, 4)
     qa = projection_QT(FM.parse("a"), tr)
     qb = projection_QT(FM.parse("b"), tr)
-    assert (qa @ qb).is_zero()
+    assert np.linalg.norm(qa.dense() @ qb.dense()) <= 1e-12
     tr2 = Truncation(ps_N2, 4)
     q10 = projection_QT(N2.parse("(1,0)"), tr2)
     q01 = projection_QT(N2.parse("(0,1)"), tr2)
     q11 = projection_QT(N2.parse("(1,1)"), tr2)
-    assert ((q10 @ q01) - q11).frobenius() == 0.0
+    assert np.array_equal(q10.dense() @ q01.dense(), q11.dense())
 
 
 def test_projection_relation_with_lift():
@@ -657,14 +651,14 @@ def test_projection_relation_with_lift():
         p0 = rng.choice(FM.elements(1))
         a = ps_FM.random_arrow(p0, q, rng)
         x = NTElement(ps_FM).add_term(p0, q, a)
-        lhs = lift(x, tr) @ projection_QT(p, tr)
+        lhs = lift(x, tr).dense() @ projection_QT(p, tr).dense()
         w = FM.right_lcm(q, p)
         if w is None:
-            assert lhs.is_zero()
+            assert np.linalg.norm(lhs) <= 1e-12
             continue
         v = FM.left_divide(q, w)
         y = NTElement(ps_FM).add_term(p0 * v, w, a.rtensor(v))
-        assert (lhs - lift(y, tr)).frobenius() <= 1e-10
+        assert np.linalg.norm(lhs - lift(y, tr).dense()) <= 1e-10
 
 
 def test_source_restriction_at_identity():
@@ -709,4 +703,4 @@ def test_unit_shifted_keys_lift_identically():
     a = ps.random_arrow(p, q, rng)
     one = NTElement(ps).add_term(p, q, a)
     two = NTElement(ps).add_term(p * x, q * x, a.rtensor(x))
-    assert (lift(one, tr) - lift(two, tr)).frobenius() <= 1e-10
+    assert np.linalg.norm(lift(one, tr).dense() - lift(two, tr).dense()) <= 1e-10

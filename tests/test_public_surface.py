@@ -16,7 +16,12 @@ resolved: a class name stands for its constructor, super().__init__ inside
 a subclass for its base's, and a call with *args or **kwargs passes every
 parameter.
 
-Both guards match names, not objects, so they have blind spots.  They
+Backends follow one contract: a subclass of precategory._BackendBase, in
+src/ or in the tests, may override of the base's names only the hooks in
+BACKEND_HOOKS.  Arrow sums, products, adjoints and ampliations are built
+from those block hooks once, in the base and in Arrow.
+
+The first two guards match names, not objects, so they have blind spots.  They
 cannot attribute an operator (`a - b` calls __sub__ by no name), and a
 method name defined on several classes counts as used, or as passing a
 parameter, when a call reaches any of them.
@@ -145,3 +150,28 @@ def test_every_option_is_set_outside_the_tests():
             unset += [f"{path.name}:{f.lineno} {label}({p})" for p in defaulted
                       if p not in keywords and not (p in positional and positional.index(p) < most)]
     assert not unset, "options no caller outside the tests sets: " + ", ".join(unset)
+
+
+#: What a backend may define of the names _BackendBase defines: shapes, the
+#: block hooks (which take blocks with leading stack axes), the keys the Fock
+#: assembly caches on, and the basis and random-draw constructors
+BACKEND_HOOKS = {"shape", "_tensor_blocks", "_compose_blocks", "_compose_class", "_adjoint_blocks",
+                 "_ampliation_class", "_rtensor_coo", "basis_stack", "random_arrow", "space_dim"}
+
+
+def test_backends_override_only_the_contract_hooks():
+    trees = [ast.parse(p.read_text()) for d in (PACKAGE, ROOT / "tests") for p in sorted(d.glob("*.py"))]
+    classes = {c.name: c for tree in trees for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+    base = classes["_BackendBase"]
+    inherited = {f.name for f in base.body if isinstance(f, ast.FunctionDef)} | {
+        t.id for a in base.body if isinstance(a, ast.Assign) for t in a.targets if isinstance(t, ast.Name)}
+    assert BACKEND_HOOKS <= inherited
+    backends = {"_BackendBase"}
+    while new := {n for n, c in classes.items() if n not in backends
+                  and any(getattr(b, "id", None) in backends for b in c.bases)}:
+        backends |= new
+    assert {"ColoredProductSystem", "ZeroTensorBackend", "CrossedProductBackend", "BundleBackend",
+            "TwistedN", "_SwapN2"} <= backends
+    stray = [f"{name}.{f.name}" for name in sorted(backends - {"_BackendBase"}) for f in classes[name].body
+             if isinstance(f, ast.FunctionDef) and f.name in inherited - BACKEND_HOOKS]
+    assert not stray, "backend overrides outside the contract hooks: " + ", ".join(stray)
