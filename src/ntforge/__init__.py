@@ -53,7 +53,6 @@ from .fock import (
     fock_norm,
     lift,
     projection_QT,
-    projection_Qw,
     transcendental_expectation,
 )
 from .analysis import (

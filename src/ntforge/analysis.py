@@ -296,12 +296,13 @@ def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RAN
     product keeps the columns outside the index sets of all Q_<q_i> (a unit
     image off the certificate raises, see ProjectionFamily), and its
     commutator with phi(a) holds phi(a) where the row and column masks
-    differ.  A spectral norm is taken only of a nonzero commutator.
+    differ.  A spectral norm is taken only of a nonzero commutator.  An empty
+    fiber passes with sigma_min None (null in a report).
     """
     _precondition(p, qs)
     ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
     if not len(ims):
-        return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
+        return CheckReport("condition-C", True, {"sigma_min": None, "note": "empty fiber"})
     keep = ~_union(rep.dim, [family.Q_angle_set(q) for q in qs])
     mc, gap = ims * keep, ims * (keep[None, :].astype(float) - keep[:, None])
     gap = gap[gap.reshape(len(gap), -1).any(axis=1)]

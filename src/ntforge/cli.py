@@ -6,7 +6,7 @@
     ntforge segments scenario.json -F 1 -F 11 [--depth N]
     ntforge partition-check scenario.json -F ... [--depth N]
     ntforge nt {mul,adjoint,expect,grade,norm} scenario.json x [y]
-    ntforge fock {build,norm,expect,project} scenario.json [x] [--depth --tol]
+    ntforge fock {build,norm,expect,project} scenario.json [x | --word W | --above P] [--depth --tol]
     ntforge check <check> scenario.json [--p P --qs Q.. --element X --unit U --b B --trials N]
     ntforge bundle {regular,roundtrip,spectrum} scenario.json [--section S]
 
@@ -24,7 +24,6 @@ import functools
 import json
 import sys
 
-from .fock import lift, projection_Qw, projection_QT
 from .scenario import (
     CHECKS,
     ELEMENT,
@@ -116,35 +115,25 @@ def cmd_nt(args):
 
 
 def cmd_fock(args):
+    """project reads the scenario's projection family; build/norm/expect run a check."""
     sc = _scenario(args)
     sc.need("sg")
-    depth = sc.settings["depth"]
-    tr = sc.truncation()
     if args.op == "project":
         if (args.word is None) == (args.above is None):
             raise ScenarioError("fock project needs exactly one of --word/--above")
+        _, tr, fam = sc.fock_family()
         if args.word is not None:
-            op = projection_Qw(sc.sg.parse(args.word), tr)
+            keep = fam.Q_set(sc.sg.parse(args.word))
         else:
-            op = projection_QT(sc.sg.parse(args.above), tr)
-        rank = sum(int(round(m.diagonal().sum().real)) for m in op.slots)
-        norm = op.norm(tol=sc.settings["tol"])
-        return _finish("info", {"norm": norm, "exact": True, "depth": depth, "rank": rank})
-    x = ELEMENT.read(args.x, sc)
-    exact = bool(x.is_diagonal() and x.max_key_length() + 2 <= depth)
-    if args.op == "build":
-        op = lift(x, tr)
-        data = {
-            "norm": op.norm(tol=sc.settings["tol"]),
-            "exact": exact,
-            "depth": depth,
-            "sources": len(tr.S),
-        }
-        return _finish("info", data)
-    if args.op == "norm":
-        return _finish(*run_check(sc, "fock-norm", {"element": args.x, "depth": depth}))
-    status, data = run_check(sc, "expect", {"element": args.x, "depth": depth})
-    data["exact"] = False
+            keep = fam.Q_angle_set(sc.sg.parse(args.above))
+        rank = int(keep.sum())
+        return _finish("info", {"norm": float(rank > 0), "exact": True, "depth": tr.depth, "rank": rank})
+    name = "expect" if args.op == "expect" else "fock-norm"
+    status, data = run_check(sc, name, _given({"element": args.x}))
+    if args.op == "expect":
+        data["exact"] = False
+    elif args.op == "build":
+        data["sources"] = len(sc.truncation().S)
     return _finish(status, data)
 
 
@@ -219,9 +208,9 @@ def build_parser():
     p.add_argument("scenario")
     p.add_argument("x", nargs="?")
     p.add_argument("--word", default=None,
-                   help="source word w: the projection onto the single source-w block of the full "
-                        "module, ignoring the ideal (not the projections check's Q_w)")
-    p.add_argument("--above", default=None, help="p for the Q_<p> projection (sources in pP)")
+                   help="w for Q_w = phi(1_w), the projections check's range projection "
+                        "(it honours the scenario's ideal)")
+    p.add_argument("--above", default=None, help="p for Q_<p>, the join of the Q_w over w in pP")
     _add_settings(p)
     p.set_defaults(fn=cmd_fock)
 

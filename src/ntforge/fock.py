@@ -389,14 +389,6 @@ def _source_projection(tr: Truncation, keep) -> FockOperator:
     return FockOperator(tr, slots)
 
 
-def projection_Qw(w, tr: Truncation) -> FockOperator:
-    """Projection onto the single block of source w of the full module,
-    whatever the ideal.  This is not the Q_w = phi(1_w) of the projections
-    check, which keeps the ideal's colors of every source w·v with
-    1_w x 1_v nonzero."""
-    return _source_projection(tr, [tr.index[w]] if w in tr.index else [])
-
-
 def projection_QT(p, tr: Truncation) -> FockOperator:
     """Q_<p>: projection onto blocks with source index in pP, i.e. p·v for v in S."""
     at_p = tr.right_orbit(p)

@@ -403,56 +403,39 @@ def _core_witness(sg, p, q):
 
 
 def core_norm(x: NTElement, wdepth: int = 4) -> CoreNorm:
-    """Norm of a core element via the initial-segment formula.
+    """Norm of a core element by the initial-segment formula: the sup over
+    segments C of F and points w of the cell P_{F,C} of the norm of the sum,
+    over keys (p,q) in C x C with p^-1 w = q^-1 w, of a_{p,q} x 1_{q^-1 w}.
 
-    Diagonal elements evaluate exactly: the supremum over the partition cell
-    is attained at sigma(C), so
-
-        norm = max over segments C of | sum_{p in C} a_{p,p} x 1_{p^-1 sigma(C)} |.
-
-    Mixed keys must satisfy the core condition (some w in pP & qP with
-    p^-1 w = q^-1 w, impossible for p != q over a right-cancellative
-    semigroup), searched to word length WITNESS_DEPTH past the LCM, else
-    ValueError; their norm is the same formula with the supremum truncated to
-    word length wdepth, returned as a lower bound (exact=False).
+    A diagonal element takes w = sigma(C), where the supremum is attained:
+    exact, and no window is built.  A mixed key must satisfy the core
+    condition (some w in pP & qP with p^-1 w = q^-1 w, impossible for p != q
+    over a right-cancellative semigroup; a witness is searched to word length
+    WITNESS_DEPTH past the LCM), else ValueError; then w runs over the cell's
+    points in one window of word length wdepth, a lower bound (exact=False).
     """
     if x.is_zero():
         return CoreNorm(0.0, True)
     sg = x.backend.sg
-    F = sorted(x.support(), key=sg.sort_key)
-    if x.is_diagonal():
-        best = 0.0
-        for seg in initial_segments(sg, F):
-            acc = None
-            for p in seg.C:
-                a = x.terms.get((p, p))
-                if a is None:
-                    continue
-                shifted = a.rtensor(sg.left_divide(p, seg.sig))
-                acc = shifted if acc is None else acc + shifted
-            if acc is not None:
-                best = max(best, acc.norm())
-        return CoreNorm(best, True)
-
+    exact = x.is_diagonal()
     for p, q in x.terms:
         if p != q and _core_witness(sg, p, q) is None:
-            raise ValueError(
-                f"key ({p!r},{q!r}) lies outside the core: no common multiple "
-                f"w with equal quotients (search depth {WITNESS_DEPTH})"
-            )
+            raise ValueError(f"key ({p!r},{q!r}) lies outside the core: no common multiple "
+                             f"w with equal quotients (search depth {WITNESS_DEPTH})")
+    F = sorted(x.support(), key=sg.sort_key)
+    window = None if exact else sg.elements(wdepth)
     best = 0.0
     for seg in initial_segments(sg, F):
-        for w in sg.elements(wdepth):
-            if not _in_cell(w, F, seg):
-                continue
+        for w in [seg.sig] if exact else [w for w in window if _in_cell(w, F, seg)]:
             acc = None
             for (p, q), a in x.terms.items():
                 if p not in seg.C or q not in seg.C:
                     continue
-                if sg.left_divide(p, w) != sg.left_divide(q, w):
+                v = sg.left_divide(q, w)
+                if p != q and sg.left_divide(p, w) != v:
                     continue
-                shifted = a.rtensor(sg.left_divide(q, w))
+                shifted = a.rtensor(v)
                 acc = shifted if acc is None else acc + shifted
             if acc is not None:
                 best = max(best, acc.norm())
-    return CoreNorm(best, False)
+    return CoreNorm(best, exact)

@@ -3,8 +3,10 @@
 The engine keeps one column factor per color and never materializes the
 t-th fiber ⊕_s K(s,t); these routes build it densely, for comparing norms,
 the block-diagonal compression and the t-th restricted representation
-against the factored operators.  check_reducing_condition states the
-hypothesis under which that restricted representation carries the norm.
+against the factored operators; projection_Qw gives the single source
+blocks that sandwich the lift into that compression.
+check_reducing_condition states the hypothesis under which that restricted
+representation carries the norm.
 The interior of a truncation, the defect of a product of lifts on sources in
 a set, and the column layout of one (colour, object) serve the tests that
 compare lifts and slots entry by entry.
@@ -65,6 +67,14 @@ def diagonal_part(op: FockOperator):
         keep = owner[coo.row] == owner[coo.col]
         out.append(_csr(m.shape[0], coo.row[keep], coo.col[keep], coo.data[keep]))
     return FockOperator(op.tr, out)
+
+
+def projection_Qw(w, tr: Truncation) -> FockOperator:
+    """Projection onto the single block of source w of the full module,
+    whatever the ideal: the Q_w of the block-diagonal compression.  This is
+    not the Q_w = phi(1_w) of ProjectionFamily, which keeps the ideal's
+    colours of every source w·v with 1_w x 1_v nonzero."""
+    return _source_projection(tr, [tr.index[w]] if w in tr.index else [])
 
 
 class FiberRestriction:

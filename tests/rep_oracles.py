@@ -232,7 +232,7 @@ def dense_condition_C(rep: ConcreteRep, family: DenseProjectionFamily, p, qs, to
     _precondition(p, qs)
     ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
     if not len(ims):
-        return CheckReport("condition-C", True, {"sigma_min": float("inf"), "note": "empty fiber"})
+        return CheckReport("condition-C", True, {"sigma_min": None, "note": "empty fiber"})
     comp = np.eye(rep.dim, dtype=complex)
     for q in qs:
         comp = comp @ (np.eye(rep.dim) - family.Q_angle(q))

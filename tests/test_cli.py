@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import json
 import operator
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from ntforge.cli import build_parser, main
-from ntforge.fock import Truncation
+from ntforge.fock import FockOperator, Truncation
 from ntforge.scenario import CHECKS, PARAMS, Scenario, run_scenario, report_ok
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -498,6 +499,18 @@ def test_condition_cprime_reports_full_and_corner_norms():
     assert (unit["status"], unit["data"]) == ("pass", {"norm": 1.0, "corner_norm": 1.0})
 
 
+def test_condition_c_on_an_empty_fiber_reports_null():
+    # the ideal keeps no colour, so K(1, 1) is zero
+    report = run_scenario({
+        "semigroup": {"kind": "direct_sum", "rank": 1},
+        "backend": {"kind": "colored", "gen_dims": [[1]], "ideal": []},
+        "checks": [{"name": "condition-c", "p": "1", "qs": ["2"]}],
+    })
+    (item,) = report["items"]
+    assert (item["status"], item["data"]) == ("pass", {"sigma_min": None, "note": "empty fiber"})
+    json.dumps(report, allow_nan=False)
+
+
 def test_grade_on_a_finite_group_formats_group_elements():
     # keys (1, e) and (2, 1) both have grade 1 - 0 = 2 - 1 = 1 in Z3
     report = run_scenario({
@@ -761,7 +774,25 @@ def test_fock_project_rank_counts_sources(capsys):
     assert data["rank"] == 4  # sources 2,3,4,5
     assert data["norm"] == 1.0
     assert main(["fock", "project", TOEPLITZ, "--word", "3", "--depth", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["data"]["rank"] == 1
+    assert json.loads(capsys.readouterr().out)["data"]["rank"] == 3  # Q_3 = phi(1_3): sources 3,4,5
+
+
+def test_fock_project_reads_the_scenario_projection_family(tmp_path, monkeypatch, capsys):
+    # two colours, the ideal keeps colour 0 alone: one column per source 0..5
+    path = tmp_path / "two_colours.json"
+    path.write_text(json.dumps({
+        "semigroup": {"kind": "direct_sum", "rank": 1},
+        "backend": {"kind": "colored", "gen_dims": [[1, 2]], "ideal": [0]},
+        "settings": {"depth": 5},
+    }))
+    norms = []
+    monkeypatch.setattr(FockOperator, "norm", lambda self, **kw: norms.append(self))
+    for flag, word, rank, norm in [("--above", "2", 4, 1.0), ("--word", "0", 6, 1.0),
+                                   ("--word", "9", 0, 0.0)]:
+        assert main(["fock", "project", str(path), flag, word]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data == {"norm": norm, "exact": True, "depth": 5, "rank": rank}, (flag, word)
+    assert norms == []
 
 
 def test_fock_project_needs_one_flag(capsys):
@@ -773,6 +804,26 @@ def test_fock_build_reports_sources(capsys):
     assert main(["fock", "build", TOEPLITZ, "y", "--depth", "4"]) == 0
     data = json.loads(capsys.readouterr().out)["data"]
     assert data["sources"] == 5 and data["depth"] == 4
+
+
+@pytest.mark.parametrize("name,depth", [("x", "2"), ("x", "4"), ("y", "5")])
+def test_fock_build_is_the_fock_norm_check_plus_sources(name, depth, capsys):
+    assert main(["fock", "norm", TOEPLITZ, name, "--depth", depth]) == 0
+    norm = json.loads(capsys.readouterr().out)["data"]
+    assert main(["fock", "build", TOEPLITZ, name, "--depth", depth]) == 0
+    build = json.loads(capsys.readouterr().out)["data"]
+    assert build == {**norm, "sources": int(depth) + 1}
+
+
+def test_fock_build_without_element_names_the_check(capsys):
+    assert main(["fock", "build", TOEPLITZ]) == 2
+    assert "check 'fock-norm'['element']: missing" in capsys.readouterr().err
+
+
+def test_cli_imports_nothing_from_fock():
+    tree = ast.parse((ROOT / "src" / "ntforge" / "cli.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fock" not in modules and "ntforge.fock" not in modules
 
 
 @pytest.mark.parametrize("argv", [["build", TOEPLITZ, "y"], ["norm", TOEPLITZ, "x"],

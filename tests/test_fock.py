@@ -21,7 +21,6 @@ from ntforge.fock import (
     fock_norm,
     lift,
     projection_QT,
-    projection_Qw,
     transcendental_expectation,
 )
 from ntforge.linalg import spectral_norm
@@ -48,6 +47,7 @@ from fock_oracles import (
     interior,
     norm_by_fibers,
     product_defect,
+    projection_Qw,
 )
 from algebra_oracles import nt_monomial
 from bundle_oracles import conjugation_action, swap_action

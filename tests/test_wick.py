@@ -200,6 +200,21 @@ def test_core_norm_mixed_key_absorption():
     assert res.value >= 0.99  # the off-diagonal key has diagonal Fock blocks
 
 
+def test_core_norm_builds_its_window_once(monkeypatch):
+    AB = ps_AB.sg
+    calls = []
+    elements = type(AB).elements
+    monkeypatch.setattr(type(AB), "elements", lambda self, depth: calls.append(depth) or elements(self, depth))
+    mixed = (scalar(ps_AB, "(0,1)", "(0,2)") + scalar(ps_AB, "(1,1)", "(1,1)")
+             + scalar(ps_AB, "(0,1)", "(0,3)"))
+    assert core_norm(mixed, wdepth=5) == (3.0, False)
+    assert calls.count(5) == 1  # not once per segment
+    calls.clear()
+    diagonal = scalar(ps_AB, "(0,1)", "(0,1)") + scalar(ps_AB, "(1,1)", "(1,1)")
+    assert core_norm(diagonal, wdepth=5).exact
+    assert calls == []  # w = sigma(C) alone: no window
+
+
 def test_core_norm_rejects_non_core_key():
     with pytest.raises(ValueError, match="outside the core"):
         core_norm(scalar(ps_N, "1", "0"))
