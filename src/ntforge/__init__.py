@@ -51,6 +51,7 @@ from .fock import (
     LanczosNoConvergence,
     Truncation,
     fock_norm,
+    fock_rep,
     lift,
     projection_QT,
     transcendental_expectation,
@@ -65,7 +66,6 @@ from .analysis import (
     check_projection_equalities,
     check_projection_semilattice,
     check_toeplitz_covariance,
-    fock_rep,
 )
 from .bundles import (
     BlockAction,

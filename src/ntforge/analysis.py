@@ -17,8 +17,8 @@ pP, the projection laws are set identities, and conditions (C) and (C')
 compress by row and column masks.
 
 The covariance and faithfulness checks map a fiber's whole matrix-unit basis
-at once (ConcreteRep.basis_images: one lift and one scatter on FockRep, the
-Fock representation) and rank the images as rows on the union of their supports.
+at once (ConcreteRep.basis_images: one lift and one scatter on fock.FockRep,
+the Fock representation) and rank the images as rows on the union of their supports.
 
 The aperiodicity search starts, on a colored backend, from a closed form: a
 unit x has dim(x) = 1, so for rank-one a = v v* in one color |alpha(a) b a|
@@ -44,22 +44,14 @@ import random
 
 import numpy as np
 
-from .fock import Truncation, _key_triples, _lift_placements
 from .linalg import RANK_TOL, rank_of_span, span_singular_values, spectral_norm
-from .precategory import (
-    Arrow,
-    ColoredProductSystem,
-    full_ideal,
-    ideal_membership,
-    ideal_unit,
-)
+from .precategory import ColoredProductSystem, full_ideal, ideal_unit
 from .segments import leq
-from .wick import canonical_key
 
 
 class ConcreteRep:
     """Arrow -> operator on C^dim, linear per fiber and *-compatible, phi_fn
-    the image; FockRep and bundles.RegularRep override phi and its readers."""
+    the image; fock.FockRep and bundles.RegularRep override phi and its readers."""
 
     def __init__(self, backend, dim, phi_fn, ideal=None, label="rep"):
         self.backend = backend
@@ -82,75 +74,13 @@ class ConcreteRep:
 
     def basis_images(self, p, q):
         """The rows flat(a) over the matrix-unit basis of K(p,q), in
-        backend.basis order: shape (n, L), L the length of flat."""
+        backend.basis order: shape (n, L), L the length of flat.  Condition C
+        needs rows equal to vec(phi(a)), of length dim**2."""
         basis = self.backend.basis(p, q, ideal=self.ideal)
         return np.array([self.flat(a) for a in basis]) if basis else np.zeros((0, self.dim**2), dtype=complex)
 
     def __repr__(self):
         return f"<rep {self.label} dim={self.dim}>"
-
-
-class FockRep(ConcreteRep):
-    """The truncated Fock representation on the source-e fiber of tr.
-
-    The Hilbert space is the direct sum over colors and source objects of the
-    column spaces.  phi(a) is lift(x, tr).dense() for the one-term element
-    x = a at its unit-canonical key: the key's COO triples (entries(a))
-    scattered into the dense layout (unlike NTElement, a coefficient below
-    PRUNE_TOL is not dropped).
-
-    basis_images(p, q) lifts one arrow whose entry at matrix unit k is k + 1:
-    where the backend's ampliation only copies entries (backend.copies_entries),
-    each triple names its basis element, and one scatter writes every
-    image.  Elsewhere each basis arrow takes phi.
-    """
-
-    def __init__(self, backend, tr, ideal):
-        sizes = [tr.col_total(c) for c in range(backend.slot_count)]
-        super().__init__(backend, sum(sizes), None, ideal, "fock")
-        self.tr = tr
-        self._offsets = np.cumsum([0] + sizes)
-        self._keys = {}  # (range, source) -> (transporting unit, lift placements)
-
-    def _triples(self, arrow):
-        """(color offset, the color's COO triples or None) of arrow's lift."""
-        key, sg = (arrow.range, arrow.source), self.backend.sg
-        if key not in self._keys:
-            p, q, u = canonical_key(sg, *key)
-            self._keys[key] = (u, _lift_placements(self.tr, p, q))
-        u, placed = self._keys[key]
-        return zip(self._offsets, _key_triples(self.tr, arrow if u == sg.one else arrow.rtensor(u), *placed))
-
-    def entries(self, arrow):
-        if not ideal_membership(arrow, self.ideal):
-            raise ValueError(f"coefficient at ({arrow.range!r},{arrow.source!r}) escapes the ideal")
-        parts = [(off + t[0], off + t[1], t[2]) for off, t in self._triples(arrow) if t]
-        return tuple(map(np.concatenate, zip(*parts))) if parts else (np.zeros(0, np.intp),) * 3
-
-    def phi(self, arrow):
-        rows, cols, vals = self.entries(arrow)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[rows, cols] = vals
-        return out
-
-    def basis_images(self, p, q):
-        if not self.backend.copies_entries:
-            return super().basis_images(p, q)
-        n, dim = self.backend.space_dim(p, q, self.ideal), self.dim
-        out = np.zeros((n, dim * dim), dtype=complex)
-        stack = self.backend.basis_stack(p, q, self.ideal)
-        labels = Arrow(self.backend, p, q, [np.tensordot(np.arange(1.0, n + 1), s, 1) for s in stack])
-        for off, t in self._triples(labels):
-            if t:
-                out[t[2].real.astype(np.intp) - 1, (off + t[0]) * dim + off + t[1]] = 1.0
-        return out
-
-
-def fock_rep(backend, depth: int, ideal=None, tr=None):
-    """(FockRep, truncation) of the backend at depth, reusing tr when given
-    (a Truncation of the backend at this depth)."""
-    tr = tr if tr is not None else Truncation(backend, depth)
-    return FockRep(backend, tr, ideal), tr
 
 
 def _range_basis(m, tol):
@@ -292,15 +222,19 @@ def check_condition_C(rep: ConcreteRep, family: ProjectionFamily, p, qs, tol=RAN
     """Faithfulness of a -> phi(a) prod_i (1 - Q_<q_i>) on the (p,p) fiber.
 
     The basis images phi(a) of K(p,p) come as one stack (rep.basis_images,
-    rows vec(phi(a))), and the compression is broadcast over it.  The
-    product keeps the columns outside the index sets of all Q_<q_i> (a unit
-    image off the certificate raises, see ProjectionFamily), and its
-    commutator with phi(a) holds phi(a) where the row and column masks
-    differ.  A spectral norm is taken only of a nonzero commutator.  An empty
-    fiber passes with sigma_min None (null in a report).
+    rows vec(phi(a)), else ValueError), and the compression is broadcast
+    over it.  The product keeps the columns outside the index sets of all
+    Q_<q_i> (a unit image off the certificate raises, see ProjectionFamily),
+    and its commutator with phi(a) holds phi(a) where the row and column
+    masks differ.  A spectral norm is taken only of a nonzero commutator.  An
+    empty fiber passes with sigma_min None (null in a report).
     """
     _precondition(p, qs)
-    ims = rep.basis_images(p, p).reshape(-1, rep.dim, rep.dim)
+    ims = rep.basis_images(p, p)
+    if ims.shape[1] != rep.dim**2:
+        raise ValueError(f"condition C needs basis images vec(phi) of length {rep.dim**2} from "
+                         f"{rep!r}, got rows of length {ims.shape[1]}")
+    ims = ims.reshape(-1, rep.dim, rep.dim)
     if not len(ims):
         return CheckReport("condition-C", True, {"sigma_min": None, "note": "empty fiber"})
     keep = ~_union(rep.dim, [family.Q_angle_set(q) for q in qs])

@@ -134,8 +134,6 @@ class CrossedProductBackend(_BackendBase):
         self.action = action
         self.sg = action.group
         self.slot_count = len(action.dims)
-        # conjugation by a non-identity unitary mixes the entries of a block
-        self.copies_entries = all(all(plain) for plain in action._plain.values())
 
     def shape(self, p, q):
         return [(d, d) for d in self.action.dims]
@@ -195,7 +193,6 @@ class BundleBackend(_BackendBase):
     right-tensoring (grades are invariant under right translation)."""
 
     kind = "bundle"
-    copies_entries = True
 
     def __init__(self, bundle: BundleFiberFamily):
         self.bundle = bundle

@@ -40,7 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analysis import ConcreteRep
 from .linalg import spectral_norm
+from .precategory import ideal_membership
 from .wick import NTElement
 
 # Column count up to which a color slot's norm is a dense SVD.  A larger slot
@@ -301,28 +303,31 @@ class FockOperator:
         return f"<fock-operator nnz={nnz} over {self.tr!r}>"
 
 
-def _key_triples(tr: Truncation, a, v, target, source):
-    """Per color, the COO triples (rows, cols, vals) in slot coordinates of
-    the operator that sends the columns of source[k] to those of target[k]
-    by a ⊗ 1_v[k], for the index arrays of one key's placements; () for a
-    color with no entry.  a ⊗ 1_v is taken once per ampliation class of v
-    and broadcast over the class's placements.  Within one key every
-    (target, source) occurs once, so no position repeats."""
+def _key_triples(tr: Truncation, xs, p, q, v, target, source):
+    """Per color, the COO entries (*stack indices, rows, cols, vals) in slot
+    coordinates of the operator that sends the columns of source[k] to those
+    of target[k] by a ⊗ 1_v[k], for the blocks xs of a in L(p,q) (stacked or
+    not) and the index arrays of one key's placements; () for a color with
+    no entry.  a ⊗ 1_v is taken once per ampliation class of v and broadcast
+    over the class's placements.  Within one key every (target, source)
+    occurs once, so no position repeats at one stack index."""
     backend = tr.backend
     parts = [[] for _ in range(backend.slot_count)]
     if v.size:
-        coo = backend._coo(a)
+        coo = backend._coo(xs)
         label = tr._amp_class[v]
         order = np.argsort(label, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-            amp = backend._rtensor_coo(a, tr.S[v[group[0]]], coo)
-            for c, (i, j, vals) in enumerate(amp):
+            amp = backend._rtensor_coo(xs, p, q, tr.S[v[group[0]]], coo)
+            for c, (*at, i, j, vals) in enumerate(amp):
                 if vals.size:
                     offsets = tr._col_offsets[c]
+                    # the entries once per placement (np.tile, without its overhead)
                     parts[c].append((
+                        *[k[None].repeat(group.size, 0).ravel() for k in at],
                         (offsets[target[group], None] + i).ravel(),
                         (offsets[source[group], None] + j).ravel(),
-                        np.tile(vals, group.size),
+                        vals[None].repeat(group.size, 0).ravel(),
                     ))
     return [tuple(np.concatenate(z) for z in zip(*part)) for part in parts]
 
@@ -334,7 +339,7 @@ def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
     addition."""
     total = None
     for (p, q), a in x.terms.items():
-        triples = _key_triples(tr, a, *placements(p, q))
+        triples = _key_triples(tr, a.blocks, p, q, *placements(p, q))
         op = FockOperator(tr, [_csr(tr.col_total(c), *t) for c, t in enumerate(triples)])
         total = op if total is None else total + op
     return total if total is not None else FockOperator(tr)
@@ -355,6 +360,62 @@ def lift(x: NTElement, tr: Truncation) -> FockOperator:
     with both in S; targets outside S are dropped (truncation).
     """
     return _assemble(x, tr, lambda p, q: _lift_placements(tr, p, q))
+
+
+class FockRep(ConcreteRep):
+    """The truncated Fock representation on the source-e fiber of tr.
+
+    The Hilbert space is the direct sum over colors and source objects of the
+    column spaces.  phi(a) is the lift of a at its own key (range, source),
+    its COO entries scattered into the dense layout (unlike NTElement, a
+    coefficient below PRUNE_TOL is not dropped), with no unit-canonical key:
+    a unit has length 0, so S is closed under units, v' -> u v' maps the
+    placements of (p u, q u) onto those of (p, q), and the lift of a equals
+    that of its unit-canonical term a ⊗ 1_u.  basis_images(p, q) lifts the
+    basis stack of K(p, q) once and scatters each entry at (stack index,
+    flat position).
+    """
+
+    def __init__(self, backend, tr, ideal):
+        sizes = [tr.col_total(c) for c in range(backend.slot_count)]
+        super().__init__(backend, sum(sizes), None, ideal, "fock")
+        self.tr = tr
+        self._offsets = np.cumsum([0] + sizes)
+        self._keys = {}  # (p, q) -> lift placements
+
+    def _entries(self, xs, p, q):
+        """(*stack indices, rows, cols, vals) of the lift of the blocks xs
+        of L(p, q), in the dense layout."""
+        if (p, q) not in self._keys:
+            self._keys[p, q] = _lift_placements(self.tr, p, q)
+        triples = _key_triples(self.tr, xs, p, q, *self._keys[p, q])
+        parts = [(*t[:-3], off + t[-3], off + t[-2], t[-1]) for off, t in zip(self._offsets, triples) if t]
+        empty = (np.zeros(0, np.intp),) * (xs[0].ndim + 1)
+        return tuple(map(np.concatenate, zip(empty, *parts)))
+
+    def entries(self, arrow):
+        if not ideal_membership(arrow, self.ideal):
+            raise ValueError(f"coefficient at ({arrow.range!r},{arrow.source!r}) escapes the ideal")
+        return self._entries(arrow.blocks, arrow.range, arrow.source)
+
+    def phi(self, arrow):
+        rows, cols, vals = self.entries(arrow)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[rows, cols] = vals
+        return out
+
+    def basis_images(self, p, q):
+        n, dim = self.backend.space_dim(p, q, self.ideal), self.dim
+        out = np.zeros((n, dim * dim), dtype=complex)
+        k, rows, cols, vals = self._entries(self.backend.basis_stack(p, q, self.ideal), p, q)
+        out[k, rows * dim + cols] = vals
+        return out
+
+
+def fock_rep(backend, depth: int, ideal=None):
+    """(FockRep, truncation) of the backend at depth."""
+    tr = Truncation(backend, depth)
+    return FockRep(backend, tr, ideal), tr
 
 
 def fock_norm(x: NTElement, tr: Truncation, tol=1e-8) -> float:

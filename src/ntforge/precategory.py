@@ -171,7 +171,6 @@ class _BackendBase:
 
     sg = None
     slot_count = 0
-    copies_entries = False  # True where a x 1_r only copies or drops entries of a
 
     def shape(self, p, q):
         raise NotImplementedError
@@ -227,18 +226,16 @@ class _BackendBase:
         return [np.ascontiguousarray(np.swapaxes(x, -1, -2).conj()) for x in xs]
 
     @staticmethod
-    def _coo(a):
-        """Per-slot COO triples (rows, cols, vals) of the nonzeros of a."""
-        out = []
-        for b in a.blocks:
-            i, j = np.nonzero(b)
-            out.append((i, j, b[i, j]))
-        return out
+    def _coo(xs):
+        """Per slot, the COO entries (*stack indices, rows, cols, vals) of the
+        nonzeros of the blocks xs, which may carry leading stack axes."""
+        return [(*np.nonzero(b), b[b != 0]) for b in xs]
 
-    def _rtensor_coo(self, a, r, coo):
-        """a x 1_r as per-slot COO triples of its nonzeros; coo = _coo(a),
-        taken once per arrow by callers that amplify it many times."""
-        return self._coo(a.rtensor(r))
+    def _rtensor_coo(self, xs, p, q, r, coo):
+        """_coo of the blocks of a x 1_r, for the blocks xs of a in L(p,q)
+        (stacked or not); coo = _coo(xs), taken once by callers that amplify
+        the same blocks many times."""
+        return coo if r == self.sg.one else self._coo(self._tensor_blocks(xs, p, q, r))
 
     #: None: the product L(p,q) x L(q,t) reads only the blocks.  A backend whose
     #: product reads the objects defines _compose_class(p, q, t), a hashable
@@ -272,7 +269,6 @@ class ColoredProductSystem(_BackendBase):
     """
 
     kind = "colored"
-    copies_entries = True
 
     def __init__(self, sg, gen_dims=(), colors=None, check_depth=3):
         self.sg = sg
@@ -329,16 +325,17 @@ class ColoredProductSystem(_BackendBase):
         # a x 1_r is the kron with 1_{dim(r)[c]} in every color
         return self.dim(r)
 
-    def _rtensor_coo(self, a, r, coo):
-        # kron(b, 1_d) holds b[i, j] at (i d + k, j d + k) for k < d
+    def _rtensor_coo(self, xs, p, q, r, coo):
+        # kron(b, 1_d) holds b[i, j] at (i d + k, j d + k), k < d, at its stack index
         out = []
-        for (i, j, vals), d in zip(coo, self.dim(r)):
+        for (*at, i, j, vals), d in zip(coo, self.dim(r)):
             if d > 1:
                 k = np.arange(d)
+                at = [np.repeat(s, d) for s in at]
                 i = (i[:, None] * d + k).ravel()
                 j = (j[:, None] * d + k).ravel()
                 vals = np.repeat(vals, d)
-            out.append((i, j, vals))
+            out.append((*at, i, j, vals))
         return out
 
 
@@ -352,7 +349,6 @@ class ZeroTensorBackend(_BackendBase):
 
     kind = "zero"
     slot_count = 1
-    copies_entries = True
 
     def __init__(self, dims, sg=None):
         from .semigroups import DirectSumN

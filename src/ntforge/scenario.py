@@ -30,7 +30,6 @@ from .analysis import (
     check_projection_equalities,
     check_projection_semilattice,
     check_toeplitz_covariance,
-    fock_rep,
 )
 from .bundles import (
     BlockAction,
@@ -42,7 +41,7 @@ from .bundles import (
     image_algebra_rank,
     trivial_action,
 )
-from .fock import SMALL_SLOT, Truncation, fock_norm, transcendental_expectation
+from .fock import SMALL_SLOT, Truncation, fock_norm, fock_rep, transcendental_expectation
 from .precategory import (
     ColorIdeal,
     ColoredProductSystem,
@@ -335,7 +334,7 @@ class Scenario:
              "bundle": None, "sections": "bundle", "checks": None}
 
     def __init__(self, data: dict):
-        self._truncations, self._families = {}, {}  # by depth
+        self._families = {}  # by depth
         _at("scenario", self._read, data)
 
     def _read(self, data):
@@ -370,18 +369,15 @@ class Scenario:
             raise ScenarioError(f"scenario has no {what}; this check needs one")
 
     def truncation(self, depth=None) -> Truncation:
-        """The Truncation at depth (default settings.depth), built once per depth."""
-        depth = self.settings["depth"] if depth is None else depth
-        if depth not in self._truncations:
-            self._truncations[depth] = Truncation(self.backend, depth)
-        return self._truncations[depth]
+        """The Truncation at depth (default settings.depth), that of fock_family."""
+        return self.fock_family(depth)[1]
 
     def fock_family(self, depth=None):
         """(rep, truncation, projection family) of the Fock representation at
-        depth, built once per depth on the shared truncation."""
+        depth (default settings.depth), built once per depth."""
         depth = self.settings["depth"] if depth is None else depth
         if depth not in self._families:
-            rep, tr = fock_rep(self.backend, depth, self.ideal, tr=self.truncation(depth))
+            rep, tr = fock_rep(self.backend, depth, self.ideal)
             self._families[depth] = rep, tr, ProjectionFamily(rep, tr.S)
         return self._families[depth]
 
@@ -591,8 +587,8 @@ CHECKS = {
         "t <= sigma(C), each recorded with the canonical sigma(C).  They are\n"
         "found from the closure of {e} under right LCMs with members of F, one\n"
         "segment {t in F : t <= w} per w in the closure, so |F| is not bounded.\n"
-        "Informational; also reports whether the induced cells partition the\n"
-        "enumerated ball (see partition-check)."),
+        "Verdict: pass iff the induced cells partition the enumerated ball (see\n"
+        "partition-check); the `ntforge segments` command always exits 0."),
     "partition-check": Check(run_segments, ("F",), ("depth",),
         "Verify that the cells {p : the part of F dividing p is exactly C} for C\n"
         "ranging over the initial segments of F cover every enumerated element\n"

@@ -390,13 +390,13 @@ class CoreNorm(NamedTuple):
     exact: bool
 
 
-def _core_witness(sg, p, q):
-    """Some v, |v| <= WITNESS_DEPTH, with (p^-1 r) v = (q^-1 r) v, r the LCM; else None."""
+def _core_witness(sg, p, q, probe):
+    """Some v in probe with (p^-1 r) v = (q^-1 r) v, r the LCM; else None."""
     r = sg.right_lcm(p, q)
     if r is None:
         return None
     pr, qr = sg.left_divide(p, r), sg.left_divide(q, r)
-    for v in sg.elements(WITNESS_DEPTH):
+    for v in probe:
         if pr * v == qr * v:
             return r * v
     return None
@@ -418,8 +418,9 @@ def core_norm(x: NTElement, wdepth: int = 4) -> CoreNorm:
         return CoreNorm(0.0, True)
     sg = x.backend.sg
     exact = x.is_diagonal()
+    probe = None if exact else sg.elements(WITNESS_DEPTH)  # the witness search window
     for p, q in x.terms:
-        if p != q and _core_witness(sg, p, q) is None:
+        if p != q and _core_witness(sg, p, q, probe) is None:
             raise ValueError(f"key ({p!r},{q!r}) lies outside the core: no common multiple "
                              f"w with equal quotients (search depth {WITNESS_DEPTH})")
     F = sorted(x.support(), key=sg.sort_key)

@@ -18,7 +18,6 @@ from ntforge.analysis import (
     check_graded,
     check_projection_equalities,
     check_projection_semilattice,
-    fock_rep,
 )
 from ntforge.bundles import (
     bundle_from_precategory,
@@ -31,6 +30,7 @@ from ntforge.bundles import (
 from ntforge.fock import (
     Truncation,
     fock_norm,
+    fock_rep,
     transcendental_expectation,
 )
 from ntforge.linalg import spectral_norm

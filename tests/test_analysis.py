@@ -17,17 +17,17 @@ from ntforge.analysis import (
     check_projection_equalities,
     check_projection_semilattice,
     check_toeplitz_covariance,
-    fock_rep,
     ideal_unit,
 )
 from ntforge.bundles import (
     CrossedProductBackend,
     image_algebra_rank,
     precategory_from_bundle,
+    regular_representation,
     semidirect_bundle,
     trivial_action,
 )
-from ntforge.fock import projection_QT
+from ntforge.fock import fock_rep, projection_QT
 from ntforge.linalg import spectral_norm
 from ntforge.precategory import (
     ColorIdeal,
@@ -489,6 +489,21 @@ def test_condition_C_fails_when_projections_saturate():
     report = check_condition_C(rep, fam, sg.el((1,)), [sg.el((2,))])
     assert not report.ok
     assert report.details["sigma_min"] <= 1e-10
+
+
+def test_condition_C_rejects_basis_images_other_than_vec_phi():
+    # the regular rep's basis images are Hilbert-Schmidt coordinates,
+    # sum_c (|G| d_c)^2 = 16 long on Z/2 with one colour of dim 2, not vec(phi)
+    # of length dim**2 = 64: folding them into dim x dim "images" gave a pass
+    g = cyclic_group(2)
+    rep = regular_representation(semidirect_bundle(trivial_action(g, [2])))
+    assert rep.dim == 8 and rep.basis_images(g.parse("1"), g.parse("1")).shape[1] == 16
+    with pytest.raises(ValueError, match="rep regular dim=8.*length 16"):
+        check_condition_C(rep, ProjectionFamily(rep, g.elements(0)), g.parse("1"), [])
+    # with one colour of dim 1 the coordinates are vec(phi), and the check runs
+    rep = regular_representation(semidirect_bundle(trivial_action(g, [1])))
+    report = check_condition_C(rep, ProjectionFamily(rep, g.elements(0)), g.parse("1"), [])
+    assert report.ok and abs(report.details["sigma_min"] - np.sqrt(2)) <= 1e-12  # phi: a 2x2 permutation
 
 
 def test_condition_C_agrees_with_injective_plus_toeplitz(frep_N):

@@ -648,6 +648,14 @@ def test_check_lists_agree(capsys):
         assert optional == "optional " + (", ".join(f"{k} ({PARAMS[k].what})" for k in check.optional) or "none")
 
 
+def test_explain_segments_states_its_verdict(capsys):
+    # the segments check reports pass or fail, which sets the exit code of
+    # `ntforge run`; only the `ntforge segments` command always exits 0
+    assert main(["explain", "segments"]) == 0
+    out = capsys.readouterr().out
+    assert "Verdict: pass iff the induced cells partition" in out and "Informational" not in out
+
+
 def test_explain_unknown_suggests(capsys):
     assert main(["explain", "toepliz"]) == 2
     err = capsys.readouterr().err

@@ -5,7 +5,6 @@ import zlib
 import numpy as np
 import pytest
 
-from ntforge.analysis import fock_rep
 from ntforge.bundles import (
     CrossedProductBackend,
     precategory_from_bundle,
@@ -19,6 +18,7 @@ from ntforge.fock import (
     Truncation,
     _gram_lanczos,
     fock_norm,
+    fock_rep,
     lift,
     projection_QT,
     transcendental_expectation,
@@ -376,7 +376,7 @@ def test_lift_amplifies_once_per_key_and_dim_class(monkeypatch):
         x.add_term(p, q, ps.random_arrow(p, q, rng))
     calls = []
     real = ps._rtensor_coo
-    monkeypatch.setattr(ps, "_rtensor_coo", lambda a, r, coo: calls.append(r) or real(a, r, coo))
+    monkeypatch.setattr(ps, "_rtensor_coo", lambda xs, p, q, r, coo: calls.append(r) or real(xs, p, q, r, coo))
     op = lift(x, tr)
     classes = placements = 0
     for (p, q), a in x.terms.items():
@@ -449,7 +449,6 @@ def test_fock_basis_images_match_per_arrow_flat(case):
     # each basis arrow, with the full ideal and with a one-colour ideal; the
     # Hadamard conjugation mixes entries, so there each arrow takes phi
     ps, depth = PHI_BACKENDS[case] if case in PHI_BACKENDS else (_hadamard_crossed(), 1)
-    assert ps.copies_entries == (case != "crossed-hadamard")
     pool = ps.sg.elements(1)
     for ideal in (full_ideal(ps), ColorIdeal({ps.slot_count - 1})):
         rep, tr = fock_rep(ps, depth, ideal=ideal)
@@ -460,6 +459,53 @@ def test_fock_basis_images_match_per_arrow_flat(case):
                 assert got.shape == (len(arrows), rep.dim**2)
                 if arrows:
                     assert np.array_equal(got, np.array([rep.flat(a) for a in arrows]))
+
+
+def test_fock_rep_phi_on_hadamard_equals_lift_of_unit_canonical_term():
+    # phi lifts each arrow at its own key; over a group every key has a
+    # unit-canonical form (p u, q u) carrying a x 1_u, and since the
+    # truncation is closed under units both lifts are one operator.  The
+    # Hadamard conjugation mixes entries, so the two agree to round-off only
+    ps = _hadamard_crossed()
+    rep, tr = fock_rep(ps, 1)
+    pool = ps.sg.elements(1)
+    arrows = [a for p in pool for q in pool for a in ps.basis(p, q)]
+    arrows += [ps.random_arrow(p, q, np.random.default_rng(3)) for p in pool for q in pool]
+    moved = 0
+    for a in arrows:
+        x = NTElement.from_terms(ps, [(a.range, a.source, a)])
+        moved += x.terms.keys() != {(a.range, a.source)}
+        assert np.abs(rep.phi(a) - lift(x, tr).dense()).max() <= 1e-12
+    assert moved  # some key is transported by a unit
+
+
+def _sorted_coo(entries):
+    """The COO entries (*indices, vals) in lexicographic index order."""
+    order = np.lexsort(entries[-2::-1])
+    return [z[order] for z in entries]
+
+
+@pytest.mark.parametrize("case", sorted(PHI_BACKENDS) + ["crossed-hadamard"])
+def test_rtensor_coo_matches_coo_of_tensor_blocks(case):
+    # the backend's _rtensor_coo (the colored index arithmetic, the default
+    # elsewhere) against _coo of _tensor_blocks, entry for entry, on a basis
+    # stack (with its stack index) and on one arrow's unstacked blocks
+    ps = PHI_BACKENDS[case][0] if case in PHI_BACKENDS else _hadamard_crossed()
+    pool, rng = ps.sg.elements(1), np.random.default_rng(11)
+    checked = 0
+    for p in pool:
+        for q in pool:
+            for xs in (ps.basis_stack(p, q), ps.random_arrow(p, q, rng).blocks):
+                for r in ps.sg.elements(2):
+                    got = ps._rtensor_coo(xs, p, q, r, ps._coo(xs))
+                    want = ps._coo(ps._tensor_blocks(xs, p, q, r))
+                    assert len(got) == len(want) == ps.slot_count
+                    for g, w in zip(got, want):
+                        assert len(g) == len(w) == np.ndim(xs[0]) + 1
+                        for gz, wz in zip(_sorted_coo(g), _sorted_coo(w)):
+                            assert np.array_equal(gz, wz)
+                        checked += len(w[-1])
+    assert checked
 
 
 # every backend, at a depth where some color slot is just above SMALL_SLOT

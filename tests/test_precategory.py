@@ -260,7 +260,7 @@ def test_rtensor_shares_dim_one_blocks_and_krons_the_rest():
     assert t.blocks[1] is a.blocks[1]
     assert np.array_equal(t.blocks[0], np.kron(a.blocks[0], np.eye(2)))
     assert not t.blocks[1].flags.writeable
-    for c, (i, j, vals) in enumerate(ps._rtensor_coo(a, r, ps._coo(a))):
+    for c, (i, j, vals) in enumerate(ps._rtensor_coo(a.blocks, p, q, r, ps._coo(a.blocks))):
         dense = np.zeros(t.blocks[c].shape, dtype=complex)
         dense[i, j] = vals
         assert np.array_equal(dense, t.blocks[c])

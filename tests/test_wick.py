@@ -27,6 +27,7 @@ from ntforge.semigroups import (
 )
 from ntforge.wick import (
     PRUNE_TOL,
+    WITNESS_DEPTH,
     GradingMap,
     NTElement,
     abelianization_grading,
@@ -213,6 +214,19 @@ def test_core_norm_builds_its_window_once(monkeypatch):
     diagonal = scalar(ps_AB, "(0,1)", "(0,1)") + scalar(ps_AB, "(1,1)", "(1,1)")
     assert core_norm(diagonal, wdepth=5).exact
     assert calls == []  # w = sigma(C) alone: no window
+
+
+def test_core_norm_builds_its_witness_window_once(monkeypatch):
+    # the core-witness search reads one window of word length WITNESS_DEPTH
+    # per call, not one per mixed key; the estimate is unchanged
+    AB = ps_AB.sg
+    calls = []
+    elements = type(AB).elements
+    monkeypatch.setattr(type(AB), "elements", lambda self, depth: calls.append(depth) or elements(self, depth))
+    mixed = (scalar(ps_AB, "(0,1)", "(0,2)") + scalar(ps_AB, "(1,1)", "(1,1)")
+             + scalar(ps_AB, "(0,1)", "(0,3)"))
+    assert core_norm(mixed, wdepth=5) == (3.0, False)
+    assert calls == [WITNESS_DEPTH, 5] == [4, 5]
 
 
 def test_core_norm_rejects_non_core_key():
