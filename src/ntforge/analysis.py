@@ -486,7 +486,8 @@ def aperiodicity_search(
     as in the certificate below (all of K(p,p) when h is None).
 
     alpha(a) = (a x 1_x), conjugated per color by the optional twist unitaries
-    (the unit's action when it does not act trivially on fibers).  On a colored
+    (the unit's action when it does not act trivially on fibers): one d_c x d_c
+    U with |UU* - 1| <= 1e-12 per color, else ValueError.  On a colored
     backend a closed form comes first.  A unit x has dimension 1 in every
     color, so over rank-one a in one color the value is |<v, M_c v>| with
     M_c = V_c* U_c* b_c V_c (V_c an orthonormal basis of range(h_c), U_c the
@@ -505,6 +506,12 @@ def aperiodicity_search(
     sg = backend.sg
     if not sg.is_unit(x) or x == sg.identity():
         raise ValueError("x must be a nontrivial unit")
+    shapes = backend.shape(p, p)
+    if twist is not None and len(twist) != len(shapes):
+        raise ValueError(f"twist has {len(twist)} blocks, not one per colour ({len(shapes)})")
+    for c, ((d, _), u) in enumerate(zip(shapes, twist or ())):
+        if np.shape(u) != (d, d) or spectral_norm(np.dot(u, np.conj(u).T) - np.eye(d)) > 1e-12:
+            raise ValueError(f"twist block of colour {c} is not a {d}x{d} unitary")
     if b.norm() == 0.0:
         return AperiodicityResult(0.0, None)
     build, value = _aperiodicity_objective(backend, p, x, b, h, twist)

@@ -7,10 +7,11 @@ shift, so on a fixed source-object t and color c the operator is
     (column operator on  ⊕_s C^{dim(s)[c]})  ⊗  Identity(dim(t)[c])
 
 for a column operator that does not depend on t.  Operators are therefore
-stored factored: one scipy.sparse CSR matrix per color, the column factor,
-with rows and columns ordered by the truncation set S.  Sums and norms are
-sparse operations on the column factors (the t-ampliation is isometric and
-additive).
+stored factored: one scipy.sparse CSR matrix over every color's columns
+(Truncation's color-major order).  Colors are orthogonal summands, so it is
+block-diagonal, color c's block is its column factor, and it is the t = e
+fiber.  Sums and norms are sparse operations on it (the t-ampliation is
+isometric and additive).
 
 The truncation is indexed: a right-multiplication table over the generators
 and units, and a BFS spanning tree of S, give the index of x·v for every
@@ -20,14 +21,14 @@ ampliation a ⊗ 1_v is computed once per ampliation class of v (the color
 dims on the colored backend, v itself elsewhere) and broadcast over the
 class's placements as COO triples, so no a ⊗ 1_v block is ever stored dense.
 
-The norm is the maximum over colors of the column factor's largest singular
-value.  A color slot of at most SMALL_SLOT columns takes a dense SVD.  A
-larger one runs plain Lanczos on the Gram operator G = A*A (two sparse
-matvecs a step, no reorthogonalisation), stopping once Paige's residual
-estimate beta_k |s_k| of the top Ritz value theta is at most tol * theta; a
-second pass rebuilds the Ritz vector y, whose ||Ay|| / ||y|| is a proven lower
-bound.  A run that misses the rule within its step cap raises
-LanczosNoConvergence.
+The norm is the block-diagonal norm: the matrix's largest singular value,
+the largest over colors of the column factors'.  A matrix of at most
+SMALL_SLOT columns takes a dense SVD.  A larger one runs plain Lanczos on
+the Gram operator G = A*A (two sparse matvecs a step, no
+reorthogonalisation), stopping once Paige's residual estimate beta_k |s_k|
+of the top Ritz value theta is at most tol * theta; a second pass rebuilds
+the Ritz vector y, whose ||Ay|| / ||y|| is a proven lower bound.  A run that
+misses the rule within its step cap raises LanczosNoConvergence.
 
 Truncation keeps all normal forms of word length <= L. Blocks whose target
 leaves S are dropped, so equality assertions are made on interior source
@@ -45,7 +46,7 @@ from .linalg import spectral_norm
 from .precategory import ideal_membership
 from .wick import NTElement
 
-# Column count up to which a color slot's norm is a dense SVD.  A larger slot
+# Column count up to which an operator's norm is a dense SVD.  A larger one
 # takes plain Lanczos on its Gram operator A*A, stopped once Paige's residual
 # estimate is at most tol times the top Ritz value; past its step cap (ten
 # steps per column) it raises LanczosNoConvergence.
@@ -59,7 +60,9 @@ class Truncation:
     the index in S of S[i]·g or -1, over the edges g (the generators and the
     non-identity units), and a BFS spanning tree of S rooted at e, in which
     every v is reached once, along a shortest edge path.  Construction raises
-    if the tree does not cover S.
+    if the tree does not cover S.  Of its dim columns, color-major, the first
+    of (color c, S[i]) is _offsets[c·|S| + i]; _sources[k] indexes column
+    k's source object in S.
     """
 
     def __init__(self, backend, depth: int):
@@ -70,14 +73,10 @@ class Truncation:
         self.index = {s: i for i, s in enumerate(self.S)}
         self._build_tree(sg)
         shapes = [backend.shape(s, s) for s in self.S]
-        self._col_dims = [
-            np.array([sh[c][0] for sh in shapes], dtype=np.int64)
-            for c in range(backend.slot_count)
-        ]
-        self._col_offsets = [np.concatenate(([0], np.cumsum(d))) for d in self._col_dims]
-        self._col_sources = [
-            np.repeat(np.arange(len(self.S)), d) for d in self._col_dims
-        ]
+        dims = np.array([[sh[c][0] for sh in shapes] for c in range(backend.slot_count)], dtype=np.int64)
+        self._offsets = np.concatenate(([0], np.cumsum(dims)))
+        self.dim = int(self._offsets[-1])
+        self._sources = np.repeat(np.tile(np.arange(len(self.S)), backend.slot_count), dims.ravel())
         # v and v' with the same ampliation class have a ⊗ 1_v = a ⊗ 1_v'
         classes = {}
         self._amp_class = np.array(
@@ -139,11 +138,8 @@ class Truncation:
         return orbit
 
     def col_total(self, c) -> int:
-        return int(self._col_offsets[c][-1])
-
-    def col_source(self, c):
-        """Index into S of the source object of each column of color c."""
-        return self._col_sources[c]
+        n = len(self.S)
+        return int(self._offsets[(c + 1) * n] - self._offsets[c * n])
 
     def __repr__(self):
         return f"<truncation depth={self.depth} |S|={len(self.S)}>"
@@ -153,7 +149,7 @@ def _csr(n, rows=(), cols=(), vals=()):
     """n x n complex CSR matrix from COO triples at distinct positions.
 
     The CSR arrays are written directly from the triples ordered by
-    position, a third of the cost of scipy's COO route on small slots.  A
+    position, a third of the cost of scipy's COO route on small matrices.  A
     repeated position raises: its sum would follow no order the caller set.
     """
     import scipy.sparse as sp
@@ -202,7 +198,7 @@ def _top_ritz(alphas, betas):
 def _gram_lanczos(a, tol, cap) -> GramNorm:
     """Largest singular value of the sparse matrix a: plain Lanczos on a*a.
 
-    G = a*a is formed once as CSR: on lifted slots it holds under twice the
+    G = a*a is formed once as CSR: on lifted operators it holds under twice the
     nonzeros of a, and one G matvec a step beat the pair a, a* in timing.  No
     reorthogonalisation: lost orthogonality only repeats converged Ritz
     values, and the top one is all that is asked.  The stopping rule,
@@ -254,65 +250,46 @@ def _gram_lanczos(a, tol, cap) -> GramNorm:
 
 
 class FockOperator:
-    """Block operator in factored form: per color, the column factor as CSR."""
+    """Block operator in factored form: one CSR matrix over the truncation's
+    columns, block-diagonal over colors, color c's block its column factor."""
 
-    def __init__(self, tr: Truncation, slots=None):
+    def __init__(self, tr: Truncation, matrix=None):
         self.tr = tr
-        self.slots = (
-            slots if slots is not None
-            else [_csr(tr.col_total(c)) for c in range(tr.backend.slot_count)]
-        )
+        self.matrix = matrix if matrix is not None else _csr(tr.dim)
 
     def __add__(self, other):
         if self.tr is not other.tr:
             raise ValueError("operators over different truncations")
-        return FockOperator(self.tr, [a + b for a, b in zip(self.slots, other.slots)])
+        return FockOperator(self.tr, self.matrix + other.matrix)
 
     def dense(self):
-        """The t = e fiber: block-diagonal over colors of the column factors."""
-        n = sum(m.shape[0] for m in self.slots)
-        out = np.zeros((n, n), dtype=complex)
-        off = 0
-        for m in self.slots:
-            k = m.shape[0]
-            out[off : off + k, off : off + k] = m.toarray()
-            off += k
-        return out
-
-    def _slot_norm(self, c, tol):
-        m = self.slots[c]
-        n = m.shape[0]
-        if n <= SMALL_SLOT:
-            return spectral_norm(m.toarray())
-        # ten steps per column, as ARPACK's default iteration cap
-        return _gram_lanczos(m, tol, cap=10 * n).value
+        """The t = e fiber: the matrix, block-diagonal over colors."""
+        return self.matrix.toarray()
 
     def norm(self, tol=1e-8):
-        """Operator norm over the whole truncated module (sup over fibers).
-
-        A color slot of at most SMALL_SLOT columns takes a dense SVD; a
-        larger one takes the Gram Lanczos iteration, which stops once Paige's
-        residual estimate is at most tol times the top Ritz value of A*A and
-        raises LanczosNoConvergence if that takes more than ten steps per
-        column.
-        """
-        return max((self._slot_norm(c, tol) for c in range(len(self.slots))), default=0.0)
+        """Operator norm over the whole truncated module (sup over fibers):
+        the block-diagonal matrix's largest singular value, a dense SVD up
+        to SMALL_SLOT columns and Gram Lanczos at tol above that."""
+        n = self.tr.dim
+        if n <= SMALL_SLOT:
+            return spectral_norm(self.dense())
+        # ten steps per column, as ARPACK's default iteration cap
+        return _gram_lanczos(self.matrix, tol, cap=10 * n).value
 
     def __repr__(self):
-        nnz = sum(m.nnz for m in self.slots)
-        return f"<fock-operator nnz={nnz} over {self.tr!r}>"
+        return f"<fock-operator nnz={self.matrix.nnz} over {self.tr!r}>"
 
 
 def _key_triples(tr: Truncation, xs, p, q, v, target, source):
-    """Per color, the COO entries (*stack indices, rows, cols, vals) in slot
-    coordinates of the operator that sends the columns of source[k] to those
-    of target[k] by a ⊗ 1_v[k], for the blocks xs of a in L(p,q) (stacked or
-    not) and the index arrays of one key's placements; () for a color with
-    no entry.  a ⊗ 1_v is taken once per ampliation class of v and broadcast
-    over the class's placements.  Within one key every (target, source)
-    occurs once, so no position repeats at one stack index."""
-    backend = tr.backend
-    parts = [[] for _ in range(backend.slot_count)]
+    """The COO entries (*stack indices, rows, cols, vals), in the
+    truncation's columns, of the operator that sends the columns of
+    source[k] to those of target[k] by a ⊗ 1_v[k], for the blocks xs of a in
+    L(p,q) (stacked or not) and the index arrays of one key's placements.
+    a ⊗ 1_v is taken once per ampliation class of v and broadcast over the
+    class's placements.  Within one key every (target, source) occurs once,
+    so no position repeats at one stack index."""
+    backend, n = tr.backend, len(tr.S)
+    parts = []
     if v.size:
         coo = backend._coo(xs)
         label = tr._amp_class[v]
@@ -321,15 +298,16 @@ def _key_triples(tr: Truncation, xs, p, q, v, target, source):
             amp = backend._rtensor_coo(xs, p, q, tr.S[v[group[0]]], coo)
             for c, (*at, i, j, vals) in enumerate(amp):
                 if vals.size:
-                    offsets = tr._col_offsets[c]
+                    offsets = tr._offsets[c * n :]
                     # the entries once per placement (np.tile, without its overhead)
-                    parts[c].append((
+                    parts.append((
                         *[k[None].repeat(group.size, 0).ravel() for k in at],
                         (offsets[target[group], None] + i).ravel(),
                         (offsets[source[group], None] + j).ravel(),
                         vals[None].repeat(group.size, 0).ravel(),
                     ))
-    return [tuple(np.concatenate(z) for z in zip(*part)) for part in parts]
+    empty = (np.zeros(0, np.intp),) * (np.ndim(xs[0]) + 1)
+    return tuple(map(np.concatenate, zip(empty, *parts)))
 
 
 def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
@@ -339,8 +317,7 @@ def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
     addition."""
     total = None
     for (p, q), a in x.terms.items():
-        triples = _key_triples(tr, a.blocks, p, q, *placements(p, q))
-        op = FockOperator(tr, [_csr(tr.col_total(c), *t) for c, t in enumerate(triples)])
+        op = FockOperator(tr, _csr(tr.dim, *_key_triples(tr, a.blocks, p, q, *placements(p, q))))
         total = op if total is None else total + op
     return total if total is not None else FockOperator(tr)
 
@@ -365,33 +342,27 @@ def lift(x: NTElement, tr: Truncation) -> FockOperator:
 class FockRep(ConcreteRep):
     """The truncated Fock representation on the source-e fiber of tr.
 
-    The Hilbert space is the direct sum over colors and source objects of the
-    column spaces.  phi(a) is the lift of a at its own key (range, source),
-    its COO entries scattered into the dense layout (unlike NTElement, a
-    coefficient below PRUNE_TOL is not dropped), with no unit-canonical key:
-    a unit has length 0, so S is closed under units, v' -> u v' maps the
-    placements of (p u, q u) onto those of (p, q), and the lift of a equals
-    that of its unit-canonical term a ⊗ 1_u.  basis_images(p, q) lifts the
-    basis stack of K(p, q) once and scatters each entry at (stack index,
-    flat position).
+    The Hilbert space is the truncation's column space, in its order.  phi(a)
+    is the lift of a at its own key (range, source): the COO entries of
+    _key_triples, scattered as they come (unlike NTElement, a coefficient
+    below PRUNE_TOL is not dropped), with no unit-canonical key: a unit has
+    length 0, so S is closed under units, v' -> u v' maps the placements of
+    (p u, q u) onto those of (p, q), and the lift of a equals that of its
+    unit-canonical term a ⊗ 1_u.  basis_images(p, q) lifts the basis stack of
+    K(p, q) once and scatters each entry at (stack index, flat position).
     """
 
-    def __init__(self, backend, tr, ideal):
-        sizes = [tr.col_total(c) for c in range(backend.slot_count)]
-        super().__init__(backend, sum(sizes), None, ideal, "fock")
+    def __init__(self, tr, ideal):
+        super().__init__(tr.backend, tr.dim, None, ideal, "fock")
         self.tr = tr
-        self._offsets = np.cumsum([0] + sizes)
         self._keys = {}  # (p, q) -> lift placements
 
     def _entries(self, xs, p, q):
         """(*stack indices, rows, cols, vals) of the lift of the blocks xs
-        of L(p, q), in the dense layout."""
+        of L(p, q)."""
         if (p, q) not in self._keys:
             self._keys[p, q] = _lift_placements(self.tr, p, q)
-        triples = _key_triples(self.tr, xs, p, q, *self._keys[p, q])
-        parts = [(*t[:-3], off + t[-3], off + t[-2], t[-1]) for off, t in zip(self._offsets, triples) if t]
-        empty = (np.zeros(0, np.intp),) * (xs[0].ndim + 1)
-        return tuple(map(np.concatenate, zip(empty, *parts)))
+        return _key_triples(self.tr, xs, p, q, *self._keys[p, q])
 
     def entries(self, arrow):
         if not ideal_membership(arrow, self.ideal):
@@ -415,7 +386,7 @@ class FockRep(ConcreteRep):
 def fock_rep(backend, depth: int, ideal=None):
     """(FockRep, truncation) of the backend at depth."""
     tr = Truncation(backend, depth)
-    return FockRep(backend, tr, ideal), tr
+    return FockRep(tr, ideal), tr
 
 
 def fock_norm(x: NTElement, tr: Truncation, tol=1e-8) -> float:
@@ -443,11 +414,8 @@ def _source_projection(tr: Truncation, keep) -> FockOperator:
     """Projection onto the columns whose source object has its index in keep."""
     mask = np.zeros(len(tr.S), dtype=bool)
     mask[np.asarray(keep, dtype=np.intp)] = True
-    slots = []
-    for c in range(tr.backend.slot_count):
-        idx = np.flatnonzero(mask[tr.col_source(c)])
-        slots.append(_csr(tr.col_total(c), idx, idx, np.ones(idx.size)))
-    return FockOperator(tr, slots)
+    idx = np.flatnonzero(mask[tr._sources])
+    return FockOperator(tr, _csr(tr.dim, idx, idx, np.ones(idx.size)))
 
 
 def projection_QT(p, tr: Truncation) -> FockOperator:

@@ -600,10 +600,10 @@ CHECKS = {
         "when off-diagonal keys force a truncated lower-bound estimate instead."),
     "fock-norm": Check(run_fock_norm, ("element",), ("depth",),
         "Operator norm of the element on the truncated Fock space of the given\n"
-        "depth: the largest over colors of the norm of the column factor (the\n"
-        "fibers over source objects only ampliate it), stored as one sparse\n"
-        f"matrix per color.  A color slot of at most {SMALL_SLOT} columns takes a dense\n"
-        "SVD; a larger one takes plain Lanczos on its Gram operator A*A, which\n"
+        "depth: the norm of the column factor (the fibers over source objects\n"
+        "only ampliate it), stored as one sparse matrix over every color's\n"
+        f"columns, block-diagonal over colors.  At most {SMALL_SLOT} columns in all\n"
+        "take a dense SVD; more take plain Lanczos on the Gram operator A*A, which\n"
         "stops once Paige's residual estimate beta_k |s_k| is at most the\n"
         "scenario's tol times the top Ritz value; past ten steps per column it\n"
         "raises LanczosNoConvergence, reported as an error item.  Reports\n"

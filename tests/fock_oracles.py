@@ -1,6 +1,7 @@
 """Test oracles on the truncated Fock module: per-fiber dense assembly.
 
-The engine keeps one column factor per color and never materializes the
+The engine keeps one matrix over every color's columns, whose diagonal color
+blocks are the column factors, and never materializes the
 t-th fiber ⊕_s K(s,t); these routes build it densely, for comparing norms,
 the block-diagonal compression and the t-th restricted representation
 against the factored operators; projection_Qw gives the single source
@@ -8,8 +9,8 @@ blocks that sandwich the lift into that compression.
 check_reducing_condition states the hypothesis under which that restricted
 representation carries the norm.
 The interior of a truncation, the defect of a product of lifts on sources in
-a set, and the column layout of one (colour, object) serve the tests that
-compare lifts and slots entry by entry.
+a set, a colour's diagonal block and the column layout of one (colour,
+object) serve the tests that compare lifts and colour blocks entry by entry.
 """
 
 import numpy as np
@@ -37,17 +38,17 @@ def fiber_layout(tr: Truncation, t):
 
 def fiber(op: FockOperator, t):
     """Dense matrix of the operator on the t-th fiber ⊕_s K(s,t): per
-    color, the slot on the sources present there, kron 1_{dim_c(t)}."""
+    color, its block on the sources present there, kron 1_{dim_c(t)}."""
     tr = op.tr
     layout, total = fiber_layout(tr, t)
     out = np.zeros((total, total), dtype=complex)
-    for c, m in enumerate(op.slots):
+    for c in range(tr.backend.slot_count):
         present = [s for s in tr.S if (s, c) in layout]
         if not present:
             continue
         off, _, width = layout[(present[0], c)]
-        idx = np.flatnonzero(np.isin(tr.col_source(c), [tr.index[s] for s in present]))
-        amp = np.kron(m.toarray()[np.ix_(idx, idx)], np.eye(width, dtype=complex))
+        idx = np.flatnonzero(np.isin(col_source(tr, c), [tr.index[s] for s in present]))
+        amp = np.kron(colour_block(op, c).toarray()[np.ix_(idx, idx)], np.eye(width, dtype=complex))
         out[off : off + amp.shape[0], off : off + amp.shape[0]] = amp
     return out
 
@@ -60,13 +61,9 @@ def norm_by_fibers(op: FockOperator, ts=None):
 
 def diagonal_part(op: FockOperator):
     """Keep the blocks whose target object equals their source object."""
-    out = []
-    for c, m in enumerate(op.slots):
-        owner = op.tr.col_source(c)
-        coo = m.tocoo()
-        keep = owner[coo.row] == owner[coo.col]
-        out.append(_csr(m.shape[0], coo.row[keep], coo.col[keep], coo.data[keep]))
-    return FockOperator(op.tr, out)
+    owner, coo = op.tr._sources, op.matrix.tocoo()
+    keep = owner[coo.row] == owner[coo.col]
+    return FockOperator(op.tr, _csr(op.tr.dim, coo.row[keep], coo.col[keep], coo.data[keep]))
 
 
 def projection_Qw(w, tr: Truncation) -> FockOperator:
@@ -145,17 +142,37 @@ def interior(tr: Truncation, margin: int):
 
 def product_defect(x: NTElement, y: NTElement, z: NTElement, tr: Truncation, sources) -> float:
     """The Frobenius norm of lift(x) lift(y) - lift(z) on the columns whose
-    source object lies in sources, colour by colour on the column factors."""
-    keep = _source_projection(tr, [tr.index[s] for s in sources if s in tr.index]).slots
-    parts = zip(lift(x, tr).slots, lift(y, tr).slots, lift(z, tr).slots, keep)
-    return float(np.sqrt(sum(np.sum(np.abs(((a @ b - c) @ k).data) ** 2) for a, b, c, k in parts)))
+    source object lies in sources, on the whole block-diagonal matrix (an
+    entry outside the colour blocks counts in the defect too)."""
+    keep = _source_projection(tr, [tr.index[s] for s in sources if s in tr.index]).matrix
+    a, b, c = (lift(e, tr).matrix for e in (x, y, z))
+    return float(np.sqrt(np.sum(np.abs(((a @ b - c) @ keep).data) ** 2)))
+
+
+def _colour_range(tr: Truncation, c):
+    """The first and one past the last column of colour c."""
+    n = len(tr.S)
+    return int(tr._offsets[c * n]), int(tr._offsets[(c + 1) * n])
+
+
+def colour_block(op: FockOperator, c):
+    """Colour c's diagonal block of op.matrix: its column factor, CSR."""
+    lo, hi = _colour_range(op.tr, c)
+    return op.matrix[lo:hi, lo:hi].tocsr()
+
+
+def col_source(tr: Truncation, c):
+    """Index into S of the source object of each column of colour c."""
+    lo, hi = _colour_range(tr, c)
+    return tr._sources[lo:hi]
 
 
 def col_dim(tr: Truncation, c, s) -> int:
     """The number of columns of colour c with source object s."""
-    return int(tr._col_dims[c][tr.index[s]])
+    k = c * len(tr.S) + tr.index[s]
+    return int(tr._offsets[k + 1] - tr._offsets[k])
 
 
 def col_offset(tr: Truncation, c, s) -> int:
-    """The first column of colour c with source object s."""
-    return int(tr._col_offsets[c][tr.index[s]])
+    """The first column of colour c with source object s, within colour c."""
+    return int(tr._offsets[c * len(tr.S) + tr.index[s]]) - _colour_range(tr, c)[0]

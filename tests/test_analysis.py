@@ -650,6 +650,26 @@ def test_aperiodicity_rank_one_certificate_uses_the_twist():
     assert abs(plain.rank_one_bound - 1.0) <= 1e-12
 
 
+def test_aperiodicity_twist_must_be_one_unitary_per_colour():
+    # a non-unitary twist made the "proven" lower_bound (0.375) exceed the
+    # attained best (0.1875), and a 3x3 block on a dimension-2 colour raised
+    # a raw matmul error; the identity and the swap keep their values
+    ps, p, x, px = aperiodicity_setup()
+    b = ps.arrow(px, p, [np.array([[1.0, 0.3], [0.2, 1.0]], dtype=complex)])
+    for twist, match in [([0.5 * np.eye(2)], "colour 0 is not a 2x2 unitary"),
+                         ([np.eye(3)], "colour 0 is not a 2x2 unitary"),
+                         ([np.eye(2), np.eye(2)], "2 blocks, not one per colour")]:
+        with pytest.raises(ValueError, match=match):
+            aperiodicity_search(ps, p, x, b, twist=twist, trials=1, seed=0, maxiter=10)
+    same = aperiodicity_search(ps, p, x, b, twist=[np.eye(2)], trials=1, seed=0, maxiter=10)
+    plain = aperiodicity_search(ps, p, x, b, trials=1, seed=0, maxiter=10)
+    assert (same.lower_bound, same.best) == (plain.lower_bound, plain.best)
+    assert abs(same.lower_bound - 0.75) <= 1e-12 and abs(same.best - 0.75) <= 1e-12
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flip = aperiodicity_search(ps, p, x, b, twist=[swap], trials=1, seed=0, maxiter=10)
+    assert flip.lower_bound == 0.0 and flip.best <= 1e-12 and flip.attained_by == "rank-one"
+
+
 def test_aperiodicity_hereditary_corner_is_compressed_not_sandwiched():
     """h lives in color 0 only.  Compressing to range(h) gives W = {1/2}; the
     sandwich P_h M P_h would let vectors outside range(h) put 0 into W, and

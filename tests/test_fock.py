@@ -40,6 +40,8 @@ from fock_oracles import (
     check_reducing_condition,
     col_dim,
     col_offset,
+    col_source,
+    colour_block,
     diagonal_part,
     fiber,
     fiber_layout,
@@ -89,7 +91,7 @@ def _same_entries(a, b):
 def test_shift_matrix_over_N():
     tr = Truncation(ps_N, 4)
     u = scalar(ps_N, "1", "0")
-    m = lift(u, tr).slots[0].toarray()
+    m = colour_block(lift(u, tr), 0).toarray()
     expect = np.zeros((5, 5))
     for i in range(4):
         expect[i + 1, i] = 1.0
@@ -103,7 +105,7 @@ def test_lift_adjoint_commutes():
     x = random_element(ps_FM, rng)
     a, b = lift(nt_adjoint(x), tr), lift(x, tr)
     for c in range(2):
-        assert _same_entries(a.slots[c], b.slots[c].conj().T.tocsr())
+        assert _same_entries(colour_block(a, c), colour_block(b, c).conj().T.tocsr())
 
 
 @pytest.mark.parametrize("ps,depth", [(ps_N, 6), (ps_FM, 5), (ps_N2, 4)])
@@ -138,7 +140,7 @@ def test_fock_norm_examples():
     uu = nt_mul(nt_adjoint(scalar(ps_N, "1", "0")), scalar(ps_N, "1", "0"))
     assert abs(fock_norm(uu, tr) - 1.0) <= 1e-12
     x = scalar(ps_N, "0", "0", 1.0) + scalar(ps_N, "1", "1", -1.0)
-    m = lift(x, tr).slots[0].toarray()
+    m = colour_block(lift(x, tr), 0).toarray()
     assert abs(np.linalg.norm(m, 2) - 1.0) <= 1e-12
     assert abs(fock_norm(x, tr) - 1.0) <= 1e-12
 
@@ -190,7 +192,7 @@ def test_factored_norm_matches_fiberwise_assembly():
             x.add_term(p, q, ps_FM.random_arrow(p, q, rng))
         op = lift(x, tr)
         assert abs(op.norm() - norm_by_fibers(op, ts=[FM.identity()])) <= 1e-10
-    assert FockOperator(tr, [m - m for m in op.slots]).norm() == 0.0  # an all-zero slot above SMALL_SLOT
+    assert FockOperator(tr, op.matrix - op.matrix).norm() == 0.0  # all zero above SMALL_SLOT
     # zero-tensor backend: K(s,t) = 0 off the diagonal, so each fiber holds
     # only its own diagonal block
     zb = ZeroTensorBackend([1, 2, 2])
@@ -303,15 +305,15 @@ def test_sparse_slots_equal_dense_block_reference(ps, depth):
             (transcendental_expectation(x, tr), _reference_lift(x, tr, expectation=True)),
         ]:
             for c in range(ps.slot_count):
-                assert np.array_equal(op.slots[c].toarray(), want[c])
-                assert op.slots[c].nnz == np.count_nonzero(want[c])
+                assert np.array_equal(colour_block(op, c).toarray(), want[c])
+                assert colour_block(op, c).nnz == np.count_nonzero(want[c])
             for t in tr.S[:3]:  # e and two generators: widths 1 and above
                 assert np.array_equal(fiber(op, t), _reference_fiber(tr, want, t))
     for p in ps.sg.elements(2):
         got, want = projection_QT(p, tr), _reference_projection_QT(p, tr)
         for c in range(ps.slot_count):
-            assert np.array_equal(got.slots[c].toarray(), want[c])
-            assert got.slots[c].nnz == np.count_nonzero(want[c])
+            assert np.array_equal(colour_block(got, c).toarray(), want[c])
+            assert colour_block(got, c).nnz == np.count_nonzero(want[c])
 
 
 # one spec per instance kind; free_product mixes in the absorption monoid,
@@ -398,7 +400,7 @@ def test_lift_amplifies_once_per_key_and_dim_class(monkeypatch):
         if (v := FM.left_divide(q, s)) is not None and p * v in tr.index
         for b, d in zip(a.blocks, ps.dim(v))
     )
-    assert sum(m.nnz for m in op.slots) == nnz
+    assert op.matrix.nnz == nnz
 
 
 # generator dims per instance kind: two colors, each dim 2 somewhere, dim 1
@@ -528,7 +530,7 @@ def test_lanczos_norm_matches_dense_svd_on_every_backend(ps, depth):
             q = p
         x.add_term(p, q, ps.random_arrow(p, q, rng))
     op = lift(x, tr)
-    want = max(spectral_norm(m.toarray()) for m in op.slots)
+    want = max(spectral_norm(colour_block(op, c).toarray()) for c in range(ps.slot_count))
     assert abs(op.norm() - want) <= 1e-8 * want
 
 
@@ -604,7 +606,7 @@ def test_lift_stores_no_dense_kron_blocks():
     # kron of a full 2x2 with 1_{2^(k-1)}, which covers the diagonal; 1 entry at k = 0
     want = sum(2 ** (k + 1) if k else 1 for k, _ in (s.data for s in tr.S))
     assert want == 16344
-    assert op.slots[0].nnz == np.count_nonzero(op.slots[0].data) == want
+    assert op.matrix.nnz == np.count_nonzero(op.matrix.data) == want
 
 
 def test_expectation_kills_offdiagonal_cancellative():
@@ -627,7 +629,7 @@ def test_expectation_fixes_diagonal_keys():
     ex = transcendental_expectation(x, tr)
     lf = lift(x, tr)
     for c in range(2):
-        assert _same_entries(ex.slots[c], lf.slots[c])
+        assert _same_entries(colour_block(ex, c), colour_block(lf, c))
 
 
 def test_expectation_is_diagonal_compression_of_lift():
@@ -658,9 +660,9 @@ def test_transcendental_phenomenon_on_absorption():
     et = transcendental_expectation(x, tr)
     assert et.norm() >= 0.99
     # survives exactly at sources (l,n) with l >= 1
-    m = et.slots[0].tocoo()
+    m = colour_block(et, 0).tocoo()
     big = np.abs(m.data) > 1e-12
-    owner = tr.col_source(0)
+    owner = col_source(tr, 0)
     live = {(tr.S[owner[r]], tr.S[owner[k]]) for r, k in zip(m.row[big], m.col[big])}
     assert all(w.data[0] >= 1 for w, _ in live)
     assert (AB.parse("(1,0)"), AB.parse("(1,0)")) in live
@@ -750,3 +752,81 @@ def test_unit_shifted_keys_lift_identically():
     one = NTElement(ps).add_term(p, q, a)
     two = NTElement(ps).add_term(p * x, q * x, a.rtensor(x))
     assert np.linalg.norm(lift(one, tr).dense() - lift(two, tr).dense()) <= 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(PHI_BACKENDS))
+def test_lift_is_one_matrix_block_diagonal_over_colours(case):
+    # the colours are orthogonal summands of the one column space: no entry
+    # of the lifted matrix joins two colours
+    ps, depth = PHI_BACKENDS[case]
+    tr = Truncation(ps, depth)
+    rng = np.random.default_rng(zlib.crc32(f"one-layout-{case}".encode()))
+    x = NTElement(ps)
+    pool = ps.sg.elements(1)
+    for _ in range(4):
+        p, q = rng.choice(pool), rng.choice(pool)
+        if ps.kind == "zero":
+            q = p
+        x.add_term(p, q, ps.random_arrow(p, q, rng))
+    m = lift(x, tr).matrix.tocoo()
+    colour = np.repeat(np.arange(ps.slot_count), [tr.col_total(c) for c in range(ps.slot_count)])
+    assert m.shape == (tr.dim, tr.dim) and colour.size == tr.dim and m.nnz
+    assert (colour[m.row] == colour[m.col]).all()
+
+
+def test_two_colours_each_under_small_slot_take_lanczos_on_the_whole_matrix(monkeypatch):
+    # 63 + 63 columns: each colour block alone would take the dense SVD, the
+    # one matrix takes Gram Lanczos once, and it matches the blocks' SVDs
+    import ntforge.fock as fock
+
+    ps = ColoredProductSystem(FM, gen_dims=[(1, 1), (1, 1)])
+    tr = Truncation(ps, 5)
+    sizes = [tr.col_total(c) for c in range(2)]
+    assert max(sizes) <= SMALL_SLOT < sum(sizes) == tr.dim
+    rng = np.random.default_rng(17)
+    x = random_element(ps, rng, nterms=3)
+    op = lift(x, tr)
+    calls = []
+    real = fock._gram_lanczos
+    monkeypatch.setattr(fock, "_gram_lanczos", lambda a, tol, cap: calls.append(a.shape) or real(a, tol, cap))
+    got = op.norm()
+    assert calls == [(tr.dim, tr.dim)]
+    want = max(spectral_norm(colour_block(op, c).toarray()) for c in range(2))
+    assert abs(got - want) <= 1e-8 * want
+
+
+class _GeneratorsMissB:
+    """free_monoid("ab") listing a alone as a generator: no edge reaches b."""
+
+    def __init__(self, sg):
+        self._sg = sg
+
+    def __getattr__(self, name):
+        return getattr(self._sg, name)
+
+    def generators(self):
+        return self._sg.generators()[:1]
+
+
+def test_truncation_raises_when_the_tree_misses_part_of_S():
+    from types import SimpleNamespace
+
+    with pytest.raises(ValueError, match="not reachable from e inside S"):
+        Truncation(SimpleNamespace(sg=_GeneratorsMissB(FM)), 2)
+
+
+def test_operators_reject_other_truncations_and_describe_themselves():
+    tr, other = Truncation(ps_N, 3), Truncation(ps_N, 3)
+    u = scalar(ps_N, "1", "0")
+    with pytest.raises(ValueError, match="different truncations"):
+        lift(u, tr) + lift(u, other)
+    assert repr(tr) == "<truncation depth=3 |S|=4>"
+    assert repr(lift(u, tr)) == "<fock-operator nnz=3 over <truncation depth=3 |S|=4>>"
+
+
+def test_fock_rep_entries_reject_an_arrow_outside_the_ideal():
+    rep, tr = fock_rep(ps_FM, 2, ideal=ColorIdeal({0}))
+    a = ps_FM.arrow(FM.one, FM.one, [np.zeros((1, 1)), np.ones((1, 1))])
+    with pytest.raises(ValueError, match="escapes the ideal"):
+        rep.entries(a)
+    assert repr(rep) == f"<rep fock dim={tr.dim}>"

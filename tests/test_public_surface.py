@@ -25,11 +25,16 @@ The first two guards match names, not objects, so they have blind spots.  They
 cannot attribute an operator (`a - b` calls __sub__ by no name), and a
 method name defined on several classes counts as used, or as passing a
 parameter, when a call reaches any of them.
+
+The benchmark imports ntforge by name: every module and name perfbench/
+imports from ntforge must exist, so a rename that breaks the benchmark fails
+here, read from perfbench's syntax trees without importing it.
 """
 
 import ast
 import collections
 import functools
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -175,3 +180,29 @@ def test_backends_override_only_the_contract_hooks():
     stray = [f"{name}.{f.name}" for name in sorted(backends - {"_BackendBase"}) for f in classes[name].body
              if isinstance(f, ast.FunctionDef) and f.name in inherited - BACKEND_HOOKS]
     assert not stray, "backend overrides outside the contract hooks: " + ", ".join(stray)
+
+
+def _resolves(module, name=None):
+    """module imports and, if a name is given, has it or a submodule by it."""
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    return name is None or hasattr(mod, name) or _resolves(f"{module}.{name}")
+
+
+def test_every_ntforge_name_the_benchmark_imports_resolves():
+    imports, missing = 0, []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "ntforge":
+                pairs = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names if alias.name.partition(".")[0] == "ntforge"]
+            else:
+                continue
+            imports += len(pairs)
+            missing += [f"{path.name}:{node.lineno} {m}{'' if n is None else ' ' + n}"
+                        for m, n in pairs if not _resolves(m, n)]
+    assert imports, "perfbench/ imports nothing from ntforge"
+    assert not missing, "benchmark imports that no longer resolve: " + ", ".join(missing)

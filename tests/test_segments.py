@@ -190,3 +190,22 @@ def test_leq_unit_invariant():
         base = leq(p, q)
         for x, y in itertools.product(units, repeat=2):
             assert leq(p * x, q * y) == base
+
+
+def test_check_partition_reports_each_failure_verdict(monkeypatch):
+    # wrong segment lists in place of initial_segments: a missing cell, a
+    # repeated cell, and a cell whose segment is not {t in F : t <= s}
+    import ntforge.segments as segments
+
+    F = [FM.parse("a"), FM.parse("ab")]
+    empty, a, both = initial_segments(FM, F)
+    assert (a.C, both.C) == ({F[0]}, set(F))
+    for segs, verdict, failed in [
+        ([empty, both], "lies in 0 cells", ["a", "a^2"]),
+        ([empty, a, a, both], "lies in 2 cells", ["a", "a^2"]),
+        ([empty, Segment(F, F[0])], "cell disagrees with {t in F : t <= s}", ["a", "a^2"]),
+    ]:
+        monkeypatch.setattr(segments, "initial_segments", lambda sg, F, segs=segs: segs)
+        report = check_partition(FM, F, 2)
+        assert not report.ok and report.checked == 7
+        assert [(s, why) for s, why in report.failures] == [(FM.parse(w), verdict) for w in failed]
