@@ -496,7 +496,8 @@ def aperiodicity_search(
     sweep over 720 angles and two segment steps give a witness whose value
     is rank_one_bound (exactly 0 up to round-off when 0 is inside W), and
     the support function at the sweep angles and at the witness's own angle
-    gives lower_bound, a proven lower bound on the infimum.  Only off the
+    gives lower_bound, a proven lower bound on the infimum (at most best,
+    where round-off would put it an ulp above).  Only off the
     colored backend, or when rank_one_bound - lower_bound exceeds 1e-12 |b|,
     do random restarts with Powell refinement on a tabulated ndarray
     objective search further (search_best).  Both are attained values, so
@@ -529,6 +530,7 @@ def aperiodicity_search(
         )
         if search_best < best:
             best, witness, attained_by = search_best, found, "search"
+    lower_bound = None if lower_bound is None else min(lower_bound, best)
     witness = None if witness is None else backend.arrow(p, p, witness)
     return AperiodicityResult(best, witness, lower_bound, rank_one_bound, search_best, attained_by)
 

@@ -16,10 +16,11 @@ isometric and additive).
 The truncation is indexed: a right-multiplication table over the generators
 and units, and a BFS spanning tree of S, give the index of x·v for every
 v in S with one numpy step per tree level (Truncation.right_orbit).  A key
-(p, q) is placed at every v where both q·v and p·v stay in S, and its
-ampliation a ⊗ 1_v is computed once per ampliation class of v (the color
-dims on the colored backend, v itself elsewhere) and broadcast over the
-class's placements as COO triples, so no a ⊗ 1_v block is ever stored dense.
+(p, q) is placed at every v where both q·v and p·v stay in S; a ⊗ 1_v is
+computed once per ampliation class of v (the color dims on the colored
+backend, v itself elsewhere), never stored dense, and gathered out to the
+key's placements as values at flat positions row·dim + col.  One CSR
+matrix takes every key's values, summing a shared position in key order.
 
 The norm is the block-diagonal norm: the matrix's largest singular value,
 the largest over colors of the column factors'.  A matrix of at most
@@ -62,7 +63,8 @@ class Truncation:
     every v is reached once, along a shortest edge path.  Construction raises
     if the tree does not cover S.  Of its dim columns, color-major, the first
     of (color c, S[i]) is _offsets[c·|S| + i]; _sources[k] indexes column
-    k's source object in S.
+    k's source object in S.  S[i] lies in ampliation class _amp_class[i];
+    S[_class_rep[k]] is the first element of class k.
     """
 
     def __init__(self, backend, depth: int):
@@ -83,6 +85,7 @@ class Truncation:
             [classes.setdefault(backend._ampliation_class(s), len(classes)) for s in self.S],
             dtype=np.intp,
         )
+        self._class_rep = np.unique(self._amp_class, return_index=True)[1]
 
     def _build_tree(self, sg):
         n = len(self.S)
@@ -145,26 +148,28 @@ class Truncation:
         return f"<truncation depth={self.depth} |S|={len(self.S)}>"
 
 
-def _csr(n, rows=(), cols=(), vals=()):
-    """n x n complex CSR matrix from COO triples at distinct positions.
-
-    The CSR arrays are written directly from the triples ordered by
-    position, a third of the cost of scipy's COO route on small matrices.  A
-    repeated position raises: its sum would follow no order the caller set.
-    """
+def _csr(n, parts=()):
+    """n x n complex CSR matrix from parts (flat positions row·n + col,
+    values).  The values, stably sorted by position, go straight into the
+    CSR arrays; scipy's sum_duplicates then adds up a repeated position's
+    values in input order, ((v0 + v1) + v2) + ..., and a sum of exactly 0 is
+    dropped, as in a chain of scipy sums of parts that repeat no position.
+    A temporary list of parts is freed before the sort."""
     import scipy.sparse as sp
 
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    pos = rows * n + cols
-    order = np.argsort(pos)
-    pos = pos[order]
-    if (pos[1:] == pos[:-1]).any():
-        raise ValueError("repeated position in a CSR assembly")
+    pos = np.concatenate([k for k, _ in parts] or [()]).astype(np.int64, copy=False)
+    vals = np.concatenate([v for _, v in parts] or [()]).astype(complex, copy=False)
+    del parts
+    order = np.argsort(pos, kind="stable")
+    pos, vals = pos[order], vals[order]
+    rows = pos // n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    vals = np.asarray(vals, dtype=complex)[order]
-    return sp.csr_matrix((vals, cols[order], indptr), shape=(n, n))
+    out = sp.csr_matrix((vals, pos - rows * n, indptr), shape=(n, n))
+    out.has_sorted_indices = True  # the repeats stand side by side
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 class LanczosNoConvergence(RuntimeError):
@@ -257,11 +262,6 @@ class FockOperator:
         self.tr = tr
         self.matrix = matrix if matrix is not None else _csr(tr.dim)
 
-    def __add__(self, other):
-        if self.tr is not other.tr:
-            raise ValueError("operators over different truncations")
-        return FockOperator(self.tr, self.matrix + other.matrix)
-
     def dense(self):
         """The t = e fiber: the matrix, block-diagonal over colors."""
         return self.matrix.toarray()
@@ -280,46 +280,44 @@ class FockOperator:
         return f"<fock-operator nnz={self.matrix.nnz} over {self.tr!r}>"
 
 
-def _key_triples(tr: Truncation, xs, p, q, v, target, source):
-    """The COO entries (*stack indices, rows, cols, vals), in the
+def _key_entries(tr: Truncation, xs, p, q, v, target, source):
+    """The entries (*stack indices, positions row·dim + col, vals), in the
     truncation's columns, of the operator that sends the columns of
     source[k] to those of target[k] by a ⊗ 1_v[k], for the blocks xs of a in
     L(p,q) (stacked or not) and the index arrays of one key's placements.
-    a ⊗ 1_v is taken once per ampliation class of v and broadcast over the
-    class's placements.  Within one key every (target, source) occurs once,
-    so no position repeats at one stack index."""
+    a ⊗ 1_v is taken once per ampliation class of v; per color one gather
+    hands every placement its class's entries.  Within one key every
+    (target, source) occurs once, so no position repeats at one stack index."""
     backend, n = tr.backend, len(tr.S)
     parts = []
     if v.size:
         coo = backend._coo(xs)
         label = tr._amp_class[v]
-        order = np.argsort(label, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-            amp = backend._rtensor_coo(xs, p, q, tr.S[v[group[0]]], coo)
-            for c, (*at, i, j, vals) in enumerate(amp):
-                if vals.size:
-                    offsets = tr._offsets[c * n :]
-                    # the entries once per placement (np.tile, without its overhead)
-                    parts.append((
-                        *[k[None].repeat(group.size, 0).ravel() for k in at],
-                        (offsets[target[group], None] + i).ravel(),
-                        (offsets[source[group], None] + j).ravel(),
-                        vals[None].repeat(group.size, 0).ravel(),
-                    ))
-    empty = (np.zeros(0, np.intp),) * (np.ndim(xs[0]) + 1)
+        classes = np.flatnonzero(np.bincount(label))
+        amps = [backend._rtensor_coo(xs, p, q, tr.S[tr._class_rep[k]], coo) for k in classes]
+        sizes = np.zeros(classes[-1] + 1, dtype=np.intp)
+        for c, per_class in enumerate(zip(*amps)):
+            sizes[classes] = [vals.size for *_, vals in per_class]
+            count = sizes[label]  # entries of each placement
+            *at, i, j, vals = map(np.concatenate, zip(*per_class))
+            # output e of placement k reads joined entry e - ends[k] + cumsum(sizes)[label[k]]
+            ends = np.cumsum(count)
+            take = np.repeat(np.cumsum(sizes)[label] - ends, count) + np.arange(ends[-1])
+            offsets = tr._offsets[c * n :]
+            corner = offsets[target] * tr.dim + offsets[source]  # top left of each block
+            pos = np.repeat(corner, count) + (i * tr.dim + j)[take]
+            parts.append((*[k[take] for k in at], pos, vals[take]))
+    empty = (np.zeros(0, np.intp),) * np.ndim(xs[0])
     return tuple(map(np.concatenate, zip(empty, *parts)))
 
 
 def _assemble(x: NTElement, tr: Truncation, placements) -> FockOperator:
-    """Sum over the keys of x, in key order, of the operators of _key_triples
-    for the index arrays (v, target, source) of placements(p, q).  A key's
-    triples hold no repeated position, so the sums match blockwise
-    addition."""
-    total = None
-    for (p, q), a in x.terms.items():
-        op = FockOperator(tr, _csr(tr.dim, *_key_triples(tr, a.blocks, p, q, *placements(p, q))))
-        total = op if total is None else total + op
-    return total if total is not None else FockOperator(tr)
+    """Sum over the keys of x of the operators of _key_entries for the index
+    arrays (v, target, source) of placements(p, q): one CSR of every key's
+    entries, which sums a position shared by several keys in key order."""
+    return FockOperator(tr, _csr(tr.dim, [
+        _key_entries(tr, a.blocks, p, q, *placements(p, q)) for (p, q), a in x.terms.items()
+    ]))
 
 
 def _lift_placements(tr: Truncation, p, q):
@@ -343,8 +341,8 @@ class FockRep(ConcreteRep):
     """The truncated Fock representation on the source-e fiber of tr.
 
     The Hilbert space is the truncation's column space, in its order.  phi(a)
-    is the lift of a at its own key (range, source): the COO entries of
-    _key_triples, scattered as they come (unlike NTElement, a coefficient
+    is the lift of a at its own key (range, source): the entries of
+    _key_entries, scattered as they come (unlike NTElement, a coefficient
     below PRUNE_TOL is not dropped), with no unit-canonical key: a unit has
     length 0, so S is closed under units, v' -> u v' maps the placements of
     (p u, q u) onto those of (p, q), and the lift of a equals that of its
@@ -358,16 +356,17 @@ class FockRep(ConcreteRep):
         self._keys = {}  # (p, q) -> lift placements
 
     def _entries(self, xs, p, q):
-        """(*stack indices, rows, cols, vals) of the lift of the blocks xs
+        """(*stack indices, positions, vals) of the lift of the blocks xs
         of L(p, q)."""
         if (p, q) not in self._keys:
             self._keys[p, q] = _lift_placements(self.tr, p, q)
-        return _key_triples(self.tr, xs, p, q, *self._keys[p, q])
+        return _key_entries(self.tr, xs, p, q, *self._keys[p, q])
 
     def entries(self, arrow):
         if not ideal_membership(arrow, self.ideal):
             raise ValueError(f"coefficient at ({arrow.range!r},{arrow.source!r}) escapes the ideal")
-        return self._entries(arrow.blocks, arrow.range, arrow.source)
+        pos, vals = self._entries(arrow.blocks, arrow.range, arrow.source)
+        return (*np.divmod(pos, self.dim), vals)
 
     def phi(self, arrow):
         rows, cols, vals = self.entries(arrow)
@@ -376,10 +375,9 @@ class FockRep(ConcreteRep):
         return out
 
     def basis_images(self, p, q):
-        n, dim = self.backend.space_dim(p, q, self.ideal), self.dim
-        out = np.zeros((n, dim * dim), dtype=complex)
-        k, rows, cols, vals = self._entries(self.backend.basis_stack(p, q, self.ideal), p, q)
-        out[k, rows * dim + cols] = vals
+        out = np.zeros((self.backend.space_dim(p, q, self.ideal), self.dim**2), dtype=complex)
+        k, pos, vals = self._entries(self.backend.basis_stack(p, q, self.ideal), p, q)
+        out[k, pos] = vals
         return out
 
 
@@ -415,7 +413,7 @@ def _source_projection(tr: Truncation, keep) -> FockOperator:
     mask = np.zeros(len(tr.S), dtype=bool)
     mask[np.asarray(keep, dtype=np.intp)] = True
     idx = np.flatnonzero(mask[tr._sources])
-    return FockOperator(tr, _csr(tr.dim, idx, idx, np.ones(idx.size)))
+    return FockOperator(tr, _csr(tr.dim, [(idx * (tr.dim + 1), np.ones(idx.size))]))
 
 
 def projection_QT(p, tr: Truncation) -> FockOperator:

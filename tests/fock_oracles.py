@@ -11,11 +11,22 @@ representation carries the norm.
 The interior of a truncation, the defect of a product of lifts on sources in
 a set, a colour's diagonal block and the column layout of one (colour,
 object) serve the tests that compare lifts and colour blocks entry by entry.
+per_key_lift assembles a lift key by key, one CSR per key summed by scipy
+in key order: the reference for the order in which lift sums a position
+that several keys share.
 """
 
 import numpy as np
 
-from ntforge.fock import FockOperator, Truncation, _csr, _source_projection, lift
+from ntforge.fock import (
+    FockOperator,
+    Truncation,
+    _csr,
+    _key_entries,
+    _lift_placements,
+    _source_projection,
+    lift,
+)
 from ntforge.linalg import rank_of_span, spectral_norm
 from ntforge.precategory import StructureReport
 from ntforge.wick import NTElement
@@ -63,7 +74,8 @@ def diagonal_part(op: FockOperator):
     """Keep the blocks whose target object equals their source object."""
     owner, coo = op.tr._sources, op.matrix.tocoo()
     keep = owner[coo.row] == owner[coo.col]
-    return FockOperator(op.tr, _csr(op.tr.dim, coo.row[keep], coo.col[keep], coo.data[keep]))
+    pos = coo.row[keep].astype(np.int64) * op.tr.dim + coo.col[keep]
+    return FockOperator(op.tr, _csr(op.tr.dim, [(pos, coo.data[keep])]))
 
 
 def projection_Qw(w, tr: Truncation) -> FockOperator:
@@ -176,3 +188,13 @@ def col_dim(tr: Truncation, c, s) -> int:
 def col_offset(tr: Truncation, c, s) -> int:
     """The first column of colour c with source object s, within colour c."""
     return int(tr._offsets[c * len(tr.S) + tr.index[s]]) - _colour_range(tr, c)[0]
+
+
+def per_key_lift(x: NTElement, tr: Truncation):
+    """lift(x).matrix assembled key by key: one CSR of each key's entries,
+    the keys added up by scipy sparse sums in key order."""
+    total = None
+    for (p, q), a in x.terms.items():
+        m = _csr(tr.dim, [_key_entries(tr, a.blocks, p, q, *_lift_placements(tr, p, q))])
+        total = m if total is None else total + m
+    return total if total is not None else _csr(tr.dim)

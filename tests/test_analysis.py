@@ -670,6 +670,18 @@ def test_aperiodicity_twist_must_be_one_unitary_per_colour():
     assert flip.lower_bound == 0.0 and flip.best <= 1e-12 and flip.attained_by == "rank-one"
 
 
+def test_aperiodicity_lower_bound_never_exceeds_best():
+    # W(b) for b = [[1, .3], [.2, 1]] is nearest 0 at 0.75: the support
+    # function gave lower_bound 0.75 against the attained best
+    # 0.7499999999999999, an ulp below it
+    ps, p, x, px = aperiodicity_setup()
+    b = ps.arrow(px, p, [np.array([[1.0, 0.3], [0.2, 1.0]], dtype=complex)])
+    for twist in (None, [np.eye(2)]):
+        res = aperiodicity_search(ps, p, x, b, twist=twist, trials=1, seed=0, maxiter=10)
+        assert res.lower_bound <= res.best <= res.rank_one_bound
+        assert abs(res.lower_bound - 0.75) <= 1e-12 and abs(res.best - 0.75) <= 1e-12
+
+
 def test_aperiodicity_hereditary_corner_is_compressed_not_sandwiched():
     """h lives in color 0 only.  Compressing to range(h) gives W = {1/2}; the
     sandwich P_h M P_h would let vectors outside range(h) put 0 into W, and

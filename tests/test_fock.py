@@ -48,6 +48,7 @@ from fock_oracles import (
     fock_source_restricted,
     interior,
     norm_by_fibers,
+    per_key_lift,
     product_defect,
     projection_Qw,
 )
@@ -572,13 +573,74 @@ def test_lanczos_step_cap_raises_named_error():
     assert _gram_lanczos(a, 1e-8, cap=10 * a.shape[0]).value > 0
 
 
-def test_csr_assembly_rejects_repeated_positions():
+def test_csr_assembly_sums_repeated_positions_in_input_order():
     from ntforge.fock import _csr
 
-    m = _csr(3, [2, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
+    # positions row·3 + col, in any order
+    m = _csr(3, [(np.array([6, 2, 4]), [1.0, 2.0, 3.0])])
     assert np.array_equal(m.toarray(), [[0, 0, 2], [0, 3, 0], [1, 0, 0]])
-    with pytest.raises(ValueError, match="repeated position"):
-        _csr(3, [0, 1, 0], [1, 1, 1], [1.0, 2.0, 3.0])
+    # position 1 takes 0.1, 0.2, 0.3 over three parts: the left fold
+    # (0.1 + 0.2) + 0.3 is not 0.1 + (0.2 + 0.3); position 5 cancels to
+    # exactly 0 and is dropped, as a scipy sum drops it
+    m = _csr(3, [([1, 5], [0.1, 2.0]), ([5, 1], [-2.0, 0.2]), ([1], [0.3])])
+    assert m.nnz == 1 and m.has_canonical_format
+    assert m[0, 1] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert _csr(3).shape == (3, 3) and _csr(3).nnz == 0
+
+
+def _same_matrix(a, b):
+    """Equal CSR matrices, entry for entry (float ==, so 0.0 == -0.0)."""
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("ps,keys", [
+    (ps_N, [str(k) for k in range(9)]),
+    (ps_FM, ["e"] + ["abababab"[:k] for k in range(1, 9)]),
+], ids=["N", "FM-two-colors"])
+def test_nine_keys_on_one_position_sum_as_the_per_key_reference(ps, keys):
+    # the keys (w, w) over the nine prefixes w of the last key all act on
+    # its own block: nine values on one position, past numpy's eight-term
+    # pairwise switch, summed bitwise as the per-key sparse sums add them
+    rng = np.random.default_rng(29)
+    prefixes = [ps.sg.parse(w) for w in keys]
+    x = NTElement(ps)
+    for w in prefixes:
+        x.add_term(w, w, ps.random_arrow(w, w, rng))
+    tr = Truncation(ps, ps.sg.length(prefixes[-1]))
+    got, want = lift(x, tr).matrix, per_key_lift(x, tr)
+    assert _same_matrix(got, want)
+    # the order is what the comparison tests: keys summed last to first miss it
+    backwards = NTElement.from_terms(ps, [(p, q, x.terms[p, q]) for p, q in reversed(list(x.terms))])
+    reverse_sum = per_key_lift(backwards, tr)
+    assert np.array_equal(reverse_sum.indices, want.indices)
+    assert not np.array_equal(reverse_sum.data, want.data)
+
+
+@pytest.mark.parametrize("case", sorted(PHI_BACKENDS))
+def test_lift_equals_the_per_key_sum_on_every_backend(case):
+    ps, depth = PHI_BACKENDS[case]
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    tr = Truncation(ps, depth)
+    pool = ps.sg.elements(1)
+    for _ in range(3):
+        x = NTElement(ps)
+        for _ in range(6):
+            p, q = rng.choice(pool), rng.choice(pool)
+            if ps.kind == "zero":
+                q = p  # off-diagonal arrows of this backend are zero
+            x.add_term(p, q, ps.random_arrow(p, q, rng))
+        assert _same_matrix(lift(x, tr).matrix, per_key_lift(x, tr))
+
+
+def test_empty_element_and_placeless_expectation_give_zero_operators():
+    # toeplitz_N's expect of offdiag: over N the key (1, 2) has no source
+    # with 1·v = 2·v, so no key contributes an entry
+    tr = Truncation(ps_N, 6)
+    for op in (lift(NTElement(ps_N), tr), transcendental_expectation(scalar(ps_N, "1", "2"), tr),
+               transcendental_expectation(NTElement(ps_N), tr)):
+        assert op.matrix.shape == (tr.dim, tr.dim) and op.matrix.nnz == 0
+        assert op.norm() == 0.0
 
 
 def test_lift_stores_no_dense_kron_blocks():
@@ -815,11 +877,9 @@ def test_truncation_raises_when_the_tree_misses_part_of_S():
         Truncation(SimpleNamespace(sg=_GeneratorsMissB(FM)), 2)
 
 
-def test_operators_reject_other_truncations_and_describe_themselves():
-    tr, other = Truncation(ps_N, 3), Truncation(ps_N, 3)
+def test_operators_describe_themselves():
+    tr = Truncation(ps_N, 3)
     u = scalar(ps_N, "1", "0")
-    with pytest.raises(ValueError, match="different truncations"):
-        lift(u, tr) + lift(u, other)
     assert repr(tr) == "<truncation depth=3 |S|=4>"
     assert repr(lift(u, tr)) == "<fock-operator nnz=3 over <truncation depth=3 |S|=4>>"
 
