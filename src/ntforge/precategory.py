@@ -344,7 +344,7 @@ class ZeroTensorBackend(_BackendBase):
 
     Diagonal spaces are full matrix algebras of the given sizes.  Tensoring by
     r != 0 is the zero map, so the full ideal is not tensor-nondegenerate --
-    the point of this backend.
+    the point of this backend.  The semigroup must be N (tag N^1).
     """
 
     kind = "zero"
@@ -354,15 +354,14 @@ class ZeroTensorBackend(_BackendBase):
         from .semigroups import DirectSumN
 
         self.sg = sg if sg is not None else DirectSumN(1)
+        if self.sg.tag != "N^1":
+            raise ValueError(f"the zero backend's objects are naturals: it needs N, got {self.sg.tag}")
         self.dims = [int(d) for d in dims]
         if any(d < 1 for d in self.dims):
             raise ValueError("object dims must be >= 1")
 
     def _d(self, p):
-        n = p.data[0]
-        if n >= len(self.dims):
-            return self.dims[-1]
-        return self.dims[n]
+        return self.dims[min(p.data[0], len(self.dims) - 1)]
 
     def shape(self, p, q):
         return [(self._d(p), self._d(q))]

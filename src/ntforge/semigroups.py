@@ -4,9 +4,9 @@ A right LCM semigroup here is a left-cancellative monoid in which the
 intersection of two principal right ideals ``pP`` and ``qP`` is either empty
 or again principal, ``rP``.  The generator ``r`` of the intersection -- a
 right least common multiple of ``p`` and ``q`` -- is determined up to right
-multiplication by an invertible element, and every instance in this module
-returns a canonical representative (the normal form that is least in the
-instance's total sort order).
+multiplication by an invertible element.  Each instance's ``_lcm`` hook
+returns the canonical one (least in the instance's sort order within its unit
+orbit), and every caller reads it there: none searches a unit orbit.
 
 Shipped instances:
 
@@ -87,8 +87,8 @@ class RightLcmSemigroup:
     # take the normal-form data a, b of elements p, q and do no checks:
     #   _mul(a, b)       the data of p*q
     #   _ldiv(a, b)      the data of the unique r with p*r == q, or None
-    #   _lcm(a, b)       the data of some generator of pP & qP, or None
-    #                    (right_lcm takes the least of its unit orbit)
+    #   _lcm(a, b)       the data of the canonical generator of pP & qP (the
+    #                    least _key in its unit orbit {r*x : x in P*}), or None
     #   _length(a)       the word length of p
     #   _key(a)          the sort key of p: a total order, length first
     #   _exps(a)         abelianized generator multiplicities of p, aligned
@@ -174,23 +174,12 @@ class RightLcmSemigroup:
     def right_lcm(self, p: Element, q: Element):
         """Canonical generator of pP & qP, or None when the intersection is empty.
 
-        Canonical means least sort_key within the unit orbit {r*x : x in P*}.
+        Canonical means least sort_key in the unit orbit {r*x : x in P*}, as _lcm returns it.
         """
         if p.sg is not self or q.sg is not self:
             self.check_same(p, q)
         r = self._lcm(p.data, q.data)
-        if r is None:
-            return None
-        if not self.trivial_units:
-            r = min((self._mul(r, x.data) for x in self.unit_tuple), key=self._key)
-        return Element(self, r)
-
-    def _right_lcm(self, a, b):
-        """right_lcm on data (right_lcm inlines it: LCM tables call it)."""
-        r = self._lcm(a, b)
-        if r is None or self.trivial_units:
-            return r
-        return min((self._mul(r, x.data) for x in self.unit_tuple), key=self._key)
+        return None if r is None else Element(self, r)
 
 
 class DirectSumN(RightLcmSemigroup):
@@ -379,9 +368,10 @@ class FreeProduct(RightLcmSemigroup):
 
     Elements are reduced alternating words: tuples of blocks (i, x) where x is
     a non-identity normal form from factor i and adjacent blocks come from
-    distinct factors.  A free monoid is the free product of copies of N; when
-    every factor is a copy of N the instance parses and prints letter words
-    like "ab" and "a^2b".
+    distinct factors.  A free monoid is the free product of copies of N named
+    by letters, printed and parsed as words like "ab" and "a^2b"; any other
+    instance prints blocks "name:text" with spaces between, so a name holds no
+    ':' or space, and parses them through its factors' parse.
     """
 
     def __init__(self, factors, names=None):
@@ -390,14 +380,15 @@ class FreeProduct(RightLcmSemigroup):
             if len(f.units()) != 1:
                 raise ValueError("free product factors must have trivial units")
         self.names = list(names) if names else [f"p{i}" for i in range(len(factors))]
-        if len(set(self.names)) != len(self.names) or len(self.names) != len(self.factors):
+        if (len(set(self.names)) != len(self.names) or len(self.names) != len(self.factors)
+                or any(":" in n or len(n.split()) != 1 for n in self.names)):
             raise ValueError(
-                f"free product 'names' must give one distinct name per factor: "
-                f"{self.names} for {len(self.factors)} factors"
+                f"free product 'names' must give one distinct name per factor, without ':' or "
+                f"spaces: {self.names} for {len(self.factors)} factors"
             )
         self._letters = all(
             isinstance(f, DirectSumN) and f.rank == 1 for f in self.factors
-        ) and all(len(n) == 1 for n in self.names)
+        ) and all(len(n) == 1 and n.isascii() and n.isalpha() for n in self.names)
         self.tag = "free(" + ",".join(
             f"{n}:{f.tag}" for n, f in zip(self.names, self.factors)
         ) + ")"
@@ -512,9 +503,7 @@ class FreeProduct(RightLcmSemigroup):
         if text in ("", "e"):
             return self.identity()
         if not self._letters:
-            raise ValueError(
-                "string parsing is only available for free monoids over letters"
-            )
+            return self._parse_blocks(text)
         pos = 0
         word = self.identity()
         while pos < len(text):
@@ -528,6 +517,20 @@ class FreeProduct(RightLcmSemigroup):
             word = word * self.el(((i, (exp,)),))
             pos = m.end()
         return word
+
+    def _parse_blocks(self, text):
+        """The word of the space-separated name:text blocks of text, each text
+        read by its factor's parse (a factor text holding spaces cannot be)."""
+        word = ()
+        for block in text.split():
+            name, colon, body = block.partition(":")
+            if not colon or name not in self.names:
+                raise ValueError(f"cannot read {block!r} of {text!r} as a name:text block with a name in "
+                                 f"{self.names} (a factor text holding spaces cannot be read)")
+            i = self.names.index(name)
+            x = self.factors[i].parse(body).data
+            word = word if x == self.factors[i].one.data else self._mul(word, ((i, x),))
+        return self.el(word)
 
     def _fmt(self, a):
         if not a:
@@ -734,10 +737,7 @@ def check_controlled_map(theta: SemigroupHom, depth: int) -> ControlledMapReport
     if {fn(x.data) for x in dom.unit_tuple} != {x.data for x in cod.unit_tuple}:
         failures.append(("units", "theta(P*) != P'*"))
     image = {a: fn(a) for a in els}
-    units = [x.data for x in cod.unit_tuple]
-    # with trivial units the LCM hook is already canonical
-    lcm, clcm = (sg._lcm if sg.trivial_units else sg._right_lcm for sg in (dom, cod))
-    mul, cmul, fmt = dom._mul, cod._mul, dom._fmt
+    lcm, clcm, mul, cmul, fmt = dom._lcm, cod._lcm, dom._mul, cod._mul, dom._fmt
     for a in els:
         ta = image[a]
         for b in els:
@@ -754,9 +754,9 @@ def check_controlled_map(theta: SemigroupHom, depth: int) -> ControlledMapReport
             if rr is None:
                 failures.append((f"s={fmt(a)} t={fmt(b)}", "image pair has no LCM"))
                 continue
-            # theta(r) must generate the same ideal as rr, i.e. differ by a unit
+            # theta(r) must generate the same ideal as rr, the canonical generator
             tr = image[r] if r in image else fn(r)
-            if not any(cmul(rr, x) == tr for x in units):
+            if clcm(tr, tr) != rr:
                 failures.append((f"s={fmt(a)} t={fmt(b)}",
                                  f"LCM not transported: {cod._fmt(tr)} vs {cod._fmt(rr)}"))
     return ControlledMapReport(not failures, len(els) ** 2, failures)

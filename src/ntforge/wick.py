@@ -7,9 +7,9 @@ coefficient in K(p,q) per key.  The product follows the Wick rule
         (a x 1_{q^-1 r})(b x 1_{s^-1 r})  at  (p q^-1 r, t s^-1 r)
 
 when qP & sP = rP, and contributes nothing when the intersection is empty.
-Keys are canonicalized over the unit orbit {(px, qx) : x unit}, with the
-coefficient transported by x 1_x (an exact operation: units have
-one-dimensional fibers).
+A key is canonicalized to (p u, q u), p u = _lcm(p, p) the canonical generator
+of pP, with the coefficient transported by x 1_u (an exact operation: units
+have one-dimensional fibers).
 
 Every product is one stacked contraction on normal-form data: one LCM per
 distinct (q, s), one ampliation a x 1_{q^-1 r} per (term, quotient) through
@@ -44,8 +44,8 @@ WITNESS_DEPTH = 4  # word length of core_norm's search for a core witness
 
 
 def canonical_key(sg, p, q):
-    """(p u, q u, u): the least key of the unit orbit of (p, q), with the unit
-    u that transports a coefficient there by a -> a x 1_u."""
+    """(p u, q u, u): the least key of the unit orbit of (p, q), p u the canonical
+    generator of pP, with the unit u that transports a coefficient by a x 1_u."""
     if sg.trivial_units:
         return p, q, sg.unit_tuple[0]
     sg.check_same(p, q)
@@ -160,12 +160,13 @@ class NTElement:
 
 
 def _canonical_data(sg, pd, qd):
-    """canonical_key on normal-form data: (p u, q u, u data), u None for e."""
+    """canonical_key on normal-form data: (p u, q u, u data), u None for e; p u
+    is _lcm(p, p), and u -> p u is injective by left cancellation (no tie)."""
     if sg.trivial_units:
         return pd, qd, None
-    cp, cq, u = min(((sg._mul(pd, x.data), sg._mul(qd, x.data), x.data) for x in sg.unit_tuple),
-                    key=lambda t: (sg._key(t[0]), sg._key(t[1])))
-    return cp, cq, None if u == sg.one.data else u
+    cp = sg._lcm(pd, pd)
+    u = sg._ldiv(pd, cp)
+    return cp, sg._mul(qd, u), None if u == sg.one.data else u
 
 
 def _stacked_mul(x, y):
@@ -181,7 +182,7 @@ def _stacked_mul(x, y):
     q_rows, s_rows, lx, ry = [{} for _ in qs], [{} for _ in ss], [], []
     for qd, q_row in zip(qs, q_rows):
         for sd, s_row in zip(ss, s_rows):
-            r = sg._right_lcm(qd, sd)
+            r = sg._lcm(qd, sd)
             lx.append(-1 if r is None else q_row.setdefault(sg._ldiv(qd, r), len(q_row)))
             ry.append(-1 if r is None else s_row.setdefault(sg._ldiv(sd, r), len(s_row)))
     cell = np.array(q_of, dtype=np.intp)[:, None] * len(ss) + np.array(s_of, dtype=np.intp)

@@ -18,7 +18,7 @@ from ntforge.bundles import (
 from ntforge.fock import Truncation, fock_norm, lift
 from ntforge.linalg import spectral_norm
 from ntforge.precategory import ColorIdeal, ColoredProductSystem, check_well_aligned
-from ntforge.semigroups import cyclic_group, symmetric_group_3
+from ntforge.semigroups import UnitExtension, cyclic_group, symmetric_group_3
 from ntforge.wick import NTElement
 from algebra_oracles import well_aligned_by_arrows
 from bundle_oracles import check_bundle_laws, conjugation_action, group_algebra_bundle, section_conv, section_norm, section_star, swap_action
@@ -45,6 +45,28 @@ def test_action_validation():
         conjugation_action(Z2, {e: [np.eye(2)], u: [np.diag([1.0, 1j])]})
     with pytest.raises(ValueError, match="dimensions"):
         BlockAction(Z2, [1, 2], {e: (0, 1), u: (1, 0)}, {e: [np.eye(1), np.eye(2)], u: [np.eye(1), np.eye(2)]})
+
+
+def test_bad_actions_and_groups_are_rejected():
+    e, u = z2_pair()
+    eye = [np.eye(1)]
+    with pytest.raises(ValueError, match="action data missing for 1"):
+        BlockAction(Z2, [1], {e: (0,)}, {e: eye})
+    with pytest.raises(ValueError, match="alpha_e != id"):
+        BlockAction(Z2, [1, 1], {e: (1, 0), u: (1, 0)}, {e: eye * 2, u: eye * 2})
+    # S3 permuting three slots (g acts by g^-1 on slot indices): a homomorphism
+    # whose automorphisms do not commute, so right tensoring cannot chain
+    s3 = symmetric_group_3()
+    perm = {g: (0, 1, 2) if g.data == "e" else tuple(map(int, g.data[1:])) for g in s3.elements(1)}
+    inverse = {g: tuple(sorted(range(3), key=p.__getitem__)) for g, p in perm.items()}
+    with pytest.raises(ValueError, match="needs a commuting image"):
+        CrossedProductBackend(BlockAction(s3, [1, 1, 1], inverse, {g: eye * 3 for g in inverse}))
+    # a group-like instance that is no FiniteGroup: Z1 extended by the units Z2
+    ext = UnitExtension(cyclic_group(1), Z2)
+    with pytest.raises(ValueError, match="need a finite group"):
+        CrossedProductBackend(trivial_action(ext, [1]))
+    with pytest.raises(ValueError, match="need a finite group instance"):
+        bundle_from_precategory(ColoredProductSystem(ext, colors=1))
 
 
 def test_crossed_backend_tensor_chain():

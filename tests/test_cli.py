@@ -13,7 +13,8 @@ import pytest
 
 from ntforge.cli import build_parser, main
 from ntforge.fock import FockOperator, Truncation
-from ntforge.scenario import CHECKS, PARAMS, Scenario, run_scenario, report_ok
+from ntforge.scenario import (BACKEND_KINDS, CHECKS, INSTANCE_KINDS, PARAMS, Scenario, ScenarioError,
+                              run_scenario, report_ok)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -353,6 +354,38 @@ def test_every_scenario_mutation_exits_0_1_or_2(tmp_path, capsys):
     assert codes <= {0, 1, 2}, codes
 
 
+#: the values each single-field mutation of the fuzz guard writes
+FUZZ_VALUES = (None, True, -1, 0, 1.5, "x", "e", [], {}, [[1]], [1, 2], 7)
+
+
+def _fuzzed(data):
+    """Every single-field mutation of data: the whole of it replaced by each
+    of FUZZ_VALUES, each key and list entry dropped or set to each of them,
+    and each 'kind' set to every other kind of its table."""
+    yield from FUZZ_VALUES
+    for at in list(_mutation_paths(data)):
+        for how in ("drop", *FUZZ_VALUES):
+            yield _mutated(data, at, how)
+        if at[-1] == "kind":
+            value = functools.reduce(operator.getitem, at, data)
+            table = INSTANCE_KINDS if value in INSTANCE_KINDS else BACKEND_KINDS
+            yield from (_mutated(data, at, kind) for kind in table if kind != value)
+
+
+def test_every_single_field_mutation_reads_or_names_its_path():
+    # loading only: checks run on a mutated depth could build a huge truncation
+    count = 0
+    for name in ("toeplitz_N", "z2_bundle"):
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        for mutated in _fuzzed(data):
+            count += 1
+            try:
+                Scenario(mutated)
+            except ScenarioError as exc:
+                assert str(exc).startswith("scenario"), (name, mutated, str(exc))
+    assert count == 1746
+
+
 def test_zero_tensor_projections_fail_the_equality_law(tmp_path, capsys):
     # on the zero-tensor backend 1_w x 1_v = 0, so phi(1_w) keeps only the
     # source-w columns while Q_<w> keeps all of wP: the equality law fails
@@ -367,6 +400,28 @@ def test_zero_tensor_projections_fail_the_equality_law(tmp_path, capsys):
     [item] = json.loads(capsys.readouterr().out)["items"]
     assert item["status"] == "fail"
     assert item["data"] == {"semilattice_worst": 0.0, "equality_worst": 1.0}
+
+
+@pytest.mark.parametrize("semigroup, elements", [
+    # once a TypeError traceback while reading the element
+    ({"kind": "free_monoid", "letters": "ab"}, {"x": [{"range": "a", "source": "a", "blocks": [[[1, 0], [0, 1]]]}]}),
+    # once error items of the essential check
+    ({"kind": "free_monoid", "letters": "ab"}, {}),
+    ({"kind": "unit_extension", "base": N1, "units": "Z2"}, {}),
+    ({"kind": "finite_group", "name": "Z2"}, {}),
+    # once read objects by their first coordinate, failing projections silently
+    ({"kind": "direct_sum", "rank": 2}, {}),
+], ids=["words-with-element", "words", "unit-extension", "finite-group", "direct-sum-2"])
+def test_zero_backend_over_an_instance_other_than_N_exits_2(tmp_path, capsys, semigroup, elements):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({
+        "semigroup": semigroup, "backend": {"kind": "zero", "dims": [1, 2]}, "elements": elements,
+        "checks": [{"name": "essential"}, {"name": "projections", "depth": 1, "fock_depth": 2}],
+    }))
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario['backend']: the zero backend's objects are naturals")
 
 
 def test_structure_checks_report_certified_pairs(tmp_path, capsys):

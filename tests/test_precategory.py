@@ -63,6 +63,29 @@ def test_nonmultiplicative_dims_rejected_with_pair():
     ColoredProductSystem(AbsorptionMonoid(), gen_dims=[(3,), (1,)])
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: ColoredProductSystem(cyclic_group(2)), "colors must be given explicitly"),
+    (lambda: ColoredProductSystem(FM, gen_dims=[(1, 2), (1,)]), "one entry per color"),
+    (lambda: ColoredProductSystem(N, gen_dims=[(0,)]), "dims must be >= 1"),
+    (lambda: ZeroTensorBackend([2, 0]), "object dims must be >= 1"),
+    (lambda: ZeroTensorBackend([2], sg=DirectSumN(2)), "needs N, got N\\^2"),
+    (lambda: ZeroTensorBackend([2], sg=FM), "needs N, got free"),
+], ids=["no-colors", "ragged-dims", "zero-dim", "zero-object-dim", "zero-over-N2", "zero-over-words"])
+def test_bad_backend_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_arrow_sums_need_one_backend_and_one_key():
+    ps, other = colored_N(), colored_N()
+    e, one = N.identity(), N.parse("1")
+    a = ps.arrow(e, e, [np.eye(1)])
+    with pytest.raises(ValueError, match="arrows from different backends"):
+        a + other.arrow(e, e, [np.eye(1)])
+    with pytest.raises(ValueError, match="object mismatch in arrow sum"):
+        a + ps.arrow(one, one, [np.eye(2)])
+
+
 def test_compose_scalar_example():
     ps = colored_N()
     e, one = N.parse("0"), N.parse("1")

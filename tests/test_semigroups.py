@@ -191,9 +191,13 @@ def test_unit_extension_units():
 def test_free_product_needs_one_distinct_name_per_factor():
     with pytest.raises(ValueError, match="'letters' must be distinct"):
         free_monoid("aa")
-    for names in (["u"], ["u", "u"], ["u", "v", "w"]):
+    for names in (["u"], ["u", "u"], ["u", "v", "w"], ["u:v", "w"], ["u v", "w"], ["", "w"]):
         with pytest.raises(ValueError, match="'names'"):
             FreeProduct([N, N], names=names)
+    # names that are no letters print and parse as name:text blocks
+    digits = FreeProduct([N, N], names=["1", "2"])
+    word = digits.parse("1:2 2:1")
+    assert (digits.format(word), digits.parse(digits.format(word))) == ("1:2 2:1", word)
     assert FreeProduct([N, N]).tag == "free(p0:N^1,p1:N^1)"
 
 
@@ -549,17 +553,40 @@ def _orbit_canonical(sg, p, q):
 
 
 class _OffsetLcm(UnitExtension):
-    """A unit extension whose raw LCM is a non-canonical generator, so that
-    right_lcm must take the orbit minimum to be right."""
+    """A unit extension whose _lcm hook returns a non-canonical generator,
+    breaking the hook contract: the negative control of the contract check."""
 
     def _lcm(self, a, b):
         r = super()._lcm(a, b)
         return None if r is None else self._mul(r, self.units()[-1].data)
 
 
+def _lcm_contract_breaches(sg, depth):
+    """The pairs (p, q) to depth where the _lcm hook is not least in its unit
+    orbit ("lcm"), or canonical_key is not the (key p u, key q u) minimum of
+    the unit orbit ("key")."""
+    out = []
+    for p, q in itertools.product(sg.elements(depth), repeat=2):
+        r = sg._lcm(p.data, q.data)
+        if r is not None and sg.el(r) != _orbit_lcm(sg, p, q):
+            out.append(("lcm", p, q))
+        if canonical_key(sg, p, q) != _orbit_canonical(sg, p, q):
+            out.append(("key", p, q))
+    return out
+
+
+@pytest.mark.parametrize("spec,depth", KIND_SPECS, ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_lcm_hook_returns_the_canonical_generator(spec, depth):
+    assert _lcm_contract_breaches(make_semigroup(spec), depth) == []
+
+
+def test_lcm_contract_check_flags_a_non_canonical_hook():
+    breaches = _lcm_contract_breaches(_OffsetLcm(N2, cyclic_group(3)), 2)
+    assert {kind for kind, _, _ in breaches} == {"lcm", "key"}
+
+
 ORBIT_INSTANCES = [
     UnitExtension(N2, cyclic_group(3)),
-    _OffsetLcm(N2, cyclic_group(3)),
     N2,
     FM,
     AB,
@@ -595,12 +622,54 @@ def test_make_semigroup_registry():
 def test_parse_format_roundtrip():
     for sg, depth in INSTANCES + [(make_semigroup(spec), depth) for spec, depth in KIND_SPECS]:
         for p in sg.elements(depth):
-            if isinstance(sg, FreeProduct) and p != sg.one and not sg._letters:
-                # words over factors other than N have no parser
-                with pytest.raises(ValueError, match="only available for free monoids"):
-                    sg.parse(sg.format(p))
-            else:
-                assert sg.parse(sg.format(p)) == p
+            assert sg.parse(sg.format(p)) == p
+        assert sg.parse("e") == sg.one
+
+
+def test_free_product_parse_reads_name_text_blocks():
+    fp = FreeProduct([N2, N], names=["u", "v"])
+    u1, u2, v = fp.generators()
+    assert fp.parse(" u:(1,0) v:2  u:(0,1) ") == u1 * v * v * u2
+    # an identity block is dropped; blocks of one factor in a row merge
+    assert fp.parse("u:(0,0) v:1 u:(1,0) u:(0,1)") == v * u1 * u2
+    for text in ("u(1,0)", "w:1"):
+        with pytest.raises(ValueError, match="as a name:text block"):
+            fp.parse(text)
+    with pytest.raises(ValueError):  # the factor's parse rejects its text
+        fp.parse("u:(1,0)v:1")
+    # a nested free product over factors other than N prints with spaces
+    nested = FreeProduct([fp, N], names=["x", "y"])
+    word = nested.el(((0, (u1 * v).data),))
+    with pytest.raises(ValueError, match="a factor text holding spaces cannot be read"):
+        nested.parse(nested.format(word))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: DirectSumN(0), "rank must be >= 1"),
+    (lambda: N2.parse("(1,2,3)"), "expected 2 components"),
+    # a left-zero semigroup: associative, no identity
+    (lambda: FiniteGroup("L", "ab", {(x, y): x for x in "ab" for y in "ab"}), "has no identity"),
+    # {e, z} with z z = z: a monoid whose z has no inverse
+    (lambda: FiniteGroup("M", "ez", {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z", ("z", "z"): "z"}),
+     "is not a group"),
+    (lambda: Z2.parse("2"), "unknown element '2' of Z2"),
+    (lambda: FreeProduct([Z2]), "factors must have trivial units"),
+    (lambda: FM.parse("a1"), "cannot parse word 'a1' at position 1"),
+    (lambda: FM.parse("ac"), "unknown letter 'c'"),
+    (lambda: UnitExtension(EXT, Z2), "must have trivial units"),
+    (lambda: UnitExtension(N, symmetric_group_3()), "must be abelian"),
+    (lambda: controlled_abelianization(FreeProduct([N2])), "implemented for free monoids"),
+], ids=["rank-0", "components", "no-identity", "no-inverse", "unknown-group-element",
+        "unit-factor", "bad-token", "unknown-letter", "unit-base", "non-abelian-units",
+        "non-letter-abelianization"])
+def test_bad_python_api_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_controlled_map_report_prints_its_summary():
+    report = check_controlled_map(SemigroupHom(N2, N2, lambda a: (0, 0)), 1)
+    assert repr(report) == f"<controlled-map fail: 9 pairs, {len(report.failures)} failures>"
 
 
 # -- property tests over random elements -------------------------------------

@@ -159,6 +159,22 @@ def test_bad_grading_rejected():
         validate_grading(GradingMap(N2, lambda p: (p.data[0] ** 2,), rank=1), 3)
 
 
+def test_grading_needs_one_target_and_generators():
+    for group, rank in ((None, None), (cyclic_group(2), 1)):
+        with pytest.raises(ValueError, match="exactly one of group/rank"):
+            GradingMap(N2, lambda p: p, group=group, rank=rank)
+    # Z1 extended by Z2: neither a finite group nor generated
+    with pytest.raises(ValueError, match="no canonical grading for ext"):
+        abelianization_grading(UnitExtension(cyclic_group(1), cyclic_group(2)))
+
+
+def test_elements_over_different_backends_do_not_add():
+    x = scalar(ps_N, "1", "0")
+    with pytest.raises(ValueError, match="elements over different backends"):
+        x + scalar(ColoredProductSystem(N, gen_dims=[(1,)]), "1", "0")
+    assert repr(x + scalar(ps_N, "0", "0")) == "<nt-element 2 terms: (0,0), (1,0)>"
+
+
 def test_grade_multiplicativity():
     theta = abelianization_grading(FM)
     rng = np.random.default_rng(9)
